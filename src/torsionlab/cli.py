@@ -63,6 +63,11 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _load_form(path: str) -> FormMatrix:
+    with open(path) as fh:
+        return FormMatrix.loads(fh.read())
+
+
 def _load_poly(path: str) -> LaurentPoly:
     obj = _load_json(path)
     if isinstance(obj, dict) and "poly" in obj:
@@ -136,7 +141,7 @@ def _cmd_mahler_kalpha(args) -> int:
 
 
 def _cmd_rep_check_form(args) -> int:
-    M = FormMatrix.loads(open(args.matrix).read())
+    M = _load_form(args.matrix)
     ok = check_form_preserved(M)
     aug = M.augmentation()
     ident = [[1 if i == j else 0 for j in range(M.n)] for i in range(M.n)]
@@ -145,7 +150,7 @@ def _cmd_rep_check_form(args) -> int:
 
 
 def _cmd_rep_block(args) -> int:
-    M = FormMatrix.loads(open(args.matrix).read())
+    M = _load_form(args.matrix)
     B = bottom_left_block(M)
     det = block_det(B, q=M.q)
     _print_json(
@@ -158,7 +163,7 @@ def _cmd_rep_block(args) -> int:
 
 
 def _cmd_rep_iota(args) -> int:
-    M = FormMatrix.loads(open(args.matrix).read())
+    M = _load_form(args.matrix)
     if M.q is None:
         M = M.reduce_mod_q(args.q)
     elif M.q != args.q:
@@ -407,3 +412,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -268,7 +268,8 @@ def transvection(
             row.append(e)
         rows.append(row)
     T = FormMatrix(model, rows, q)
-    assert check_form_preserved(T), "transvection construction must preserve the form"
+    if not check_form_preserved(T):
+        raise RuntimeError("transvection construction must preserve the form")
     if torelli_like:
         aug = T.augmentation()
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

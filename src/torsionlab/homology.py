@@ -1,12 +1,13 @@
 """Exact homology of Heegaard manifolds and their cyclic covers.
 
-Torsion orders and Betti numbers come from integer linear algebra: an
-exact Smith normal form for small presentations, and a CRT modular
-determinant (with a rigorous unit-circle coefficient bound) for the
-large block-circulant matrices of high-degree covers.  The q-cover
-presentation is the circulant expansion of B_q; the two extra trivial
-summands of the cover surface contribute free rank only and are carried
-as free_offset metadata.
+Torsion orders and Betti numbers come from exact integer arithmetic.  The
+q-cover presentation is the circulant expansion of B_q; its blocks commute,
+so its determinant is Res(t^q - 1, det B_q) (Fox's formula), computed by a
+modular Euclid resultant and CRT under a rigorous Parseval height bound.
+A nonzero resultant is the torsion order of a cover with Betti number 0;
+only degenerate covers (zero resultant) go to an exact Smith normal form of
+the expanded presentation.  The two extra trivial summands of the cover
+surface contribute free rank only and are carried as free_offset metadata.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ import numpy as np
 from .mahler import MahlerResult, ZeroPolynomial, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, reduce_mod_q
 from .hermitian import block_det
-
-# below this size the integer presentation goes straight to exact SNF
-SNF_DIRECT_LIMIT = 80
-
 
 class NotSymplectic(ValueError):
     """Input matrix does not preserve the standard symplectic form."""
@@ -167,7 +164,7 @@ def smith_normal_form(A) -> SmithDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# modular determinant machinery
+# modular resultant machinery
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -194,69 +191,128 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _primes_below_2_31(count: int) -> list[int]:
-    out = []
-    c = (1 << 31) - 1
-    while len(out) < count:
-        if _is_probable_prime(c):
-            out.append(c)
-        c -= 2
-    return out
+# the largest primes below 2^31, descending; grown on demand by replacing
+# the tuple, so a concurrent caller never sees a half-built list
+_PRIMES: tuple[int, ...] = ()
 
 
-def _det_mod_p(A: np.ndarray, p: int) -> int:
-    """Determinant mod p via elimination; A int64, entries in [0, p)."""
-    A = A.copy()
-    n = A.shape[0]
-    det = 1
-    for k in range(n):
-        nz = np.nonzero(A[k:, k])[0]
-        if len(nz) == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            A[[k, i]] = A[[i, k]]
-            det = p - det
-        piv = int(A[k, k])
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        if k + 1 < n:
-            factors = A[k + 1 :, k] * inv % p
-            A[k + 1 :, k + 1 :] = (
-                A[k + 1 :, k + 1 :] - np.outer(factors, A[k, k + 1 :])
-            ) % p
-            A[k + 1 :, k] = 0
-    return det
+def _primes_below_2_31(count: int) -> tuple[int, ...]:
+    """At least `count` of the largest primes below 2^31, descending."""
+    global _PRIMES
+    primes = _PRIMES
+    if len(primes) < count:
+        out = list(primes)
+        c = out[-1] - 2 if out else (1 << 31) - 1
+        while len(out) < count:
+            if _is_probable_prime(c):
+                out.append(c)
+            c -= 2
+        _PRIMES = primes = tuple(out)
+    return primes
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g, x = m1, pow(m1, -1, m2)
-    h = (r2 - r1) * x % m2
+    h = (r2 - r1) * pow(m1 % m2, -1, m2) % m2
     return r1 + m1 * h, m1 * m2
 
 
-def circulant_det(c: CycElem) -> int:
-    """Exact determinant of the q x q circulant of c, by CRT.
+def _rem_monic(a: list, m: list, p: int) -> list:
+    """a modulo the monic m over F_p; coefficient lists, constant first."""
+    n = len(m) - 1
+    r = list(a)
+    for k in range(len(r) - 1, n - 1, -1):
+        x = r[k] % p
+        if x:
+            off = k - n
+            for i in range(n):
+                r[off + i] -= x * m[i]
+    return [x % p for x in r[:n]]
 
-    |det| = prod |c(zeta^j)| <= (sum |coeffs|)^q gives a rigorous prime
-    budget for the reconstruction.
+
+def _mulmod(a: list, b: list, m: list, p: int) -> list:
+    """a * b modulo the monic m over F_p."""
+    h = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                h[i + j] += x * y
+    return _rem_monic(h, m, p)
+
+
+def _monic_resultant(a: list, b: list, p: int) -> int:
+    """Product of b(alpha) over the roots alpha of the monic a, over F_p,
+    by Euclid's algorithm; deg b < deg a."""
+    acc = 1
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return acc * pow(b[0], m, p) % p
+        # prod_a b(alpha) = (-1)^{mn} lc(b)^m prod_b a(beta), and
+        # a(beta) = (a mod b)(beta) at each root beta of b
+        lc = b[-1]
+        acc = acc * pow(lc, m, p) % p
+        if m * n % 2:
+            acc = -acc % p
+        inv = pow(lc, -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _rem_monic(a, b, p)
+
+
+def circulant_det(c: CycElem) -> int:
+    """Exact determinant of the q x q circulant of c.
+
+    circ is a ring homomorphism, so det circ(c) = prod_j c(zeta^j) =
+    Res(t^q - 1, c).  Write c = t^s g with g the honest polynomial whose
+    support fits the shortest cyclic window (degree d < q, g(0) != 0);
+    det circ(t^s) = (-1)^{s(q-1)}.  Modulo each prime p below 2^31,
+    t^q - 1 is reduced modulo g by square-and-multiply and the resultant
+    finished by Euclid; CRT recovers the integer.  Parseval and AM-GM give
+    |prod_j g(zeta^j)| <= (sum g_k^2)^{q/2}, the rigorous prime budget.
     """
     q = c.q
-    l1 = sum(abs(x) for x in c.coeffs)
-    if l1 == 0:
+    cs = c.coeffs
+    support = [k for k, x in enumerate(cs) if x]
+    if not support:
         return 0
-    bits = int(q * math.log2(max(2, l1))) + 4
-    primes = _primes_below_2_31(bits // 30 + 2)
-    idx = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
-    res, mod = 0, 1
-    for p in primes:
-        coeffs = np.array([x % p for x in c.coeffs], dtype=np.int64)
-        A = coeffs[idx]
-        d = _det_mod_p(A, p)
-        res, mod = _crt_pair(res, mod, d, p)
+    # the window starts right after the widest cyclic gap of the support
+    gap, s = max(((b - a) % q or q, b) for a, b in zip(support, support[1:] + support[:1]))
+    d = q - gap
+    g = [cs[(s + k) % q] for k in range(d + 1)]
+    sign = -1 if s * (q - 1) % 2 else 1
+    if d == 0:
+        return sign * g[0] ** q
+    target_bits = (4 * sum(x * x for x in g) ** q).bit_length()
+    primes = _primes_below_2_31(target_bits // 60 + 2)
+    res, mod, i = 0, 1, 0
+    # stop once mod^2 > 4 (sum g_k^2)^q: then mod > 2 |det| fixes the sign
+    while 2 * (mod.bit_length() - 1) < target_bits:
+        if i == len(primes):
+            primes = _primes_below_2_31(2 * i)
+        p = primes[i]
+        i += 1
+        lc = g[-1] % p
+        if not lc:
+            continue  # g drops degree mod p
+        inv = pow(lc, -1, p)
+        m = [x * inv % p for x in g]
+        r = [1] + [0] * (d - 1)
+        for bit in bin(q)[2:]:
+            r = _mulmod(r, r, m, p)
+            if bit == "1":
+                r = _rem_monic([0] + r, m, p)
+        r[0] = (r[0] - 1) % p
+        # Res(t^q - 1, g) = (-1)^{qd} lc^q prod_{g(beta)=0} (t^q - 1)(beta)
+        v = pow(lc, q, p) * _monic_resultant(m, r, p) % p
+        if q * d % 2:
+            v = -v % p
+        res, mod = _crt_pair(res, mod, v, p)
     if res > mod // 2:
         res -= mod
-    return res
+    return sign * res
 
 
 def expand_presentation(Bq, q: int) -> list:
@@ -278,27 +334,24 @@ def expand_presentation(Bq, q: int) -> list:
 def cover_homology(Bq, q: int) -> TorsionReport:
     """Torsion order and Betti number of the q-cover presentation.
 
-    Small presentations go straight to exact SNF.  Large ones use the
-    commuting-blocks identity det(expansion) = det(circulant of the
-    ring determinant): when that determinant is nonzero the cokernel is
-    finite of that order; otherwise fall back to exact SNF.
+    The blocks of the expansion are commuting circulants, so its
+    determinant is det circ(ring determinant) = Res(t^q - 1, det Bq) (Fox's
+    formula).  When that is nonzero the cokernel is finite of that order;
+    a degenerate cover (zero resultant) falls back to exact SNF of the
+    expanded presentation.
     """
     if q < 1:
         raise ValueError("cover degree must be >= 1")
-    h = len(Bq)
-    size = h * q
-    if size > SNF_DIRECT_LIMIT:
-        d = block_det(Bq, q=q)
-        det = circulant_det(d)
-        if det:
-            torsion = abs(det)
-            return TorsionReport(
-                q=q,
-                torsion_order=torsion,
-                betti=0,
-                log_torsion_over_q=_log(torsion) / q,
-                method="circulant_det",
-            )
+    det = circulant_det(block_det(Bq, q=q))
+    if det:
+        torsion = abs(det)
+        return TorsionReport(
+            q=q,
+            torsion_order=torsion,
+            betti=0,
+            log_torsion_over_q=_log(torsion) / q,
+            method="circulant_det",
+        )
     snf = smith_normal_form(expand_presentation(Bq, q))
     torsion = 1
     for d in snf.nonzero_factors():
@@ -411,22 +464,15 @@ def heegaard_homology(phi_star) -> dict:
 
 
 def _is_symplectic(P, g: int) -> bool:
+    """Whether P^T J P == J exactly, J = [[0, I], [-I, 0]] in the (a, b)
+    basis ordering."""
     n = 2 * g
-    # J in the (a, b) basis ordering
-    def J(i, j):
-        if j == i + g:
-            return 1
-        if i == j + g:
-            return -1
-        return 0
-
+    # J P: the b-rows of P on top, minus the a-rows below
+    JP = P[g:] + [[-x for x in row] for row in P[:g]]
     for i in range(n):
         for j in range(n):
-            s = 0
-            for k in range(n):
-                for l in range(n):
-                    s += P[k][i] * J(k, l) * P[l][j]
-            if s != J(i, j):
+            s = sum(P[k][i] * JP[k][j] for k in range(n))
+            if s != (1 if j == i + g else -1 if i == j + g else 0):
                 return False
     return True
 

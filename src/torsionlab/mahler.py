@@ -259,11 +259,13 @@ def _div_exact_int(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) - len(b) + 1)
     for k in range(len(out) - 1, -1, -1):
         c, r = divmod(a[len(b) - 1 + k], b[-1])
-        assert r == 0, "division expected to be exact"
+        if r:
+            raise ArithmeticError("division expected to be exact")
         out[k] = c
         for i, bc in enumerate(b):
             a[i + k] -= c * bc
-    assert not any(a), "division expected to be exact"
+    if any(a):
+        raise ArithmeticError("division expected to be exact")
     return out
 
 

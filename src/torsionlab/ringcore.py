@@ -492,7 +492,8 @@ def cyclotomic(n: int) -> LaurentPoly:
     for d in range(1, n):
         if n % d == 0:
             num = num.divide_exact(cyclotomic(d))
-            assert num is not None, "cyclotomic division must be exact"
+            if num is None:
+                raise ArithmeticError("cyclotomic division must be exact")
     with _CYCLOTOMIC_LOCK:
         _CYCLOTOMIC_CACHE[n] = num
     return num

@@ -282,7 +282,8 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
             else:
                 deg = det.degree_span()
                 rec["det_degree"][step] = deg
-                assert deg <= h * d_mu * step, "degree ledger violation"
+                if deg > h * d_mu * step:
+                    raise RuntimeError("degree ledger violation")
                 positive = kronecker_zero_test(det) is None
                 rec["mahler_positive"][step] = positive
                 if positive:

@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torsionlab
 from torsionlab.cli import dispatch, emit_plot_data
 from torsionlab.homology import GrowthScanResult, growth_scan
 from torsionlab.ringcore import LaurentPoly
@@ -169,6 +174,22 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_python_m_torsionlab(tmp_path):
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    f = tmp_path / "lehmer.json"
+    f.write_text(LEHMER.dumps())
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "torsionlab", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run("mahler", "eval", "--poly", str(f))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["log_measure"] == pytest.approx(0.1623576, abs=1e-6)
+    assert run("no-such-command").returncode == 2
 
 
 def test_emit_plot_data_growth():

@@ -121,6 +121,44 @@ def test_circulant_det_matches_bareiss():
         assert circulant_det(CycElem(q, c)) == bareiss_det(M)
 
 
+def test_circulant_det_signed_on_wrapping_supports():
+    # short supports placed anywhere, so most wrap past t^(q-1); this
+    # exercises the rotation sign (-1)^(s(q-1)) and the window search
+    for _ in range(300):
+        q = rng.randint(1, 14)
+        c = [0] * q
+        start = rng.randrange(q)
+        for k in range(rng.randint(1, 4)):
+            c[(start + k) % q] = rng.randint(-6, 6)
+        M = [[c[(i - j) % q] for j in range(q)] for i in range(q)]
+        assert circulant_det(CycElem(q, c)) == bareiss_det(M), (q, c)
+
+
+def test_circulant_det_edge_cases():
+    for q in (1, 2, 5, 8):
+        assert circulant_det(CycElem.zero(q)) == 0
+        assert circulant_det(CycElem(q, [-3])) == (-3) ** q
+        for s in range(q):
+            # a pure shift is a permutation matrix of sign (-1)^(s(q-1))
+            assert circulant_det(CycElem.t(q, s)) == (-1) ** (s * (q - 1))
+            assert circulant_det(CycElem.t(q, s) * -2) == (-1) ** (s * (q - 1)) * (-2) ** q
+
+
+def test_circulant_det_resultant_divisibility_lehmer():
+    # t^d - 1 divides t^q - 1 for d | q, so Res(L, t^d - 1) | Res(L, t^q - 1)
+    lehmer = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
+    for q in (1680, 2000):
+        top = circulant_det(reduce_mod_q(lehmer, q))
+        assert top != 0
+        for d in range(1, q):
+            if q % d == 0:
+                assert top % circulant_det(reduce_mod_q(lehmer, d)) == 0, (q, d)
+    rep = cover_homology([[reduce_mod_q(lehmer, 2000)]], 2000)
+    assert rep.method == "circulant_det"
+    assert rep.torsion_order == abs(top)
+    assert rep.log_torsion_over_q == pytest.approx(0.16235761, abs=1e-3)
+
+
 def test_circulant_det_large_known():
     # circulant of t - 2 at q = 100: |det| = 2^100 - 1
     c = CycElem(100, [-2, 1] + [0] * 98)
@@ -150,15 +188,28 @@ def test_cover_homology_free_rank():
     assert rep.betti == 1
 
 
-def test_cover_homology_fast_path_agrees_with_snf():
+def test_cover_homology_resultant_path_agrees_with_snf():
     p = LaurentPoly({1: 1, 0: -2})
-    q = 90  # size 90 > direct limit, uses the circulant route
-    fast = cover_homology([[reduce_mod_q(p, q)]], q)
-    assert fast.method == "circulant_det"
-    assert fast.torsion_order == 2**q - 1
-    small = cover_homology([[reduce_mod_q(p, 12)]], 12)
-    assert small.method == "snf"
-    assert small.torsion_order == 2**12 - 1
+    for q in (12, 90):
+        Bq = [[reduce_mod_q(p, q)]]
+        rep = cover_homology(Bq, q)
+        dec = smith_normal_form(expand_presentation(Bq, q))
+        torsion = 1
+        for d in dec.nonzero_factors():
+            torsion *= d
+        assert rep.method == "circulant_det"
+        assert (rep.torsion_order, rep.betti) == (torsion, dec.corank())
+        assert rep.torsion_order == 2**q - 1
+
+
+def test_cover_homology_degenerate_falls_back_to_snf():
+    # (t + 1)(t^2 - 3t + 1) vanishes at t = -1, a root of t^q - 1 for even q
+    p = LaurentPoly({3: 1, 2: -2, 1: -2, 0: 1})
+    even = cover_homology([[reduce_mod_q(p, 10)]], 10)
+    assert even.method == "snf" and even.betti == 1
+    odd = cover_homology([[reduce_mod_q(p, 9)]], 9)
+    assert odd.method == "circulant_det" and odd.betti == 0
+    assert odd.torsion_order == resultant_with_tq_minus_1(p, 9)
 
 
 def test_cover_homology_2x2_vs_expanded_snf():
@@ -268,6 +319,22 @@ def test_heegaard_random_words():
 def test_heegaard_rejects_non_symplectic():
     with pytest.raises(NotSymplectic):
         heegaard_homology([[1, 1], [1, 1]])
+
+
+def test_heegaard_rejects_unimodular_non_symplectic():
+    J = np.block([[np.zeros((2, 2), int), np.eye(2, dtype=int)],
+                  [-np.eye(2, dtype=int), np.zeros((2, 2), int)]])
+    swap = np.eye(4, dtype=int)[[3, 1, 2, 0]]  # a1 <-> b2, det -1
+    shear = np.eye(4, dtype=int)
+    shear[0, 2] = 1  # b1 -> b1 + a1 preserves the form
+    assert (shear.T @ J @ shear == J).all()
+    assert heegaard_homology(shear.tolist())["betti"] == 2
+    perturbed = shear.copy()
+    perturbed[0, 1] = 1
+    for M in (swap, perturbed):
+        assert not (M.T @ J @ M == J).all()
+        with pytest.raises(NotSymplectic):
+            heegaard_homology(M.tolist())
 
 
 # -- Betti increase test ----------------------------------------------

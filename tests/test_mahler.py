@@ -1,10 +1,16 @@
 """Mahler measure: closed-form oracles, Kronecker test, constraint dichotomy."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import torsionlab
 
 from torsionlab.mahler import (
     ConstraintParams,
@@ -207,3 +213,15 @@ def test_constraint_degree_bound():
     p = LaurentPoly({k: 1 for k in range(30)})
     with pytest.raises(DegreeBoundViolated):
         constraint_check(p, make_params(), n=2)
+
+
+def test_exact_division_check_survives_python_O():
+    # t^2 + 1 is not a multiple of t + 1; under -O an assert would be
+    # stripped and the wrong quotient returned silently
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "from torsionlab.mahler import _div_exact_int; _div_exact_int([1, 0, 1], [1, 1])"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "ArithmeticError: division expected to be exact" in proc.stderr
