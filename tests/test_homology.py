@@ -188,7 +188,7 @@ def test_cover_homology_free_rank():
     assert rep.betti == 1
 
 
-def test_cover_homology_resultant_path_agrees_with_snf():
+def test_cover_homology_fast_path_agrees_with_snf():
     p = LaurentPoly({1: 1, 0: -2})
     for q in (12, 90):
         Bq = [[reduce_mod_q(p, q)]]
