@@ -513,28 +513,8 @@ def betti_increase_check(Bq, q: int, root_index: int = 1) -> bool:
         from .hermitian import NonPrimitiveRoot
 
         raise NonPrimitiveRoot(f"gcd({root_index}, {q}) != 1")
-    d = block_det(Bq, q=q)
-    lift = d.lift()
-    if lift.is_zero():
-        return True
-    dense = [lift[k] for k in range(lift.deg_hi + 1)]
-    rem = _poly_rem(dense, q)
-    return not any(rem)
-
-
-def _poly_rem(dense: list, q: int) -> list:
-    """Remainder of a dense integer polynomial modulo Phi_q (monic)."""
-    phi = cyclotomic(q).coeff_list()
-    db = len(phi) - 1
-    rem = list(dense)
-    while len(rem) - 1 >= db:
-        c = rem[-1]
-        if c:
-            off = len(rem) - 1 - db
-            for i, b in enumerate(phi):
-                rem[off + i] -= c * b
-        rem.pop()
-    return rem
+    lift = block_det(Bq, q=q).lift()
+    return lift.is_zero() or lift.divide_exact(cyclotomic(q)) is not None
 
 
 def betti_increase_rank_check(Bq, q: int, root_index: int = 1, tol: float = 1e-9) -> bool:

@@ -1,8 +1,10 @@
 """Mahler measures of integer polynomials and the cyclotomic dichotomy.
 
-The zero/nonzero decision is made by exact integer arithmetic (trial
-division by cyclotomic polynomials); floating point enters only for the
-root product of provably-nonzero measures.  Root finding uses mpmath's
+The zero/nonzero decision is made by exact integer arithmetic: Graeffe
+root-squaring iterated to a fixed point, which exists exactly when every
+root is a root of unity (Kronecker), with a binomial coefficient bound
+as an early reject.  Floating point enters only for the root product of
+provably-nonzero measures.  Root finding uses mpmath's
 polynomial solver at boosted precision so large coefficients stay
 accurate.
 """
@@ -16,12 +18,8 @@ from enum import Enum
 
 import mpmath as mp
 
-from .ringcore import LaurentPoly, cyclotomic, laurent_eval, normalize_unit, totient
-
-# Scan horizon for cyclotomic indices: phi(m) > 1000 for every m > 5000,
-# so trial division over m <= 5000 is exhaustive for degrees up to 1000.
-TOTIENT_SCAN_CAP = 5000
-_MAX_KRONECKER_DEGREE = 1000
+from .ringcore import LaurentPoly, cyclotomic, divisors, laurent_eval, normalize_unit, totient
+from .ringcore import _derivative, _div_exact_int, _poly_divmod, _poly_gcd, _poly_mul, _pp
 
 
 class ZeroPolynomial(ValueError):
@@ -96,181 +94,99 @@ class ConstraintReport:
 
 
 def _graeffe_step(coeffs: list[int]) -> list[int]:
-    """Root-squaring: coefficients of +-P(sqrt(y))P(-sqrt(y))."""
+    """Root-squaring: coefficients of +-P(sqrt(y))P(-sqrt(y)).
+
+    With P(x) = E(x^2) + x O(x^2) this is E(y)^2 - y O(y)^2, normalized to
+    a positive leading coefficient; its roots are the squares of P's.
+    """
     d = len(coeffs) - 1
     out = [0] * (d + 1)
-    # coefficient of x^{i+j} in P(x)P(-x) picks up a_i * b_j * (-1)^j;
-    # odd powers cancel, even powers become the y-coefficients
-    for i, a in enumerate(coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(coeffs):
-            if b and (i + j) % 2 == 0:
-                out[(i + j) // 2] += a * b if j % 2 == 0 else -a * b
+    even, odd = coeffs[0::2], coeffs[1::2]
+    for k, c in enumerate(_poly_mul(even, even)):
+        out[k] = c
+    for k, c in enumerate(_poly_mul(odd, odd)):
+        out[k + 1] -= c
     if out[d] < 0:
         out = [-c for c in out]
     return out
 
 
-def _violates_unit_root_bound(coeffs: list[int]) -> bool:
-    """True if some |c_k| exceeds binom(d, k): certifies m(P) > 0 for
-    polynomials with unit leading coefficient."""
-    d = len(coeffs) - 1
-    return any(abs(c) > math.comb(d, k) for k, c in enumerate(coeffs))
-
-
-def _eval_at_int(p: LaurentPoly, x: int) -> int:
-    """Exact value of an honest polynomial at an integer point."""
-    return sum(c * x**k for k, c in p.coeffs.items())
-
-
-_CYC_AT_TWO: dict[int, int] = {}
-
-
-def _cyclotomic_at_two(m: int) -> int:
-    v = _CYC_AT_TWO.get(m)
-    if v is None:
-        v = _eval_at_int(cyclotomic(m), 2)
-        _CYC_AT_TWO[m] = v
-    return v
-
-
-_TOTIENT_TABLE: list[int] = []
-
-
-def _totient_table() -> list[int]:
-    global _TOTIENT_TABLE
-    if not _TOTIENT_TABLE:
-        tab = list(range(TOTIENT_SCAN_CAP + 1))
-        for p in range(2, TOTIENT_SCAN_CAP + 1):
-            if tab[p] == p:  # prime
-                for k in range(p, TOTIENT_SCAN_CAP + 1, p):
-                    tab[k] -= tab[k] // p
-        _TOTIENT_TABLE = tab
-    return _TOTIENT_TABLE
-
-
 def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
     """Exact test whether +-p is a monomial times cyclotomics.
 
-    Succeeds iff the Mahler measure of p is exactly zero.  Entirely
-    integer arithmetic: unit leading/constant coefficients are required,
-    a few Graeffe root-squaring steps reject measure-positive inputs
-    cheaply (coefficients of a unit-circle polynomial are bounded by
-    binomials, while root-squaring blows up any root off the circle),
-    and the survivors are resolved by exhaustive cyclotomic division.
+    Succeeds iff the Mahler measure of p is exactly zero (Kronecker).
+    Entirely integer arithmetic.  After the unit-end checks, Graeffe
+    root-squaring G is iterated on the monic F = +-p t^k of degree d:
+    - an iterate with some |c_j| > binom(d, j) has a root off the unit
+      circle, so p is rejected;
+    - G(F) = F means squaring permutes the roots of F, so every root is
+      a root of unity, and p is accepted.
+    G fixes Phi_m for odd m and sends Phi_{2^a m} to a power of
+    Phi_{2^(a-1) m}; phi(2^a m) <= d forces a <= log2 d + 1, so a
+    cyclotomic product reaches its fixed point within floor(log2 d) + 2
+    steps, and an input that has not is rejected (Bradford-Davenport,
+    Effective tests for cyclotomic polynomials, ISSAC 1988).
     """
     if p.is_zero():
         raise ZeroPolynomial("kronecker_zero_test of the zero polynomial")
     poly, shift = normalize_unit(p)
-    k_exponent = -shift
-    lead = poly.coeffs[poly.deg_hi]
-    if lead not in (1, -1):
-        return None
-    if poly.coeffs[0] not in (1, -1):
-        # a cyclotomic product has unit constant term as well
-        return None
-    deg = poly.degree_span()
-    if deg > _MAX_KRONECKER_DEGREE:
-        raise ValueError(f"degree {deg} beyond exhaustive scan horizon")
-    if deg == 0:
-        return KroneckerFactorization(k_exponent, Counter(), sign=lead)
-
     cs = poly.coeff_list()
-    if _violates_unit_root_bound(cs):
+    lead = cs[-1]
+    if lead not in (1, -1) or cs[0] not in (1, -1):
+        # a cyclotomic product has unit leading and constant terms
         return None
-    for _ in range(6):
-        cs = _graeffe_step(cs)
-        if _violates_unit_root_bound(cs):
-            return None
-
-    # survivor: strip cyclotomic factors until the quotient is a unit
-    tab = _totient_table()
-    indices: Counter = Counter()
-    while poly.degree_span() > 0:
-        deg = poly.degree_span()
-        pval = _eval_at_int(poly, 2)
-        progressed = False
-        for m in range(1, min(2 * deg * deg + 2, TOTIENT_SCAN_CAP) + 1):
-            if tab[m] > deg:
-                continue
-            # value filter: Phi_m(2) must divide poly(2)
-            if pval % _cyclotomic_at_two(m):
-                continue
-            quot = poly.divide_exact(cyclotomic(m))
-            if quot is not None:
-                indices[m] += 1
-                poly = quot
-                progressed = True
+    d = len(cs) - 1
+    if d:
+        bound = [math.comb(d, j) for j in range(d + 1)]
+        f = cs if lead == 1 else [-c for c in cs]
+        for _ in range(d.bit_length() + 1):
+            if any(abs(c) > b for c, b in zip(f, bound)):
+                return None
+            g = _graeffe_step(f)
+            if g == f:
                 break
-        if not progressed:
+            f = g
+        else:
             return None
-    const = poly.coeffs.get(0, 0)
-    if const in (1, -1):
-        return KroneckerFactorization(k_exponent, indices, sign=const)
-    return None
+    return KroneckerFactorization(-shift, _cyclotomic_indices(cs), sign=lead)
 
 
-# -- integer polynomial gcd (dense lists, index = exponent) -----------
+def _cyclotomic_indices(cs: list[int]) -> Counter:
+    """Indices, with multiplicity, of the factors of cs = +-prod Phi_m.
 
-
-def _pp(c: list[int]) -> list[int]:
-    """Primitive part with positive leading coefficient."""
-    while c and c[-1] == 0:
-        c = c[:-1]
-    if not c:
-        return []
-    g = 0
-    for x in c:
-        g = math.gcd(g, abs(x))
-    if c[-1] < 0:
-        g = -g
-    return [x // g for x in c]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """prem(a, b): remainder after scaling so divisions stay integral."""
-    a = list(a)
-    d = len(a) - len(b)
-    lb = b[-1]
-    for k in range(d, -1, -1):
-        lead = a[len(b) - 1 + k]
-        a = [x * lb for x in a]
-        for i, bc in enumerate(b):
-            a[i + k] -= lead * bc
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    a, b = _pp(a), _pp(b)
-    while b:
-        if len(b) > len(a):
-            a, b = b, a
+    One ascending pass over m divides out Phi_m while it divides.  Phi_m
+    is built only when phi(m) fits the remaining degree and Phi_m(2)
+    divides P(2).  Phi_m(2) = (2^m - 1) / prod_{d | m, d < m} Phi_d(2) is
+    kept for every m that fits; every divisor d of a later m that fits
+    has phi(d) <= phi(m), so it fitted too.  The input must be certified
+    by the fixed point; phi(m) >= sqrt(m / 2) bounds the indices a
+    product of the remaining degree can still hold.
+    """
+    indices: Counter = Counter()
+    value = sum(c << k for k, c in enumerate(cs))
+    at_two: dict[int, int] = {}
+    m = 0
+    while len(cs) > 1:
+        m += 1
+        deg = len(cs) - 1
+        if m > 2 * deg * deg + 2:
+            raise ArithmeticError(f"certified remainder of degree {deg} has no cyclotomic factor")
+        if totient(m) > deg:
             continue
-        a, b = b, _pp(_pseudo_rem(a, b))
-    return a
-
-
-def _div_exact_int(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a // b for an exact integer division (Gauss's lemma)."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c, r = divmod(a[len(b) - 1 + k], b[-1])
-        if r:
-            raise ArithmeticError("division expected to be exact")
-        out[k] = c
-        for i, bc in enumerate(b):
-            a[i + k] -= c * bc
-    if any(a):
-        raise ArithmeticError("division expected to be exact")
-    return out
-
-
-def _derivative(c: list[int]) -> list[int]:
-    return [k * x for k, x in enumerate(c)][1:]
+        v = (1 << m) - 1
+        for k in divisors(m)[:-1]:
+            v //= at_two[k]
+        at_two[m] = v
+        if value % v:
+            continue
+        phi = cyclotomic(m).coeff_list()
+        while not value % v:
+            quot, rem = _poly_divmod(cs, phi)
+            if rem:
+                break
+            cs, value = quot, value // v
+            indices[m] += 1
+    return indices
 
 
 def _refined_roots(dense: list[int], tol: float) -> list:
@@ -388,18 +304,20 @@ def constraint_check(
         raise DegreeBoundViolated(
             f"deg {degree} exceeds (g-1)*d_mu*n = {bound}; inconsistent input"
         )
-    if kronecker_zero_test(poly) is None:
+    fac = kronecker_zero_test(poly)
+    if fac is None:
         return ConstraintReport(
             ConstraintVerdict.NOT_MAHLER_ZERO, degree=degree, degree_bound=bound
         )
-    for k in sorted(params.K):
-        if poly.divide_exact(cyclotomic(k)) is not None:
-            return ConstraintReport(
-                ConstraintVerdict.CYCLOTOMIC_HIT,
-                hit_index=k,
-                degree=degree,
-                degree_bound=bound,
-            )
+    # Phi_k is irreducible, so it divides p iff k is a certified index
+    hits = [k for k in fac.cyclotomic_indices if k in params.K]
+    if hits:
+        return ConstraintReport(
+            ConstraintVerdict.CYCLOTOMIC_HIT,
+            hit_index=min(hits),
+            degree=degree,
+            degree_bound=bound,
+        )
     alpha_prime = params.alpha / ((params.g - 1) * params.d_mu)
     limit = math.exp(alpha_prime * degree)
     worst = 0.0

@@ -9,6 +9,7 @@ Both rings carry the involution t -> t^-1 (resp. k -> -k mod q).
 from __future__ import annotations
 
 import json
+import math
 import threading
 from typing import Iterable, Mapping
 
@@ -227,28 +228,10 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        # anchor both at exponent zero; restore the shift at the end
-        a = self.shift(-self.deg_lo).coeff_list()
-        b = other.shift(-other.deg_lo).coeff_list()
-        shift = self.deg_lo - other.deg_lo
-        if len(a) < len(b):
+        qr = _poly_divmod(self.coeff_list(), other.coeff_list())
+        if qr is None or qr[1]:
             return None
-        lead = b[-1]
-        qlen = len(a) - len(b) + 1
-        quot = [0] * qlen
-        rem = list(a)
-        for i in range(qlen - 1, -1, -1):
-            c = rem[i + len(b) - 1]
-            if c % lead:
-                return None
-            qc = c // lead
-            quot[i] = qc
-            if qc:
-                for j, bc in enumerate(b):
-                    rem[i + j] -= qc * bc
-        if any(rem):
-            return None
-        return LaurentPoly.from_list(quot, lo=shift)
+        return LaurentPoly.from_list(qr[0], lo=self.deg_lo - other.deg_lo)
 
     def __repr__(self):
         if not self.coeffs:
@@ -471,19 +454,15 @@ def totient(n: int) -> int:
 
 _CYCLOTOMIC_CACHE: dict[int, LaurentPoly] = {}
 _CYCLOTOMIC_LOCK = threading.Lock()
-CYCLOTOMIC_N_MAX = 2000
 
 
 def cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, by exact recursive division.
 
-    Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d; results are memoized
-    up to CYCLOTOMIC_N_MAX.
+    Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d; results are memoized.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    if n > CYCLOTOMIC_N_MAX:
-        raise ValueError(f"cyclotomic index {n} exceeds cache limit {CYCLOTOMIC_N_MAX}")
     with _CYCLOTOMIC_LOCK:
         hit = _CYCLOTOMIC_CACHE.get(n)
     if hit is not None:
@@ -509,3 +488,109 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+# ---------------------------------------------------------------------------
+# dense integer-polynomial kernel: lists of Python ints, index = exponent
+
+
+def _pack(a: list[int], width: int) -> int:
+    """sum a_k 2^(8 width k) for signed a_k below 2^(8 width) in size."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in a)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in a)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two dense integer polynomials by Kronecker substitution.
+
+    Both factors are packed into one integer with slots wide enough for
+    any signed coefficient of the product, multiplied once, and unpacked
+    after adding half a slot to every slot, which makes each slot a
+    nonnegative digit with no borrow between slots.
+    """
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    bits = (max(abs(c) for c in a).bit_length() + max(abs(c) for c in b).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    x = _pack(a, width)
+    prod = x * x if b is a else x * _pack(b, width)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    digits = memoryview((prod + bias).to_bytes(width * n, "little"))
+    return [int.from_bytes(digits[i:i + width], "little") - half
+            for i in range(0, width * n, width)]
+
+
+def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]] | None:
+    """Quotient and remainder of a by b (b[-1] != 0) over Z.
+
+    The remainder has its trailing zeros stripped, so it is [] exactly
+    when b divides a.  Returns None when some quotient coefficient is not
+    an integer, which cannot happen when b[-1] is a unit.
+    """
+    n = len(b) - 1
+    lead = b[-1]
+    terms = [(j, c) for j, c in enumerate(b[:n]) if c]
+    rem = list(a)
+    quot = [0] * max(len(a) - n, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + n]
+        if not c:
+            continue
+        if lead != 1:
+            c, r = divmod(c, lead)
+            if r:
+                return None
+        quot[i] = c
+        for j, bc in terms:
+            rem[i + j] -= c * bc
+    rem = rem[:n]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _div_exact_int(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b for a division that must be exact (Gauss's lemma)."""
+    qr = _poly_divmod(a, b)
+    if qr is None or qr[1]:
+        raise ArithmeticError("division expected to be exact")
+    return qr[0]
+
+
+def _pp(c: list[int]) -> list[int]:
+    """Primitive part with positive leading coefficient."""
+    while c and c[-1] == 0:
+        c = c[:-1]
+    if not c:
+        return []
+    g = 0
+    for x in c:
+        g = math.gcd(g, abs(x))
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """prem(a, b) for len(a) >= len(b): the remainder of lc(b)^(deg a -
+    deg b + 1) a by b, whose quotient is integral."""
+    scale = b[-1] ** (len(a) - len(b) + 1)
+    return _poly_divmod([x * scale for x in a], b)[1]
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    a, b = _pp(a), _pp(b)
+    while b:
+        if len(b) > len(a):
+            a, b = b, a
+            continue
+        a, b = b, _pp(_pseudo_rem(a, b))
+    return a
+
+
+def _derivative(c: list[int]) -> list[int]:
+    return [k * x for k, x in enumerate(c)][1:]

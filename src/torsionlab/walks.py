@@ -39,9 +39,9 @@ from .hermitian import (
 )
 from .mahler import (
     ConstraintParams,
+    ConstraintVerdict,
     build_K_alpha,
     constraint_check,
-    kronecker_zero_test,
 )
 from .ringcore import LaurentPoly
 
@@ -284,17 +284,15 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
                 rec["det_degree"][step] = deg
                 if deg > h * d_mu * step:
                     raise RuntimeError("degree ledger violation")
-                positive = kronecker_zero_test(det) is None
-                rec["mahler_positive"][step] = positive
-                if positive:
-                    rec["constraint_verdict"][step] = "not_mahler_zero"
-                else:
-                    v = constraint_check(det, params, step)
-                    rec["constraint_verdict"][step] = (
-                        v.verdict.value
-                        if v.hit_index is None
-                        else f"cyclotomic_hit_{v.hit_index}"
-                    )
+                v = constraint_check(det, params, step)
+                rec["mahler_positive"][step] = (
+                    v.verdict is ConstraintVerdict.NOT_MAHLER_ZERO
+                )
+                rec["constraint_verdict"][step] = (
+                    v.verdict.value
+                    if v.hit_index is None
+                    else f"cyclotomic_hit_{v.hit_index}"
+                )
             for q in config.q_list:
                 st = frames[q]
                 if st["dead"]:

@@ -14,7 +14,7 @@ import pytest
 import torsionlab
 from torsionlab.cli import dispatch, emit_plot_data
 from torsionlab.homology import GrowthScanResult, growth_scan
-from torsionlab.ringcore import LaurentPoly
+from torsionlab.ringcore import LaurentPoly, cyclotomic
 from torsionlab.walks import WalkConfig, bundled_generators, run_walk
 
 LEHMER = LaurentPoly(
@@ -190,6 +190,21 @@ def test_python_m_torsionlab(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["log_measure"] == pytest.approx(0.1623576, abs=1e-6)
     assert run("no-such-command").returncode == 2
+
+
+def test_python_m_kronecker_index_beyond_2000(tmp_path):
+    # Phi_2010(t) = Phi_1005(-t), of degree 528
+    phi = cyclotomic(1005)
+    f = tmp_path / "phi2010.json"
+    f.write_text(LaurentPoly({k: (-1) ** k * c for k, c in phi.coeffs.items()}).dumps())
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsionlab", "mahler", "kronecker", "--poly", str(f)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["mahler_zero"] is True
+    assert obj["cyclotomic_indices"] == {"2010": 1}
 
 
 def test_emit_plot_data_growth():

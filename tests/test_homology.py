@@ -17,7 +17,7 @@ from torsionlab.homology import (
     heegaard_homology,
     smith_normal_form,
 )
-from torsionlab.ringcore import CycElem, LaurentPoly, reduce_mod_q
+from torsionlab.ringcore import CycElem, LaurentPoly, cyclotomic, reduce_mod_q
 
 rng = random.Random(314159)
 
@@ -354,3 +354,24 @@ def test_betti_increase_examples():
     assert betti_increase_rank_check(ident, q, 1) is False
     assert betti_increase_rank_check(tm1, q, 1) is False
     assert betti_increase_rank_check(phi, q, 1) is True
+
+
+def test_betti_increase_beyond_index_2000():
+    q = 2003
+    lehmer = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
+    t = LaurentPoly.t()
+    dets = {
+        "one": LaurentPoly.one(),
+        "t-1": t - 1,
+        "lehmer": lehmer,
+        "phi_q": cyclotomic(q),
+        "lehmer*phi_q": lehmer * cyclotomic(q),
+    }
+    want = {"one": False, "t-1": False, "lehmer": False, "phi_q": True, "lehmer*phi_q": True}
+    for name, det in dets.items():
+        # 2x2 block [[det, 1 + t], [0, 1]] has ring determinant det
+        Bq = [[reduce_mod_q(det, q), reduce_mod_q(1 + t, q)],
+              [CycElem.zero(q), CycElem.one(q)]]
+        exact = betti_increase_check(Bq, q, 1)
+        assert exact is want[name], name
+        assert betti_increase_rank_check(Bq, q, 1) is exact, name

@@ -18,6 +18,7 @@ from torsionlab.mahler import (
     DegreeBoundViolated,
     MahlerMethod,
     ZeroPolynomial,
+    _graeffe_step,
     build_K_alpha,
     constraint_check,
     kronecker_zero_test,
@@ -30,6 +31,9 @@ rng = random.Random(99)
 LEHMER = LaurentPoly(
     {10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1}
 )
+# non-cyclotomic factors of small Mahler measure: Lehmer, the two
+# smallest Pisot numbers
+SMALL_MEASURE = (LEHMER, LaurentPoly({3: 1, 1: -1, 0: -1}), LaurentPoly({4: 1, 3: -1, 0: -1}))
 
 
 def jensen_oracle(p: LaurentPoly) -> float:
@@ -156,6 +160,86 @@ def test_kronecker_large_cyclotomic():
     assert dict(fac.cyclotomic_indices) == {105: 1, 15: 1}
 
 
+def phi_2010() -> LaurentPoly:
+    # Phi_{2m}(t) = Phi_m(-t) for odd m
+    return LaurentPoly({k: (-1) ** k * c for k, c in cyclotomic(1005).coeffs.items()})
+
+
+def test_kronecker_certifies_index_beyond_2000():
+    p = phi_2010()
+    assert p.degree_span() == 528
+    fac = kronecker_zero_test(p)
+    assert fac is not None
+    assert (fac.k_exponent, fac.sign, dict(fac.cyclotomic_indices)) == (0, 1, {2010: 1})
+    assert mahler_measure(p).method is MahlerMethod.KRONECKER_EXACT_ZERO
+
+
+def test_kronecker_certifies_degree_beyond_1000():
+    p = LaurentPoly.t(3) * LaurentPoly({1: 1, 0: -1}) ** 1001
+    fac = kronecker_zero_test(p)
+    assert fac is not None
+    assert (fac.k_exponent, fac.sign, dict(fac.cyclotomic_indices)) == (3, 1, {1: 1001})
+
+
+def test_kronecker_rejects_large_product_times_lehmer():
+    cyc = cyclotomic(2003) * cyclotomic(12) * cyclotomic(1) ** 3
+    assert cyc.degree_span() > 1000
+    assert kronecker_zero_test(cyc) is not None
+    assert kronecker_zero_test(cyc * LEHMER) is None
+    assert kronecker_zero_test(-cyc * LEHMER * LaurentPoly.t(-5)) is None
+
+
+def schoolbook_graeffe(coeffs):
+    """Reference root-squaring: the double loop over P(x) P(-x)."""
+    d = len(coeffs) - 1
+    out = [0] * (d + 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(coeffs):
+            if (i + j) % 2 == 0:
+                out[(i + j) // 2] += a * b if j % 2 == 0 else -a * b
+    if out[d] < 0:
+        out = [-c for c in out]
+    return out
+
+
+def test_graeffe_step_matches_schoolbook():
+    gen = random.Random(2024)
+    for trial in range(200):
+        d = gen.randint(0, 40)
+        bits = gen.choice((1, 3, 30, 200))
+        cs = [gen.randint(-(1 << bits), 1 << bits) for _ in range(d + 1)]
+        # runs of zeros, sometimes including the ends
+        for _ in range(gen.randint(0, 3)):
+            a = gen.randint(0, d)
+            b = min(d + 1, a + gen.randint(1, 6))
+            cs[a:b] = [0] * (b - a)
+        if trial % 5 == 0:
+            cs[-1] = gen.choice((1, -1)) << bits
+        assert _graeffe_step(cs) == schoolbook_graeffe(cs), cs
+
+
+def test_certificate_multiplies_back_out():
+    gen = random.Random(7)
+    for _ in range(40):
+        want = {}
+        for _ in range(gen.randint(1, 6)):
+            m = gen.randint(1, 120)
+            want[m] = want.get(m, 0) + gen.randint(1, 3)
+        prod = LaurentPoly.one()
+        for m, e in want.items():
+            prod = prod * cyclotomic(m) ** e
+        sign, k = gen.choice((1, -1)), gen.randint(-9, 9)
+        p = prod * LaurentPoly({k: sign})
+        fac = kronecker_zero_test(p)
+        assert fac is not None
+        assert (fac.sign, fac.k_exponent, dict(fac.cyclotomic_indices)) == (sign, k, want)
+        rebuilt = LaurentPoly({fac.k_exponent: fac.sign})
+        for m, e in fac.cyclotomic_indices.items():
+            rebuilt = rebuilt * cyclotomic(m) ** e
+        assert rebuilt == p
+        assert kronecker_zero_test(p * gen.choice(SMALL_MEASURE)) is None
+
+
 # -- exceptional index set --------------------------------------------
 
 
@@ -201,6 +285,21 @@ def test_constraint_cyclotomic_hit():
     assert rep.hit_index in (1, 4)
 
 
+def test_constraint_hit_is_smallest_dividing_index():
+    params = make_params()
+    for ms in ((5, 4, 1), (9, 6), (7, 3, 2, 2), (17,)):
+        p = LaurentPoly.one()
+        for m in ms:
+            p = p * cyclotomic(m)
+        want = next((k for k in sorted(params.K)
+                     if p.divide_exact(cyclotomic(k)) is not None), None)
+        rep = constraint_check(p, params, n=40)
+        assert rep.hit_index == want
+        verdict = (ConstraintVerdict.SMALL_EVERYWHERE if want is None
+                   else ConstraintVerdict.CYCLOTOMIC_HIT)
+        assert rep.verdict is verdict
+
+
 def test_constraint_small_everywhere():
     # a bare monomial is cyclotomic-free with measure zero
     rep = constraint_check(LaurentPoly.t(3), make_params(), n=4)
@@ -220,7 +319,7 @@ def test_exact_division_check_survives_python_O():
     # stripped and the wrong quotient returned silently
     src = str(Path(torsionlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "from torsionlab.mahler import _div_exact_int; _div_exact_int([1, 0, 1], [1, 1])"
+    code = "from torsionlab.ringcore import _div_exact_int; _div_exact_int([1, 0, 1], [1, 1])"
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1

@@ -9,6 +9,9 @@ import pytest
 
 from torsionlab.ringcore import (
     CycElem,
+    _poly_divmod,
+    _poly_mul,
+    _pseudo_rem,
     LaurentPoly,
     NonUnitModulus,
     circulant_expand,
@@ -171,6 +174,58 @@ def test_divide_exact_roundtrip():
         quot = prod.divide_exact(b)
         assert quot == a or (a.is_zero() and quot is not None and quot.is_zero())
     assert LaurentPoly({1: 1, 0: 1}).divide_exact(LaurentPoly({1: 1, 0: -1})) is None
+
+
+def test_dense_kernel_mul_and_divmod():
+    gen = random.Random(11)
+    for _ in range(200):
+        bits = gen.choice((1, 8, 64, 200))
+        a = [gen.randint(-(1 << bits), 1 << bits) for _ in range(gen.randint(1, 30))]
+        b = [gen.randint(-(1 << bits), 1 << bits) for _ in range(gen.randint(0, 12))]
+        b.append(gen.choice((1, -1)))
+        school = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                school[i + j] += x * y
+        prod = _poly_mul(a, b)
+        assert prod == school
+        assert _poly_mul(a, a) == _poly_mul(a, list(a))
+        # a unit leading coefficient always divides; the remainder is
+        # trimmed, so [] means exact
+        r = [gen.randint(-9, 9) for _ in range(len(b) - 1)]
+        num = [x + (r[k] if k < len(r) else 0) for k, x in enumerate(prod)]
+        while r and not r[-1]:
+            r.pop()
+        quot, rem = _poly_divmod(num, b)
+        while a and not a[-1]:
+            a.pop()
+        assert (quot[: len(a)], rem) == (a, r) and not any(quot[len(a):])
+    # non-unit leading coefficient: exact quotients survive, others are None
+    assert _poly_divmod([2, 6, 4], [1, 2]) == ([2, 2], [])
+    assert _poly_divmod([1, 0, 1], [1, 2]) is None
+
+
+def schoolbook_prem(a, b):
+    """Reference pseudo-remainder: scale by lc(b), cancel the top term."""
+    a = list(a)
+    lb = b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        lead = a[len(b) - 1 + k]
+        a = [x * lb for x in a]
+        for i, bc in enumerate(b):
+            a[i + k] -= lead * bc
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def test_pseudo_rem_matches_schoolbook():
+    gen = random.Random(5)
+    for _ in range(500):
+        b = [gen.randint(-20, 20) for _ in range(gen.randint(0, 6))]
+        b.append(gen.choice([x for x in range(-7, 8) if x]))
+        a = [gen.randint(-50, 50) for _ in range(gen.randint(len(b), 14))]
+        assert _pseudo_rem(a, b) == schoolbook_prem(a, b)
 
 
 # -- totient / cyclotomic ---------------------------------------------
