@@ -21,6 +21,9 @@ import mpmath as mp
 from .ringcore import LaurentPoly, cyclotomic, divisors, laurent_eval, normalize_unit, totient
 from .ringcore import _derivative, _div_exact_int, _poly_divmod, _poly_gcd, _poly_mul, _pp
 
+# unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
+CIRCLE_SAMPLES = 1024
+
 
 class ZeroPolynomial(ValueError):
     """Mahler measure of the zero polynomial is undefined."""
@@ -64,8 +67,6 @@ class ConstraintParams:
     K: frozenset[int]
     d_mu: int
     g: int
-    n_scan_max: int = 200
-    circle_samples: int = 1024
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -321,9 +322,8 @@ def constraint_check(
     alpha_prime = params.alpha / ((params.g - 1) * params.d_mu)
     limit = math.exp(alpha_prime * degree)
     worst = 0.0
-    samples = params.circle_samples
-    for i in range(samples):
-        theta = 2 * math.pi * i / samples
+    for i in range(CIRCLE_SAMPLES):
+        theta = 2 * math.pi * i / CIRCLE_SAMPLES
         val = abs(laurent_eval(poly, complex(math.cos(theta), math.sin(theta))))
         worst = max(worst, val)
     # the sampled sup is a diagnostic witness, not a proof; both numbers

@@ -5,8 +5,9 @@ Each trial has its own counter-based RNG substream keyed by
 worker count or scheduling.  The walk order is b_n ... b_1: new letters
 multiply on the left.
 
-Two lanes run over the same sampled letters.  The exact lane keeps the
-Laurent word product and inspects det of the bottom-left block at a
+Two lanes run over the same sampled letters.  The exact lane carries
+the Laurent a-frame, the image of the a-basis (the word's first g-1
+columns), and inspects det of its b-rows, the bottom-left block, at a
 logarithmic schedule of lengths.  The embedded lane propagates the
 a-subspace frame through the iota image of each letter with QR
 renormalization: the accumulated log-volume is the exterior norm of the
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,6 @@ from .hermitian import (
     ExteriorMarking,
     FormMatrix,
     SurfaceModel,
-    bottom_left_block,
     block_det,
     check_form_preserved,
     degree_bound,
@@ -136,23 +136,7 @@ class WalkReport:
                 for k, v in d.items()
             }
 
-        return {
-            "config_seed": self.config_seed,
-            "n_trials": self.n_trials,
-            "schedule": self.schedule,
-            "q_list": list(self.q_list),
-            "fraction_mahler_positive": keystr(self.fraction_mahler_positive),
-            "constraint_bins": keystr(self.constraint_bins),
-            "lyapunov_mean": keystr(self.lyapunov_mean),
-            "lyapunov_var": keystr(self.lyapunov_var),
-            "lyapunov_hat": keystr(self.lyapunov_hat),
-            "hyperplane_fraction": keystr(self.hyperplane_fraction),
-            "degenerate_counts": keystr(self.degenerate_counts),
-            "max_det_degree": keystr(self.max_det_degree),
-            "degree_bound_per_n": keystr(self.degree_bound_per_n),
-            "d_mu": self.d_mu,
-            "inverses_present": self.inverses_present,
-        }
+        return keystr({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +200,23 @@ def _normalized_iota(M: FormMatrix, q: int, root_index: int) -> np.ndarray:
     return out
 
 
+def _frame_product(letter: FormMatrix, frame: list) -> list:
+    """letter @ frame for a 2h x h frame given as rows of LaurentPoly,
+    skipping the zero entries of the letter."""
+    zero = LaurentPoly.zero()
+    out = []
+    for row in letter.rows:
+        terms = [(c, frame[k]) for k, c in enumerate(row) if c]
+        out.append(
+            [sum((c * f[j] for c, f in terms), zero) for j in range(len(frame[0]))]
+        )
+    return out
+
+
 def _trial_record(config: WalkConfig, trial_index: int) -> dict:
     """All per-trial statistics, deterministic in (seed, trial_index)."""
     sched = config.schedule()
     sched_set = set(sched)
-    model = SurfaceModel(config.g)
     h = config.g - 1
     d_mu = config.d_mu()
     idx = _sample_indices(config, trial_index, config.n_steps)
@@ -243,7 +239,9 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
         Y[:h, :h] = np.eye(h)
         frames[q] = {"mats": mats, "Y": Y, "logvol": 0.0, "dead": False}
 
-    word = FormMatrix.identity(model)
+    # exact lane state: the image of the a-basis, the word's first h columns
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    frame = [[one if i == j else zero for j in range(h)] for i in range(2 * h)]
     rec = {
         "trial": trial_index,
         "mahler_positive": {},
@@ -258,7 +256,7 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
         letter = gens[gi]
         if twists is not None:
             letter = letter.scale(LaurentPoly.t(int(twists[step - 1])))
-        word = letter @ word
+        frame = _frame_product(letter, frame)
         for q in config.q_list:
             st = frames[q]
             if st["dead"]:
@@ -274,7 +272,7 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
             # fix phases so the minor below is well defined up to modulus
             st["Y"] = Q
         if step in sched_set:
-            det = block_det(bottom_left_block(word), q=None)
+            det = block_det(frame[h:], q=None)
             if det.is_zero():
                 rec["mahler_positive"][step] = False
                 rec["constraint_verdict"][step] = "degenerate_zero"
@@ -403,7 +401,7 @@ def lyapunov_estimate(config: WalkConfig, q: int, root_index: int = 1):
     report.  Returns (schedule, mean L_n, var L_n, lambda_hat)."""
     if q < 3:
         raise ValueError("cover degree must be >= 3")
-    sub = _with(config, q_list=(q,), root_index=root_index)
+    sub = replace(config, q_list=(q,), root_index=root_index)
     rep = run_walk(sub)
     return (
         rep.schedule,
@@ -424,26 +422,9 @@ def hyperplane_stat(config: WalkConfig, q: int, root_index: int = 1):
     """Empirical mass of the normalized f-coefficient below each delta."""
     if q < 3:
         raise ValueError("cover degree must be >= 3")
-    sub = _with(config, q_list=(q,), root_index=root_index)
+    sub = replace(config, q_list=(q,), root_index=root_index)
     rep = run_walk(sub)
     return rep.hyperplane_fraction[q]
-
-
-def _with(config: WalkConfig, **kw) -> WalkConfig:
-    base = dict(
-        generators=config.generators,
-        probabilities=config.probabilities,
-        g=config.g,
-        n_steps=config.n_steps,
-        n_trials=config.n_trials,
-        master_seed=config.master_seed,
-        q_list=config.q_list,
-        alpha=config.alpha,
-        root_index=config.root_index,
-        unit_twist_seed=config.unit_twist_seed,
-    )
-    base.update(kw)
-    return WalkConfig(**base)
 
 
 @dataclass
