@@ -110,6 +110,8 @@ def _cmd_mahler_eval(args) -> int:
             "leading_coeff": res.leading_coeff,
             "method": res.method.value,
             "n_roots": len(res.roots),
+            "dps": res.dps,
+            "residual": res.residual,
         }
     )
     return 0

@@ -233,6 +233,22 @@ def check_form_preserved(M: FormMatrix) -> bool:
     return lhs == J
 
 
+def form_inverse(M: FormMatrix) -> FormMatrix:
+    """Inverse of a form-preserving M, with no ring products.
+
+    M^T J Mbar = J gives M^-1 = J^-1 Mbar^T J, which for Mbar^T =
+    [[A, B], [C, D]] is the block shuffle [[D, -C], [-B, A]].
+    """
+    h = M.model.half
+    n = 2 * h
+    mt = M.conjugate().transpose().rows
+    rows = []
+    for i in range(n):
+        row = [mt[(i + h) % n][(j + h) % n] for j in range(n)]
+        rows.append([-e if (i < h) != (j < h) else e for j, e in enumerate(row)])
+    return FormMatrix(M.model, rows, M.q)
+
+
 def transvection(
     model: SurfaceModel,
     v,

@@ -4,13 +4,19 @@ The zero/nonzero decision is made by exact integer arithmetic: Graeffe
 root-squaring iterated to a fixed point, which exists exactly when every
 root is a root of unity (Kronecker), with a binomial coefficient bound
 as an early reject.  Floating point enters only for the root product of
-provably-nonzero measures.  Root finding uses mpmath's
-polynomial solver at boosted precision so large coefficients stay
-accurate.
+provably-nonzero measures.  Before any root finding the exact kernel
+divides out (t-1)^a (t+1)^b, whose roots add nothing, and folds a
+palindromic rest (every walk determinant is one) to half the degree in
+x = t + 1/t; each root x gives back the pair t = x/2 +- sqrt(x^2/4 - 1).
+Roots of each square-free factor come from one Aberth root finder: a
+complex-float pass seeds an mpmath polish at a precision set by the
+coefficient height and the degree, and a relative-residual check
+certifies the result.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,10 +25,17 @@ from enum import Enum
 import mpmath as mp
 
 from .ringcore import LaurentPoly, cyclotomic, divisors, laurent_eval, normalize_unit, totient
-from .ringcore import _derivative, _div_exact_int, _poly_divmod, _poly_gcd, _poly_mul, _pp
+from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _poly_divmod, _poly_gcd
+from .ringcore import _poly_mul, _pp, _strip_unit_roots
 
 # unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
 CIRCLE_SAMPLES = 1024
+# float seeding pass: start angle offset, step tolerance, sweep cap
+FLOAT_SEED_ANGLE = 0.7
+FLOAT_STEP_EPS = 2.0 ** -40
+FLOAT_STEPS = 50
+# sweep cap of the mpmath polish
+POLISH_STEPS = 60
 
 
 class ZeroPolynomial(ValueError):
@@ -48,6 +61,8 @@ class MahlerResult:
     roots: list[complex]
     leading_coeff: int
     method: MahlerMethod
+    dps: int = 0
+    residual: float = 0.0
 
 
 @dataclass
@@ -190,29 +205,108 @@ def _cyclotomic_indices(cs: list[int]) -> Counter:
     return indices
 
 
-def _refined_roots(dense: list[int], tol: float) -> list:
-    """mpmath roots of a square-free integer polynomial, residual-checked."""
-    coeffs = dense[::-1]
-    bits = max(c.bit_length() for c in coeffs if c)
-    degree = len(coeffs) - 1
-    with mp.workdps(30 + 2 * degree + bits // 3):
-        roots = mp.polyroots(
-            [mp.mpf(c) for c in coeffs], maxsteps=400, extraprec=160
-        )
-        worst = mp.mpf(0)
-        for r in roots:
-            res = abs(mp.polyval([mp.mpf(c) for c in coeffs], r))
-            scale = max(mp.mpf(1), abs(r)) ** degree * abs(coeffs[0])
-            worst = max(worst, res / scale)
+def _horner(coeffs: list, z):
+    """p(z) and p'(z), coefficients listed from the top degree down."""
+    p, dp = coeffs[0], 0
+    for c in coeffs[1:]:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def _newton_ratio(hi: list, lo: list, z):
+    """p(z) / p'(z), with the reversed polynomial at 1/z when |z| > 1.
+
+    hi lists p from the top degree down, lo from the bottom up, which is
+    the reversed polynomial r(y) = y^d p(1/y) from the top down.  With
+    y = 1/z, p / p' = z r(y) / (d r(y) - y r'(y)), and every power of z
+    stays bounded, so floats do not overflow.
+    """
+    if abs(z) <= 1:
+        p, dp = _horner(hi, z)
+        return p / dp
+    y = 1 / z
+    r, dr = _horner(lo, y)
+    return z * r / ((len(lo) - 1) * r - y * dr)
+
+
+def _aberth(hi: list, lo: list, roots: list, eps, steps: int) -> bool:
+    """Aberth's simultaneous iteration on roots, in place.
+
+    Gauss-Seidel order; a root is frozen once its step is below
+    eps * max(1, |z|).  True when every root froze within steps sweeps.
+    """
+    live = range(len(roots))
+    for _ in range(steps):
+        moving = []
+        for i in live:
+            z = roots[i]
+            try:
+                ratio = _newton_ratio(hi, lo, z)
+                s = sum(1 / (z - w) for j, w in enumerate(roots) if j != i)
+                step = ratio / (1 - ratio * s)
+            except ZeroDivisionError:
+                moving.append(i)
+                continue
+            roots[i] = z - step
+            if abs(step) > eps * max(1, abs(z)):
+                moving.append(i)
+        if not moving:
+            return True
+        live = moving
+    return False
+
+
+def _float_roots(dense: list[int]) -> list[complex]:
+    """Cheap seeds: a complex-float Aberth pass from distinct circle points.
+
+    Coefficients are scaled below 2^1000 so they fit a float.  The pass
+    may stop short; non-finite results fall back to their start point.
+    """
+    d = len(dense) - 1
+    scale = 1 << max(0, max(c.bit_length() for c in dense) - 1000)
+    lo = [c / scale for c in dense]
+    radius = abs(lo[0] / lo[-1]) ** (1 / d) if lo[0] and lo[-1] else 1.0
+    start = [cmath.rect(radius, 2 * math.pi * k / d + FLOAT_SEED_ANGLE) for k in range(d)]
+    roots = list(start)
+    _aberth(lo[::-1], lo, roots, FLOAT_STEP_EPS, FLOAT_STEPS)
+    return [z if cmath.isfinite(z) else s for z, s in zip(roots, start)]
+
+
+def _refined_roots(dense: list[int], tol: float) -> tuple[list, int, float]:
+    """Roots of a square-free integer polynomial, polished by Aberth.
+
+    The float pass of _float_roots seeds an mpmath Aberth polish at
+    dps = 30 + bits/3 + degree/2 (bits: coefficient height), which stops
+    once every relative step is below 2^-(prec/2).  Returns the roots,
+    the dps and the worst relative residual |p(r)| / (max(1, |r|)^d |lead|),
+    which must not exceed tol.  Hitting the sweep cap or the tolerance
+    raises RootRefinementFailed.
+    """
+    degree = len(dense) - 1
+    dps = 30 + max(c.bit_length() for c in dense) // 3 + degree // 2
+    seeds = _float_roots(dense)
+    with mp.workdps(dps):
+        lo = [mp.mpf(c) for c in dense]
+        hi = lo[::-1]
+        roots = [mp.mpc(z) for z in seeds]
+        if not _aberth(hi, lo, roots, mp.ldexp(1, -(mp.mp.prec // 2)), POLISH_STEPS):
+            raise RootRefinementFailed(
+                f"Aberth polish of degree {degree} did not settle in {POLISH_STEPS} sweeps"
+            )
+        worst = max(
+            abs(_horner(lo, 1 / r)[0] if abs(r) > 1 else _horner(hi, r)[0]) for r in roots
+        ) / abs(lo[-1])
         if worst > tol:
             raise RootRefinementFailed(
                 f"relative root residual {float(worst):.3e} exceeds tol {tol:.3e}"
             )
-        return [mp.mpc(r) for r in roots]
+    return roots, dps, float(worst)
 
 
-def _roots_with_multiplicity(dense: list[int], tol: float) -> list:
-    """All complex roots, repeated roots included.
+def _roots_with_multiplicity(dense: list[int], tol: float) -> tuple[list, int, float]:
+    """All complex roots, repeated roots included, with the largest dps
+    and the worst residual over the square-free factors.
 
     Repeated roots stall the polisher, so the polynomial is split as
     radical * gcd(P, P') and the two pieces are handled separately; the
@@ -220,12 +314,25 @@ def _roots_with_multiplicity(dense: list[int], tol: float) -> list:
     """
     dense = _pp(dense)
     if len(dense) <= 1:
-        return []
+        return [], 0, 0.0
     g = _poly_gcd(dense, _derivative(dense))
     if len(g) <= 1:
         return _refined_roots(dense, tol)
-    radical = _div_exact_int(dense, g)
-    return _refined_roots(radical, tol) + _roots_with_multiplicity(g, tol)
+    roots, dps, residual = _refined_roots(_div_exact_int(dense, g), tol)
+    more, more_dps, more_residual = _roots_with_multiplicity(g, tol)
+    return roots + more, max(dps, more_dps), max(residual, more_residual)
+
+
+def _unfold(xs: list, dps: int) -> list:
+    """Both roots t of t + 1/t = x for every x, the larger one first."""
+    out = []
+    with mp.workdps(dps):
+        for x in xs:
+            h = x / 2
+            s = mp.sqrt(h * h - 1)
+            t = max(h + s, h - s, key=abs)
+            out += [t, 1 / t]
+    return out
 
 
 def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
@@ -233,8 +340,11 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
 
     Exact-zero inputs are recognized by kronecker_zero_test and return 0
     with no floating point involved.  Otherwise the measure is
-    log|a| + sum log max(1, |root|) over the roots (with multiplicity,
-    via exact square-free splitting) refined to relative residual < tol.
+    log|a| + sum log max(1, |root|) over the roots, with multiplicity:
+    (t-1)^a (t+1)^b is divided out, a palindromic rest c(t) =
+    t^m Q(t + 1/t) is folded to Q, and the square-free factors of Q (or
+    of the rest) are solved to relative residual < tol.  The result
+    records the polish dps and the worst residual.
     """
     if p.is_zero():
         raise ZeroPolynomial("mahler_measure of the zero polynomial")
@@ -249,7 +359,12 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     if len(dense) == 1:
         return MahlerResult(math.log(abs(lead)), [], lead, MahlerMethod.ROOT_PRODUCT)
 
-    roots = _roots_with_multiplicity(dense, tol)
+    rest, a, b = _strip_unit_roots(dense)
+    folded = _fold_palindromic(rest)
+    roots, dps, residual = _roots_with_multiplicity(folded or rest, tol)
+    if folded is not None:
+        roots = _unfold(roots, dps)
+    roots = [1] * a + [-1] * b + roots
     with mp.workdps(40):
         logm = mp.log(abs(lead))
         for r in roots:
@@ -258,7 +373,7 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
                 logm += mp.log(ar)
         out = float(logm)
     return MahlerResult(
-        out, [complex(r) for r in roots], lead, MahlerMethod.ROOT_PRODUCT
+        out, [complex(r) for r in roots], lead, MahlerMethod.ROOT_PRODUCT, dps, residual
     )
 
 

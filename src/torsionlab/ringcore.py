@@ -594,3 +594,35 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
 
 def _derivative(c: list[int]) -> list[int]:
     return [k * x for k, x in enumerate(c)][1:]
+
+
+def _strip_unit_roots(c: list[int]) -> tuple[list[int], int, int]:
+    """(rest, a, b) with c = (t - 1)^a (t + 1)^b rest and rest(+-1) != 0."""
+    a = b = 0
+    while len(c) > 1 and not sum(c):
+        c, a = _div_exact_int(c, [-1, 1]), a + 1
+    while len(c) > 1 and sum(c[0::2]) == sum(c[1::2]):
+        c, b = _div_exact_int(c, [1, 1]), b + 1
+    return c, a, b
+
+
+def _fold_palindromic(c: list[int]) -> list[int] | None:
+    """Q of half the degree with c(t) = t^m Q(t + 1/t), or None.
+
+    Folds a palindromic c of even degree 2m: t^-m c(t) = c_m + sum_j
+    c_(m+j) (t^j + t^-j), and t^j + t^-j = T_j(t + 1/t) with T_0 = 2,
+    T_1 = x, T_(j+1) = x T_j - T_(j-1).
+    """
+    if len(c) % 2 == 0 or c != c[::-1]:
+        return None
+    m = len(c) // 2
+    q = [c[m]] + [0] * m
+    prev, cur = [2], [0, 1]
+    for j in range(1, m + 1):
+        for k, x in enumerate(cur):
+            q[k] += c[m + j] * x
+        nxt = [0] + cur
+        for k, x in enumerate(prev):
+            nxt[k] -= x
+        prev, cur = cur, nxt
+    return q

@@ -35,6 +35,7 @@ from .hermitian import (
     check_form_preserved,
     degree_bound,
     exterior_power_matrix,
+    form_inverse,
     transvection,
 )
 from .mahler import (
@@ -89,12 +90,10 @@ class WalkConfig:
     @property
     def inverses_present(self) -> bool:
         """Heuristic semigroup-generation check: every generator has a
-        two-sided inverse in the set."""
-        ident = FormMatrix.identity(SurfaceModel(self.g))
-        gens = self.generators
-        return all(
-            any(a @ b == ident and b @ a == ident for b in gens) for a in gens
-        )
+        two-sided inverse in the set.  The generators preserve the form,
+        so the inverse is the block shuffle of form_inverse."""
+        gens = set(self.generators)
+        return all(form_inverse(M) in gens for M in gens)
 
     def schedule(self) -> list[int]:
         """Logarithmic schedule 2, 4, 8, ... up to n_steps."""

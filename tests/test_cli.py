@@ -38,6 +38,8 @@ def test_mahler_eval(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["log_measure"] == pytest.approx(0.1623576, abs=1e-6)
+    assert list(obj) == ["log_measure", "leading_coeff", "method", "n_roots", "dps", "residual"]
+    assert obj["n_roots"] == 10 and obj["dps"] > 30 and 0 < obj["residual"] <= 1e-12
 
 
 def test_mahler_kronecker(tmp_path, capsys):

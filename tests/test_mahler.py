@@ -7,16 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import torsionlab
-
+from torsionlab import mahler
 from torsionlab.mahler import (
     ConstraintParams,
     ConstraintVerdict,
     DegreeBoundViolated,
     MahlerMethod,
+    RootRefinementFailed,
     ZeroPolynomial,
     _graeffe_step,
     build_K_alpha,
@@ -24,7 +26,17 @@ from torsionlab.mahler import (
     kronecker_zero_test,
     mahler_measure,
 )
-from torsionlab.ringcore import LaurentPoly, cyclotomic
+from torsionlab.hermitian import FormMatrix, SurfaceModel, block_det, bottom_left_block
+from torsionlab.ringcore import (
+    LaurentPoly,
+    _derivative,
+    _div_exact_int,
+    _poly_gcd,
+    _pp,
+    cyclotomic,
+    normalize_unit,
+)
+from torsionlab.walks import bundled_generators
 
 rng = random.Random(99)
 
@@ -115,6 +127,108 @@ def test_shift_invariance():
         assert mahler_measure(p * LaurentPoly.t(k)).log_measure == pytest.approx(
             base, abs=1e-10
         )
+
+
+# -- root finding against an independent oracle ------------------------
+
+
+def polyroots_oracle(p: LaurentPoly) -> tuple[float, int]:
+    """m(p) and the root count from mpmath's Durand-Kerner solver on
+    each square-free factor, at the precision of the old root path."""
+    dense = normalize_unit(p)[0].coeff_list()
+    total, count = mp.log(abs(dense[-1])), 0
+    f = _pp(dense)
+    while len(f) > 1:
+        g = _poly_gcd(f, _derivative(f))
+        rad = _div_exact_int(f, g) if len(g) > 1 else f
+        deg = len(rad) - 1
+        with mp.workdps(30 + 2 * deg + max(c.bit_length() for c in rad) // 3):
+            roots = mp.polyroots([mp.mpf(c) for c in rad[::-1]], maxsteps=800, extraprec=160)
+            total += sum(mp.log(abs(r)) for r in roots if abs(r) > 1)
+        count += deg
+        f = g
+    return float(total), count
+
+
+def walk_determinants(lengths, seed):
+    gens, _ = bundled_generators(3)
+    pick = random.Random(seed)
+    out = []
+    for n in lengths:
+        while True:
+            w = FormMatrix.identity(SurfaceModel(3))
+            for _ in range(n):
+                w = gens[pick.randrange(len(gens))] @ w
+            det = block_det(bottom_left_block(w))
+            if not det.is_zero() and kronecker_zero_test(det) is None:
+                out.append(det)
+                break
+    return out
+
+
+def oracle_inputs():
+    pick = random.Random(7)
+    t = LaurentPoly.t(1)
+    one = LaurentPoly.one()
+
+    def rand(deg, height=9):
+        cs = [pick.randint(-height, height) for _ in range(deg)] + [pick.randint(1, height)]
+        cs[0] = cs[0] or 1
+        return cs
+
+    cases = [("walk", p) for p in walk_determinants((16, 28, 40), seed=2016)]
+    for n in (3, 4, 5):  # palindromic of odd degree 2n - 1
+        half = rand(n - 1)
+        cases.append(("palindromic", LaurentPoly.from_list(half + half[::-1])))
+    for n, mid in ((3, [0]), (4, []), (6, [0])):  # anti-palindromic
+        half = rand(n - 1)
+        cases.append(("anti", LaurentPoly.from_list(half + mid + [-c for c in half[::-1]])))
+    for a, b in ((1, 0), (3, 2), (0, 4)):
+        base = LaurentPoly.from_list(rand(5)) * SMALL_MEASURE[1]
+        cases.append(("unit roots", base * (t - one) ** a * (t + one) ** b))
+    cases.append(("repeated", LEHMER * LEHMER))
+    cases.append(("repeated", SMALL_MEASURE[1] ** 2 * cyclotomic(12)))
+    cases.append(("repeated", SMALL_MEASURE[2] * cyclotomic(12) * LEHMER ** 2))
+    for deg in (5, 12, 20):  # non-reciprocal
+        cases.append(("random", LaurentPoly.from_list(rand(deg, 2 ** 40)).shift(-2)))
+    return cases
+
+
+def test_aberth_matches_polyroots_oracle():
+    for kind, p in oracle_inputs():
+        res = mahler_measure(p)
+        want, count = polyroots_oracle(p)
+        assert res.method is MahlerMethod.ROOT_PRODUCT, kind
+        assert len(res.roots) == count == normalize_unit(p)[0].degree_span(), kind
+        assert res.log_measure == pytest.approx(want, abs=1e-10), kind
+        assert res.dps > 30 and 0 <= res.residual <= 1e-12, kind
+
+
+def test_residual_check_still_fires():
+    with pytest.raises(RootRefinementFailed):
+        mahler_measure(LEHMER, tol=1e-300)
+
+
+def test_polish_sweep_cap_raises(monkeypatch):
+    # one sweep from float seeds cannot reach a step below 2^-(prec/2);
+    # the unpolished roots must not be returned
+    monkeypatch.setattr(mahler, "POLISH_STEPS", 1)
+    with pytest.raises(RootRefinementFailed, match="did not settle"):
+        mahler_measure(LEHMER)
+
+
+def test_result_reports_precision_and_residual():
+    zero = mahler_measure(cyclotomic(12) * LaurentPoly.t(3))
+    assert (zero.dps, zero.residual) == (0, 0.0)
+    res = mahler_measure(LEHMER * LEHMER)
+    # 30 + bits/3 + degree/2 for the folded Lehmer factor
+    # x^5 + x^4 - 5x^3 - 5x^2 + 4x + 3
+    assert res.dps == 30 + 3 // 3 + 5 // 2
+    assert 0 < res.residual <= 1e-12
+    # (t - 1)^2 (t + 1) 3 needs no root finding: its roots are +-1
+    unit = mahler_measure(LaurentPoly.from_list([-3, 3, 3, -3]))
+    assert unit.log_measure == pytest.approx(math.log(3))
+    assert sorted(r.real for r in unit.roots) == [-1, 1, 1] and unit.dps == 0
 
 
 # -- Kronecker exact-zero test ----------------------------------------

@@ -9,9 +9,11 @@ import pytest
 
 from torsionlab.ringcore import (
     CycElem,
+    _fold_palindromic,
     _poly_divmod,
     _poly_mul,
     _pseudo_rem,
+    _strip_unit_roots,
     LaurentPoly,
     NonUnitModulus,
     circulant_expand,
@@ -174,6 +176,30 @@ def test_divide_exact_roundtrip():
         quot = prod.divide_exact(b)
         assert quot == a or (a.is_zero() and quot is not None and quot.is_zero())
     assert LaurentPoly({1: 1, 0: 1}).divide_exact(LaurentPoly({1: 1, 0: -1})) is None
+
+
+def test_strip_unit_roots_and_fold():
+    gen = random.Random(12)
+    t, one = LaurentPoly.t(1), LaurentPoly.one()
+    for _ in range(40):
+        half = [gen.randint(-50, 50) for _ in range(gen.randint(0, 8))] + [gen.randint(1, 9)]
+        rest = half + half[-2::-1]  # palindromic, even degree
+        if sum(rest) == 0 or sum(rest[0::2]) == sum(rest[1::2]):
+            continue
+        a, b = gen.randint(0, 4), gen.randint(0, 4)
+        p = LaurentPoly.from_list(rest) * (t - one) ** a * (t + one) ** b
+        assert _strip_unit_roots(p.coeff_list()) == (rest, a, b)
+        q = _fold_palindromic(rest)
+        m = len(half) - 1
+        assert len(q) == m + 1 and q[-1] == rest[-1]
+        # t^m Q(t + 1/t) multiplies back to rest
+        x = t + LaurentPoly.t(-1)
+        back = sum((LaurentPoly.const(c) * x ** k for k, c in enumerate(q)), LaurentPoly.zero())
+        assert back.shift(m) == LaurentPoly.from_list(rest)
+    assert _fold_palindromic([1, 2, 2, 1]) is None  # odd degree
+    assert _fold_palindromic([1, 2, 3]) is None  # not palindromic
+    assert _fold_palindromic([5]) == [5]
+    assert _strip_unit_roots([3]) == ([3], 0, 0)
 
 
 def test_dense_kernel_mul_and_divmod():

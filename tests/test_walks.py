@@ -10,11 +10,14 @@ import pytest
 
 from torsionlab.hermitian import (
     ExteriorMarking,
+    FormMatrix,
+    SurfaceModel,
     block_det,
     bottom_left_block,
     exterior_power_matrix,
 )
 from torsionlab.mahler import kronecker_zero_test
+from torsionlab.ringcore import LaurentPoly
 from torsionlab.walks import (
     WalkConfig,
     WalkReport,
@@ -56,6 +59,29 @@ def test_bundled_set_shape():
     cfg = small_config()
     assert cfg.inverses_present
     assert cfg.d_mu() >= 2
+
+
+def test_inverses_present_matches_pairwise_products():
+    ident = FormMatrix.identity(SurfaceModel(3))
+
+    def pairwise(gens):
+        # the definition by ring products: a two-sided inverse in the set
+        return all(any(a @ b == ident and b @ a == ident for b in gens) for a in gens)
+
+    minus = FormMatrix(ident.model, [[-e for e in row] for row in ident.rows])
+    twist = GENS[0].scale(LaurentPoly.t(2))
+    sets = [
+        GENS,  # the bundled set, closed under inverses
+        GENS[1:],  # GENS[1] has lost its inverse GENS[0]
+        [minus],  # an involution is its own inverse
+        [minus, GENS[0]],
+        [twist, GENS[1].scale(LaurentPoly.t(-2))],
+        [twist, GENS[1]],
+    ]
+    got = [small_config(generators=gens, probabilities=[Fraction(1, len(gens))] * len(gens))
+           .inverses_present for gens in sets]
+    assert got == [pairwise(gens) for gens in sets]
+    assert got == [True, False, True, False, True, False]
 
 
 def test_schedule_is_log_spaced():
