@@ -1,24 +1,33 @@
 """Exact homology of Heegaard manifolds and their cyclic covers.
 
 Torsion orders and Betti numbers come from exact integer arithmetic.  The
-q-cover presentation is the circulant expansion of B_q; its blocks commute,
-so its determinant is Res(t^q - 1, det B_q) (Fox's formula), computed by a
-modular Euclid resultant and CRT under a rigorous Parseval height bound.
-A nonzero resultant is the torsion order of a cover with Betti number 0;
-only degenerate covers (zero resultant) go to an exact Smith normal form of
-the expanded presentation.  The two extra trivial summands of the cover
-surface contribute free rank only and are carried as free_offset metadata.
+q-cover presentation is the h x h block B_q acting on (Z[t^+-1]/(t^q - 1))^h.
+Let G be the product of the cyclotomic Phi_d (d | q) that divide every
+entry, F = (t^q - 1)/G and D = det(B_q/G).  When D vanishes at no root of
+F, the cover has Betti number h deg G and torsion order |Res(F, D)| (the
+split resultant); with G = 1 that is Fox's Res(t^q - 1, det B_q).  D's own
+Phi_d factors (d | q) are split off by Apostol's closed form, and the rest
+goes through Res(t^q - 1, .), computed by a modular Euclid resultant over
+a batch of primes and CRT under a rigorous Mahler-measure height bound.
+Only a cover where some Phi_d (d | q) divides det B_q but not every entry
+goes to an exact Smith normal form of the expanded presentation.  The two
+extra trivial summands of the cover surface contribute free rank only and
+are carried as free_offset metadata.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .mahler import MahlerResult, ZeroPolynomial, mahler_measure
-from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, reduce_mod_q
+from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
+from .ringcore import normalize_unit, reduce_mod_q, totient
+from .ringcore import _div_exact_int, _int_det, _int_resultant, _monic_resultant
+from .ringcore import _graeffe_step, _poly_divmod, _poly_mul, _primes_below_2_31, _rem_monic
 from .hermitian import block_det
 
 class NotSymplectic(ValueError):
@@ -167,66 +176,53 @@ def smith_normal_form(A) -> SmithDecomposition:
 # modular resultant machinery
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# the largest primes below 2^31, descending; grown on demand by replacing
-# the tuple, so a concurrent caller never sees a half-built list
-_PRIMES: tuple[int, ...] = ()
-
-
-def _primes_below_2_31(count: int) -> tuple[int, ...]:
-    """At least `count` of the largest primes below 2^31, descending."""
-    global _PRIMES
-    primes = _PRIMES
-    if len(primes) < count:
-        out = list(primes)
-        c = out[-1] - 2 if out else (1 << 31) - 1
-        while len(out) < count:
-            if _is_probable_prime(c):
-                out.append(c)
-            c -= 2
-        _PRIMES = primes = tuple(out)
-    return primes
-
-
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     h = (r2 - r1) * pow(m1 % m2, -1, m2) % m2
     return r1 + m1 * h, m1 * m2
 
 
-def _rem_monic(a: list, m: list, p: int) -> list:
-    """a modulo the monic m over F_p; coefficient lists, constant first."""
-    n = len(m) - 1
-    r = list(a)
-    for k in range(len(r) - 1, n - 1, -1):
-        x = r[k] % p
-        if x:
-            off = k - n
-            for i in range(n):
-                r[off + i] -= x * m[i]
-    return [x % p for x in r[:n]]
+def _window(c: CycElem) -> tuple[int, list[int]]:
+    """(s, g) with c = t^s g in Z[Z/q] and g the honest polynomial whose
+    support fits the shortest cyclic window (deg g < q, g(0) != 0); the
+    window starts right after the widest cyclic gap of the support.
+    g = [] for c = 0."""
+    q, cs = c.q, c.coeffs
+    support = [k for k, x in enumerate(cs) if x]
+    if not support:
+        return 0, []
+    gap, s = max(((b - a) % q or q, b) for a, b in zip(support, support[1:] + support[:1]))
+    return s, [cs[(s + k) % q] for k in range(q - gap + 1)]
+
+
+# root-squarings behind the Mahler-measure height bound of circulant_det
+GRAEFFE_ROUNDS = 6
+# circulant_det runs fewer primes than this one at a time, more in one batch
+BATCH_PRIMES = 8
+
+
+@lru_cache(maxsize=256)
+def _graeffe_norm_bits(g: tuple[int, ...]) -> int:
+    """Bit length of ||G||_2^2 for the GRAEFFE_ROUNDS-th Graeffe iterate G
+    of g; cached, since a tower asks for it once per cover degree."""
+    G = list(g)
+    for _ in range(GRAEFFE_ROUNDS):
+        G = _graeffe_step(G)
+    return sum(x * x for x in G).bit_length()
+
+
+def _height_bits(g: list[int], q: int) -> int:
+    """An integer b with |Res(t^q - 1, g)| < 2^b, from two rigorous bounds.
+
+    Parseval and AM-GM give |Res| <= (sum g_k^2)^(q/2).  Also |Res| =
+    |lc|^q prod |beta^q - 1| over the roots beta of g, which is at most
+    2^d M(g)^q, and the Mahler measure satisfies M(g)^(2^k) = M(G_k) <=
+    ||G_k||_2 (Landau) for the k-th Graeffe iterate G_k.  The second bound
+    is within a few percent of the true height on walk determinants, the
+    first is about twice it; the smaller one wins.
+    """
+    parseval = ((sum(x * x for x in g) ** q).bit_length() + 1) // 2
+    n = _graeffe_norm_bits(tuple(g))
+    return min(parseval, len(g) - 1 - (-q * n >> (GRAEFFE_ROUNDS + 1)))
 
 
 def _mulmod(a: list, b: list, m: list, p: int) -> list:
@@ -239,80 +235,133 @@ def _mulmod(a: list, b: list, m: list, p: int) -> list:
     return _rem_monic(h, m, p)
 
 
-def _monic_resultant(a: list, b: list, p: int) -> int:
-    """Product of b(alpha) over the roots alpha of the monic a, over F_p,
-    by Euclid's algorithm; deg b < deg a."""
-    acc = 1
+def _resultant_mod(g: list[int], q: int, p: int) -> int:
+    """prod (beta^q - 1) over the roots beta of g, over F_p (p not dividing
+    lc(g)): t^q is reduced modulo g / lc(g) by square-and-multiply and the
+    product finished by Euclid."""
+    inv = pow(g[-1], -1, p)
+    m = [x * inv % p for x in g]
+    r = [1] + [0] * (len(g) - 2)
+    for bit in bin(q)[2:]:
+        r = _mulmod(r, r, m, p)
+        if bit == "1":
+            r = _rem_monic([0] + r, m, p)
+    r[0] = (r[0] - 1) % p
+    return _monic_resultant(m, r, p)
+
+
+def _resultants_mod(g: list[int], q: int, primes: list[int]) -> list[int]:
+    """_resultant_mod for each of the primes (below 2^31, none dividing
+    lc(g)); from BATCH_PRIMES primes on, all at once, one int64 numpy row
+    per prime.
+
+    Residues stay below 2^31, so every product fits in 62 bits and a sum
+    of d of them in 63.  Every row follows the same degree sequence
+    through Euclid; a row whose remainder drops degree where the others do
+    not leaves the batch and is finished alone.
+    """
+    if len(primes) < BATCH_PRIMES:
+        return [_resultant_mod(g, q, p) for p in primes]
+    d = len(g) - 1
+    P = np.array(primes, dtype=np.int64)[:, None]
+    invs = [pow(g[-1], -1, p) for p in primes]
+    m = np.array([[x * inv % p for x in g] for p, inv in zip(primes, invs)], dtype=np.int64)
+    low = m[:, :d]
+    r = np.zeros((len(primes), d), dtype=np.int64)
+    r[:, 0] = 1
+    for bit in bin(q)[2:]:
+        h = np.zeros((len(primes), 2 * d - 1), dtype=np.int64)
+        for i in range(d):
+            h[:, i:i + d] += r[:, i:i + 1] * r % P
+        for k in range(2 * d - 2, d - 1, -1):
+            h[:, k - d:k] = (h[:, k - d:k] - h[:, k:k + 1] % P * low) % P
+        r = h[:, :d] % P
+        if bit == "1":
+            top = r[:, -1:]
+            r = (np.concatenate([0 * top, r[:, :-1]], axis=1) - top * low) % P
+    r[:, 0] = (r[:, 0] - 1) % P[:, 0]
+    out = [0] * len(primes)
+    rows = np.arange(len(primes))
+    acc = np.ones(len(primes), dtype=np.int64)
+    a, b = m, r
     while True:
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            return 0
-        m, n = len(a) - 1, len(b) - 1
+        cols = np.flatnonzero(b.any(axis=0))
+        if not cols.size:
+            break  # b = 0: the resultant vanishes modulo these primes
+        n = int(cols[-1])
+        drop = b[:, n] == 0
+        if drop.any():
+            for j in rows[drop].tolist():
+                out[j] = _resultant_mod(g, q, primes[j])
+            keep = ~drop
+            a, b, acc, rows, P = a[keep], b[keep], acc[keep], rows[keep], P[keep]
+        b = b[:, :n + 1]
+        deg_a = a.shape[1] - 1
+        ps, lcs = P[:, 0].tolist(), b[:, n].tolist()
+        # prod_a b(alpha) = (-1)^{mn} lc(b)^m prod_b a(beta)
+        acc = acc * np.array([pow(c, deg_a, p) for c, p in zip(lcs, ps)]) % P[:, 0]
         if n == 0:
-            return acc * pow(b[0], m, p) % p
-        # prod_a b(alpha) = (-1)^{mn} lc(b)^m prod_b a(beta), and
-        # a(beta) = (a mod b)(beta) at each root beta of b
-        lc = b[-1]
-        acc = acc * pow(lc, m, p) % p
-        if m * n % 2:
-            acc = -acc % p
-        inv = pow(lc, -1, p)
-        b = [x * inv % p for x in b]
-        a, b = b, _rem_monic(a, b, p)
+            for j, v in zip(rows.tolist(), acc.tolist()):
+                out[j] = v
+            break
+        if deg_a * n % 2:
+            acc = -acc % P[:, 0]
+        b = b * np.array([pow(c, -1, p) for c, p in zip(lcs, ps)])[:, None] % P
+        # a mod the monic b
+        for k in range(deg_a, n - 1, -1):
+            a[:, k - n:k] = (a[:, k - n:k] - a[:, k:k + 1] * b[:, :n]) % P
+        a, b = b, a[:, :n]
+    return out
 
 
 def circulant_det(c: CycElem) -> int:
     """Exact determinant of the q x q circulant of c.
 
     circ is a ring homomorphism, so det circ(c) = prod_j c(zeta^j) =
-    Res(t^q - 1, c).  Write c = t^s g with g the honest polynomial whose
-    support fits the shortest cyclic window (degree d < q, g(0) != 0);
-    det circ(t^s) = (-1)^{s(q-1)}.  Modulo each prime p below 2^31,
+    Res(t^q - 1, c).  Write c = t^s g with g from _window (degree d < q);
+    det circ(t^s) = (-1)^{s(q-1)}.  Modulo primes below 2^31 (_resultants_mod),
     t^q - 1 is reduced modulo g by square-and-multiply and the resultant
-    finished by Euclid; CRT recovers the integer.  Parseval and AM-GM give
-    |prod_j g(zeta^j)| <= (sum g_k^2)^{q/2}, the rigorous prime budget.
+    finished by Euclid; CRT recovers the integer once the modulus exceeds
+    twice the height bound of _height_bits.
     """
     q = c.q
-    cs = c.coeffs
-    support = [k for k, x in enumerate(cs) if x]
-    if not support:
+    s, g = _window(c)
+    if not g:
         return 0
-    # the window starts right after the widest cyclic gap of the support
-    gap, s = max(((b - a) % q or q, b) for a, b in zip(support, support[1:] + support[:1]))
-    d = q - gap
-    g = [cs[(s + k) % q] for k in range(d + 1)]
+    d = len(g) - 1
     sign = -1 if s * (q - 1) % 2 else 1
     if d == 0:
         return sign * g[0] ** q
-    target_bits = (4 * sum(x * x for x in g) ** q).bit_length()
-    primes = _primes_below_2_31(target_bits // 60 + 2)
-    res, mod, i = 0, 1, 0
-    # stop once mod^2 > 4 (sum g_k^2)^q: then mod > 2 |det| fixes the sign
-    while 2 * (mod.bit_length() - 1) < target_bits:
-        if i == len(primes):
-            primes = _primes_below_2_31(2 * i)
-        p = primes[i]
-        i += 1
-        lc = g[-1] % p
-        if not lc:
-            continue  # g drops degree mod p
-        inv = pow(lc, -1, p)
-        m = [x * inv % p for x in g]
-        r = [1] + [0] * (d - 1)
-        for bit in bin(q)[2:]:
-            r = _mulmod(r, r, m, p)
-            if bit == "1":
-                r = _rem_monic([0] + r, m, p)
-        r[0] = (r[0] - 1) % p
+    bits = _height_bits(g, q)
+    # primes above 2^30 whose product exceeds 2^(bits + 1) > 2 |det|, which
+    # fixes the sign; at most bitlen(lc)/30 of them divide lc(g)
+    count = (bits + 1) // 30 + 1
+    spare = g[-1].bit_length() // 30 + 1
+    primes = [p for p in _primes_below_2_31(count + spare)[:count + spare] if g[-1] % p][:count]
+    res, mod = 0, 1
+    for p, v in zip(primes, _resultants_mod(g, q, primes)):
         # Res(t^q - 1, g) = (-1)^{qd} lc^q prod_{g(beta)=0} (t^q - 1)(beta)
-        v = pow(lc, q, p) * _monic_resultant(m, r, p) % p
+        v = pow(g[-1], q, p) * v % p
         if q * d % 2:
             v = -v % p
         res, mod = _crt_pair(res, mod, v, p)
     if res > mod // 2:
         res -= mod
     return sign * res
+
+
+def _cyclotomic_resultant(m: int, n: int) -> int:
+    """|Res(Phi_m, Phi_n)| for m != n, by Apostol's closed form (Proc. AMS
+    1970): p^phi(min) when max/min is a power of the prime p, else 1."""
+    if m < n:
+        m, n = n, m
+    if m % n:
+        return 1
+    r = m // n
+    p = next(k for k in range(2, r + 1) if r % k == 0)
+    while r % p == 0:
+        r //= p
+    return p ** totient(n) if r == 1 else 1
 
 
 def expand_presentation(Bq, q: int) -> list:
@@ -331,39 +380,84 @@ def expand_presentation(Bq, q: int) -> list:
     return out
 
 
-def cover_homology(Bq, q: int) -> TorsionReport:
-    """Torsion order and Betti number of the q-cover presentation.
-
-    The blocks of the expansion are commuting circulants, so its
-    determinant is det circ(ring determinant) = Res(t^q - 1, det Bq) (Fox's
-    formula).  When that is nonzero the cokernel is finite of that order;
-    a degenerate cover (zero resultant) falls back to exact SNF of the
-    expanded presentation.
-    """
-    if q < 1:
-        raise ValueError("cover degree must be >= 1")
-    det = circulant_det(block_det(Bq, q=q))
-    if det:
-        torsion = abs(det)
-        return TorsionReport(
-            q=q,
-            torsion_order=torsion,
-            betti=0,
-            log_torsion_over_q=_log(torsion) / q,
-            method="circulant_det",
-        )
-    snf = smith_normal_form(expand_presentation(Bq, q))
-    torsion = 1
-    for d in snf.nonzero_factors():
-        torsion *= d
-    betti = snf.corank()
+def _report(q: int, torsion: int, betti: int, method: str) -> TorsionReport:
     return TorsionReport(
         q=q,
         torsion_order=torsion,
         betti=betti,
         log_torsion_over_q=_log(torsion) / q,
-        method="snf",
+        method=method,
     )
+
+
+def _divides(phi: list[int], g: list[int]) -> bool:
+    return len(g) >= len(phi) and not _poly_divmod(g, phi)[1]
+
+
+def cover_homology(Bq, q: int) -> TorsionReport:
+    """Torsion order and Betti number of the q-cover presentation.
+
+    The presentation is the h x h block Bq acting on (Lambda/(t^q - 1))^h,
+    Lambda = Z[t^+-1].  Let G be the product of the Phi_d (d | q) that
+    divide every entry, F = (t^q - 1)/G and D = det(B/G), computed from
+    the shortest-window lifts of the entries.  When D(zeta) != 0 at every
+    root zeta of F, the snake lemma for B on 0 -> (Lambda/F)^h -> (Lambda/
+    (t^q - 1))^h -> (Lambda/G)^h -> 0 gives Betti number h deg G and
+    torsion order |Res(F, D)| (Res(1, D) = 1).  D's own factors Phi_e
+    (e | q, then Phi_e | G) are split off with Apostol's closed form for
+    Res(Phi_d, Phi_e); for the rest D0, Res(F, D0) = Res(t^q - 1, D0) /
+    Res(G, D0), the first by circulant_det (the whole answer when G = 1,
+    method "circulant_det"; else "split_resultant"), the second exactly
+    over Z[t]/G.  Only when some Phi_d (d | q) divides det B but not
+    every entry does the cover fall back to an exact Smith normal form of
+    the expanded presentation (method "snf").
+    """
+    if q < 1:
+        raise ValueError("cover degree must be >= 1")
+    h = len(Bq)
+    divs = divisors(q)
+    windows = [[_window(e) for e in row] for row in Bq]
+    polys = [g for row in windows for _, g in row if g]
+    # Phi_d divides a nonzero entry only if phi(d) <= its degree
+    low = min((len(g) - 1 for g in polys), default=q)
+    S = [
+        d for d in divs
+        if totient(d) <= low and all(_divides(cyclotomic(d).coeff_list(), g) for g in polys)
+    ]
+    deg_G = sum(totient(d) for d in S)
+    if deg_G == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
+        return _report(q, 1, h * q, "split_resultant")
+    G = [1]
+    for d in S:
+        G = _poly_mul(G, cyclotomic(d).coeff_list())
+    Bp = [
+        [LaurentPoly.from_list(_div_exact_int(g, G), lo=s) if g else LaurentPoly.zero()
+         for s, g in row]
+        for row in windows
+    ]
+    D0 = normalize_unit(block_det(Bp, q=None))[0].coeff_list()
+    # split off the Phi_e (e | q) factors of D, with their multiplicities
+    mult = {}
+    for e in divs:
+        if D0 and totient(e) < len(D0):
+            phi = cyclotomic(e).coeff_list()
+            while _divides(phi, D0):
+                D0 = _div_exact_int(D0, phi)
+                mult[e] = mult.get(e, 0) + 1
+    if not D0 or any(e not in S for e in mult):
+        snf = smith_normal_form(expand_presentation(Bq, q))
+        torsion = 1
+        for d in snf.nonzero_factors():
+            torsion *= d
+        return _report(q, torsion, snf.corank(), "snf")
+    torsion, rem = divmod(abs(circulant_det(CycElem(q, D0))), abs(_int_resultant(G, D0)))
+    if rem:
+        raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
+    for e, k in mult.items():
+        for d in divs:
+            if d not in S:
+                torsion *= _cyclotomic_resultant(d, e) ** k
+    return _report(q, torsion, h * deg_G, "split_resultant" if S else "circulant_det")
 
 
 def _log(n: int) -> float:
@@ -475,30 +569,6 @@ def _is_symplectic(P, g: int) -> bool:
             if s != (1 if j == i + g else -1 if i == j + g else 0):
                 return False
     return True
-
-
-def _int_det(M) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    A = [[int(x) for x in row] for row in M]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 def betti_increase_check(Bq, q: int, root_index: int = 1) -> bool:

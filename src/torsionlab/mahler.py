@@ -25,8 +25,8 @@ from enum import Enum
 import mpmath as mp
 
 from .ringcore import LaurentPoly, cyclotomic, divisors, laurent_eval, normalize_unit, totient
-from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _poly_divmod, _poly_gcd
-from .ringcore import _poly_mul, _pp, _strip_unit_roots
+from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _graeffe_step, _poly_divmod
+from .ringcore import _poly_gcd, _pp, _squarefree_by_prime, _strip_unit_roots
 
 # unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
 CIRCLE_SAMPLES = 1024
@@ -107,24 +107,6 @@ class ConstraintReport:
     circle_bound: float | None = None
     degree: int = 0
     degree_bound: int = 0
-
-
-def _graeffe_step(coeffs: list[int]) -> list[int]:
-    """Root-squaring: coefficients of +-P(sqrt(y))P(-sqrt(y)).
-
-    With P(x) = E(x^2) + x O(x^2) this is E(y)^2 - y O(y)^2, normalized to
-    a positive leading coefficient; its roots are the squares of P's.
-    """
-    d = len(coeffs) - 1
-    out = [0] * (d + 1)
-    even, odd = coeffs[0::2], coeffs[1::2]
-    for k, c in enumerate(_poly_mul(even, even)):
-        out[k] = c
-    for k, c in enumerate(_poly_mul(odd, odd)):
-        out[k + 1] -= c
-    if out[d] < 0:
-        out = [-c for c in out]
-    return out
 
 
 def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
@@ -310,11 +292,15 @@ def _roots_with_multiplicity(dense: list[int], tol: float) -> tuple[list, int, f
 
     Repeated roots stall the polisher, so the polynomial is split as
     radical * gcd(P, P') and the two pieces are handled separately; the
-    recursion bottoms out on square-free factors.
+    recursion bottoms out on square-free factors.  P is proved square-free
+    modulo one prime where it can be; the exact primitive-PRS gcd runs
+    only when a few primes fail.
     """
     dense = _pp(dense)
     if len(dense) <= 1:
         return [], 0, 0.0
+    if _squarefree_by_prime(dense):
+        return _refined_roots(dense, tol)
     g = _poly_gcd(dense, _derivative(dense))
     if len(g) <= 1:
         return _refined_roots(dense, tol)

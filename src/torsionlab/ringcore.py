@@ -3,7 +3,10 @@
 LaurentPoly is a sparse map exponent -> coefficient with Python big
 integers, so products of long matrix words never overflow.  CycElem is a
 dense length-q coefficient vector; multiplication is cyclic convolution.
-Both rings carry the involution t -> t^-1 (resp. k -> -k mod q).
+Both rings carry the involution t -> t^-1 (resp. k -> -k mod q).  The
+module ends with the dense integer-polynomial kernel (lists of ints,
+constant first) that mahler and homology share, and the same kernel over
+F_p for primes below 2^31.
 """
 
 from __future__ import annotations
@@ -592,6 +595,24 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def _graeffe_step(coeffs: list[int]) -> list[int]:
+    """Root-squaring: coefficients of +-P(sqrt(y))P(-sqrt(y)).
+
+    With P(x) = E(x^2) + x O(x^2) this is E(y)^2 - y O(y)^2, normalized to
+    a positive leading coefficient; its roots are the squares of P's.
+    """
+    d = len(coeffs) - 1
+    out = [0] * (d + 1)
+    even, odd = coeffs[0::2], coeffs[1::2]
+    for k, c in enumerate(_poly_mul(even, even)):
+        out[k] = c
+    for k, c in enumerate(_poly_mul(odd, odd)):
+        out[k + 1] -= c
+    if out[d] < 0:
+        out = [-c for c in out]
+    return out
+
+
 def _derivative(c: list[int]) -> list[int]:
     return [k * x for k, x in enumerate(c)][1:]
 
@@ -626,3 +647,142 @@ def _fold_palindromic(c: list[int]) -> list[int] | None:
             nxt[k] -= x
         prev, cur = cur, nxt
     return q
+
+
+def _int_det(M) -> int:
+    """Fraction-free (Bareiss) determinant of a small integer matrix."""
+    A = [[int(x) for x in row] for row in M]
+    n = len(A)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def _int_resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) = prod b(alpha) over the roots alpha of the monic a,
+    exactly: the determinant of multiplication by b on Z[t]/(a)."""
+    k = len(a) - 1
+    col = _poly_divmod(b, a)[1]
+    cols = []
+    for _ in range(k):
+        col = col + [0] * (k - len(col))
+        cols.append(col)
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [x - top * y for x, y in zip(col, a)]
+    return _int_det(cols)
+
+
+# ---------------------------------------------------------------------------
+# the same kernel over F_p, for primes below 2^31
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, exact below 2^64."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# the largest primes below 2^31, descending; grown on demand by replacing
+# the tuple, so a concurrent caller never sees a half-built list
+_PRIMES: tuple[int, ...] = ()
+
+
+def _primes_below_2_31(count: int) -> tuple[int, ...]:
+    """At least `count` of the largest primes below 2^31, descending."""
+    global _PRIMES
+    primes = _PRIMES
+    if len(primes) < count:
+        out = list(primes)
+        c = out[-1] - 2 if out else (1 << 31) - 1
+        while len(out) < count:
+            if _is_probable_prime(c):
+                out.append(c)
+            c -= 2
+        _PRIMES = primes = tuple(out)
+    return primes
+
+
+def _rem_monic(a: list, m: list, p: int) -> list:
+    """a modulo the monic m over F_p; coefficient lists, constant first."""
+    n = len(m) - 1
+    r = list(a)
+    for k in range(len(r) - 1, n - 1, -1):
+        x = r[k] % p
+        if x:
+            off = k - n
+            for i in range(n):
+                r[off + i] -= x * m[i]
+    return [x % p for x in r[:n]]
+
+
+def _monic_resultant(a: list, b: list, p: int) -> int:
+    """Product of b(alpha) over the roots alpha of the monic a, over F_p,
+    by Euclid's algorithm; deg b < deg a."""
+    acc = 1
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return acc * pow(b[0], m, p) % p
+        # prod_a b(alpha) = (-1)^{mn} lc(b)^m prod_b a(beta), and
+        # a(beta) = (a mod b)(beta) at each root beta of b
+        lc = b[-1]
+        acc = acc * pow(lc, m, p) % p
+        if m * n % 2:
+            acc = -acc % p
+        inv = pow(lc, -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _rem_monic(a, b, p)
+
+
+def _squarefree_by_prime(c: list[int], tries: int = 3) -> bool:
+    """Whether c (degree >= 1) is square-free modulo one of `tries` primes
+    p that do not divide lc(c).  True proves c square-free over Q: a
+    square factor of c keeps its degree mod p.  False proves nothing."""
+    dc = _derivative(c)
+    for p in _primes_below_2_31(tries)[:tries]:
+        lc = c[-1] % p
+        if lc:
+            inv = pow(lc, -1, p)
+            if _monic_resultant([x * inv % p for x in c], [x % p for x in dc], p):
+                return True
+    return False

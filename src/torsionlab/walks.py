@@ -47,10 +47,6 @@ from .mahler import (
 from .ringcore import LaurentPoly
 
 
-class DegenerateNorm(RuntimeError):
-    """Propagated frame collapsed to zero volume."""
-
-
 DELTA_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 

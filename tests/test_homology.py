@@ -6,8 +6,14 @@ import random
 import numpy as np
 import pytest
 
+from torsionlab.hermitian import bottom_left_block
 from torsionlab.homology import (
+    BATCH_PRIMES,
     NotSymplectic,
+    _cyclotomic_resultant,
+    _height_bits,
+    _resultant_mod,
+    _resultants_mod,
     betti_increase_check,
     betti_increase_rank_check,
     circulant_det,
@@ -17,9 +23,12 @@ from torsionlab.homology import (
     heegaard_homology,
     smith_normal_form,
 )
-from torsionlab.ringcore import CycElem, LaurentPoly, cyclotomic, reduce_mod_q
+from torsionlab.ringcore import CycElem, LaurentPoly, cyclotomic, divisors, reduce_mod_q
+from torsionlab.ringcore import _int_resultant
+from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
 rng = random.Random(314159)
+GENS, PROBS = bundled_generators(3)
 
 
 def bareiss_det(M):
@@ -202,14 +211,136 @@ def test_cover_homology_fast_path_agrees_with_snf():
         assert rep.torsion_order == 2**q - 1
 
 
-def test_cover_homology_degenerate_falls_back_to_snf():
+def snf_torsion_betti(Bq, q):
+    """The oracle: Smith normal form of the expanded hq x hq presentation."""
+    dec = smith_normal_form(expand_presentation(Bq, q))
+    torsion = 1
+    for d in dec.nonzero_factors():
+        torsion *= d
+    return torsion, dec.corank()
+
+
+def test_cover_homology_degenerate_takes_split_resultant():
     # (t + 1)(t^2 - 3t + 1) vanishes at t = -1, a root of t^q - 1 for even q
     p = LaurentPoly({3: 1, 2: -2, 1: -2, 0: 1})
-    even = cover_homology([[reduce_mod_q(p, 10)]], 10)
-    assert even.method == "snf" and even.betti == 1
+    Bq = [[reduce_mod_q(p, 10)]]
+    even = cover_homology(Bq, 10)
+    assert even.method == "split_resultant" and even.betti == 1
+    assert even.torsion_order == snf_torsion_betti(Bq, 10)[0]
     odd = cover_homology([[reduce_mod_q(p, 9)]], 9)
     assert odd.method == "circulant_det" and odd.betti == 0
     assert odd.torsion_order == resultant_with_tq_minus_1(p, 9)
+
+
+def test_split_resultant_matches_snf_on_walk_blocks():
+    config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=12)
+    methods = []
+    for trial in range(4):
+        B = bottom_left_block(sample_word(config, trial, 12))
+        for q in (2, 3, 5, 6, 8, 12):
+            Bq = [[reduce_mod_q(e, q) for e in row] for row in B]
+            rep = cover_homology(Bq, q)
+            assert (rep.torsion_order, rep.betti) == snf_torsion_betti(Bq, q), (trial, q)
+            methods.append(rep.method)
+    # t - 1 divides every entry of a walk block, so no cover is nondegenerate
+    assert "circulant_det" not in methods
+    assert methods.count("split_resultant") >= 20
+
+
+def test_split_resultant_matches_snf_on_tower_presentation():
+    p = LaurentPoly({3: 1, 2: -2, 1: -2, 0: 1})  # (t + 1)(t^2 - 3t + 1)
+    for q in range(2, 41):
+        Bq = [[reduce_mod_q(p, q)]]
+        rep = cover_homology(Bq, q)
+        assert rep.method == ("split_resultant" if q % 2 == 0 else "circulant_det")
+        assert (rep.torsion_order, rep.betti) == snf_torsion_betti(Bq, q), q
+
+
+def test_split_resultant_matches_snf_on_cyclotomic_products():
+    local = random.Random(2718)
+    t = LaurentPoly.t()
+    fixed = [
+        (cyclotomic(1) * cyclotomic(2) * (t - 3), 2),  # G = t^2 - 1, F = 1
+        (cyclotomic(1) * cyclotomic(3) * (2 * t + 1), 3),  # G = t^3 - 1, F = 1
+        (cyclotomic(2) ** 2 * (t * t - 3 * t + 1), 6),  # Phi_2^2 | Delta
+        (cyclotomic(3) ** 2 * cyclotomic(6) * (t + 2), 12),
+        (cyclotomic(1) ** 3 * cyclotomic(4), 8),  # Delta is all cyclotomic
+    ]
+    randomized = []
+    for _ in range(60):
+        p = LaurentPoly({k: local.randint(-3, 3) for k in range(local.randint(1, 3))})
+        for _ in range(local.randint(1, 3)):
+            p = p * cyclotomic(local.choice([1, 2, 3, 4, 6, 8, 12]))
+        randomized.append((p.shift(local.randint(-3, 3)), local.randint(2, 16)))
+    methods = set()
+    for p, q in fixed + randomized:
+        if p.is_zero():
+            continue
+        Bq = [[reduce_mod_q(p, q)]]
+        rep = cover_homology(Bq, q)
+        assert rep.method != "snf"  # h = 1: G is every Phi_d (d | q) dividing Delta
+        assert (rep.torsion_order, rep.betti) == snf_torsion_betti(Bq, q), (p, q)
+        methods.add(rep.method)
+    assert methods == {"split_resultant", "circulant_det"}
+    for p, q in fixed[:2]:
+        rep = cover_homology([[reduce_mod_q(p, q)]], q)
+        assert (rep.torsion_order, rep.betti) == (1, q)
+
+
+def test_snf_kept_when_phi_divides_det_but_not_every_entry():
+    t = LaurentPoly.t()
+    B = [[t - 1, LaurentPoly.one()], [LaurentPoly.zero(), t + 2]]  # det (t - 1)(t + 2)
+    for q in (2, 3, 4):
+        Bq = [[reduce_mod_q(e, q) for e in row] for row in B]
+        rep = cover_homology(Bq, q)
+        assert rep.method == "snf" and rep.betti == 1
+        assert (rep.torsion_order, rep.betti) == snf_torsion_betti(Bq, q)
+
+
+def test_walk_cover_at_q_2000_and_resultant_divisibility():
+    config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=16)
+    B = bottom_left_block(sample_word(config, 0, 16))
+    # Phi_e (e | 2000) dividing every entry; G_d = G_q for every d | q they divide
+    common = [e for e in divisors(2000)
+              if all(x.divide_exact(cyclotomic(e)) is not None for row in B for x in row)]
+    assert common == [1]
+    top = cover_homology([[reduce_mod_q(e, 2000) for e in row] for row in B], 2000)
+    assert top.method == "split_resultant" and top.betti == 2
+    assert top.log_torsion_over_q > 1.0
+    for d in (1000, 400, 250):
+        # G_d = G_q = t - 1, so F_d | F_q and Res(F_d, D) | Res(F_q, D)
+        rep = cover_homology([[reduce_mod_q(e, d) for e in row] for row in B], d)
+        assert rep.betti == 2
+        assert top.torsion_order % rep.torsion_order == 0, d
+
+
+def test_cyclotomic_resultant_closed_form():
+    for m in range(1, 31):
+        for n in range(1, 31):
+            if m != n:
+                exact = _int_resultant(cyclotomic(m).coeff_list(), cyclotomic(n).coeff_list())
+                assert _cyclotomic_resultant(m, n) == abs(exact), (m, n)
+
+
+def test_batched_residues_match_one_prime_at_a_time():
+    # small primes make the remainder sequences drop degree often, so rows
+    # leave the batch and are finished alone
+    local = random.Random(1618)
+    small = [p for p in range(3, 200) if all(p % k for k in range(2, p))]
+    for _ in range(200):
+        d = local.randint(1, 8)
+        g = [local.randint(-20, 20) for _ in range(d)] + [local.choice([1, -1, 2, 3, 7])]
+        q = local.randint(1, 70)
+        primes = [p for p in small if g[-1] % p][:local.randint(BATCH_PRIMES, 30)]
+        assert _resultants_mod(g, q, primes) == [_resultant_mod(g, q, p) for p in primes]
+
+
+def test_height_bits_bound_the_circulant_det():
+    for _ in range(60):
+        q = rng.randint(2, 12)
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, q - 1))] + [rng.randint(1, 9)]
+        M = [[(g + [0] * q)[(i - j) % q] for j in range(q)] for i in range(q)]
+        assert abs(bareiss_det(M)) < 2 ** _height_bits(g, q), (g, q)
 
 
 def test_cover_homology_2x2_vs_expanded_snf():

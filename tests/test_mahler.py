@@ -32,7 +32,9 @@ from torsionlab.ringcore import (
     _derivative,
     _div_exact_int,
     _poly_gcd,
+    _poly_mul,
     _pp,
+    _squarefree_by_prime,
     cyclotomic,
     normalize_unit,
 )
@@ -230,6 +232,29 @@ def test_result_reports_precision_and_residual():
     assert unit.log_measure == pytest.approx(math.log(3))
     assert sorted(r.real for r in unit.roots) == [-1, 1, 1] and unit.dps == 0
 
+
+
+def test_squarefree_by_one_prime_matches_prs_path(monkeypatch):
+    # a random degree-40 polynomial with 120-bit coefficients, the kind on
+    # which the primitive-PRS gcd(P, P') used to dominate mahler_measure
+    big = random.Random(120)
+    dense = [big.getrandbits(120) * big.choice((1, -1)) for _ in range(41)]
+    assert _squarefree_by_prime(dense)
+    assert len(_poly_gcd(dense, _derivative(dense))) == 1
+    # a square factor survives modulo every prime that keeps the degree
+    assert not _squarefree_by_prime(_poly_mul(dense[:5], dense[:5]))
+    # the first three primes below 2^31 all divide this leading coefficient
+    lc = 2147483647 * 2147483629 * 2147483587
+    assert not _squarefree_by_prime([3, 1, lc])
+    inputs = [LaurentPoly.from_list(dense), LEHMER * LEHMER * SMALL_MEASURE[1],
+              LaurentPoly.from_list([3, 1, lc])]
+    fast = [mahler_measure(p) for p in inputs]
+    monkeypatch.setattr(mahler, "_squarefree_by_prime", lambda c: False)
+    for p, res in zip(inputs, fast):
+        prs = mahler_measure(p)
+        assert res.log_measure == prs.log_measure
+        assert res.roots == prs.roots
+        assert (res.dps, res.residual) == (prs.dps, prs.residual)
 
 # -- Kronecker exact-zero test ----------------------------------------
 
