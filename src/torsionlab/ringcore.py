@@ -1,12 +1,14 @@
 """Exact arithmetic in Z[t, t^-1] and in the finite group ring Z[Z/q].
 
 LaurentPoly is a sparse map exponent -> coefficient with Python big
-integers, so products of long matrix words never overflow.  CycElem is a
+integers, so products of long matrix words never overflow; two long
+factors multiply by Kronecker substitution in the dense kernel.  CycElem is a
 dense length-q coefficient vector; multiplication is cyclic convolution.
 Both rings carry the involution t -> t^-1 (resp. k -> -k mod q).  The
 module ends with the dense integer-polynomial kernel (lists of ints,
 constant first) that mahler and homology share, and the same kernel over
-F_p for primes below 2^31.
+F_p for primes below 2^31, with the Garner CRT that lifts residues modulo a
+batch of those primes back to integers.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import threading
 from typing import Iterable, Mapping
 
+import numpy as np
+
 
 class NonUnitModulus(ValueError):
     """Evaluation point is not on the unit circle."""
@@ -23,6 +27,11 @@ class NonUnitModulus(ValueError):
 
 class InvalidModulus(ValueError):
     """Cyclic reduction requires a positive modulus."""
+
+
+# products of two LaurentPolys with at least this many terms each go
+# through the dense Kronecker kernel _poly_mul instead of the term loop
+KRONECKER_TERMS = 16
 
 
 class LaurentPoly:
@@ -70,7 +79,10 @@ class LaurentPoly:
     @classmethod
     def from_list(cls, coeffs: Iterable[int], lo: int = 0) -> "LaurentPoly":
         """Dense coefficient list starting at exponent `lo`."""
-        return cls({lo + i: c for i, c in enumerate(coeffs)})
+        out = cls.__new__(cls)
+        out.coeffs = {lo + i: int(c) for i, c in enumerate(coeffs) if c}
+        out._hash = None
+        return out
 
     # -- basic queries ------------------------------------------------
 
@@ -159,6 +171,13 @@ class LaurentPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
+        if len(a) >= KRONECKER_TERMS:
+            lo_a, lo_b = min(a), min(b)
+            # dense only while the product's span is below the term pairs
+            if max(a) - lo_a + max(b) - lo_b < len(a) * len(b):
+                return LaurentPoly.from_list(
+                    _poly_mul(self.coeff_list(), other.coeff_list()), lo_a + lo_b
+                )
         d = {}
         for ka, ca in a.items():
             for kb, cb in b.items():
@@ -736,6 +755,29 @@ def _primes_below_2_31(count: int) -> tuple[int, ...]:
             c -= 2
         _PRIMES = primes = tuple(out)
     return primes
+
+
+def _crt_symmetric(residues: np.ndarray, primes) -> list[int]:
+    """The integers x with |x| < prod(primes) / 2 and x = residues[i]
+    modulo primes[i], one per column of `residues` (an int64 array with one
+    row per prime; distinct primes below 2^31), by Garner's algorithm.
+
+    The mixed-radix digits are computed over whole int64 rows: each step
+    multiplies a difference of two residues by an inverse below 2^31, so
+    every product fits in 62 bits.  Only the final Horner sum of the
+    digits runs on Python ints.
+    """
+    digits = []
+    for i, p in enumerate(primes):
+        v = residues[i] % p
+        for d, q in zip(digits, primes):
+            v = (v - d) * pow(q, -1, p) % p
+        digits.append(v)
+    x = digits[-1].astype(object)
+    for d, q in zip(digits[-2::-1], primes[-2::-1]):
+        x = x * q + d
+    m = math.prod(primes)
+    return [v - m if 2 * v > m else v for v in x.tolist()]
 
 
 def _rem_monic(a: list, m: list, p: int) -> list:

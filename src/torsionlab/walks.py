@@ -6,9 +6,13 @@ worker count or scheduling.  The walk order is b_n ... b_1: new letters
 multiply on the left.
 
 Two lanes run over the same sampled letters.  The exact lane carries
-the Laurent a-frame, the image of the a-basis (the word's first g-1
-columns), and inspects det of its b-rows, the bottom-left block, at a
-logarithmic schedule of lengths.  The embedded lane propagates the
+the a-frame, the image of the a-basis (the word's first g-1 columns),
+and inspects det of its b-rows, the bottom-left block, at a logarithmic
+schedule of lengths.  It keeps the frame modulo a batch of primes below
+2^31, as one int64 array of dense coefficient windows, with enough primes
+for a per-entry l1 bound tracked exactly beforehand; at schedule points
+only, the b-rows are lifted to integers by CRT and det B taken exactly
+over the Laurent ring.  The embedded lane propagates the
 a-subspace frame through the iota image of each letter with QR
 renormalization: the accumulated log-volume is the exterior norm of the
 image of e, and the f-coefficient is the bottom-block minor of the
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +48,7 @@ from .mahler import (
     build_K_alpha,
     constraint_check,
 )
-from .ringcore import LaurentPoly
+from .ringcore import LaurentPoly, _crt_symmetric, _primes_below_2_31
 
 
 DELTA_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -82,6 +86,10 @@ class WalkConfig:
         for q in self.q_list:
             if q < 3:
                 raise ValueError("cover degrees must be >= 3")
+        if self.n_steps < 2:
+            raise ValueError("n_steps must be >= 2, the first schedule point")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
 
     @property
     def inverses_present(self) -> bool:
@@ -161,6 +169,15 @@ def _sample_indices(config: WalkConfig, trial_index: int, n: int) -> np.ndarray:
     return rng.choice(len(config.generators), size=n, p=p)
 
 
+def _trial_letters(config: WalkConfig, trial_index: int):
+    """The trial's n_steps letter indices, and its unit-twist exponents
+    (None without unit_twist_seed)."""
+    idx = _sample_indices(config, trial_index, config.n_steps)
+    if config.unit_twist_seed is None:
+        return idx, None
+    return idx, _twist_rng(config, trial_index).integers(-3, 4, size=config.n_steps)
+
+
 def sample_word(config: WalkConfig, trial_index: int, n: int) -> FormMatrix:
     """Exact product b_n ... b_1 of the trial's first n letters."""
     if n > config.n_steps:
@@ -195,48 +212,155 @@ def _normalized_iota(M: FormMatrix, q: int, root_index: int) -> np.ndarray:
     return out
 
 
-def _frame_product(letter: FormMatrix, frame: list) -> list:
-    """letter @ frame for a 2h x h frame given as rows of LaurentPoly,
-    skipping the zero entries of the letter."""
-    zero = LaurentPoly.zero()
-    out = []
-    for row in letter.rows:
-        terms = [(c, frame[k]) for k, c in enumerate(row) if c]
-        out.append(
-            [sum((c * f[j] for c, f in terms), zero) for j in range(len(frame[0]))]
-        )
+# a letter whose rows have sum |c| below this keeps each row's sum of
+# c * residue inside int64 for primes below 2^31; a wider letter is reduced
+# modulo each prime, and the frame after every term
+_WIDE_ROW = 1 << 32
+
+
+@dataclass(frozen=True)
+class _LetterPlan:
+    """A generator's sparse terms, read once per run.
+
+    rows[i] lists (k, offset, c) for each term c t^e of entry (i, k), with
+    offset = e - lo above the letter's lowest exponent lo; span is its
+    highest exponent minus lo, and norms[i] lists (k, l1 norm of entry
+    (i, k)) for the nonzero entries of row i.
+    """
+
+    lo: int
+    span: int
+    rows: tuple
+    norms: tuple
+    wide: bool
+
+
+def _letter_plan(M: FormMatrix) -> _LetterPlan:
+    exps = [e for row in M.rows for x in row for e in x.coeffs]
+    lo = min(exps)
+    rows = tuple(
+        tuple((k, e - lo, c) for k, x in enumerate(row) for e, c in x.coeffs.items())
+        for row in M.rows
+    )
+    norms = tuple(
+        tuple((k, sum(map(abs, x.coeffs.values()))) for k, x in enumerate(row) if x)
+        for row in M.rows
+    )
+    wide = max(sum(n for _, n in row) for row in norms) >= _WIDE_ROW
+    return _LetterPlan(lo, max(exps) - lo, rows, norms, wide)
+
+
+@dataclass(frozen=True)
+class _RunSetup:
+    """What every trial of a run shares: built once per run_walk call, and
+    once per chunk in worker processes."""
+
+    sched: list
+    d_mu: int
+    params: ConstraintParams
+    iota: dict  # cover degree -> _normalized_iota of each generator
+    letters: list  # _LetterPlan of each generator
+
+
+def _run_setup(config: WalkConfig) -> _RunSetup:
+    d_mu = config.d_mu()
+    K = build_K_alpha(config.alpha, 60)
+    return _RunSetup(
+        sched=config.schedule(),
+        d_mu=d_mu,
+        params=ConstraintParams(alpha=config.alpha, K=frozenset(K), d_mu=d_mu, g=config.g),
+        iota={
+            q: [_normalized_iota(M, q, config.root_index) for M in config.generators]
+            for q in config.q_list
+        },
+        letters=[_letter_plan(M) for M in config.generators],
+    )
+
+
+def _frame_bounds(plans: list, sched: list, h: int) -> dict:
+    """For each schedule point n, a bound on every |coefficient| of the
+    frame's b-rows after the first n letters: the l1 norm of (L F)_ij is at
+    most sum_k ||L_ik||_1 ||F_kj||_1, tracked exactly column by column."""
+    cols = [[int(i == j) for i in range(2 * h)] for j in range(h)]
+    out = {}
+    for step, L in enumerate(plans, 1):
+        cols = [[sum(n * col[k] for k, n in row) for row in L.norms] for col in cols]
+        if step in sched:
+            out[step] = max(max(col[h:]) for col in cols)
     return out
 
 
-def _trial_record(config: WalkConfig, trial_index: int) -> dict:
+def _prime_count(bound: int) -> int:
+    """Fewest of the largest primes below 2^31 whose product exceeds
+    2 * bound, so that the symmetric CRT lift is exact."""
+    k = 1
+    while math.prod(_primes_below_2_31(k)[:k]) <= 2 * bound:
+        k += 1
+    return k
+
+
+def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
+    """det B at each schedule point of the walk on the letters idx (times
+    t^twists, if given), from the a-frame kept modulo a batch of primes.
+
+    The frame is one int64 array (2h, h, primes, exponents) over a window
+    that starts at the running sum of the letters' lowest exponents, so a
+    term c t^e adds c times the frame at offset e - lo, and a unit twist
+    only moves the window's base exponent.  Residues are reduced once per
+    letter.  At a schedule point the b-rows are lifted by CRT over as many
+    primes as that point's bound needs.
+    """
+    plans = [setup.letters[int(i)] for i in idx]
+    counts = {n: _prime_count(b) for n, b in _frame_bounds(plans, setup.sched, h).items()}
+    count = max(counts.values())
+    primes = _primes_below_2_31(count)[:count]
+    pcol = np.array(primes, dtype=np.int64)[:, None]
+    frame = np.zeros((2 * h, h, len(primes), 1 + sum(L.span for L in plans)), dtype=np.int64)
+    spare = np.zeros_like(frame)
+    for j in range(h):
+        frame[j, j, :, 0] = 1
+    width, base = 1, 0
+    reduced = {}  # coefficient of a wide letter -> its residues, as a column
+    dets = {}
+    for step, L in enumerate(plans, 1):
+        out = spare[..., : width + L.span]
+        out[...] = 0
+        for i, terms in enumerate(L.rows):
+            for k, o, c in terms:
+                src = frame[k, :, :, :width]
+                dst = out[i, :, :, o : o + width]
+                if L.wide:
+                    if c not in reduced:
+                        reduced[c] = np.array([[c % p] for p in primes], dtype=np.int64)
+                    np.remainder(dst + reduced[c] * src, pcol, out=dst)
+                elif c == 1:
+                    dst += src
+                elif c == -1:
+                    dst -= src
+                else:
+                    dst += c * src
+        np.remainder(out, pcol, out=out)
+        frame, spare = spare, frame
+        width += L.span
+        base += L.lo + (0 if twists is None else int(twists[step - 1]))
+        if step in counts:
+            k = counts[step]
+            b = frame[h:, :, :k, :width].transpose(2, 0, 1, 3).reshape(k, -1)
+            vals = _crt_symmetric(b, primes[:k])
+            block = [
+                [LaurentPoly.from_list(vals[(i * h + j) * width : (i * h + j + 1) * width], base)
+                 for j in range(h)]
+                for i in range(h)
+            ]
+            dets[step] = block_det(block, q=None)
+    return dets
+
+
+def _trial_record(config: WalkConfig, trial_index: int, setup: _RunSetup) -> dict:
     """All per-trial statistics, deterministic in (seed, trial_index)."""
-    sched = config.schedule()
-    sched_set = set(sched)
+    sched_set = set(setup.sched)
     h = config.g - 1
-    d_mu = config.d_mu()
-    idx = _sample_indices(config, trial_index, config.n_steps)
-    gens = config.generators
-    if config.unit_twist_seed is not None:
-        twists = _twist_rng(config, trial_index).integers(-3, 4, size=config.n_steps)
-    else:
-        twists = None
-
-    K = build_K_alpha(config.alpha, 60)
-    params = ConstraintParams(
-        alpha=config.alpha, K=frozenset(K), d_mu=d_mu, g=config.g
-    )
-
-    # embedded lane state, one frame per cover degree
-    frames = {}
-    for q in config.q_list:
-        mats = [_normalized_iota(Mg, q, config.root_index) for Mg in gens]
-        Y = np.zeros((2 * h, h), dtype=complex)
-        Y[:h, :h] = np.eye(h)
-        frames[q] = {"mats": mats, "Y": Y, "logvol": 0.0, "dead": False}
-
-    # exact lane state: the image of the a-basis, the word's first h columns
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    frame = [[one if i == j else zero for j in range(h)] for i in range(2 * h)]
+    idx, twists = _trial_letters(config, trial_index)
     rec = {
         "trial": trial_index,
         "mahler_positive": {},
@@ -246,12 +370,31 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
         "f_ratio": {q: {} for q in config.q_list},
         "degenerate": {q: False for q in config.q_list},
     }
+    # exact lane: det B of the a-frame's b-rows at each schedule point
+    for step, det in _modular_dets(setup, idx, twists, h).items():
+        if det.is_zero():
+            rec["mahler_positive"][step] = False
+            rec["constraint_verdict"][step] = "degenerate_zero"
+            rec["det_degree"][step] = -1
+            continue
+        deg = det.degree_span()
+        rec["det_degree"][step] = deg
+        if deg > h * setup.d_mu * step:
+            raise RuntimeError("degree ledger violation")
+        v = constraint_check(det, setup.params, step)
+        rec["mahler_positive"][step] = v.verdict is ConstraintVerdict.NOT_MAHLER_ZERO
+        rec["constraint_verdict"][step] = (
+            v.verdict.value if v.hit_index is None else f"cyclotomic_hit_{v.hit_index}"
+        )
+
+    # embedded lane state, one frame per cover degree
+    frames = {}
+    for q in config.q_list:
+        Y = np.zeros((2 * h, h), dtype=complex)
+        Y[:h, :h] = np.eye(h)
+        frames[q] = {"mats": setup.iota[q], "Y": Y, "logvol": 0.0, "dead": False}
     for step in range(1, config.n_steps + 1):
         gi = int(idx[step - 1])
-        letter = gens[gi]
-        if twists is not None:
-            letter = letter.scale(LaurentPoly.t(int(twists[step - 1])))
-        frame = _frame_product(letter, frame)
         for q in config.q_list:
             st = frames[q]
             if st["dead"]:
@@ -267,25 +410,6 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
             # fix phases so the minor below is well defined up to modulus
             st["Y"] = Q
         if step in sched_set:
-            det = block_det(frame[h:], q=None)
-            if det.is_zero():
-                rec["mahler_positive"][step] = False
-                rec["constraint_verdict"][step] = "degenerate_zero"
-                rec["det_degree"][step] = -1
-            else:
-                deg = det.degree_span()
-                rec["det_degree"][step] = deg
-                if deg > h * d_mu * step:
-                    raise RuntimeError("degree ledger violation")
-                v = constraint_check(det, params, step)
-                rec["mahler_positive"][step] = (
-                    v.verdict is ConstraintVerdict.NOT_MAHLER_ZERO
-                )
-                rec["constraint_verdict"][step] = (
-                    v.verdict.value
-                    if v.hit_index is None
-                    else f"cyclotomic_hit_{v.hit_index}"
-                )
             for q in config.q_list:
                 st = frames[q]
                 if st["dead"]:
@@ -298,7 +422,8 @@ def _trial_record(config: WalkConfig, trial_index: int) -> dict:
 
 def _trial_chunk(args) -> list[dict]:
     config, indices = args
-    return [_trial_record(config, i) for i in indices]
+    setup = _run_setup(config)
+    return [_trial_record(config, i, setup) for i in indices]
 
 
 def _worker_count() -> int:
@@ -313,7 +438,7 @@ def run_walk(config: WalkConfig, workers: int | None = None) -> WalkReport:
     nw = workers if workers is not None else _worker_count()
     indices = list(range(config.n_trials))
     if nw <= 1 or config.n_trials < 4:
-        records = [_trial_record(config, i) for i in indices]
+        records = _trial_chunk((config, indices))
     else:
         chunks = [(config, indices[i::nw]) for i in range(nw)]
         records = []
@@ -389,37 +514,6 @@ def _aggregate(config: WalkConfig, records: list[dict]) -> WalkReport:
         d_mu=d_mu,
         inverses_present=config.inverses_present,
     )
-
-
-def lyapunov_estimate(config: WalkConfig, q: int, root_index: int = 1):
-    """Lyapunov series for one cover degree; see run_walk for the full
-    report.  Returns (schedule, mean L_n, var L_n, lambda_hat)."""
-    if q < 3:
-        raise ValueError("cover degree must be >= 3")
-    sub = replace(config, q_list=(q,), root_index=root_index)
-    rep = run_walk(sub)
-    return (
-        rep.schedule,
-        rep.lyapunov_mean[q],
-        rep.lyapunov_var[q],
-        rep.lyapunov_hat.get(q),
-    )
-
-
-def mahler_positive_fraction(config: WalkConfig):
-    """Fraction of trials with exactly-positive Mahler determinant, per
-    scheduled length, plus the verdict bins of the zero-measure rest."""
-    rep = run_walk(config)
-    return rep.fraction_mahler_positive, rep.constraint_bins
-
-
-def hyperplane_stat(config: WalkConfig, q: int, root_index: int = 1):
-    """Empirical mass of the normalized f-coefficient below each delta."""
-    if q < 3:
-        raise ValueError("cover degree must be >= 3")
-    sub = replace(config, q_list=(q,), root_index=root_index)
-    rep = run_walk(sub)
-    return rep.hyperplane_fraction[q]
 
 
 @dataclass

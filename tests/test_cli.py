@@ -159,6 +159,16 @@ def test_walk_run_outputs(tmp_path, capsys):
     assert manifest["master_seed"] == 3
 
 
+@pytest.mark.parametrize("bad", [{"n_steps": 0}, {"n_steps": 1}, {"n_trials": 0}])
+def test_walk_run_rejects_empty_walks(tmp_path, capsys, bad):
+    f = walk_config_file(tmp_path, **bad)
+    out_dir = tmp_path / "out"
+    rc = dispatch(["walk", "run", "--config", str(f), "--out", str(out_dir), "--threads", "1"])
+    assert rc == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_walk_probe(tmp_path, capsys):
     f = walk_config_file(tmp_path)
     rc, out = run_cli(capsys, "walk", "probe", "--config", str(f), "--q", "3")

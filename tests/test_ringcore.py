@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from torsionlab.ringcore import (
+    KRONECKER_TERMS,
     CycElem,
+    _crt_symmetric,
     _fold_palindromic,
     _poly_divmod,
     _poly_mul,
+    _primes_below_2_31,
     _pseudo_rem,
     _strip_unit_roots,
     LaurentPoly,
@@ -229,6 +232,43 @@ def test_dense_kernel_mul_and_divmod():
     # non-unit leading coefficient: exact quotients survive, others are None
     assert _poly_divmod([2, 6, 4], [1, 2]) == ([2, 2], [])
     assert _poly_divmod([1, 0, 1], [1, 2]) is None
+
+
+def test_long_laurent_products_match_term_loop():
+    gen = random.Random(7)
+
+    def term_loop(x, y):
+        d = {}
+        for ka, ca in x.coeffs.items():
+            for kb, cb in y.coeffs.items():
+                d[ka + kb] = d.get(ka + kb, 0) + ca * cb
+        return LaurentPoly(d)
+
+    for _ in range(60):
+        bits = gen.choice((2, 40, 300))
+        x, y = (
+            LaurentPoly({gen.randint(-60, 60): gen.randint(-(1 << bits), 1 << bits)
+                         for _ in range(gen.randint(KRONECKER_TERMS, 80))})
+            for _ in range(2)
+        )
+        assert x * y == term_loop(x, y)
+        assert x * x == term_loop(x, x)
+    # a long but sparse factor stays on the term loop: a dense list of
+    # t^(10^9) would not fit in memory
+    sparse = LaurentPoly({10**9 * k: 1 for k in range(KRONECKER_TERMS)})
+    assert sparse * sparse == term_loop(sparse, sparse)
+
+
+def test_crt_symmetric_lifts_batches():
+    gen = random.Random(3)
+    for k in (1, 2, 5, 13):
+        primes = _primes_below_2_31(k)[:k]
+        half = math.prod(primes) // 2
+        xs = [gen.randint(-half, half) for _ in range(50)] + [half, -half, 0, 1, -1]
+        residues = np.array([[x % p for x in xs] for p in primes], dtype=np.int64)
+        assert _crt_symmetric(residues, primes) == xs
+        # residues need not be reduced: any int64 representative lifts
+        assert _crt_symmetric(residues - np.array(primes)[:, None], primes) == xs
 
 
 def schoolbook_prem(a, b):

@@ -15,19 +15,21 @@ from torsionlab.hermitian import (
     block_det,
     bottom_left_block,
     exterior_power_matrix,
+    transvection,
 )
 from torsionlab.mahler import kronecker_zero_test
 from torsionlab.ringcore import LaurentPoly
 from torsionlab.walks import (
     WalkConfig,
     WalkReport,
+    _frame_bounds,
+    _modular_dets,
     _normalized_iota,
+    _run_setup,
     _sample_indices,
+    _trial_letters,
     _trial_record,
     bundled_generators,
-    hyperplane_stat,
-    lyapunov_estimate,
-    mahler_positive_fraction,
     proximality_probe,
     run_walk,
     sample_word,
@@ -99,6 +101,11 @@ def test_config_validation():
         small_config(q_list=(2,))
     with pytest.raises(ValueError):
         small_config(g=4)
+    # the schedule starts at 2 steps, and the report averages over trials
+    for bad in (dict(n_steps=1), dict(n_steps=0), dict(n_trials=0)):
+        with pytest.raises(ValueError):
+            small_config(**bad)
+    assert small_config(n_steps=2, n_trials=1).schedule() == [2]
 
 
 # -- sampling determinism ----------------------------------------------
@@ -148,7 +155,7 @@ def test_words_preserve_form():
 
 def test_embedded_lane_matches_brute_force_exterior():
     cfg = small_config(n_steps=8, n_trials=1)
-    rec = _trial_record(cfg, 0)
+    rec = _trial_record(cfg, 0, _run_setup(cfg))
     q = 3
     idx = _sample_indices(cfg, 0, 8)
     mk = ExteriorMarking(3)
@@ -189,7 +196,7 @@ def test_exact_lane_matches_full_word(swap):
     cfg = small_config(generators=gens, n_steps=16, n_trials=4)
     seen = set()
     for trial in range(cfg.n_trials):
-        rec = _trial_record(cfg, trial)
+        rec = _trial_record(cfg, trial, _run_setup(cfg))
         for n in cfg.schedule():
             deg, positive = _full_word_oracle(cfg, trial, n)
             assert rec["det_degree"][n] == deg, (trial, n)
@@ -198,9 +205,101 @@ def test_exact_lane_matches_full_word(swap):
     assert seen == {False, True}
 
 
+def _oracle_check(cfg, trials):
+    """The modular lane's det B at every schedule point equals block_det of
+    the bottom-left block of the full word, shifted by t^(h * sum of the
+    unit twists) when the letters are twisted.  Returns the dets."""
+    h = cfg.g - 1
+    setup = _run_setup(cfg)
+    dets = []
+    for trial in trials:
+        idx, twists = _trial_letters(cfg, trial)
+        lane = _modular_dets(setup, idx, twists, h)
+        assert list(lane) == cfg.schedule()
+        for n, det in lane.items():
+            want = block_det(bottom_left_block(sample_word(cfg, trial, n)))
+            if twists is not None:
+                want = want.shift(h * int(twists[:n].sum()))
+            assert det == want, (trial, n)
+            dets.append(det)
+    return dets
+
+
+@pytest.mark.parametrize("twist", [None, 77])
+def test_modular_lane_matches_word_oracle(twist):
+    cfg = small_config(n_steps=64, n_trials=3, unit_twist_seed=twist)
+    dets = _oracle_check(cfg, range(cfg.n_trials))
+    # the last points need several primes: heights well past 2^62
+    assert max(d.content_max() for d in dets).bit_length() > 70
+
+
+def test_modular_lane_non_transvection_letter():
+    gens = list(GENS)
+    gens[0] = GENS[0] @ GENS[2]
+    _oracle_check(small_config(generators=gens, n_steps=16, n_trials=4), range(4))
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_modular_lane_higher_genus_and_zero_dets(g):
+    gens, probs = bundled_generators(g)
+    cfg = small_config(generators=gens, probabilities=probs, g=g, n_steps=16, n_trials=4)
+    dets = _oracle_check(cfg, range(cfg.n_trials))
+    # some of these short walks have det B = 0 at a schedule point, and the
+    # record files them as degenerate_zero
+    assert any(d.is_zero() for d in dets)
+    setup = _run_setup(cfg)
+    verdicts = [v for t in range(cfg.n_trials)
+                for v in _trial_record(cfg, t, setup)["constraint_verdict"].values()]
+    assert verdicts.count("degenerate_zero") == sum(d.is_zero() for d in dets)
+
+
+# k (t + 1/t - 2) keeps a letter augmentation-trivial, but its residues sum
+# to 0 mod p, so a row's products stay below 2 p^2 < 2^63 even unreduced;
+# k (t + 1 + 1/t) with k = -1 mod 2^31 - 1 has residues near p there, and
+# three such products pass 2^63
+WIDE_SCALES = [(2**41, -2), ((2**31 - 1) * 2**11 - 1, 1)]
+
+
+def _wide_config(scale=WIDE_SCALES[1], **kw):
+    # coefficients above 2^40 put a row's sum of |c| past 2^32, so these
+    # letters are reduced modulo each prime, and the frame after every term
+    model = SurfaceModel(3)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    k, mid = scale
+    big = LaurentPoly({1: k, -1: k, 0: mid * k})
+    # v = a_1 writes into an a-row, v = b_1 straight into a b-row of the frame
+    wide = [transvection(model, v, c, torelli_like=mid == -2)
+            for v in ([one, zero, zero, zero], [zero, zero, one, zero]) for c in (big, -big)]
+    probs = [Fraction(1, 2 * len(GENS))] * len(GENS) + [Fraction(1, 8)] * 4
+    return small_config(generators=GENS + wide, probabilities=probs, **kw)
+
+
+@pytest.mark.parametrize("scale", WIDE_SCALES)
+def test_modular_lane_wide_coefficients(scale):
+    cfg = _wide_config(scale, n_steps=16, n_trials=6)
+    letters = _run_setup(cfg).letters
+    assert [L.wide for L in letters] == [False] * len(GENS) + [True] * 4
+    drawn = {int(i) for t in range(cfg.n_trials) for i in _trial_letters(cfg, t)[0][:8]}
+    assert set(range(len(GENS), len(GENS) + 4)) <= drawn
+    _oracle_check(cfg, range(cfg.n_trials))
+
+
+@pytest.mark.parametrize("make", [lambda: small_config(n_steps=64, n_trials=2),
+                                  lambda: _wide_config(n_steps=16, n_trials=3)])
+def test_frame_bound_covers_true_coefficients(make):
+    cfg = make()
+    letters = _run_setup(cfg).letters
+    for trial in range(cfg.n_trials):
+        idx, _ = _trial_letters(cfg, trial)
+        bounds = _frame_bounds([letters[int(i)] for i in idx], set(cfg.schedule()), 2)
+        for n, bound in bounds.items():
+            block = bottom_left_block(sample_word(cfg, trial, n))
+            assert bound >= max(e.content_max() for row in block for e in row), (trial, n)
+
+
 def test_exact_lane_degree_ledger():
     cfg = small_config(n_steps=8, n_trials=1)
-    rec = _trial_record(cfg, 0)
+    rec = _trial_record(cfg, 0, _run_setup(cfg))
     d_mu = cfg.d_mu()
     for n, deg in rec["det_degree"].items():
         assert deg <= (cfg.g - 1) * d_mu * n
@@ -244,16 +343,14 @@ def test_report_shapes():
 
 
 def test_convenience_wrappers():
-    cfg = small_config(n_trials=6)
-    sched, mean, var, lam = lyapunov_estimate(cfg, 3)
-    assert sched == [2, 4, 8]
-    assert set(mean) == {2, 4, 8} and lam is not None
-    frac, bins = mahler_positive_fraction(cfg)
-    assert set(frac) == {2, 4, 8}
-    hyper = hyperplane_stat(cfg, 3)
+    # the per-cover series and the Mahler fractions all come from one report
+    rep = run_walk(small_config(n_trials=6), workers=1)
+    assert rep.schedule == [2, 4, 8]
+    assert set(rep.lyapunov_mean[3]) == set(rep.lyapunov_var[3]) == {2, 4, 8}
+    assert rep.lyapunov_hat[3] is not None
+    assert set(rep.fraction_mahler_positive) == set(rep.constraint_bins) == {2, 4, 8}
+    hyper = rep.hyperplane_fraction[3]
     assert 1e-3 in hyper and set(hyper[1e-3]) == {2, 4, 8}
-    with pytest.raises(ValueError):
-        lyapunov_estimate(cfg, 2)
 
 
 def test_proximality_probe_finds_witness():
