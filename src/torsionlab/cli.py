@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -335,7 +336,10 @@ def emit_plot_data(report) -> str:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after;
+    parse_args fills a fresh namespace and leaves the parser unchanged."""
     top = argparse.ArgumentParser(prog="torsionlab")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -9,9 +9,12 @@ divides out (t-1)^a (t+1)^b, whose roots add nothing, and folds a
 palindromic rest (every walk determinant is one) to half the degree in
 x = t + 1/t; each root x gives back the pair t = x/2 +- sqrt(x^2/4 - 1).
 Roots of each square-free factor come from one Aberth root finder: a
-complex-float pass seeds an mpmath polish at a precision set by the
-coefficient height and the degree, and a relative-residual check
-certifies the result.
+complex-float pass seeds a polish on fixed-point Gaussian integers, pairs
+of Python ints (a, b) standing for (a + ib) / 2^prec, at a precision set
+by the coefficient height and the degree.  A proven upper bound on the
+relative residual, the evaluation's rounding included, certifies the
+result.  mpmath enters only after the polish: the roots convert to it
+exactly for the unfold and the log sum.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from .ringcore import _poly_gcd, _pp, _squarefree_by_prime, _strip_unit_roots
 
 # unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
 CIRCLE_SAMPLES = 1024
-# float seeding pass: start angle offset, step tolerance, sweep cap
+# float seeding pass: start angle offset, step tolerance, rounding-noise
+# step tolerance, sweep cap
 FLOAT_SEED_ANGLE = 0.7
 FLOAT_STEP_EPS = 2.0 ** -40
+FLOAT_NOISE_EPS = 2.0 ** -30
 FLOAT_STEPS = 50
-# sweep cap of the mpmath polish
+# sweep cap of the fixed-point polish
 POLISH_STEPS = 60
 
 
@@ -57,6 +62,14 @@ class MahlerMethod(Enum):
 
 @dataclass
 class MahlerResult:
+    """Log Mahler measure, the roots it was summed over, and how.
+
+    dps is the decimal precision of the root polish (0 when no root was
+    polished), and residual a proven upper bound on the worst relative
+    residual |p(r)| / (|lead| max(1, |r|)^d) of a polished root r of its
+    square-free factor p of degree d.
+    """
+
     log_measure: float
     roots: list[complex]
     leading_coeff: int
@@ -212,14 +225,17 @@ def _newton_ratio(hi: list, lo: list, z):
     return z * r / ((len(lo) - 1) * r - y * dr)
 
 
-def _aberth(hi: list, lo: list, roots: list, eps, steps: int) -> bool:
-    """Aberth's simultaneous iteration on roots, in place.
+def _aberth(hi: list, lo: list, roots: list[complex]) -> None:
+    """Aberth's simultaneous iteration on complex floats, in place.
 
-    Gauss-Seidel order; a root is frozen once its step is below
-    eps * max(1, |z|).  True when every root froze within steps sweeps.
+    Gauss-Seidel order.  A root is frozen once its step is below
+    FLOAT_STEP_EPS * max(1, |z|), or below FLOAT_NOISE_EPS * max(1, |z|)
+    without having halved since its last sweep: there rounding, not the
+    distance to the root, sets the step.  Stops after FLOAT_STEPS sweeps.
     """
     live = range(len(roots))
-    for _ in range(steps):
+    last = [math.inf] * len(roots)
+    for _ in range(FLOAT_STEPS):
         moving = []
         for i in live:
             z = roots[i]
@@ -227,11 +243,107 @@ def _aberth(hi: list, lo: list, roots: list, eps, steps: int) -> bool:
                 ratio = _newton_ratio(hi, lo, z)
                 s = sum(1 / (z - w) for j, w in enumerate(roots) if j != i)
                 step = ratio / (1 - ratio * s)
-            except ZeroDivisionError:
+                size, scale = abs(step), max(1, abs(z))
+            except (ZeroDivisionError, OverflowError):
                 moving.append(i)
                 continue
             roots[i] = z - step
-            if abs(step) > eps * max(1, abs(z)):
+            if size > FLOAT_STEP_EPS * scale and (
+                size > FLOAT_NOISE_EPS * scale or size <= last[i] / 2
+            ):
+                moving.append(i)
+            last[i] = size
+        if not moving:
+            return
+        live = moving
+
+
+def _fixed(x: float, shift: int) -> int:
+    """floor(x * 2^shift), exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << shift) // den if shift >= 0 else num // (den << -shift)
+
+
+def _seeds(dense: list[int], prec: int) -> list[tuple[int, int]]:
+    """Cheap seeds in fixed point: a complex-float Aberth pass from
+    distinct circle points.
+
+    Coefficients are scaled below 2^1000 so they fit a float.  The pass
+    may stop short.  A seed it leaves non-finite, and every seed when the
+    start radius or a scaled coefficient is out of the float range, starts
+    instead at its circle point of radius 2^k, k = (bits(p_0) - bits(p_d))
+    / d, which is exact in fixed point.
+    """
+    d = len(dense) - 1
+    scale = 1 << max(0, max(c.bit_length() for c in dense) - 1000)
+    lo = [c / scale for c in dense]
+    radius = abs(lo[0] / lo[-1]) ** (1 / d) if lo[0] and lo[-1] else 1.0
+    angles = [2 * math.pi * j / d + FLOAT_SEED_ANGLE for j in range(d)]
+    if 0 < radius < math.inf and all(x or not c for c, x in zip(dense, lo)):
+        roots = [cmath.rect(radius, a) for a in angles]
+        _aberth(lo[::-1], lo, roots)
+    else:
+        roots = [cmath.nan] * d
+    k = round((abs(dense[0]).bit_length() - abs(dense[-1]).bit_length()) / d)
+    return [
+        (_fixed(z.real, prec), _fixed(z.imag, prec)) if cmath.isfinite(z)
+        else (_fixed(math.cos(a), prec + k), _fixed(math.sin(a), prec + k))
+        for z, a in zip(roots, angles)
+    ]
+
+
+def _fixed_horner(coeffs: list[int], za: int, zb: int, prec: int):
+    """p(z) and p'(z) on fixed-point Gaussian integers.
+
+    z = (za + i zb) / 2^prec; coeffs lists p from the top degree down,
+    each shifted left by prec.  Every product is rounded down to 2^-prec,
+    so p comes out within sqrt(2) * sum_{j<d} |z|^j units of 2^-prec of
+    the exact p(z).  Integers do not overflow, so |z| > 1 needs no
+    reversal: a rounded 1/z would lose log2|z| bits of relative precision.
+    """
+    pa, pb, da, db = coeffs[0], 0, 0, 0
+    for c in coeffs[1:]:
+        da, db = ((da * za - db * zb) >> prec) + pa, ((da * zb + db * za) >> prec) + pb
+        pa, pb = ((pa * za - pb * zb) >> prec) + c, (pa * zb + pb * za) >> prec
+    return pa, pb, da, db
+
+
+def _fixed_aberth(hi: list[int], roots: list[tuple[int, int]], prec: int) -> bool:
+    """Aberth's simultaneous iteration on fixed-point Gaussian integers,
+    in place.
+
+    Gauss-Seidel order; the step p / (p' - p sum_j 1/(z - w_j)) is the
+    Aberth correction.  A root is frozen once its step is below
+    2^-(prec//2) * max(1, |z|).  True when every root froze within
+    POLISH_STEPS sweeps.
+    """
+    two = 2 * prec
+    unit, freeze = 1 << two, 2 * (prec // 2)
+    live = range(len(roots))
+    for _ in range(POLISH_STEPS):
+        moving = []
+        for i in live:
+            za, zb = roots[i]
+            pa, pb, da, db = _fixed_horner(hi, za, zb, prec)
+            sa = sb = 0
+            try:
+                for j, (wa, wb) in enumerate(roots):
+                    if j != i:
+                        ea, eb = za - wa, zb - wb
+                        den = ea * ea + eb * eb
+                        sa += (ea << two) // den
+                        sb -= (eb << two) // den
+                # q = p' - p s; step = p / q
+                qa = da - ((pa * sa - pb * sb) >> prec)
+                qb = db - ((pa * sb + pb * sa) >> prec)
+                den = qa * qa + qb * qb
+                ta = ((pa * qa + pb * qb) << prec) // den
+                tb = ((pb * qa - pa * qb) << prec) // den
+            except ZeroDivisionError:
+                moving.append(i)
+                continue
+            roots[i] = za - ta, zb - tb
+            if (ta * ta + tb * tb) << freeze > max(unit, za * za + zb * zb):
                 moving.append(i)
         if not moving:
             return True
@@ -239,51 +351,60 @@ def _aberth(hi: list, lo: list, roots: list, eps, steps: int) -> bool:
     return False
 
 
-def _float_roots(dense: list[int]) -> list[complex]:
-    """Cheap seeds: a complex-float Aberth pass from distinct circle points.
+def _residual_bound(hi: list[int], roots, prec: int) -> float:
+    """Upper bound on max |p(r)| / (|lead| max(1, |r|)^d) over the roots.
 
-    Coefficients are scaled below 2^1000 so they fit a float.  The pass
-    may stop short; non-finite results fall back to their start point.
+    _fixed_horner rounds p(r) by at most sqrt(2) d max(1, |r|)^(d-1)
+    units of 2^-prec, which is below 2d units once divided by
+    max(1, |r|)^d.  So the fixed-point |p(r)| is rounded up, divided by
+    max(1, |r|)^d rounded down, 2d units are added, and the quotient by
+    |lead| is rounded up to a float.
     """
-    d = len(dense) - 1
-    scale = 1 << max(0, max(c.bit_length() for c in dense) - 1000)
-    lo = [c / scale for c in dense]
-    radius = abs(lo[0] / lo[-1]) ** (1 / d) if lo[0] and lo[-1] else 1.0
-    start = [cmath.rect(radius, 2 * math.pi * k / d + FLOAT_SEED_ANGLE) for k in range(d)]
-    roots = list(start)
-    _aberth(lo[::-1], lo, roots, FLOAT_STEP_EPS, FLOAT_STEPS)
-    return [z if cmath.isfinite(z) else s for z, s in zip(roots, start)]
+    d = len(hi) - 1
+    worst = 0
+    for za, zb in roots:
+        pa, pb = _fixed_horner(hi, za, zb, prec)[:2]
+        size = math.isqrt(pa * pa + pb * pb) + 1
+        norm = za * za + zb * zb
+        if norm > 1 << 2 * prec:
+            # |r|^d 2^prec, rounded down at every product
+            r = low = math.isqrt(norm)
+            for _ in range(d - 1):
+                low = low * r >> prec
+            size = -(-(size << prec) // low)
+        worst = max(worst, size + 2 * d)
+    lead = abs(hi[0])
+    if worst.bit_length() > lead.bit_length() + 1000:
+        return math.inf
+    return math.nextafter(worst / lead, math.inf)
 
 
 def _refined_roots(dense: list[int], tol: float) -> tuple[list, int, float]:
     """Roots of a square-free integer polynomial, polished by Aberth.
 
-    The float pass of _float_roots seeds an mpmath Aberth polish at
-    dps = 30 + bits/3 + degree/2 (bits: coefficient height), which stops
-    once every relative step is below 2^-(prec/2).  Returns the roots,
-    the dps and the worst relative residual |p(r)| / (max(1, |r|)^d |lead|),
-    which must not exceed tol.  Hitting the sweep cap or the tolerance
-    raises RootRefinementFailed.
+    The float pass of _seeds seeds a fixed-point Aberth polish on
+    Gaussian integers at prec = dps_to_prec(dps) fractional bits, with
+    dps = 30 + bits/3 + degree/2 (bits: coefficient height); it stops once
+    every relative step is below 2^-(prec/2).  The roots convert exactly
+    to mpc.  Returns the roots, the dps and a proven upper bound on the
+    worst relative residual |p(r)| / (max(1, |r|)^d |lead|), which must
+    not exceed tol.  Hitting the sweep cap or the tolerance raises
+    RootRefinementFailed.
     """
     degree = len(dense) - 1
     dps = 30 + max(c.bit_length() for c in dense) // 3 + degree // 2
-    seeds = _float_roots(dense)
-    with mp.workdps(dps):
-        lo = [mp.mpf(c) for c in dense]
-        hi = lo[::-1]
-        roots = [mp.mpc(z) for z in seeds]
-        if not _aberth(hi, lo, roots, mp.ldexp(1, -(mp.mp.prec // 2)), POLISH_STEPS):
-            raise RootRefinementFailed(
-                f"Aberth polish of degree {degree} did not settle in {POLISH_STEPS} sweeps"
-            )
-        worst = max(
-            abs(_horner(lo, 1 / r)[0] if abs(r) > 1 else _horner(hi, r)[0]) for r in roots
-        ) / abs(lo[-1])
-        if worst > tol:
-            raise RootRefinementFailed(
-                f"relative root residual {float(worst):.3e} exceeds tol {tol:.3e}"
-            )
-    return roots, dps, float(worst)
+    prec = mp.libmp.dps_to_prec(dps)
+    hi = [c << prec for c in reversed(dense)]
+    roots = _seeds(dense, prec)
+    if not _fixed_aberth(hi, roots, prec):
+        raise RootRefinementFailed(
+            f"Aberth polish of degree {degree} did not settle in {POLISH_STEPS} sweeps"
+        )
+    worst = _residual_bound(hi, roots, prec)
+    if not worst <= tol:
+        raise RootRefinementFailed(f"relative root residual {worst:.3e} exceeds tol {tol:.3e}")
+    exact = mp.libmp.from_man_exp
+    return [mp.make_mpc((exact(a, -prec), exact(b, -prec))) for a, b in roots], dps, worst
 
 
 def _roots_with_multiplicity(dense: list[int], tol: float) -> tuple[list, int, float]:
@@ -334,8 +455,8 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     """
     if p.is_zero():
         raise ZeroPolynomial("mahler_measure of the zero polynomial")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, not {tol}")
     if kronecker_zero_test(p) is not None:
         return MahlerResult(0.0, [], 1, MahlerMethod.KRONECKER_EXACT_ZERO)
 

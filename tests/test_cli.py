@@ -188,6 +188,32 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_parser_reuse_leaks_no_options(tmp_path, capsys):
+    f = walk_config_file(tmp_path)
+    for extra, seed in ((["--seed", "5"], 5), ([], 3)):
+        out_dir = tmp_path / f"out{seed}"
+        rc, _ = run_cli(capsys, "walk", "run", "--config", str(f), "--out", str(out_dir),
+                        "--threads", "1", *extra)
+        assert rc == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["master_seed"] == seed
+    for _ in range(2):
+        assert dispatch(["walk", "run", "--config", str(f)]) == 2
+        assert "--out" in capsys.readouterr().err
+
+
+def test_mahler_eval_beyond_float_range(tmp_path, capsys):
+    # t - 2^1500: the float seeds overflow; the measure is 1500 log 2
+    f = tmp_path / "big.json"
+    f.write_text(LaurentPoly({1: 1, 0: -(2 ** 1500)}).dumps())
+    rc, out = run_cli(capsys, "mahler", "eval", "--poly", str(f))
+    assert rc == 0
+    obj = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in output"))
+    assert obj["log_measure"] == pytest.approx(1500 * math.log(2), abs=1e-9)
+    assert 0 < obj["residual"] <= 1e-12
+    assert dispatch(["mahler", "eval", "--poly", str(f), "--tol", "nan"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
 def test_python_m_torsionlab(tmp_path):
     src = str(Path(torsionlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

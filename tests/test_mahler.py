@@ -193,6 +193,8 @@ def oracle_inputs():
     cases.append(("repeated", SMALL_MEASURE[2] * cyclotomic(12) * LEHMER ** 2))
     for deg in (5, 12, 20):  # non-reciprocal
         cases.append(("random", LaurentPoly.from_list(rand(deg, 2 ** 40)).shift(-2)))
+    big = LaurentPoly({0: 2 ** 200})  # roots of wildly different size
+    cases.append(("sizes", (t - big) * (big * t - one) * LEHMER))
     return cases
 
 
@@ -204,6 +206,47 @@ def test_aberth_matches_polyroots_oracle():
         assert len(res.roots) == count == normalize_unit(p)[0].degree_span(), kind
         assert res.log_measure == pytest.approx(want, abs=1e-10), kind
         assert res.dps > 30 and 0 <= res.residual <= 1e-12, kind
+
+
+def test_residual_bounds_mpmath_residual(monkeypatch):
+    # the reported residual of every square-free factor is a proven upper
+    # bound: at least the residual of the same roots in mpmath at twice
+    # the dps
+    polished = []
+
+    def record(dense, tol):
+        out = refined(dense, tol)
+        polished.append((dense, *out))
+        return out
+
+    refined = mahler._refined_roots
+    monkeypatch.setattr(mahler, "_refined_roots", record)
+    for kind, p in oracle_inputs():
+        mahler_measure(p)
+    assert len(polished) >= len(oracle_inputs())
+    for dense, roots, dps, residual in polished:
+        d, lead = len(dense) - 1, abs(dense[-1])
+        with mp.workdps(2 * dps):
+            worst = max(abs(mp.polyval(dense[::-1], r)) / (lead * max(1, abs(r)) ** d)
+                        for r in roots)
+        assert worst <= residual <= 1e-12, dense
+
+
+@pytest.mark.parametrize("k", [60, 900, 1500, 2500])
+def test_roots_beyond_float_range(k):
+    # from k = 1500 on, the float seeding pass overflows or underflows, and
+    # the roots start on a circle of radius 2^(+-k) or 2^(+-k/2) in fixed
+    # point instead
+    for cs in ([-(2 ** k), 1], [-1, 2 ** k], [-(2 ** k), 3, 1], [1, 3, 2 ** k]):
+        res = mahler_measure(LaurentPoly.from_list(cs))
+        assert res.log_measure == pytest.approx(k * math.log(2), abs=1e-10), cs
+        assert 0 < res.residual <= 1e-12, cs
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        mahler_measure(LEHMER, tol=tol)
 
 
 def test_residual_check_still_fires():
