@@ -8,13 +8,15 @@ provably-nonzero measures.  Before any root finding the exact kernel
 divides out (t-1)^a (t+1)^b, whose roots add nothing, and folds a
 palindromic rest (every walk determinant is one) to half the degree in
 x = t + 1/t; each root x gives back the pair t = x/2 +- sqrt(x^2/4 - 1).
-Roots of each square-free factor come from one Aberth root finder: a
-complex-float pass seeds a polish on fixed-point Gaussian integers, pairs
-of Python ints (a, b) standing for (a + ib) / 2^prec, at a precision set
-by the coefficient height and the degree.  A proven upper bound on the
-relative residual, the evaluation's rounding included, certifies the
-result.  mpmath enters only after the polish: the roots convert to it
-exactly for the unfold and the log sum.
+Roots of each square-free factor come from one Aberth root finder: the
+eigenvalues of the companion matrix, one LAPACK call on floats, seed a
+polish on fixed-point Gaussian integers, pairs of Python ints (a, b)
+standing for (a + ib) / 2^prec, at a precision set by the coefficient
+height and the degree.  A proven upper bound on the relative residual,
+the evaluation's rounding included, certifies the result.  The unfold
+stays on the same Gaussian integers, the norms |t|^2 > 1 of each factor
+are multiplied exactly, and mpmath enters only for one 40-digit log of
+each factor's product.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import mpmath as mp
+import numpy as np
 
 from .ringcore import LaurentPoly, cyclotomic, divisors, laurent_eval, normalize_unit, totient
 from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _graeffe_step, _poly_divmod
@@ -33,12 +36,10 @@ from .ringcore import _poly_gcd, _pp, _squarefree_by_prime, _strip_unit_roots
 
 # unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
 CIRCLE_SAMPLES = 1024
-# float seeding pass: start angle offset, step tolerance, rounding-noise
-# step tolerance, sweep cap
+# start angle offset of the circle seeds for roots out of the float range
 FLOAT_SEED_ANGLE = 0.7
-FLOAT_STEP_EPS = 2.0 ** -40
-FLOAT_NOISE_EPS = 2.0 ** -30
-FLOAT_STEPS = 50
+# equal seeds are pulled apart by 2^-SEED_NUDGE_BITS times their size
+SEED_NUDGE_BITS = 26
 # sweep cap of the fixed-point polish
 POLISH_STEPS = 60
 
@@ -148,7 +149,7 @@ def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
         return None
     d = len(cs) - 1
     if d:
-        bound = [math.comb(d, j) for j in range(d + 1)]
+        bound = _binomial_row(d)
         f = cs if lead == 1 else [-c for c in cs]
         for _ in range(d.bit_length() + 1):
             if any(abs(c) > b for c, b in zip(f, bound)):
@@ -160,6 +161,14 @@ def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
         else:
             return None
     return KroneckerFactorization(-shift, _cyclotomic_indices(cs), sign=lead)
+
+
+def _binomial_row(d: int) -> list[int]:
+    """binom(d, j) for j = 0..d, by b_(j+1) = b_j (d - j) / (j + 1)."""
+    row = [1]
+    for j in range(d):
+        row.append(row[-1] * (d - j) // (j + 1))
+    return row
 
 
 def _cyclotomic_indices(cs: list[int]) -> Counter:
@@ -200,64 +209,6 @@ def _cyclotomic_indices(cs: list[int]) -> Counter:
     return indices
 
 
-def _horner(coeffs: list, z):
-    """p(z) and p'(z), coefficients listed from the top degree down."""
-    p, dp = coeffs[0], 0
-    for c in coeffs[1:]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _newton_ratio(hi: list, lo: list, z):
-    """p(z) / p'(z), with the reversed polynomial at 1/z when |z| > 1.
-
-    hi lists p from the top degree down, lo from the bottom up, which is
-    the reversed polynomial r(y) = y^d p(1/y) from the top down.  With
-    y = 1/z, p / p' = z r(y) / (d r(y) - y r'(y)), and every power of z
-    stays bounded, so floats do not overflow.
-    """
-    if abs(z) <= 1:
-        p, dp = _horner(hi, z)
-        return p / dp
-    y = 1 / z
-    r, dr = _horner(lo, y)
-    return z * r / ((len(lo) - 1) * r - y * dr)
-
-
-def _aberth(hi: list, lo: list, roots: list[complex]) -> None:
-    """Aberth's simultaneous iteration on complex floats, in place.
-
-    Gauss-Seidel order.  A root is frozen once its step is below
-    FLOAT_STEP_EPS * max(1, |z|), or below FLOAT_NOISE_EPS * max(1, |z|)
-    without having halved since its last sweep: there rounding, not the
-    distance to the root, sets the step.  Stops after FLOAT_STEPS sweeps.
-    """
-    live = range(len(roots))
-    last = [math.inf] * len(roots)
-    for _ in range(FLOAT_STEPS):
-        moving = []
-        for i in live:
-            z = roots[i]
-            try:
-                ratio = _newton_ratio(hi, lo, z)
-                s = sum(1 / (z - w) for j, w in enumerate(roots) if j != i)
-                step = ratio / (1 - ratio * s)
-                size, scale = abs(step), max(1, abs(z))
-            except (ZeroDivisionError, OverflowError):
-                moving.append(i)
-                continue
-            roots[i] = z - step
-            if size > FLOAT_STEP_EPS * scale and (
-                size > FLOAT_NOISE_EPS * scale or size <= last[i] / 2
-            ):
-                moving.append(i)
-            last[i] = size
-        if not moving:
-            return
-        live = moving
-
-
 def _fixed(x: float, shift: int) -> int:
     """floor(x * 2^shift), exactly."""
     num, den = x.as_integer_ratio()
@@ -265,31 +216,45 @@ def _fixed(x: float, shift: int) -> int:
 
 
 def _seeds(dense: list[int], prec: int) -> list[tuple[int, int]]:
-    """Cheap seeds in fixed point: a complex-float Aberth pass from
-    distinct circle points.
+    """Seeds in fixed point: the eigenvalues of the companion matrix.
 
-    Coefficients are scaled below 2^1000 so they fit a float.  The pass
-    may stop short.  A seed it leaves non-finite, and every seed when the
-    start radius or a scaled coefficient is out of the float range, starts
-    instead at its circle point of radius 2^k, k = (bits(p_0) - bits(p_d))
-    / d, which is exact in fixed point.
+    Coefficients are scaled below 2^1000 so they fit a float, and one
+    LAPACK call returns all roots, backward stable (Edelman-Murakami,
+    Polynomial roots from companion matrix eigenvalues, Math. Comp. 1995).
+    A non-finite eigenvalue, and every seed when a scaled coefficient or
+    the companion matrix is out of the float range, starts instead at its
+    circle point of radius 2^k, k = (bits(p_0) - bits(p_d)) / d, which is
+    exact in fixed point.  An eigenvalue 0 of a polynomial with p_0 != 0
+    is a root below the float range or the eigenvalues' absolute error; it
+    starts at its circle point of the smallest radius the Newton polygon
+    allows, k = min_j (bits(p_0) - bits(p_j)) / j.  Equal seeds are nudged
+    apart, so no Aberth correction divides by zero.
     """
     d = len(dense) - 1
     scale = 1 << max(0, max(c.bit_length() for c in dense) - 1000)
     lo = [c / scale for c in dense]
-    radius = abs(lo[0] / lo[-1]) ** (1 / d) if lo[0] and lo[-1] else 1.0
-    angles = [2 * math.pi * j / d + FLOAT_SEED_ANGLE for j in range(d)]
-    if 0 < radius < math.inf and all(x or not c for c, x in zip(dense, lo)):
-        roots = [cmath.rect(radius, a) for a in angles]
-        _aberth(lo[::-1], lo, roots)
-    else:
-        roots = [cmath.nan] * d
-    k = round((abs(dense[0]).bit_length() - abs(dense[-1]).bit_length()) / d)
-    return [
-        (_fixed(z.real, prec), _fixed(z.imag, prec)) if cmath.isfinite(z)
-        else (_fixed(math.cos(a), prec + k), _fixed(math.sin(a), prec + k))
-        for z, a in zip(roots, angles)
-    ]
+    roots = [cmath.nan] * d
+    if all(x or not c for c, x in zip(dense, lo)):
+        try:
+            with np.errstate(over="ignore"):
+                roots = np.roots(lo[::-1]).tolist()
+        except np.linalg.LinAlgError:
+            pass
+    bits = [abs(c).bit_length() for c in dense]
+    k = round((bits[0] - bits[-1]) / d)
+    low = min((bits[0] - b) // j for j, b in enumerate(bits) if j and b) if dense[0] else 0
+    seeds, seen = [], set()
+    for j, z in enumerate(roots):
+        if cmath.isfinite(z) and (z or not dense[0]):
+            s = _fixed(z.real, prec), _fixed(z.imag, prec)
+        else:
+            a, r = 2 * math.pi * j / d + FLOAT_SEED_ANGLE, k if z else low
+            s = _fixed(math.cos(a), prec + r), _fixed(math.sin(a), prec + r)
+        while s in seen:
+            s = s[0], s[1] + (max(abs(s[0]), abs(s[1]), 1 << prec) >> SEED_NUDGE_BITS)
+        seen.add(s)
+        seeds.append(s)
+    return seeds
 
 
 def _fixed_horner(coeffs: list[int], za: int, zb: int, prec: int):
@@ -379,17 +344,17 @@ def _residual_bound(hi: list[int], roots, prec: int) -> float:
     return math.nextafter(worst / lead, math.inf)
 
 
-def _refined_roots(dense: list[int], tol: float) -> tuple[list, int, float]:
+def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]], int, float]:
     """Roots of a square-free integer polynomial, polished by Aberth.
 
-    The float pass of _seeds seeds a fixed-point Aberth polish on
-    Gaussian integers at prec = dps_to_prec(dps) fractional bits, with
+    The companion-matrix seeds of _seeds start a fixed-point Aberth polish
+    on Gaussian integers at prec = dps_to_prec(dps) fractional bits, with
     dps = 30 + bits/3 + degree/2 (bits: coefficient height); it stops once
-    every relative step is below 2^-(prec/2).  The roots convert exactly
-    to mpc.  Returns the roots, the dps and a proven upper bound on the
-    worst relative residual |p(r)| / (max(1, |r|)^d |lead|), which must
-    not exceed tol.  Hitting the sweep cap or the tolerance raises
-    RootRefinementFailed.
+    every relative step is below 2^-(prec/2).  Returns the roots as pairs
+    (a, b) standing for (a + ib) / 2^prec, the dps and a proven upper
+    bound on the worst relative residual |p(r)| / (max(1, |r|)^d |lead|),
+    which must not exceed tol.  Hitting the sweep cap or the tolerance
+    raises RootRefinementFailed.
     """
     degree = len(dense) - 1
     dps = 30 + max(c.bit_length() for c in dense) // 3 + degree // 2
@@ -403,13 +368,11 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list, int, float]:
     worst = _residual_bound(hi, roots, prec)
     if not worst <= tol:
         raise RootRefinementFailed(f"relative root residual {worst:.3e} exceeds tol {tol:.3e}")
-    exact = mp.libmp.from_man_exp
-    return [mp.make_mpc((exact(a, -prec), exact(b, -prec))) for a, b in roots], dps, worst
+    return roots, dps, worst
 
 
-def _roots_with_multiplicity(dense: list[int], tol: float) -> tuple[list, int, float]:
-    """All complex roots, repeated roots included, with the largest dps
-    and the worst residual over the square-free factors.
+def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, int, float]]:
+    """_refined_roots of every square-free factor, repeated roots included.
 
     Repeated roots stall the polisher, so the polynomial is split as
     radical * gcd(P, P') and the two pieces are handled separately; the
@@ -419,27 +382,51 @@ def _roots_with_multiplicity(dense: list[int], tol: float) -> tuple[list, int, f
     """
     dense = _pp(dense)
     if len(dense) <= 1:
-        return [], 0, 0.0
+        return []
     if _squarefree_by_prime(dense):
-        return _refined_roots(dense, tol)
+        return [_refined_roots(dense, tol)]
     g = _poly_gcd(dense, _derivative(dense))
     if len(g) <= 1:
-        return _refined_roots(dense, tol)
-    roots, dps, residual = _refined_roots(_div_exact_int(dense, g), tol)
-    more, more_dps, more_residual = _roots_with_multiplicity(g, tol)
-    return roots + more, max(dps, more_dps), max(residual, more_residual)
+        return [_refined_roots(dense, tol)]
+    return [_refined_roots(_div_exact_int(dense, g), tol)] + _roots_with_multiplicity(g, tol)
 
 
-def _unfold(xs: list, dps: int) -> list:
-    """Both roots t of t + 1/t = x for every x, the larger one first."""
+def _unfold(xs: list[tuple[int, int]], prec: int) -> list[tuple[int, int]]:
+    """Both roots t of t + 1/t = x for every x, the larger one first, all
+    in fixed point at prec fractional bits.
+
+    t = (x + r) / 2 with r = sqrt(x^2 - 4) on the branch Re(conj(x) r) >= 0,
+    so the sum does not cancel and |t| >= 1; the other root is
+    1/t = conj(t) / |t|^2.  The square root w^(1/2) takes the stable
+    formula: whichever of Re, Im is larger comes from
+    sqrt((|w| +- Re w) / 2), the other is Im w / 2 divided by it.
+    """
     out = []
-    with mp.workdps(dps):
-        for x in xs:
-            h = x / 2
-            s = mp.sqrt(h * h - 1)
-            t = max(h + s, h - s, key=abs)
-            out += [t, 1 / t]
+    for xa, xb in xs:
+        wa = ((xa * xa - xb * xb) >> prec) - (4 << prec)
+        wb = (xa * xb) >> (prec - 1)
+        size = math.isqrt(wa * wa + wb * wb)
+        if wa >= 0:
+            ra = math.isqrt((size + wa) << (prec - 1))
+            rb = (wb << (prec - 1)) // ra if ra else 0
+        else:
+            rb = math.isqrt((size - wa) << (prec - 1))
+            rb = rb if wb >= 0 else -rb
+            ra = (wb << (prec - 1)) // rb
+        if xa * ra + xb * rb < 0:
+            ra, rb = -ra, -rb
+        ta, tb = (xa + ra) >> 1, (xb + rb) >> 1
+        norm = ta * ta + tb * tb
+        out += [(ta, tb), ((ta << 2 * prec) // norm, (-tb << 2 * prec) // norm)]
     return out
+
+
+def _to_float(a: int, prec: int) -> float:
+    """a / 2^prec, rounded to a float; beyond the float range +-inf."""
+    try:
+        return a / (1 << prec)
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
 
 
 def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
@@ -450,8 +437,10 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     log|a| + sum log max(1, |root|) over the roots, with multiplicity:
     (t-1)^a (t+1)^b is divided out, a palindromic rest c(t) =
     t^m Q(t + 1/t) is folded to Q, and the square-free factors of Q (or
-    of the rest) are solved to relative residual < tol.  The result
-    records the polish dps and the worst residual.
+    of the rest) are solved to relative residual < tol.  The norms
+    |root|^2 > 1 of each factor are multiplied exactly in fixed point, and
+    their product takes one 40-digit log.  The result records the polish
+    dps and the worst residual.
     """
     if p.is_zero():
         raise ZeroPolynomial("mahler_measure of the zero polynomial")
@@ -468,20 +457,25 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
 
     rest, a, b = _strip_unit_roots(dense)
     folded = _fold_palindromic(rest)
-    roots, dps, residual = _roots_with_multiplicity(folded or rest, tol)
-    if folded is not None:
-        roots = _unfold(roots, dps)
-    roots = [1] * a + [-1] * b + roots
+    factors = _roots_with_multiplicity(folded or rest, tol)
+    roots = [complex(1)] * a + [complex(-1)] * b
     with mp.workdps(40):
         logm = mp.log(abs(lead))
-        for r in roots:
-            ar = abs(r)
-            if ar > 1:
-                logm += mp.log(ar)
+        for fixed, dps, _ in factors:
+            prec = mp.libmp.dps_to_prec(dps)
+            if folded is not None:
+                fixed = _unfold(fixed, prec)
+            one, product, shift = 1 << 2 * prec, 1, 0
+            for za, zb in fixed:
+                norm = za * za + zb * zb
+                if norm > one:
+                    product, shift = product * norm, shift + 2 * prec
+            logm += mp.log(mp.mpf((product, -shift))) / 2
+            roots += [complex(_to_float(za, prec), _to_float(zb, prec)) for za, zb in fixed]
         out = float(logm)
-    return MahlerResult(
-        out, [complex(r) for r in roots], lead, MahlerMethod.ROOT_PRODUCT, dps, residual
-    )
+    dps = max((f[1] for f in factors), default=0)
+    residual = max((f[2] for f in factors), default=0.0)
+    return MahlerResult(out, roots, lead, MahlerMethod.ROOT_PRODUCT, dps, residual)
 
 
 def build_K_alpha(alpha: float, m_max: int) -> set[int]:

@@ -208,6 +208,12 @@ def test_aberth_matches_polyroots_oracle():
         assert res.dps > 30 and 0 <= res.residual <= 1e-12, kind
 
 
+def exact_mpc(a: int, b: int, prec: int):
+    """(a + ib) / 2^prec as an mpc, exactly."""
+    exact = mp.libmp.from_man_exp
+    return mp.make_mpc((exact(a, -prec), exact(b, -prec)))
+
+
 def test_residual_bounds_mpmath_residual(monkeypatch):
     # the reported residual of every square-free factor is a proven upper
     # bound: at least the residual of the same roots in mpmath at twice
@@ -226,21 +232,86 @@ def test_residual_bounds_mpmath_residual(monkeypatch):
     assert len(polished) >= len(oracle_inputs())
     for dense, roots, dps, residual in polished:
         d, lead = len(dense) - 1, abs(dense[-1])
+        prec = mp.libmp.dps_to_prec(dps)
         with mp.workdps(2 * dps):
-            worst = max(abs(mp.polyval(dense[::-1], r)) / (lead * max(1, abs(r)) ** d)
-                        for r in roots)
+            worst = max(abs(mp.polyval(dense[::-1], exact_mpc(a, b, prec)))
+                        / (lead * max(1, abs(exact_mpc(a, b, prec))) ** d)
+                        for a, b in roots)
         assert worst <= residual <= 1e-12, dense
+
+
+def test_fixed_point_unfold_matches_mpmath(monkeypatch):
+    # t = h +- sqrt(h^2 - 1), h = x/2, at twice the precision, on the folded
+    # roots of oracle_inputs() and of Lehmer (its unimodular pairs come from
+    # real x in (-2, 2)), and on x at and near +-2, where the square root
+    # amplifies the rounding of x^2 - 4 by 1/|sqrt(x^2 - 4)|
+    unfolded = []
+
+    def record(xs, prec):
+        unfolded.append((xs, prec))
+        return unfold(xs, prec)
+
+    unfold = mahler._unfold
+    monkeypatch.setattr(mahler, "_unfold", record)
+    for kind, p in oracle_inputs() + [("lehmer", LEHMER)]:
+        mahler_measure(p)
+    lehmer_xs, prec = unfolded[-1]
+    assert sum(abs(a) < 2 << prec and abs(b) < 1 << prec // 2 for a, b in lehmer_xs) == 4
+    prec = 120
+    two = 2 << prec
+    near = [(s * two + e, f) for s in (1, -1) for e, f in
+            ((0, 0), (1, 0), (-1, 0), (1 << 20, 0), (-(1 << 20), 0), (0, 1), (3, -(1 << 40)))]
+    unfolded.append((near, prec))
+    for xs, prec in unfolded:
+        got = unfold(xs, prec)
+        assert len(got) == 2 * len(xs)
+        with mp.workdps(2 * mp.libmp.prec_to_dps(prec)):
+            ulp = mp.mpf(2) ** -prec
+            for i, (a, b) in enumerate(xs):
+                h = exact_mpc(a, b, prec) / 2
+                s = mp.sqrt(h * h - 1)
+                big = max(h + s, h - s, key=abs)
+                tol = 16 * ulp * max(1, abs(h)) * (1 + 1 / max(abs(s), ulp))
+                for (ta, tb), want in zip(got[2 * i: 2 * i + 2], (big, 1 / big)):
+                    assert abs(exact_mpc(ta, tb, prec) - want) <= tol, (a, b, prec)
+
+
+@pytest.mark.parametrize("cs, k", [([1, 2 ** 900, 1, 1], 900), ([1, 2 ** 600, 0, 0, 1], 600)])
+def test_roots_of_very_different_sizes(cs, k):
+    # t^3 + t^2 + 2^900 t + 1 has roots near -2^-900 and +-i 2^450, and
+    # t^4 + 2^600 t + 1 near -2^-600 and 2^200 times the cube roots of -1;
+    # seeds all on one circle did not settle
+    res = mahler_measure(LaurentPoly.from_list(cs))
+    assert res.log_measure == pytest.approx(k * math.log(2), abs=1e-10)
+    assert 0 < res.residual <= 1e-12
+
+
+def test_equal_float_seeds_are_nudged_apart():
+    # (t - 5)(2^80 t - 5 * 2^80 - 1): the roots 5 and 5 + 2^-80 are one
+    # double eigenvalue in floats
+    big = 1 << 80
+    dense = _poly_mul([-5, 1], [-5 * big - 1, big])
+    assert len(set(np.roots([float(c) for c in dense[::-1]]).tolist())) == 1
+    assert len(set(mahler._seeds(dense, 200))) == 2
+    res = mahler_measure(LaurentPoly.from_list(dense))
+    want = mp.log(big) + mp.log(5) + mp.log(5 + mp.mpf(2) ** -80)
+    assert res.log_measure == pytest.approx(float(want), abs=1e-10)
+    assert 0 < res.residual <= 1e-12
 
 
 @pytest.mark.parametrize("k", [60, 900, 1500, 2500])
 def test_roots_beyond_float_range(k):
-    # from k = 1500 on, the float seeding pass overflows or underflows, and
-    # the roots start on a circle of radius 2^(+-k) or 2^(+-k/2) in fixed
-    # point instead
+    # from k = 1500 on, the companion matrix overflows or its eigenvalues
+    # underflow, and the roots start on a circle of radius 2^(+-k) or
+    # 2^(+-k/2) in fixed point instead
     for cs in ([-(2 ** k), 1], [-1, 2 ** k], [-(2 ** k), 3, 1], [1, 3, 2 ** k]):
         res = mahler_measure(LaurentPoly.from_list(cs))
         assert res.log_measure == pytest.approx(k * math.log(2), abs=1e-10), cs
         assert 0 < res.residual <= 1e-12, cs
+    if k > 1024:
+        # reported roots beyond the float range saturate to inf and 0
+        assert mahler_measure(LaurentPoly.from_list([-(2 ** k), 1])).roots == [complex(math.inf, 0)]
+        assert mahler_measure(LaurentPoly.from_list([-1, 2 ** k])).roots == [0j]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-12])
@@ -300,6 +371,11 @@ def test_squarefree_by_one_prime_matches_prs_path(monkeypatch):
         assert (res.dps, res.residual) == (prs.dps, prs.residual)
 
 # -- Kronecker exact-zero test ----------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 17, 990])
+def test_binomial_row_matches_comb(d):
+    assert mahler._binomial_row(d) == [math.comb(d, j) for j in range(d + 1)]
 
 
 def test_kronecker_on_cyclotomic_products():
