@@ -77,10 +77,6 @@ def _one(q):
     return LaurentPoly.one() if q is None else CycElem.one(q)
 
 
-def _const(q, c: int):
-    return LaurentPoly.const(c) if q is None else CycElem(q, [c])
-
-
 class FormMatrix:
     """Square matrix over Z[t,t^-1] or Z[Z/q] with pairing metadata.
 
@@ -212,7 +208,7 @@ def reidemeister_form(model: SurfaceModel, q: int | None = None) -> FormMatrix:
     rows = [[_zero(q) for _ in range(n)] for _ in range(n)]
     for i in range(h):
         rows[i][h + i] = _one(q)
-        rows[h + i][i] = _const(q, -1)
+        rows[h + i][i] = -_one(q)
     return FormMatrix(model, rows, q)
 
 
@@ -334,14 +330,8 @@ def iota_embed(M: FormMatrix, root_index: int = 1) -> np.ndarray:
     """Entrywise evaluation of a cyclic-ring matrix at a primitive root."""
     if M.q is None:
         raise ValueError("iota_embed requires a cyclic-ring matrix")
-    if math.gcd(root_index, M.q) != 1:
-        raise NonPrimitiveRoot(f"gcd({root_index}, {M.q}) != 1")
-    n = M.n
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = iota_scalar(M.rows[i][j], root_index)
-    return out
+    # iota_scalar raises NonPrimitiveRoot when gcd(root_index, q) != 1
+    return np.array([[iota_scalar(e, root_index) for e in row] for row in M.rows], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -392,21 +382,13 @@ def exterior_power_matrix(A: np.ndarray, marking: ExteriorMarking) -> np.ndarray
     return out
 
 
-def exterior_coefficient(
-    A: np.ndarray, marking: ExteriorMarking, slow_path: bool = False
-) -> complex:
+def exterior_coefficient(A: np.ndarray, marking: ExteriorMarking) -> complex:
     """The f-coefficient of the exterior-power image of e.
 
-    Equals the determinant of the bottom-left (g-1)x(g-1) block of A
-    (the Leibniz identity); slow_path cross-validates through the full
-    exterior-power matrix and is restricted to g-1 <= 4.
+    Equals the determinant of the bottom-left (g-1)x(g-1) block of A (the
+    Leibniz identity), which is exterior_power_matrix(A, marking)[f, e].
     """
     h = marking.g - 1
-    if slow_path:
-        if h > 4:
-            raise ValueError("slow exterior path limited to g-1 <= 4")
-        ext = exterior_power_matrix(A, marking)
-        return complex(ext[marking.f_index, marking.e_index])
     block = A[h : 2 * h, 0:h]
     if h == 0:
         return 0j

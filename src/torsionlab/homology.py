@@ -23,12 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mahler import MahlerResult, ZeroPolynomial, mahler_measure
+from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from .ringcore import normalize_unit, reduce_mod_q, totient
 from .ringcore import _div_exact_int, _int_det, _int_resultant, _monic_resultant
-from .ringcore import _graeffe_step, _poly_divmod, _poly_mul, _primes_below_2_31, _rem_monic
-from .hermitian import block_det
+from .ringcore import _graeffe_step, _poly_divmod, _poly_mul, _primes_for, _rem_monic
+from .hermitian import NonPrimitiveRoot, block_det, iota_scalar
 
 class NotSymplectic(ValueError):
     """Input matrix does not preserve the standard symplectic form."""
@@ -332,12 +332,7 @@ def circulant_det(c: CycElem) -> int:
     sign = -1 if s * (q - 1) % 2 else 1
     if d == 0:
         return sign * g[0] ** q
-    bits = _height_bits(g, q)
-    # primes above 2^30 whose product exceeds 2^(bits + 1) > 2 |det|, which
-    # fixes the sign; at most bitlen(lc)/30 of them divide lc(g)
-    count = (bits + 1) // 30 + 1
-    spare = g[-1].bit_length() // 30 + 1
-    primes = [p for p in _primes_below_2_31(count + spare)[:count + spare] if g[-1] % p][:count]
+    primes = _primes_for(1 << _height_bits(g, q), avoid=g[-1])
     res, mod = 0, 1
     for p, v in zip(primes, _resultants_mod(g, q, primes)):
         # Res(t^q - 1, g) = (-1)^{qd} lc^q prod_{g(beta)=0} (t^q - 1)(beta)
@@ -366,17 +361,10 @@ def _cyclotomic_resultant(m: int, n: int) -> int:
 
 def expand_presentation(Bq, q: int) -> list:
     """Integer presentation: circulant-expand each Z[Z/q] entry."""
-    h = len(Bq)
-    n = h * q
-    out = [[0] * n for _ in range(n)]
-    for i in range(h):
-        for j in range(h):
-            block = circulant_expand(Bq[i][j])
-            for a in range(q):
-                row = out[i * q + a]
-                brow = block[a]
-                for b in range(q):
-                    row[j * q + b] = brow[b]
+    out = []
+    for row in Bq:
+        blocks = [circulant_expand(e) for e in row]
+        out += [[x for block in blocks for x in block[a]] for a in range(q)]
     return out
 
 
@@ -446,10 +434,7 @@ def cover_homology(Bq, q: int) -> TorsionReport:
                 mult[e] = mult.get(e, 0) + 1
     if not D0 or any(e not in S for e in mult):
         snf = smith_normal_form(expand_presentation(Bq, q))
-        torsion = 1
-        for d in snf.nonzero_factors():
-            torsion *= d
-        return _report(q, torsion, snf.corank(), "snf")
+        return _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
     torsion, rem = divmod(abs(circulant_det(CycElem(q, D0))), abs(_int_resultant(G, D0)))
     if rem:
         raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
@@ -476,10 +461,9 @@ class GrowthScanResult:
     mahler: MahlerResult | None
     degenerate: bool
     deviations: list[float] = field(default_factory=list)
-    last_window_mad: float | None = None
 
 
-def growth_scan(B_inf, q_range, window: int = 5) -> GrowthScanResult:
+def growth_scan(B_inf, q_range) -> GrowthScanResult:
     """Scan torsion of the q-covers against the Mahler-measure limit.
 
     B_inf is a square matrix (list of rows) of LaurentPoly.  A zero
@@ -492,28 +476,19 @@ def growth_scan(B_inf, q_range, window: int = 5) -> GrowthScanResult:
     ):
         raise ValueError("q_range must be nonempty and ascending")
     det = block_det(B_inf, q=None)
-    if det.is_zero():
-        reports = [
-            cover_homology([[reduce_mod_q(e, q) for e in r] for r in B_inf], q)
-            for q in q_range
-        ]
-        return GrowthScanResult(reports=reports, mahler=None, degenerate=True)
-    measure = mahler_measure(det)
+    measure = None if det.is_zero() else mahler_measure(det)
     reports = []
     deviations = []
     for q in q_range:
-        Bq = [[reduce_mod_q(e, q) for e in r] for r in B_inf]
-        rep = cover_homology(Bq, q)
+        rep = cover_homology([[reduce_mod_q(e, q) for e in r] for r in B_inf], q)
         reports.append(rep)
-        deviations.append(abs(rep.log_torsion_over_q - measure.log_measure))
-    tail = deviations[-window:]
-    mad = sum(tail) / len(tail)
+        if measure is not None:
+            deviations.append(abs(rep.log_torsion_over_q - measure.log_measure))
     return GrowthScanResult(
         reports=reports,
         mahler=measure,
-        degenerate=False,
+        degenerate=measure is None,
         deviations=deviations,
-        last_window_mad=mad,
     )
 
 
@@ -541,10 +516,7 @@ def heegaard_homology(phi_star) -> dict:
     A = [[cols[j][i] for j in range(n)] for i in range(n)]
     snf = smith_normal_form(A)
     factors = snf.invariant_factors
-    torsion = 1
-    for d in factors:
-        if d:
-            torsion *= d
+    torsion = math.prod(snf.nonzero_factors())
     betti = snf.corank()
     B = [[P[g + i][j] for j in range(g)] for i in range(g)]
     det_b = _int_det(B)
@@ -580,8 +552,6 @@ def betti_increase_check(Bq, q: int, root_index: int = 1) -> bool:
     polynomial, never by floating point.
     """
     if math.gcd(root_index, q) != 1:
-        from .hermitian import NonPrimitiveRoot
-
         raise NonPrimitiveRoot(f"gcd({root_index}, {q}) != 1")
     lift = block_det(Bq, q=q).lift()
     return lift.is_zero() or lift.divide_exact(cyclotomic(q)) is not None
@@ -594,8 +564,6 @@ def betti_increase_rank_check(Bq, q: int, root_index: int = 1, tol: float = 1e-9
     rank against full rank; exposed so the exact criterion's direction
     can be probed empirically.
     """
-    from .hermitian import iota_scalar
-
     h = len(Bq)
     A = np.array(
         [[iota_scalar(Bq[i][j], root_index) for j in range(h)] for i in range(h)]

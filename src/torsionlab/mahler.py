@@ -215,41 +215,62 @@ def _fixed(x: float, shift: int) -> int:
     return (num << shift) // den if shift >= 0 else num // (den << -shift)
 
 
+def _newton_seeds(dense: list[int], prec: int) -> list[tuple[int, int]]:
+    """Seeds in fixed point on the circles of the Newton polygon.
+
+    An edge from j0 to j1 of the upper convex hull of the points
+    (j, bits(p_j)), p_j != 0, stands for j1 - j0 roots of modulus about
+    2^k, k = (bits(p_j0) - bits(p_j1)) / (j1 - j0); they start evenly
+    spaced on the circle of radius 2^round(k), which is exact in fixed
+    point.  The roots at 0 below the first point start at 0.
+    """
+    d = len(dense) - 1
+    hull = []
+    for j, c in enumerate(dense):
+        if c:
+            b = abs(c).bit_length()
+            # drop the last point while it lies on or below the new chord
+            while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (j - hull[-2][0])
+                                     <= (b - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+                hull.pop()
+            hull.append((j, b))
+    seeds = [(0, 0)] * hull[0][0]
+    for (j0, b0), (j1, b1) in zip(hull, hull[1:]):
+        m, k = j1 - j0, round((b0 - b1) / (j1 - j0))
+        for i in range(m):
+            a = 2 * math.pi * (i / m + j0 / d) + FLOAT_SEED_ANGLE
+            seeds.append((_fixed(math.cos(a), prec + k), _fixed(math.sin(a), prec + k)))
+    return seeds
+
+
 def _seeds(dense: list[int], prec: int) -> list[tuple[int, int]]:
     """Seeds in fixed point: the eigenvalues of the companion matrix.
 
     Coefficients are scaled below 2^1000 so they fit a float, and one
     LAPACK call returns all roots, backward stable (Edelman-Murakami,
     Polynomial roots from companion matrix eigenvalues, Math. Comp. 1995).
-    A non-finite eigenvalue, and every seed when a scaled coefficient or
-    the companion matrix is out of the float range, starts instead at its
-    circle point of radius 2^k, k = (bits(p_0) - bits(p_d)) / d, which is
-    exact in fixed point.  An eigenvalue 0 of a polynomial with p_0 != 0
-    is a root below the float range or the eigenvalues' absolute error; it
-    starts at its circle point of the smallest radius the Newton polygon
-    allows, k = min_j (bits(p_0) - bits(p_j)) / j.  Equal seeds are nudged
-    apart, so no Aberth correction divides by zero.
+    Unless every eigenvalue is usable, every seed comes from _newton_seeds
+    instead: a scaled coefficient or the companion matrix can be out of
+    the float range, an eigenvalue non-finite, or 0 for a polynomial with
+    p_0 != 0, which is a root below the float range or the eigenvalues'
+    absolute error.  Equal seeds are nudged apart, so no Aberth correction
+    divides by zero.
     """
-    d = len(dense) - 1
     scale = 1 << max(0, max(c.bit_length() for c in dense) - 1000)
     lo = [c / scale for c in dense]
-    roots = [cmath.nan] * d
+    roots = None
     if all(x or not c for c, x in zip(dense, lo)):
         try:
             with np.errstate(over="ignore"):
                 roots = np.roots(lo[::-1]).tolist()
         except np.linalg.LinAlgError:
             pass
-    bits = [abs(c).bit_length() for c in dense]
-    k = round((bits[0] - bits[-1]) / d)
-    low = min((bits[0] - b) // j for j, b in enumerate(bits) if j and b) if dense[0] else 0
+    if roots is None or not all(cmath.isfinite(z) and (z or not dense[0]) for z in roots):
+        fixed = _newton_seeds(dense, prec)
+    else:
+        fixed = [(_fixed(z.real, prec), _fixed(z.imag, prec)) for z in roots]
     seeds, seen = [], set()
-    for j, z in enumerate(roots):
-        if cmath.isfinite(z) and (z or not dense[0]):
-            s = _fixed(z.real, prec), _fixed(z.imag, prec)
-        else:
-            a, r = 2 * math.pi * j / d + FLOAT_SEED_ANGLE, k if z else low
-            s = _fixed(math.cos(a), prec + r), _fixed(math.sin(a), prec + r)
+    for s in fixed:
         while s in seen:
             s = s[0], s[1] + (max(abs(s[0]), abs(s[1]), 1 << prec) >> SEED_NUDGE_BITS)
         seen.add(s)

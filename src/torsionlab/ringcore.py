@@ -77,12 +77,17 @@ class LaurentPoly:
         return cls({0: c})
 
     @classmethod
-    def from_list(cls, coeffs: Iterable[int], lo: int = 0) -> "LaurentPoly":
-        """Dense coefficient list starting at exponent `lo`."""
+    def _raw(cls, d: dict) -> "LaurentPoly":
+        """Wrap d, which must hold no zero coefficient, without a copy."""
         out = cls.__new__(cls)
-        out.coeffs = {lo + i: int(c) for i, c in enumerate(coeffs) if c}
+        out.coeffs = d
         out._hash = None
         return out
+
+    @classmethod
+    def from_list(cls, coeffs: Iterable[int], lo: int = 0) -> "LaurentPoly":
+        """Dense coefficient list starting at exponent `lo`."""
+        return cls._raw({lo + i: int(c) for i, c in enumerate(coeffs) if c})
 
     # -- basic queries ------------------------------------------------
 
@@ -137,22 +142,15 @@ class LaurentPoly:
                 d[k] = s
             elif k in d:
                 del d[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
-        out._hash = None
-        return out
+        return LaurentPoly._raw(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._raw({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
+        # __add__ takes an int too, and -other negates either
         return self + (-other)
 
     def __rsub__(self, other):
@@ -162,10 +160,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.coeffs = {k: c * other for k, c in self.coeffs.items()}
-            out._hash = None
-            return out
+            return LaurentPoly._raw({k: c * other for k, c in self.coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -187,10 +182,7 @@ class LaurentPoly:
                     d[k] = s
                 elif k in d:
                     del d[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
-        out._hash = None
-        return out
+        return LaurentPoly._raw(d)
 
     __rmul__ = __mul__
 
@@ -208,17 +200,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
 
     def involution(self) -> "LaurentPoly":
         """The ring involution t -> t^-1."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {-e: c for e, c in self.coeffs.items()}
-        out._hash = None
-        return out
+        return LaurentPoly._raw({-e: c for e, c in self.coeffs.items()})
 
     def augmentation(self) -> int:
         """Evaluation at t = 1 (the augmentation Z[Z] -> Z)."""
@@ -301,6 +287,14 @@ class CycElem:
         self.coeffs = cs
 
     @classmethod
+    def _raw(cls, q: int, cs: list) -> "CycElem":
+        """Wrap cs, a list of exactly q ints, without a copy."""
+        out = cls.__new__(cls)
+        out.q = q
+        out.coeffs = cs
+        return out
+
+    @classmethod
     def zero(cls, q: int) -> "CycElem":
         return cls(q)
 
@@ -335,35 +329,29 @@ class CycElem:
         if isinstance(other, int):
             other = CycElem(self.q, [other])
         self._check(other)
-        return CycElem(self.q, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycElem._raw(self.q, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElem(self.q, [-a for a in self.coeffs])
+        return CycElem._raw(self.q, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycElem(self.q, [other])
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycElem(self.q, [a * other for a in self.coeffs])
+            return CycElem._raw(self.q, [a * other for a in self.coeffs])
         if not isinstance(other, CycElem):
             return NotImplemented
         self._check(other)
+        # the product of the degree < q lifts, folded by t^q = 1
         q = self.q
-        out = [0] * q
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        k = i + j
-                        if k >= q:
-                            k -= q
-                        out[k] += a * b
-        return CycElem(q, out)
+        prod = _poly_mul(self.coeffs, other.coeffs)
+        out = prod[:q]
+        for k, c in enumerate(prod[q:]):
+            out[k] += c
+        return CycElem._raw(q, out)
 
     __rmul__ = __mul__
 
@@ -373,7 +361,7 @@ class CycElem:
         out = [0] * q
         for k, c in enumerate(self.coeffs):
             out[(q - k) % q] = c
-        return CycElem(q, out)
+        return CycElem._raw(q, out)
 
     def augmentation(self) -> int:
         return sum(self.coeffs)
@@ -430,7 +418,7 @@ def reduce_mod_q(p: LaurentPoly, q: int) -> CycElem:
     out = [0] * q
     for k, c in p.coeffs.items():
         out[k % q] += c
-    return CycElem(q, out)
+    return CycElem._raw(q, out)
 
 
 def normalize_unit(p: LaurentPoly) -> tuple[LaurentPoly, int]:
@@ -737,6 +725,9 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+# primes _squarefree_by_prime tries before the exact gcd has to decide
+SQUAREFREE_PRIMES = 3
+
 # the largest primes below 2^31, descending; grown on demand by replacing
 # the tuple, so a concurrent caller never sees a half-built list
 _PRIMES: tuple[int, ...] = ()
@@ -755,6 +746,23 @@ def _primes_below_2_31(count: int) -> tuple[int, ...]:
             c -= 2
         _PRIMES = primes = tuple(out)
     return primes
+
+
+def _primes_for(bound: int, avoid: int = 1) -> list[int]:
+    """The fewest of the largest primes below 2^31, descending, that do not
+    divide `avoid` (nonzero) and whose product exceeds 2 * bound, so the
+    symmetric CRT lift of any |x| <= bound is exact; never empty."""
+    primes = _PRIMES
+    out, prod, i = [], 1, 0
+    while not out or prod <= 2 * bound:
+        if i == len(primes):
+            primes = _primes_below_2_31(2 * i + 8)
+        p = primes[i]
+        i += 1
+        if avoid % p:
+            out.append(p)
+            prod *= p
+    return out
 
 
 def _crt_symmetric(residues: np.ndarray, primes) -> list[int]:
@@ -816,12 +824,13 @@ def _monic_resultant(a: list, b: list, p: int) -> int:
         a, b = b, _rem_monic(a, b, p)
 
 
-def _squarefree_by_prime(c: list[int], tries: int = 3) -> bool:
-    """Whether c (degree >= 1) is square-free modulo one of `tries` primes
-    p that do not divide lc(c).  True proves c square-free over Q: a
-    square factor of c keeps its degree mod p.  False proves nothing."""
+def _squarefree_by_prime(c: list[int]) -> bool:
+    """Whether c (degree >= 1) is square-free modulo one of the
+    SQUAREFREE_PRIMES largest primes below 2^31 that does not divide lc(c).
+    True proves c square-free over Q: a square factor of c keeps its degree
+    mod p.  False proves nothing."""
     dc = _derivative(c)
-    for p in _primes_below_2_31(tries)[:tries]:
+    for p in _primes_below_2_31(SQUAREFREE_PRIMES)[:SQUAREFREE_PRIMES]:
         lc = c[-1] % p
         if lc:
             inv = pow(lc, -1, p)

@@ -34,12 +34,14 @@ import numpy as np
 from .hermitian import (
     ExteriorMarking,
     FormMatrix,
+    NonPrimitiveRoot,
     SurfaceModel,
     block_det,
     check_form_preserved,
     degree_bound,
     exterior_power_matrix,
     form_inverse,
+    iota_embed,
     transvection,
 )
 from .mahler import (
@@ -48,7 +50,7 @@ from .mahler import (
     build_K_alpha,
     constraint_check,
 )
-from .ringcore import LaurentPoly, _crt_symmetric, _primes_below_2_31
+from .ringcore import LaurentPoly, _crt_symmetric, _primes_for
 
 
 DELTA_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -86,6 +88,8 @@ class WalkConfig:
         for q in self.q_list:
             if q < 3:
                 raise ValueError("cover degrees must be >= 3")
+            if math.gcd(self.root_index, q) != 1:
+                raise NonPrimitiveRoot(f"root_index {self.root_index} is not coprime to q = {q}")
         if self.n_steps < 2:
             raise ValueError("n_steps must be >= 2, the first schedule point")
         if self.n_trials < 1:
@@ -195,21 +199,8 @@ def sample_word(config: WalkConfig, trial_index: int, n: int) -> FormMatrix:
 
 def _normalized_iota(M: FormMatrix, q: int, root_index: int) -> np.ndarray:
     """iota image of the canonical unit-normalized lift of M."""
-    lo = None
-    for row in M.rows:
-        for e in row:
-            if not e.is_zero():
-                lo = e.deg_lo if lo is None else min(lo, e.deg_lo)
-    shift = -(lo or 0)
-    zeta = np.exp(2j * np.pi * root_index / q)
-    n = M.n
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e = M.rows[i][j]
-            for k, c in e.coeffs.items():
-                out[i, j] += c * zeta ** ((k + shift) % q)
-    return out
+    lo = min((e.deg_lo for row in M.rows for e in row if e), default=0)
+    return iota_embed(M.scale(LaurentPoly.t(-lo)).reduce_mod_q(q), root_index)
 
 
 # a letter whose rows have sum |c| below this keeps each row's sum of
@@ -290,15 +281,6 @@ def _frame_bounds(plans: list, sched: list, h: int) -> dict:
     return out
 
 
-def _prime_count(bound: int) -> int:
-    """Fewest of the largest primes below 2^31 whose product exceeds
-    2 * bound, so that the symmetric CRT lift is exact."""
-    k = 1
-    while math.prod(_primes_below_2_31(k)[:k]) <= 2 * bound:
-        k += 1
-    return k
-
-
 def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     """det B at each schedule point of the walk on the letters idx (times
     t^twists, if given), from the a-frame kept modulo a batch of primes.
@@ -311,9 +293,8 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     primes as that point's bound needs.
     """
     plans = [setup.letters[int(i)] for i in idx]
-    counts = {n: _prime_count(b) for n, b in _frame_bounds(plans, setup.sched, h).items()}
-    count = max(counts.values())
-    primes = _primes_below_2_31(count)[:count]
+    at = {n: _primes_for(b) for n, b in _frame_bounds(plans, setup.sched, h).items()}
+    primes = max(at.values(), key=len)
     pcol = np.array(primes, dtype=np.int64)[:, None]
     frame = np.zeros((2 * h, h, len(primes), 1 + sum(L.span for L in plans)), dtype=np.int64)
     spare = np.zeros_like(frame)
@@ -343,10 +324,10 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
         frame, spare = spare, frame
         width += L.span
         base += L.lo + (0 if twists is None else int(twists[step - 1]))
-        if step in counts:
-            k = counts[step]
+        if step in at:
+            k = len(at[step])
             b = frame[h:, :, :k, :width].transpose(2, 0, 1, 3).reshape(k, -1)
-            vals = _crt_symmetric(b, primes[:k])
+            vals = _crt_symmetric(b, at[step])
             block = [
                 [LaurentPoly.from_list(vals[(i * h + j) * width : (i * h + j + 1) * width], base)
                  for j in range(h)]
@@ -387,35 +368,24 @@ def _trial_record(config: WalkConfig, trial_index: int, setup: _RunSetup) -> dic
             v.verdict.value if v.hit_index is None else f"cyclotomic_hit_{v.hit_index}"
         )
 
-    # embedded lane state, one frame per cover degree
-    frames = {}
+    # embedded lane: the a-frame at each cover degree, until it degenerates
     for q in config.q_list:
+        mats = setup.iota[q]
         Y = np.zeros((2 * h, h), dtype=complex)
         Y[:h, :h] = np.eye(h)
-        frames[q] = {"mats": setup.iota[q], "Y": Y, "logvol": 0.0, "dead": False}
-    for step in range(1, config.n_steps + 1):
-        gi = int(idx[step - 1])
-        for q in config.q_list:
-            st = frames[q]
-            if st["dead"]:
-                continue
-            Y = st["mats"][gi] @ st["Y"]
-            Q, R = np.linalg.qr(Y)
+        logvol = 0.0
+        for step, gi in enumerate(idx.tolist(), 1):
+            Q, R = np.linalg.qr(mats[gi] @ Y)
             vol = float(np.prod(np.abs(np.diag(R))))
             if vol <= 0.0 or not math.isfinite(vol):
-                st["dead"] = True
                 rec["degenerate"][q] = True
-                continue
-            st["logvol"] += math.log(vol)
+                break
+            logvol += math.log(vol)
             # fix phases so the minor below is well defined up to modulus
-            st["Y"] = Q
-        if step in sched_set:
-            for q in config.q_list:
-                st = frames[q]
-                if st["dead"]:
-                    continue
-                rec["L_n"][q][step] = st["logvol"] / step
-                minor = np.linalg.det(st["Y"][h : 2 * h, :])
+            Y = Q
+            if step in sched_set:
+                rec["L_n"][q][step] = logvol / step
+                minor = np.linalg.det(Y[h : 2 * h, :])
                 rec["f_ratio"][q][step] = float(abs(minor))
     return rec
 
@@ -426,16 +396,11 @@ def _trial_chunk(args) -> list[dict]:
     return [_trial_record(config, i, setup) for i in indices]
 
 
-def _worker_count() -> int:
-    env = os.environ.get("TORSIONLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def run_walk(config: WalkConfig, workers: int | None = None) -> WalkReport:
-    """Run all trials and aggregate the per-length statistics."""
-    nw = workers if workers is not None else _worker_count()
+    """Run all trials and aggregate the per-length statistics, on `workers`
+    processes (default: up to 8 CPUs), never more than one per trial."""
+    nw = workers if workers is not None else min(8, os.cpu_count() or 1)
+    nw = min(nw, config.n_trials)
     indices = list(range(config.n_trials))
     if nw <= 1 or config.n_trials < 4:
         records = _trial_chunk((config, indices))

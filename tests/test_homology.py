@@ -23,7 +23,8 @@ from torsionlab.homology import (
     heegaard_homology,
     smith_normal_form,
 )
-from torsionlab.ringcore import CycElem, LaurentPoly, cyclotomic, divisors, reduce_mod_q
+from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
+from torsionlab.ringcore import reduce_mod_q
 from torsionlab.ringcore import _int_resultant
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
@@ -341,6 +342,21 @@ def test_height_bits_bound_the_circulant_det():
         g = [rng.randint(-9, 9) for _ in range(rng.randint(1, q - 1))] + [rng.randint(1, 9)]
         M = [[(g + [0] * q)[(i - j) % q] for j in range(q)] for i in range(q)]
         assert abs(bareiss_det(M)) < 2 ** _height_bits(g, q), (g, q)
+
+
+@pytest.mark.parametrize("h, q", [(1, 1), (1, 5), (2, 3), (3, 4)])
+def test_expand_presentation_matches_block_by_block(h, q):
+    Bq = [[CycElem(q, [rng.randint(-5, 5) for _ in range(q)]) for _ in range(h)]
+          for _ in range(h)]
+    # the block-by-block placement expand_presentation used to run
+    want = [[0] * (h * q) for _ in range(h * q)]
+    for i in range(h):
+        for j in range(h):
+            block = circulant_expand(Bq[i][j])
+            for a in range(q):
+                for b in range(q):
+                    want[i * q + a][j * q + b] = block[a][b]
+    assert expand_presentation(Bq, q) == want
 
 
 def test_cover_homology_2x2_vs_expanded_snf():

@@ -276,11 +276,14 @@ def test_fixed_point_unfold_matches_mpmath(monkeypatch):
                     assert abs(exact_mpc(ta, tb, prec) - want) <= tol, (a, b, prec)
 
 
-@pytest.mark.parametrize("cs, k", [([1, 2 ** 900, 1, 1], 900), ([1, 2 ** 600, 0, 0, 1], 600)])
+@pytest.mark.parametrize("cs, k", [([1, 2 ** 900, 1, 1], 900), ([1, 2 ** 600, 0, 0, 1], 600),
+                                   ([1, 2 ** 1500, 1, 1], 1500), ([1, 2 ** 1200, 0, 0, 1], 1200)])
 def test_roots_of_very_different_sizes(cs, k):
-    # t^3 + t^2 + 2^900 t + 1 has roots near -2^-900 and +-i 2^450, and
-    # t^4 + 2^600 t + 1 near -2^-600 and 2^200 times the cube roots of -1;
-    # seeds all on one circle did not settle
+    # t^3 + t^2 + 2^k t + 1 has roots near -2^-k and +-i 2^(k/2), and
+    # t^4 + 2^k t + 1 near -2^-k and 2^(k/3) times the cube roots of -1;
+    # seeds all on one circle did not settle.  At k = 1500 and 1200 the
+    # companion matrix overflows, and the seeds start on the Newton
+    # polygon's circles
     res = mahler_measure(LaurentPoly.from_list(cs))
     assert res.log_measure == pytest.approx(k * math.log(2), abs=1e-10)
     assert 0 < res.residual <= 1e-12
@@ -302,8 +305,8 @@ def test_equal_float_seeds_are_nudged_apart():
 @pytest.mark.parametrize("k", [60, 900, 1500, 2500])
 def test_roots_beyond_float_range(k):
     # from k = 1500 on, the companion matrix overflows or its eigenvalues
-    # underflow, and the roots start on a circle of radius 2^(+-k) or
-    # 2^(+-k/2) in fixed point instead
+    # underflow, and the roots start on the Newton polygon's circle of
+    # radius 2^(+-k) or 2^(+-k/2) in fixed point instead
     for cs in ([-(2 ** k), 1], [-1, 2 ** k], [-(2 ** k), 3, 1], [1, 3, 2 ** k]):
         res = mahler_measure(LaurentPoly.from_list(cs))
         assert res.log_measure == pytest.approx(k * math.log(2), abs=1e-10), cs

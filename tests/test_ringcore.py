@@ -15,6 +15,7 @@ from torsionlab.ringcore import (
     _poly_divmod,
     _poly_mul,
     _primes_below_2_31,
+    _primes_for,
     _pseudo_rem,
     _strip_unit_roots,
     LaurentPoly,
@@ -121,6 +122,30 @@ def test_reduce_wraps_exponents():
     # t^7 -> t^1, t^-1 -> t^2 in Z[Z/3]
     c = reduce_mod_q(LaurentPoly({7: 1, -1: 2}), 3)
     assert c == CycElem(3, [0, 1, 2])
+
+
+def _cyc_mul_double_loop(a: CycElem, b: CycElem) -> list:
+    # the schoolbook cyclic convolution CycElem.__mul__ used to run
+    q = a.q
+    out = [0] * q
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[(i + j) % q] += x * y
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 50])
+def test_cyc_products_match_double_loop(q):
+    zero = CycElem.zero(q)
+    elems = [zero, CycElem.one(q), CycElem.t(q, q - 1), rand_cyc(q),
+             rand_cyc(q, coeff=2 ** 70), CycElem(q, [-3] + [0] * (q - 1))]
+    for a in elems:
+        for b in elems:
+            prod = a * b
+            assert prod.q == q and len(prod.coeffs) == q
+            assert prod.coeffs == _cyc_mul_double_loop(a, b), (a, b)
+    assert (rand_cyc(q) * zero).is_zero() and (zero * zero).is_zero()
+    assert (rand_cyc(q) * 0).coeffs == [0] * q
 
 
 def test_cyc_involution_matches_laurent():
@@ -283,6 +308,22 @@ def schoolbook_prem(a, b):
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def test_primes_for_is_the_fewest_prefix():
+    # bound 0 still needs one prime: a symmetric CRT lift of 0
+    assert _primes_for(0) == list(_primes_below_2_31(1)[:1])
+    for bound in (1, 2 ** 31, 2 ** 62, 3 ** 400, 2 ** 3000 - 1):
+        primes = _primes_for(bound)
+        k = len(primes)
+        assert primes == list(_primes_below_2_31(k)[:k])
+        assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+    # divisors of `avoid` are skipped; the product still covers the bound
+    p0, p1, p2 = _primes_below_2_31(3)[:3]
+    primes = _primes_for(2 ** 100, avoid=7 * p0 * p2)
+    assert p0 not in primes and p2 not in primes and primes[0] == p1
+    assert math.prod(primes) > 2 ** 101 >= math.prod(primes[:-1])
+    assert len(_primes_for(2 ** 40000)) > 1000
 
 
 def test_pseudo_rem_matches_schoolbook():

@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torsionlab import walks
 from torsionlab.hermitian import (
     ExteriorMarking,
     FormMatrix,
+    NonPrimitiveRoot,
     SurfaceModel,
     block_det,
     bottom_left_block,
@@ -18,7 +20,7 @@ from torsionlab.hermitian import (
     transvection,
 )
 from torsionlab.mahler import kronecker_zero_test
-from torsionlab.ringcore import LaurentPoly
+from torsionlab.ringcore import LaurentPoly, _primes_below_2_31, _primes_for
 from torsionlab.walks import (
     WalkConfig,
     WalkReport,
@@ -101,6 +103,10 @@ def test_config_validation():
         small_config(q_list=(2,))
     with pytest.raises(ValueError):
         small_config(g=4)
+    # the embedded lane evaluates at a primitive q-th root of unity
+    with pytest.raises(NonPrimitiveRoot):
+        small_config(q_list=(3, 4), root_index=2)
+    assert small_config(q_list=(3, 5), root_index=2).root_index == 2
     # the schedule starts at 2 steps, and the report averages over trials
     for bad in (dict(n_steps=1), dict(n_steps=0), dict(n_trials=0)):
         with pytest.raises(ValueError):
@@ -151,6 +157,28 @@ def test_words_preserve_form():
 
 
 # -- per-trial record vs brute force ----------------------------------
+
+
+def _iota_term_sum(M, q, root_index):
+    # the per-term evaluation _normalized_iota used to run
+    lo = min(e.deg_lo for row in M.rows for e in row if e)
+    zeta = np.exp(2j * np.pi * root_index / q)
+    out = np.zeros((M.n, M.n), dtype=complex)
+    for i, row in enumerate(M.rows):
+        for j, e in enumerate(row):
+            for k, c in e.coeffs.items():
+                out[i, j] += c * zeta ** ((k - lo) % q)
+    return out
+
+
+@pytest.mark.parametrize("q, root_index", [(3, 1), (3, 2), (5, 3), (8, 3), (97, 10)])
+def test_normalized_iota_matches_term_sum(q, root_index):
+    gens = GENS + [(GENS[0] @ GENS[2]).scale(LaurentPoly.t(-5))] + bundled_generators(4)[0][:3]
+    for M in gens:
+        got = _normalized_iota(M, q, root_index)
+        assert np.abs(got - _iota_term_sum(M, q, root_index)).max() <= 1e-12
+    with pytest.raises(NonPrimitiveRoot):
+        _normalized_iota(GENS[0], 4, 2)
 
 
 def test_embedded_lane_matches_brute_force_exterior():
@@ -297,6 +325,27 @@ def test_frame_bound_covers_true_coefficients(make):
             assert bound >= max(e.content_max() for row in block for e in row), (trial, n)
 
 
+def _prime_count(bound):
+    # the prime rule _modular_dets used before _primes_for
+    k = 1
+    while math.prod(_primes_below_2_31(k)[:k]) <= 2 * bound:
+        k += 1
+    return k
+
+
+def test_primes_for_matches_old_prime_count_on_frame_bounds():
+    cfg = small_config(n_steps=256, n_trials=2)
+    letters = _run_setup(cfg).letters
+    bounds = [0]
+    for trial in range(cfg.n_trials):
+        idx, _ = _trial_letters(cfg, trial)
+        bounds += _frame_bounds([letters[int(i)] for i in idx], set(cfg.schedule()), 2).values()
+    assert max(bounds).bit_length() > 31 * 8
+    for bound in bounds:
+        k = _prime_count(bound)
+        assert _primes_for(bound) == list(_primes_below_2_31(k)[:k]), bound
+
+
 def test_exact_lane_degree_ledger():
     cfg = small_config(n_steps=8, n_trials=1)
     rec = _trial_record(cfg, 0, _run_setup(cfg))
@@ -313,6 +362,34 @@ def test_run_walk_worker_invariance():
     r1 = run_walk(cfg, workers=1)
     r2 = run_walk(cfg, workers=3)
     assert json.dumps(r1.to_json_obj()) == json.dumps(r2.to_json_obj())
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+
+def test_run_walk_clamps_workers_to_trials(monkeypatch):
+    monkeypatch.setattr(walks, "ProcessPoolExecutor", _InProcessPool)
+    _InProcessPool.started.clear()
+    cfg = small_config(n_trials=5)
+    ref = json.dumps(run_walk(cfg, workers=1).to_json_obj())
+    for workers in (2, 5, 16, 64):
+        assert json.dumps(run_walk(cfg, workers=workers).to_json_obj()) == ref
+    assert _InProcessPool.started == [2, 5, 5, 5]
 
 
 def test_unit_twist_statistics_bit_identical():
