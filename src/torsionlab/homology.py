@@ -2,17 +2,15 @@
 
 Torsion orders and Betti numbers come from exact integer arithmetic.  The
 q-cover presentation is the h x h block B_q acting on (Z[t^+-1]/(t^q - 1))^h.
-Let G be the product of the cyclotomic Phi_d (d | q) that divide every
-entry, F = (t^q - 1)/G and D = det(B_q/G).  When D vanishes at no root of
-F, the cover has Betti number h deg G and torsion order |Res(F, D)| (the
-split resultant); with G = 1 that is Fox's Res(t^q - 1, det B_q).  D's own
-Phi_d factors (d | q) are split off by Apostol's closed form, and the rest
-goes through Res(t^q - 1, .), computed by a modular Euclid resultant over
-a batch of primes and CRT under a rigorous Mahler-measure height bound.
-Only a cover where some Phi_d (d | q) divides det B_q but not every entry
-goes to an exact Smith normal form of the expanded presentation.  The two
-extra trivial summands of the cover surface contribute free rank only and
-are carried as free_offset metadata.
+One core, _split_resultant, decides every cover from det B and the Phi_d
+(d | q) dividing every entry: the Betti number and the torsion order come
+from a split resultant, with Res(t^q - 1, .) computed by a modular Euclid
+resultant over a batch of primes and CRT under a rigorous Mahler-measure
+height bound.  Only a cover where some Phi_d (d | q) divides det B but not
+every entry goes to an exact Smith normal form of the expanded
+presentation.  cover_homology feeds the core one reduced block B_q, and is
+the independent per-cover path; growth_scan takes det B and the common
+Phi_d once per tower.
 """
 
 from __future__ import annotations
@@ -25,10 +23,10 @@ import numpy as np
 
 from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
-from .ringcore import normalize_unit, reduce_mod_q, totient
+from .ringcore import InvalidModulus, reduce_mod_q, totient
 from .ringcore import _div_exact_int, _int_det, _int_resultant, _monic_resultant
 from .ringcore import _graeffe_step, _poly_divmod, _poly_mul, _primes_for, _rem_monic
-from .hermitian import NonPrimitiveRoot, block_det, iota_scalar
+from .hermitian import block_det
 
 class NotSymplectic(ValueError):
     """Input matrix does not preserve the standard symplectic form."""
@@ -64,8 +62,7 @@ class TorsionReport:
     torsion_order: int
     betti: int
     log_torsion_over_q: float
-    free_offset: int = 2
-    method: str = "snf"
+    method: str
 
 
 def _identity(n: int) -> list:
@@ -378,63 +375,50 @@ def _report(q: int, torsion: int, betti: int, method: str) -> TorsionReport:
     )
 
 
-def _divides(phi: list[int], g: list[int]) -> bool:
-    return len(g) >= len(phi) and not _poly_divmod(g, phi)[1]
+def _phi_divides(d: int, g: list[int]) -> bool:
+    """Whether Phi_d divides the nonzero polynomial g; Phi_d is built only
+    when phi(d) <= deg g."""
+    return totient(d) < len(g) and not _poly_divmod(g, cyclotomic(d).coeff_list())[1]
 
 
-def cover_homology(Bq, q: int) -> TorsionReport:
-    """Torsion order and Betti number of the q-cover presentation.
+def _common_phi(polys: list[list[int]], candidates) -> list[int]:
+    """The d among candidates with Phi_d dividing every one of polys."""
+    return [d for d in candidates if all(_phi_divides(d, g) for g in polys)]
 
-    The presentation is the h x h block Bq acting on (Lambda/(t^q - 1))^h,
-    Lambda = Z[t^+-1].  Let G be the product of the Phi_d (d | q) that
-    divide every entry, F = (t^q - 1)/G and D = det(B/G), computed from
-    the shortest-window lifts of the entries.  When D(zeta) != 0 at every
-    root zeta of F, the snake lemma for B on 0 -> (Lambda/F)^h -> (Lambda/
-    (t^q - 1))^h -> (Lambda/G)^h -> 0 gives Betti number h deg G and
-    torsion order |Res(F, D)| (Res(1, D) = 1).  D's own factors Phi_e
-    (e | q, then Phi_e | G) are split off with Apostol's closed form for
-    Res(Phi_d, Phi_e); for the rest D0, Res(F, D0) = Res(t^q - 1, D0) /
-    Res(G, D0), the first by circulant_det (the whole answer when G = 1,
-    method "circulant_det"; else "split_resultant"), the second exactly
-    over Z[t]/G.  Only when some Phi_d (d | q) divides det B but not
-    every entry does the cover fall back to an exact Smith normal form of
-    the expanded presentation (method "snf").
+
+def _split_resultant(delta: list[int], S: list[int], h: int, q: int) -> TorsionReport | None:
+    """Torsion order and Betti number of the q-cover of an h x h block B,
+    or None when the cover needs Smith normal form.
+
+    delta is det B as an honest polynomial ([] for 0), needed only up to
+    a unit and a multiple of t^q - 1, and S lists the d | q with Phi_d
+    dividing every entry.  Let G = prod_{d in S} Phi_d, F = (t^q - 1)/G,
+    D = delta/G^h and Lambda = Z[t^+-1].  When D vanishes at no root of
+    F, the snake lemma for B on 0 -> (Lambda/F)^h -> (Lambda/(t^q - 1))^h
+    -> (Lambda/G)^h -> 0 gives Betti number h deg G and torsion order
+    |Res(F, D)|, which depends on D only modulo F.  D's own Phi_e (e | q,
+    and then e in S) are priced by Apostol's closed form; for the rest D0,
+    Res(F, D0) = Res(t^q - 1, D0) / Res(G, D0), the first by circulant_det
+    (method "circulant_det" when G = 1, else "split_resultant").
     """
-    if q < 1:
-        raise ValueError("cover degree must be >= 1")
-    h = len(Bq)
-    divs = divisors(q)
-    windows = [[_window(e) for e in row] for row in Bq]
-    polys = [g for row in windows for _, g in row if g]
-    # Phi_d divides a nonzero entry only if phi(d) <= its degree
-    low = min((len(g) - 1 for g in polys), default=q)
-    S = [
-        d for d in divs
-        if totient(d) <= low and all(_divides(cyclotomic(d).coeff_list(), g) for g in polys)
-    ]
     deg_G = sum(totient(d) for d in S)
     if deg_G == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
         return _report(q, 1, h * q, "split_resultant")
     G = [1]
     for d in S:
         G = _poly_mul(G, cyclotomic(d).coeff_list())
-    Bp = [
-        [LaurentPoly.from_list(_div_exact_int(g, G), lo=s) if g else LaurentPoly.zero()
-         for s, g in row]
-        for row in windows
-    ]
-    D0 = normalize_unit(block_det(Bp, q=None))[0].coeff_list()
+    D0 = delta
+    for _ in range(h):
+        D0 = _div_exact_int(D0, G)
     # split off the Phi_e (e | q) factors of D, with their multiplicities
+    divs = divisors(q)
     mult = {}
     for e in divs:
-        if D0 and totient(e) < len(D0):
-            phi = cyclotomic(e).coeff_list()
-            while _divides(phi, D0):
-                D0 = _div_exact_int(D0, phi)
-                mult[e] = mult.get(e, 0) + 1
+        while _phi_divides(e, D0):
+            D0 = _div_exact_int(D0, cyclotomic(e).coeff_list())
+            mult[e] = mult.get(e, 0) + 1
     if not D0 or any(e not in S for e in mult):
-        snf = smith_normal_form(expand_presentation(Bq, q))
-        return _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
+        return None
     torsion, rem = divmod(abs(circulant_det(CycElem(q, D0))), abs(_int_resultant(G, D0)))
     if rem:
         raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
@@ -443,6 +427,26 @@ def cover_homology(Bq, q: int) -> TorsionReport:
             if d not in S:
                 torsion *= _cyclotomic_resultant(d, e) ** k
     return _report(q, torsion, h * deg_G, "split_resultant" if S else "circulant_det")
+
+
+def _snf_report(Bq, q: int) -> TorsionReport:
+    snf = smith_normal_form(expand_presentation(Bq, q))
+    return _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
+
+
+def cover_homology(Bq, q: int) -> TorsionReport:
+    """Torsion order and Betti number of the q-cover presentation Bq, an
+    h x h block over Z[Z/q]: the independent per-cover path.  The common
+    Phi_d (d | q) are found on the shortest-window lifts of the entries,
+    and det B is the determinant of those lifts."""
+    if q < 1:
+        raise ValueError("cover degree must be >= 1")
+    windows = [[_window(e) for e in row] for row in Bq]
+    S = _common_phi([g for row in windows for _, g in row if g], divisors(q))
+    lifts = [[LaurentPoly.from_list(g, lo=s) if g else LaurentPoly.zero() for s, g in row]
+             for row in windows]
+    delta = block_det(lifts, q=None).coeff_list()
+    return _split_resultant(delta, S, len(Bq), q) or _snf_report(Bq, q)
 
 
 def _log(n: int) -> float:
@@ -469,18 +473,33 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
     B_inf is a square matrix (list of rows) of LaurentPoly.  A zero
     determinant is reported as degenerate: the cover homology keeps
     positive rank and the growth rate is undefined.
+
+    det B and the set C of d with Phi_d dividing every nonzero entry are
+    fixed for the tower: Phi_d (d | q) divides t^q - 1, so it divides an
+    entry's image in Z[Z/q] exactly when it divides the Laurent entry.  B
+    is reduced modulo t^q - 1 only for covers that need Smith normal form.
     """
     q_range = list(q_range)
     if not q_range or any(
         q2 <= q1 for q1, q2 in zip(q_range, q_range[1:])
     ):
         raise ValueError("q_range must be nonempty and ascending")
+    if q_range[0] < 1:
+        raise InvalidModulus(f"cover degrees must be >= 1, got {q_range[0]}")
     det = block_det(B_inf, q=None)
     measure = None if det.is_zero() else mahler_measure(det)
+    delta = det.coeff_list()
+    polys = [e.coeff_list() for row in B_inf for e in row if not e.is_zero()]
+    # Phi_d divides a nonzero entry only if phi(d) <= its degree, and
+    # phi(d) >= sqrt(d / 2)
+    low = min((len(g) - 1 for g in polys), default=q_range[-1])
+    C = set(_common_phi(polys, range(1, min(2 * low * low + 2, q_range[-1]) + 1)))
     reports = []
     deviations = []
     for q in q_range:
-        rep = cover_homology([[reduce_mod_q(e, q) for e in r] for r in B_inf], q)
+        S = [d for d in divisors(q) if d in C]
+        rep = _split_resultant(delta, S, len(B_inf), q) or _snf_report(
+            [[reduce_mod_q(e, q) for e in r] for r in B_inf], q)
         reports.append(rep)
         if measure is not None:
             deviations.append(abs(rep.log_torsion_over_q - measure.log_measure))
@@ -541,35 +560,3 @@ def _is_symplectic(P, g: int) -> bool:
             if s != (1 if j == i + g else -1 if i == j + g else 0):
                 return False
     return True
-
-
-def betti_increase_check(Bq, q: int, root_index: int = 1) -> bool:
-    """Whether passing to the q-cover raises the Betti number.
-
-    True iff the exact ring determinant of Bq maps to zero under
-    evaluation at a primitive q-th root of unity; decided by exact
-    reduction of the lifted determinant modulo the q-th cyclotomic
-    polynomial, never by floating point.
-    """
-    if math.gcd(root_index, q) != 1:
-        raise NonPrimitiveRoot(f"gcd({root_index}, {q}) != 1")
-    lift = block_det(Bq, q=q).lift()
-    return lift.is_zero() or lift.divide_exact(cyclotomic(q)) is not None
-
-
-def betti_increase_rank_check(Bq, q: int, root_index: int = 1, tol: float = 1e-9) -> bool:
-    """Floating-point cross-check of betti_increase_check.
-
-    Embeds Bq at the chosen primitive root and compares the numerical
-    rank against full rank; exposed so the exact criterion's direction
-    can be probed empirically.
-    """
-    h = len(Bq)
-    A = np.array(
-        [[iota_scalar(Bq[i][j], root_index) for j in range(h)] for i in range(h)]
-    )
-    if h == 0:
-        return False
-    s = np.linalg.svd(A, compute_uv=False)
-    scale = max(1.0, float(s[0]))
-    return bool(s[-1] < tol * scale)

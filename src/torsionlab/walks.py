@@ -85,6 +85,8 @@ class WalkConfig:
                 raise ValueError("generator genus mismatch")
             if not check_form_preserved(M):
                 raise ValueError("generator does not preserve the form")
+        if len(set(self.q_list)) != len(self.q_list):
+            raise ValueError(f"cover degrees must be distinct, got {list(self.q_list)}")
         for q in self.q_list:
             if q < 3:
                 raise ValueError("cover degrees must be >= 3")

@@ -179,6 +179,15 @@ def test_walk_run_rejects_non_primitive_root(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_walk_run_rejects_repeated_cover_degree(tmp_path, capsys):
+    f = walk_config_file(tmp_path, q_list=[3, 3])
+    out_dir = tmp_path / "out"
+    rc = dispatch(["walk", "run", "--config", str(f), "--out", str(out_dir), "--threads", "1"])
+    assert rc == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_walk_probe(tmp_path, capsys):
     f = walk_config_file(tmp_path)
     rc, out = run_cli(capsys, "walk", "probe", "--config", str(f), "--q", "3")

@@ -14,8 +14,6 @@ from torsionlab.homology import (
     _height_bits,
     _resultant_mod,
     _resultants_mod,
-    betti_increase_check,
-    betti_increase_rank_check,
     circulant_det,
     cover_homology,
     expand_presentation,
@@ -24,7 +22,7 @@ from torsionlab.homology import (
     smith_normal_form,
 )
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
-from torsionlab.ringcore import reduce_mod_q
+from torsionlab.ringcore import InvalidModulus, reduce_mod_q
 from torsionlab.ringcore import _int_resultant
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
@@ -401,6 +399,36 @@ def test_growth_scan_degenerate():
 def test_growth_scan_validation():
     with pytest.raises(ValueError):
         growth_scan([[LaurentPoly.one()]], [5, 4])
+    for qs in ([0, 3], [-2, 3]):
+        with pytest.raises(InvalidModulus):
+            growth_scan([[LaurentPoly({1: 1, 0: -2})]], qs)
+
+
+def test_growth_scan_rows_equal_per_cover_rows():
+    # growth_scan takes det B once per tower; cover_homology is the
+    # independent per-cover path on the reduced block
+    t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
+    lehmer = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
+    s6 = t ** 6 - one  # Phi_1 Phi_2 Phi_3 Phi_6 divides every entry
+    towers = [
+        ([[lehmer]], 200),
+        ([[LaurentPoly({3: 1, 2: -2, 1: -2, 0: 1})]], 200),  # (t + 1)(t^2 - 3t + 1)
+        ([[t - 1, one], [zero, t + 2]], 40),  # Smith normal form at every q
+        ([[s6 * (t - 3), s6 * t], [s6 * (t * t + 2), s6 * (t + 5)]], 60),
+    ]
+    config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=12)
+    towers += [(bottom_left_block(sample_word(config, trial, 12)), 120) for trial in range(4)]
+    methods = set()
+    for B, qmax in towers:
+        scan = growth_scan(B, range(1, qmax + 1))
+        for rep in scan.reports:
+            q = rep.q
+            want = cover_homology([[reduce_mod_q(e, q) for e in row] for row in B], q)
+            got = (rep.torsion_order, rep.betti, rep.method, rep.log_torsion_over_q)
+            assert got == (want.torsion_order, want.betti, want.method,
+                           want.log_torsion_over_q), (B, q)
+            methods.add(rep.method)
+    assert methods == {"circulant_det", "split_resultant", "snf"}
 
 
 # -- Heegaard homology -------------------------------------------------
@@ -484,41 +512,23 @@ def test_heegaard_rejects_unimodular_non_symplectic():
             heegaard_homology(M.tolist())
 
 
-# -- Betti increase test ----------------------------------------------
+# -- Betti number at a prime cover ------------------------------------
 
 
-def test_betti_increase_examples():
-    q = 5
-    ident = [[reduce_mod_q(LaurentPoly.one(), q)]]
-    assert betti_increase_check(ident, q, 1) is False
-    # t - 1 vanishes only at the trivial root, not at primitive ones
-    tm1 = [[reduce_mod_q(LaurentPoly({1: 1, 0: -1}), q)]]
-    assert betti_increase_check(tm1, q, 1) is False
-    # the q-th cyclotomic polynomial vanishes at every primitive root
-    phi = [[reduce_mod_q(LaurentPoly({k: 1 for k in range(q)}), q)]]
-    assert betti_increase_check(phi, q, 1) is True
-    # rank probe agrees throughout
-    assert betti_increase_rank_check(ident, q, 1) is False
-    assert betti_increase_rank_check(tm1, q, 1) is False
-    assert betti_increase_rank_check(phi, q, 1) is True
-
-
-def test_betti_increase_beyond_index_2000():
-    q = 2003
+@pytest.mark.parametrize("q", [5, 13, 31])
+def test_betti_number_at_prime_cover(q):
+    # Phi_q | det B raises the Betti number by phi(q); t - 1 | det B by 1
     lehmer = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
     t = LaurentPoly.t()
     dets = {
-        "one": LaurentPoly.one(),
-        "t-1": t - 1,
-        "lehmer": lehmer,
-        "phi_q": cyclotomic(q),
-        "lehmer*phi_q": lehmer * cyclotomic(q),
+        "one": (LaurentPoly.one(), 0),
+        "t-1": (t - 1, 1),
+        "lehmer": (lehmer, 0),
+        "phi_q": (cyclotomic(q), q - 1),
+        "lehmer*phi_q": (lehmer * cyclotomic(q), q - 1),
     }
-    want = {"one": False, "t-1": False, "lehmer": False, "phi_q": True, "lehmer*phi_q": True}
-    for name, det in dets.items():
+    for name, (det, betti) in dets.items():
         # 2x2 block [[det, 1 + t], [0, 1]] has ring determinant det
         Bq = [[reduce_mod_q(det, q), reduce_mod_q(1 + t, q)],
               [CycElem.zero(q), CycElem.one(q)]]
-        exact = betti_increase_check(Bq, q, 1)
-        assert exact is want[name], name
-        assert betti_increase_rank_check(Bq, q, 1) is exact, name
+        assert cover_homology(Bq, q).betti == betti, name

@@ -107,6 +107,10 @@ def test_config_validation():
     with pytest.raises(NonPrimitiveRoot):
         small_config(q_list=(3, 4), root_index=2)
     assert small_config(q_list=(3, 5), root_index=2).root_index == 2
+    # the report keys every per-q result by q
+    for repeated in ((3, 3), (3, 5, 3)):
+        with pytest.raises(ValueError, match="distinct"):
+            small_config(q_list=repeated)
     # the schedule starts at 2 steps, and the report averages over trials
     for bad in (dict(n_steps=1), dict(n_steps=0), dict(n_trials=0)):
         with pytest.raises(ValueError):
