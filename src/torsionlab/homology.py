@@ -2,20 +2,31 @@
 
 Torsion orders and Betti numbers come from exact integer arithmetic.  The
 q-cover presentation is the h x h block B_q acting on (Z[t^+-1]/(t^q - 1))^h.
-One core, _split_resultant, decides every cover from det B and the Phi_d
-(d | q) dividing every entry: the Betti number and the torsion order come
-from a split resultant, with Res(t^q - 1, .) computed by a modular Euclid
-resultant over a batch of primes and CRT under a rigorous Mahler-measure
-height bound.  Only a cover where some Phi_d (d | q) divides det B but not
-every entry goes to an exact Smith normal form of the expanded
-presentation.  cover_homology feeds the core one reduced block B_q, and is
-the independent per-cover path; growth_scan takes det B and the common
-Phi_d once per tower.
+One core, _split_covers, decides covers from det B and the Phi_d (d | q)
+dividing every entry: it splits det B = Delta' prod Phi_e^k_e once for all
+of them, and the Betti number and torsion order of each cover come from a
+split resultant, Res(t^q - 1, D0) divided by Res(G, D0) and times
+Apostol's closed form for D's own Phi_e.  Only a cover where some Phi_d
+(d | q) divides det B but not every entry goes to an exact Smith normal
+form of the expanded presentation.
+
+Res(t^q - 1, D0) is a modular Euclid resultant over primes below 2^31,
+lifted by CRT under a rigorous Mahler-measure height bound.  growth_scan
+takes det B and the common Phi_d once per tower, and sweeps every q that
+shares a D0 in one batched pass (_tower_resultants): t^q mod D0 advances
+by one shift per unit step of q, modulo the one prime list of the largest
+q, and the (q, p) rows go through one vectorised Euclid in chunks.
+cover_homology feeds the core one reduced block B_q, with Res(t^q - 1, D0)
+from circulant_det's own square-and-multiply: the independent per-cover
+path.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,7 +35,7 @@ import numpy as np
 from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
-from .ringcore import _div_exact_int, _int_det, _int_resultant, _monic_resultant
+from .ringcore import _crt_symmetric, _div_exact_int, _int_det, _int_resultant, _monic_resultant
 from .ringcore import _graeffe_step, _poly_divmod, _poly_mul, _primes_for, _rem_monic
 from .hermitian import block_det
 
@@ -173,11 +184,6 @@ def smith_normal_form(A) -> SmithDecomposition:
 # modular resultant machinery
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    h = (r2 - r1) * pow(m1 % m2, -1, m2) % m2
-    return r1 + m1 * h, m1 * m2
-
-
 def _window(c: CycElem) -> tuple[int, list[int]]:
     """(s, g) with c = t^s g in Z[Z/q] and g the honest polynomial whose
     support fits the shortest cyclic window (deg g < q, g(0) != 0); the
@@ -195,6 +201,8 @@ def _window(c: CycElem) -> tuple[int, list[int]]:
 GRAEFFE_ROUNDS = 6
 # circulant_det runs fewer primes than this one at a time, more in one batch
 BATCH_PRIMES = 8
+# (q, p) rows the tower sweep sends through one batched Euclid
+SWEEP_ROWS = 8192
 
 
 @lru_cache(maxsize=256)
@@ -210,16 +218,82 @@ def _graeffe_norm_bits(g: tuple[int, ...]) -> int:
 def _height_bits(g: list[int], q: int) -> int:
     """An integer b with |Res(t^q - 1, g)| < 2^b, from two rigorous bounds.
 
-    Parseval and AM-GM give |Res| <= (sum g_k^2)^(q/2).  Also |Res| =
-    |lc|^q prod |beta^q - 1| over the roots beta of g, which is at most
-    2^d M(g)^q, and the Mahler measure satisfies M(g)^(2^k) = M(G_k) <=
-    ||G_k||_2 (Landau) for the k-th Graeffe iterate G_k.  The second bound
-    is within a few percent of the true height on walk determinants, the
-    first is about twice it; the smaller one wins.
+    |Res| = |lc|^q prod |beta^q - 1| over the roots beta of g, which is at
+    most 2^d M(g)^q, and the Mahler measure satisfies M(g)^(2^k) = M(G_k)
+    <= ||G_k||_2 (Landau) for the k-th Graeffe iterate G_k.  For deg g < q,
+    Parseval and AM-GM also give |Res| <= (sum g_k^2)^(q/2); a longer g
+    folds modulo t^q - 1, and its folded coefficients can have the larger
+    sum of squares.  The Mahler bound is within a few percent of the true
+    height on walk determinants, Parseval's about twice it; the smaller
+    one wins.
     """
-    parseval = ((sum(x * x for x in g) ** q).bit_length() + 1) // 2
-    n = _graeffe_norm_bits(tuple(g))
-    return min(parseval, len(g) - 1 - (-q * n >> (GRAEFFE_ROUNDS + 1)))
+    mahler = len(g) - 1 - (-q * _graeffe_norm_bits(tuple(g)) >> (GRAEFFE_ROUNDS + 1))
+    if len(g) > q:
+        return mahler
+    return min(mahler, ((sum(x * x for x in g) ** q).bit_length() + 1) // 2)
+
+
+def _pow_rows(x: np.ndarray, e, P: np.ndarray) -> np.ndarray:
+    """x^e modulo P entrywise by square-and-multiply over int64 arrays; e
+    is one exponent or one per entry, and P holds primes below 2^31, so
+    every product fits in 62 bits."""
+    out = np.ones_like(x)
+    while np.any(e):
+        out = np.where(e & 1, out * x % P, out)
+        x = x * x % P
+        e = e >> 1
+    return out
+
+
+def _euclid_rows(a: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """prod b(alpha) over the roots alpha of a, modulo p, for each row
+    (a, b, p) of the int64 arrays: a monic of degree k (k + 1 columns),
+    b of degree < k (k columns), p a prime below 2^31; residues in [0, p).
+    a is overwritten.
+
+    Residues stay below 2^31, so every product fits in 62 bits.  Every row
+    follows the same degree sequence through Euclid; a row whose remainder
+    drops degree where the others do not leaves the batch and is finished
+    alone by _monic_resultant from its current state.
+    """
+    out = np.zeros(len(P), dtype=np.int64)
+    rows = np.arange(len(P))
+    acc = np.ones(len(P), dtype=np.int64)
+    while True:
+        cols = np.flatnonzero(b.any(axis=0))
+        if not cols.size:
+            return out  # b = 0: the resultant vanishes modulo these primes
+        n = int(cols[-1])
+        drop = b[:, n] == 0
+        if drop.any():
+            for j in np.flatnonzero(drop).tolist():
+                p = int(P[j])
+                out[rows[j]] = int(acc[j]) * _monic_resultant(a[j].tolist(), b[j].tolist(), p) % p
+            keep = ~drop
+            a, b, acc, rows, P = a[keep], b[keep], acc[keep], rows[keep], P[keep]
+        b = b[:, :n + 1]
+        deg_a = a.shape[1] - 1
+        lc = b[:, n]
+        # prod_a b(alpha) = (-1)^{mn} lc(b)^m prod_b a(beta)
+        acc = acc * _pow_rows(lc, deg_a, P) % P
+        if n == 0:
+            out[rows] = acc
+            return out
+        if deg_a * n % 2:
+            acc = (P - acc) % P
+        # b / lc(b), by Fermat: lc^(p - 2) = lc^-1 mod p
+        b = b * _pow_rows(lc, P - 2, P)[:, None] % P[:, None]
+        # a mod the monic b
+        for k in range(deg_a, n - 1, -1):
+            a[:, k - n:k] = (a[:, k - n:k] - a[:, k:k + 1] * b[:, :n]) % P[:, None]
+        a, b = b, a[:, :n]
+
+
+def _monic_rows(g: list[int], primes: list[int]) -> np.ndarray:
+    """g / lc(g) modulo each of the primes (none dividing lc(g)), one int64
+    row per prime."""
+    invs = [pow(g[-1], -1, p) for p in primes]
+    return np.array([[x * inv % p for x in g] for p, inv in zip(primes, invs)], dtype=np.int64)
 
 
 def _mulmod(a: list, b: list, m: list, p: int) -> list:
@@ -250,19 +324,14 @@ def _resultant_mod(g: list[int], q: int, p: int) -> int:
 def _resultants_mod(g: list[int], q: int, primes: list[int]) -> list[int]:
     """_resultant_mod for each of the primes (below 2^31, none dividing
     lc(g)); from BATCH_PRIMES primes on, all at once, one int64 numpy row
-    per prime.
-
+    per prime, with square-and-multiply for t^q and _euclid_rows after it.
     Residues stay below 2^31, so every product fits in 62 bits and a sum
-    of d of them in 63.  Every row follows the same degree sequence
-    through Euclid; a row whose remainder drops degree where the others do
-    not leaves the batch and is finished alone.
-    """
+    of d of them in 63."""
     if len(primes) < BATCH_PRIMES:
         return [_resultant_mod(g, q, p) for p in primes]
     d = len(g) - 1
     P = np.array(primes, dtype=np.int64)[:, None]
-    invs = [pow(g[-1], -1, p) for p in primes]
-    m = np.array([[x * inv % p for x in g] for p, inv in zip(primes, invs)], dtype=np.int64)
+    m = _monic_rows(g, primes)
     low = m[:, :d]
     r = np.zeros((len(primes), d), dtype=np.int64)
     r[:, 0] = 1
@@ -277,42 +346,11 @@ def _resultants_mod(g: list[int], q: int, primes: list[int]) -> list[int]:
             top = r[:, -1:]
             r = (np.concatenate([0 * top, r[:, :-1]], axis=1) - top * low) % P
     r[:, 0] = (r[:, 0] - 1) % P[:, 0]
-    out = [0] * len(primes)
-    rows = np.arange(len(primes))
-    acc = np.ones(len(primes), dtype=np.int64)
-    a, b = m, r
-    while True:
-        cols = np.flatnonzero(b.any(axis=0))
-        if not cols.size:
-            break  # b = 0: the resultant vanishes modulo these primes
-        n = int(cols[-1])
-        drop = b[:, n] == 0
-        if drop.any():
-            for j in rows[drop].tolist():
-                out[j] = _resultant_mod(g, q, primes[j])
-            keep = ~drop
-            a, b, acc, rows, P = a[keep], b[keep], acc[keep], rows[keep], P[keep]
-        b = b[:, :n + 1]
-        deg_a = a.shape[1] - 1
-        ps, lcs = P[:, 0].tolist(), b[:, n].tolist()
-        # prod_a b(alpha) = (-1)^{mn} lc(b)^m prod_b a(beta)
-        acc = acc * np.array([pow(c, deg_a, p) for c, p in zip(lcs, ps)]) % P[:, 0]
-        if n == 0:
-            for j, v in zip(rows.tolist(), acc.tolist()):
-                out[j] = v
-            break
-        if deg_a * n % 2:
-            acc = -acc % P[:, 0]
-        b = b * np.array([pow(c, -1, p) for c, p in zip(lcs, ps)])[:, None] % P
-        # a mod the monic b
-        for k in range(deg_a, n - 1, -1):
-            a[:, k - n:k] = (a[:, k - n:k] - a[:, k:k + 1] * b[:, :n]) % P
-        a, b = b, a[:, :n]
-    return out
+    return _euclid_rows(m, r, P[:, 0]).tolist()
 
 
 def circulant_det(c: CycElem) -> int:
-    """Exact determinant of the q x q circulant of c.
+    """Exact determinant of the q x q circulant of c: the per-cover path.
 
     circ is a ring homomorphism, so det circ(c) = prod_j c(zeta^j) =
     Res(t^q - 1, c).  Write c = t^s g with g from _window (degree d < q);
@@ -330,16 +368,70 @@ def circulant_det(c: CycElem) -> int:
     if d == 0:
         return sign * g[0] ** q
     primes = _primes_for(1 << _height_bits(g, q), avoid=g[-1])
-    res, mod = 0, 1
-    for p, v in zip(primes, _resultants_mod(g, q, primes)):
-        # Res(t^q - 1, g) = (-1)^{qd} lc^q prod_{g(beta)=0} (t^q - 1)(beta)
-        v = pow(g[-1], q, p) * v % p
-        if q * d % 2:
-            v = -v % p
-        res, mod = _crt_pair(res, mod, v, p)
-    if res > mod // 2:
-        res -= mod
-    return sign * res
+    # Res(t^q - 1, g) = (-1)^{qd} lc^q prod_{g(beta)=0} (t^q - 1)(beta)
+    vs = [pow(g[-1], q, p) * v % p for p, v in zip(primes, _resultants_mod(g, q, primes))]
+    if q * d % 2:
+        vs = [-v % p for v, p in zip(vs, primes)]
+    return sign * _crt_symmetric(np.array(vs, dtype=np.int64)[:, None], primes)[0]
+
+
+def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
+    """Res(t^q - 1, g) for each q of the ascending qs, in one sweep.
+
+    The primes are one descending list, drawn once for the largest height
+    bound, and each q takes the prefix its own _height_bits bound needs.
+    Modulo each prime, r = t^q mod g / lc(g) and lc^q advance one shift
+    and reduction per unit step of q; at each scanned q the rows r - 1 of
+    its primes join a batch, and every SWEEP_ROWS rows go through one
+    _euclid_rows.  Res(t^q - 1, g) = (-1)^{qd} lc^q prod (beta^q - 1), as
+    in circulant_det, and CRT gives it per q.  g needs no reduction modulo
+    t^q - 1: the height bound holds for any degree.
+    """
+    d, lc = len(g) - 1, g[-1]
+    if d == 0:
+        return [lc ** q for q in qs]
+    bits = [_height_bits(g, q) for q in qs]
+    primes = _primes_for(1 << max(bits), avoid=lc)
+    prods = list(itertools.accumulate(primes, operator.mul))
+    # the fewest primes with a product above 2^(bits + 1), as _primes_for picks them
+    counts = [bisect.bisect_right(prods, 2 << b) + 1 for b in bits]
+    P = np.array(primes, dtype=np.int64)
+    m = _monic_rows(g, primes)
+    low = m[:, :d]
+    lcp = np.array([lc % p for p in primes], dtype=np.int64)
+    r = np.zeros((len(primes), d), dtype=np.int64)
+    r[:, 0] = 1
+    lcq = np.ones(len(primes), dtype=np.int64)
+    out, batch, rows, q_at = [], [], 0, 0
+
+    def flush():
+        ns, bs, cs = zip(*batch)
+        idx = np.concatenate([np.arange(n) for n in ns])
+        Pb = P[idx]
+        v = _euclid_rows(m[idx], np.concatenate(bs), Pb) * np.concatenate(cs) % Pb
+        # one column of residues per q, its own primes on top
+        R = np.zeros((max(ns), len(ns)), dtype=np.int64)
+        R.T[np.arange(max(ns)) < np.array(ns)[:, None]] = v
+        out.extend(_crt_symmetric(R, primes[:max(ns)], ns))
+        batch.clear()
+
+    for q, n in zip(qs, counts):
+        for _ in range(q - q_at):
+            top = r[:, -1:]
+            r = np.concatenate([0 * top, r[:, :-1]], axis=1) - top * low
+            r %= P[:, None]
+            lcq = lcq * lcp % P
+        q_at = q
+        b = r[:n].copy()
+        b[:, 0] = (b[:, 0] - 1) % P[:n]
+        batch.append((n, b, (P[:n] - lcq[:n]) % P[:n] if q * d % 2 else lcq[:n]))
+        rows += n
+        if rows >= SWEEP_ROWS:
+            flush()
+            rows = 0
+    if batch:
+        flush()
+    return out
 
 
 def _cyclotomic_resultant(m: int, n: int) -> int:
@@ -386,9 +478,20 @@ def _common_phi(polys: list[list[int]], candidates) -> list[int]:
     return [d for d in candidates if all(_phi_divides(d, g) for g in polys)]
 
 
-def _split_resultant(delta: list[int], S: list[int], h: int, q: int) -> TorsionReport | None:
-    """Torsion order and Betti number of the q-cover of an h x h block B,
-    or None when the cover needs Smith normal form.
+def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
+    """(rest, k) with g = rest prod Phi_e^k[e] over the e among candidates
+    and rest divisible by none of them; g nonzero."""
+    k = {}
+    for e in candidates:
+        while _phi_divides(e, g):
+            g = _div_exact_int(g, cyclotomic(e).coeff_list())
+            k[e] = k.get(e, 0) + 1
+    return g, k
+
+
+def _split_covers(delta: list[int], h: int, covers, resultants) -> list[TorsionReport | None]:
+    """Torsion order and Betti number of each q-cover (q, S) of an h x h
+    block B, or None for a cover that needs Smith normal form.
 
     delta is det B as an honest polynomial ([] for 0), needed only up to
     a unit and a multiple of t^q - 1, and S lists the d | q with Phi_d
@@ -396,37 +499,55 @@ def _split_resultant(delta: list[int], S: list[int], h: int, q: int) -> TorsionR
     D = delta/G^h and Lambda = Z[t^+-1].  When D vanishes at no root of
     F, the snake lemma for B on 0 -> (Lambda/F)^h -> (Lambda/(t^q - 1))^h
     -> (Lambda/G)^h -> 0 gives Betti number h deg G and torsion order
-    |Res(F, D)|, which depends on D only modulo F.  D's own Phi_e (e | q,
-    and then e in S) are priced by Apostol's closed form; for the rest D0,
-    Res(F, D0) = Res(t^q - 1, D0) / Res(G, D0), the first by circulant_det
-    (method "circulant_det" when G = 1, else "split_resultant").
+    |Res(F, D)|, which depends on D only modulo F.
+
+    delta = Delta' prod Phi_e^k_e is split once for all covers, over the
+    divisors of their q.  Phi_e (e | q) has multiplicity k_e - h [e in S]
+    in D, and the cover needs SNF exactly when that is positive for some
+    e outside S.  Otherwise D's own Phi_e are priced by Apostol's closed
+    form, and the rest D0 = Delta' prod_{e not dividing q} Phi_e^k_e has
+    Res(F, D0) = Res(t^q - 1, D0) / Res(G, D0).  Covers sharing D0 get
+    Res(t^q - 1, D0) from one call resultants(D0, their q list) and
+    Res(G, D0) once per S (method "circulant_det" when G = 1, else
+    "split_resultant").
     """
-    deg_G = sum(totient(d) for d in S)
-    if deg_G == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
-        return _report(q, 1, h * q, "split_resultant")
-    G = [1]
-    for d in S:
-        G = _poly_mul(G, cyclotomic(d).coeff_list())
-    D0 = delta
-    for _ in range(h):
-        D0 = _div_exact_int(D0, G)
-    # split off the Phi_e (e | q) factors of D, with their multiplicities
-    divs = divisors(q)
-    mult = {}
-    for e in divs:
-        while _phi_divides(e, D0):
-            D0 = _div_exact_int(D0, cyclotomic(e).coeff_list())
-            mult[e] = mult.get(e, 0) + 1
-    if not D0 or any(e not in S for e in mult):
-        return None
-    torsion, rem = divmod(abs(circulant_det(CycElem(q, D0))), abs(_int_resultant(G, D0)))
-    if rem:
-        raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
-    for e, k in mult.items():
-        for d in divs:
-            if d not in S:
-                torsion *= _cyclotomic_resultant(d, e) ** k
-    return _report(q, torsion, h * deg_G, "split_resultant" if S else "circulant_det")
+    out: list[TorsionReport | None] = [None] * len(covers)
+    rest, k = _phi_split(delta, sorted({e for q, _ in covers for e in divisors(q)})) \
+        if delta else ([], {})
+    towers = {}  # the e with Phi_e in D0 -> the covers sharing that D0
+    for i, (q, S) in enumerate(covers):
+        deg_G = sum(totient(d) for d in S)
+        if deg_G == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
+            out[i] = _report(q, 1, h * q, "split_resultant")
+        elif delta:
+            mult = {e: k.get(e, 0) - h * (e in S) for e in divisors(q)}
+            if min(mult.values()) < 0:
+                raise ArithmeticError("Phi_d^h must divide det B for every d in S")
+            mult = {e: m for e, m in mult.items() if m}
+            if all(e in S for e in mult):
+                towers.setdefault(tuple(e for e in k if q % e), []).append((i, deg_G, mult))
+    for key, group in towers.items():
+        D0 = rest
+        for e in key:
+            for _ in range(k[e]):
+                D0 = _poly_mul(D0, cyclotomic(e).coeff_list())
+        res_G = {}
+        for (i, deg_G, mult), res in zip(group, resultants(D0, [covers[i][0] for i, _, _ in group])):
+            q, S = covers[i]
+            if tuple(S) not in res_G:
+                G = [1]
+                for d in S:
+                    G = _poly_mul(G, cyclotomic(d).coeff_list())
+                res_G[tuple(S)] = abs(_int_resultant(G, D0))
+            torsion, rem = divmod(abs(res), res_G[tuple(S)])
+            if rem:
+                raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
+            for e, m in mult.items():
+                for d in divisors(q):
+                    if d not in S:
+                        torsion *= _cyclotomic_resultant(d, e) ** m
+            out[i] = _report(q, torsion, h * deg_G, "split_resultant" if S else "circulant_det")
+    return out
 
 
 def _snf_report(Bq, q: int) -> TorsionReport:
@@ -438,7 +559,8 @@ def cover_homology(Bq, q: int) -> TorsionReport:
     """Torsion order and Betti number of the q-cover presentation Bq, an
     h x h block over Z[Z/q]: the independent per-cover path.  The common
     Phi_d (d | q) are found on the shortest-window lifts of the entries,
-    and det B is the determinant of those lifts."""
+    det B is the determinant of those lifts, and Res(t^q - 1, D0) comes
+    from circulant_det."""
     if q < 1:
         raise ValueError("cover degree must be >= 1")
     windows = [[_window(e) for e in row] for row in Bq]
@@ -446,7 +568,9 @@ def cover_homology(Bq, q: int) -> TorsionReport:
     lifts = [[LaurentPoly.from_list(g, lo=s) if g else LaurentPoly.zero() for s, g in row]
              for row in windows]
     delta = block_det(lifts, q=None).coeff_list()
-    return _split_resultant(delta, S, len(Bq), q) or _snf_report(Bq, q)
+    rep, = _split_covers(delta, len(Bq), [(q, S)],
+                         lambda D0, qs: [circulant_det(CycElem(q, D0)) for q in qs])
+    return rep or _snf_report(Bq, q)
 
 
 def _log(n: int) -> float:
@@ -477,7 +601,9 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
     det B and the set C of d with Phi_d dividing every nonzero entry are
     fixed for the tower: Phi_d (d | q) divides t^q - 1, so it divides an
     entry's image in Z[Z/q] exactly when it divides the Laurent entry.  B
-    is reduced modulo t^q - 1 only for covers that need Smith normal form.
+    is reduced modulo t^q - 1 only for covers that need Smith normal form;
+    the other covers take Res(t^q - 1, D0) from one _tower_resultants sweep
+    per distinct D0.
     """
     q_range = list(q_range)
     if not q_range or any(
@@ -494,15 +620,14 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
     # phi(d) >= sqrt(d / 2)
     low = min((len(g) - 1 for g in polys), default=q_range[-1])
     C = set(_common_phi(polys, range(1, min(2 * low * low + 2, q_range[-1]) + 1)))
-    reports = []
-    deviations = []
-    for q in q_range:
-        S = [d for d in divisors(q) if d in C]
-        rep = _split_resultant(delta, S, len(B_inf), q) or _snf_report(
+    covers = [(q, [d for d in divisors(q) if d in C]) for q in q_range]
+    reports = _split_covers(delta, len(B_inf), covers, _tower_resultants)
+    for i, q in enumerate(q_range):
+        reports[i] = reports[i] or _snf_report(
             [[reduce_mod_q(e, q) for e in r] for r in B_inf], q)
-        reports.append(rep)
-        if measure is not None:
-            deviations.append(abs(rep.log_torsion_over_q - measure.log_measure))
+    deviations = []
+    if measure is not None:
+        deviations = [abs(rep.log_torsion_over_q - measure.log_measure) for rep in reports]
     return GrowthScanResult(
         reports=reports,
         mahler=measure,

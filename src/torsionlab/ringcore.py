@@ -13,8 +13,10 @@ batch of those primes back to integers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import threading
 from typing import Iterable, Mapping
 
@@ -765,27 +767,42 @@ def _primes_for(bound: int, avoid: int = 1) -> list[int]:
     return out
 
 
-def _crt_symmetric(residues: np.ndarray, primes) -> list[int]:
-    """The integers x with |x| < prod(primes) / 2 and x = residues[i]
-    modulo primes[i], one per column of `residues` (an int64 array with one
-    row per prime; distinct primes below 2^31), by Garner's algorithm.
+def _crt_symmetric(residues: np.ndarray, primes, counts=None) -> list[int]:
+    """The integers x with |x| < prod(primes[:n]) / 2 and x = residues[i]
+    modulo primes[i] for i < n, one per column of `residues` (an int64
+    array with one row per prime; distinct primes below 2^31), by Garner's
+    algorithm.  n is the column's entry of counts, or every prime; the
+    rows from a column's count on do not matter.
 
-    The mixed-radix digits are computed over whole int64 rows: each step
-    multiplies a difference of two residues by an inverse below 2^31, so
-    every product fits in 62 bits.  Only the final Horner sum of the
-    digits runs on Python ints.
+    With M_j = p_0 ... p_(j-1), the mixed-radix digit d_i of x is
+    (x - sum_(j<i) d_j M_j) / M_i modulo p_i.  A table of M_j mod p_i
+    turns that sum into one product of whole int64 arrays per digit; each
+    product is reduced below 2^31 before the sum, so everything fits in 63
+    bits.  Only the final Horner sum of the digits runs on Python ints.
     """
-    digits = []
-    for i, p in enumerate(primes):
-        v = residues[i] % p
-        for d, q in zip(digits, primes):
-            v = (v - d) * pow(q, -1, p) % p
-        digits.append(v)
-    x = digits[-1].astype(object)
-    for d, q in zip(digits[-2::-1], primes[-2::-1]):
-        x = x * q + d
-    m = math.prod(primes)
-    return [v - m if 2 * v > m else v for v in x.tolist()]
+    primes = list(primes)
+    P = np.array(primes, dtype=np.int64)
+    M = np.ones((len(primes), len(primes)), dtype=np.int64)  # M[i, j] = M_j mod p_i
+    for j in range(1, len(primes)):
+        M[:, j] = M[:, j - 1] * P[j - 1] % P
+    digits = np.empty((len(primes), residues.shape[1]), dtype=np.int64)
+    digits[0] = residues[0] % primes[0]
+    for i in range(1, len(primes)):
+        p = primes[i]
+        lower = (digits[:i] * M[i, :i, None] % p).sum(axis=0)
+        digits[i] = (residues[i] - lower) % p * pow(int(M[i, i]), -1, p) % p
+    mods = list(itertools.accumulate(primes, operator.mul))
+    if counts is None:
+        ms = [mods[-1]] * residues.shape[1]
+    else:
+        digits[np.arange(len(primes))[:, None] >= np.asarray(counts)] = 0
+        ms = [mods[n - 1] for n in counts]
+    # Horner from the top digit; the top two still fit in 63 bits
+    x = digits[-1] if len(primes) == 1 else digits[-1] * primes[-2] + digits[-2]
+    x = x.astype(object)
+    for d, p in zip(digits[-3::-1], primes[-3::-1]):
+        x = x * p + d
+    return [v - m if 2 * v > m else v for v, m in zip(x.tolist(), ms)]
 
 
 def _rem_monic(a: list, m: list, p: int) -> list:

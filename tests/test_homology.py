@@ -6,14 +6,18 @@ import random
 import numpy as np
 import pytest
 
-from torsionlab.hermitian import bottom_left_block
+from torsionlab import homology
+from torsionlab.hermitian import block_det, bottom_left_block
 from torsionlab.homology import (
     BATCH_PRIMES,
     NotSymplectic,
     _cyclotomic_resultant,
+    _euclid_rows,
     _height_bits,
+    _phi_split,
     _resultant_mod,
     _resultants_mod,
+    _tower_resultants,
     circulant_det,
     cover_homology,
     expand_presentation,
@@ -23,11 +27,20 @@ from torsionlab.homology import (
 )
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from torsionlab.ringcore import InvalidModulus, reduce_mod_q
-from torsionlab.ringcore import _int_resultant
+from torsionlab.ringcore import _int_resultant, _monic_resultant, _primes_for
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
 rng = random.Random(314159)
 GENS, PROBS = bundled_generators(3)
+LEHMER = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
+DEGENERATE = LaurentPoly({3: 1, 2: -2, 1: -2, 0: 1})  # (t + 1)(t^2 - 3t + 1)
+
+
+def walk_trial_block():
+    """The bundled genus-3 walk of 32 steps, master seed 7, trial 0: a 2 x 2
+    block with det B = (t - 1)^6 D0, deg D0 = 28."""
+    config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=32, master_seed=7)
+    return bottom_left_block(sample_word(config, 0, 32))
 
 
 def bareiss_det(M):
@@ -323,7 +336,7 @@ def test_cyclotomic_resultant_closed_form():
 
 def test_batched_residues_match_one_prime_at_a_time():
     # small primes make the remainder sequences drop degree often, so rows
-    # leave the batch and are finished alone
+    # leave the batch and are finished alone from their current state
     local = random.Random(1618)
     small = [p for p in range(3, 200) if all(p % k for k in range(2, p))]
     for _ in range(200):
@@ -332,6 +345,67 @@ def test_batched_residues_match_one_prime_at_a_time():
         q = local.randint(1, 70)
         primes = [p for p in small if g[-1] % p][:local.randint(BATCH_PRIMES, 30)]
         assert _resultants_mod(g, q, primes) == [_resultant_mod(g, q, p) for p in primes]
+    # the row kernel of the tower sweep: every row its own a, b and prime
+    for _ in range(200):
+        k = local.randint(1, 9)
+        P = [local.choice(small) for _ in range(local.randint(1, 40))]
+        a = [[local.randrange(p) for _ in range(k)] + [1] for p in P]
+        b = [[local.randrange(p) if local.random() > 0.15 else 0 for _ in range(k)] for p in P]
+        got = _euclid_rows(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                           np.array(P, dtype=np.int64))
+        assert got.tolist() == [_monic_resultant(x, y, p) for x, y, p in zip(a, b, P)]
+
+
+def test_tower_resultants_match_int_resultant_oracle():
+    # the oracle: the determinant of multiplication by D0 on Z[t]/(t^q - 1)
+    local = random.Random(1414)
+    zeros = 0
+    for i in range(20):
+        D0 = [local.randint(-6, 6) for _ in range(local.randint(1, 10))]
+        D0 = D0 + [local.choice([1, -1, 2, -3, 5])]
+        if i % 4 == 0:  # a Phi_e factor: Res vanishes at every q divisible by e
+            D0 = (LaurentPoly.from_list(D0, lo=0) * cyclotomic(local.choice([1, 2, 3, 4, 6]))
+                  ).coeff_list()
+        qs = list(range(1, 41))
+        got = _tower_resultants(D0, qs)
+        for q, res in zip(qs, got):
+            assert res == _int_resultant([-1] + [0] * (q - 1) + [1], D0), (D0, q)
+        zeros += got.count(0)
+    assert zeros > 10
+
+
+def test_tower_resultants_equal_circulant_det():
+    # the sweep against the per-cover path, at every q <= 200, on the D0
+    # that growth_scan sweeps for Lehmer, (t + 1)(t^2 - 3t + 1) and the
+    # walk trial
+    delta = block_det(walk_trial_block(), q=None).coeff_list()
+    trial, k = _phi_split(delta, range(1, 100))
+    assert k == {1: 6} and len(trial) == 29
+    towers = [LEHMER.coeff_list(), DEGENERATE.coeff_list(), [1, -3, 1], trial]
+    for D0 in towers:
+        qs = list(range(1, 201))
+        got = _tower_resultants(D0, qs)
+        assert got == [circulant_det(CycElem(q, D0)) for q in qs]
+        # t^d - 1 divides t^q - 1 for d | q, so Res(t^d - 1, D0) | Res(t^q - 1, D0)
+        for q in qs:
+            for d in divisors(q):
+                if got[d - 1]:
+                    assert got[q - 1] % got[d - 1] == 0, (D0, d, q)
+
+
+def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
+    rows = []
+    kernel = homology._euclid_rows
+
+    def counting(a, b, P):
+        rows.append(len(P))
+        return kernel(a, b, P)
+
+    monkeypatch.setattr(homology, "_euclid_rows", counting)
+    D0 = LEHMER.coeff_list()
+    qs = list(range(1, 301, 3))
+    _tower_resultants(D0, qs)
+    assert sum(rows) == sum(len(_primes_for(1 << _height_bits(D0, q))) for q in qs)
 
 
 def test_height_bits_bound_the_circulant_det():
@@ -340,6 +414,21 @@ def test_height_bits_bound_the_circulant_det():
         g = [rng.randint(-9, 9) for _ in range(rng.randint(1, q - 1))] + [rng.randint(1, 9)]
         M = [[(g + [0] * q)[(i - j) % q] for j in range(q)] for i in range(q)]
         assert abs(bareiss_det(M)) < 2 ** _height_bits(g, q), (g, q)
+
+
+def test_height_bits_bound_long_polynomials():
+    # deg g >= q: the polynomial folds modulo t^q - 1, and Parseval on its
+    # own coefficients would not bound the resultant
+    cases = [(q, [1] + [0] * (q - 1) + [3, 1]) for q in (1, 2, 3, 5, 8, 13)]
+    for q, g in cases:  # folds to 4 + t: sum of squares 17 against 11
+        assert sum(x * x for x in g) ** q < abs(_int_resultant([-1] + [0] * (q - 1) + [1], g)) ** 2
+    for _ in range(80):
+        q = rng.randint(1, 10)
+        cases.append((q, [rng.randint(-9, 9) for _ in range(rng.randint(q, q + 8))]
+                      + [rng.choice([1, -1, 2, 5])]))
+    for q, g in cases:
+        res = _int_resultant([-1] + [0] * (q - 1) + [1], g)
+        assert abs(res) < 2 ** _height_bits(g, q), (g, q)
 
 
 @pytest.mark.parametrize("h, q", [(1, 1), (1, 5), (2, 3), (3, 4)])
@@ -415,6 +504,7 @@ def test_growth_scan_rows_equal_per_cover_rows():
         ([[LaurentPoly({3: 1, 2: -2, 1: -2, 0: 1})]], 200),  # (t + 1)(t^2 - 3t + 1)
         ([[t - 1, one], [zero, t + 2]], 40),  # Smith normal form at every q
         ([[s6 * (t - 3), s6 * t], [s6 * (t * t + 2), s6 * (t + 5)]], 60),
+        ([[cyclotomic(1) ** 3 * cyclotomic(4)]], 60),  # D0 = 1 where 4 divides q
     ]
     config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=12)
     towers += [(bottom_left_block(sample_word(config, trial, 12)), 120) for trial in range(4)]
@@ -429,6 +519,54 @@ def test_growth_scan_rows_equal_per_cover_rows():
                            want.log_torsion_over_q), (B, q)
             methods.add(rep.method)
     assert methods == {"circulant_det", "split_resultant", "snf"}
+
+
+def test_walk_trial_tower_equals_per_cover_rows():
+    B = walk_trial_block()
+    for rep in growth_scan(B, range(1, 201)).reports:
+        q = rep.q
+        want = cover_homology([[reduce_mod_q(e, q) for e in row] for row in B], q)
+        assert (rep.torsion_order, rep.betti, rep.method) == (
+            want.torsion_order, 2, "split_resultant"), q
+
+
+def test_growth_scan_stride_rows_equal_stride_one_rows():
+    for B in ([[LEHMER]], [[DEGENERATE]], walk_trial_block()):
+        every = growth_scan(B, range(1, 121)).reports
+        strided = growth_scan(B, range(1, 121, 7)).reports
+        assert [r.q for r in strided] == list(range(1, 121, 7))
+        assert strided == [every[r.q - 1] for r in strided]
+
+
+def test_growth_scan_sweeps_once_per_D0(monkeypatch):
+    calls = {"sweep": [], "circulant_det": 0, "int_resultant": 0}
+    sweep, resultant = homology._tower_resultants, homology._int_resultant
+
+    def counting_sweep(D0, qs):
+        calls["sweep"].append(len(qs))
+        return sweep(D0, qs)
+
+    def counting_resultant(a, b):
+        calls["int_resultant"] += 1
+        return resultant(a, b)
+
+    def no_circulant_det(c):
+        calls["circulant_det"] += 1
+        raise AssertionError("growth_scan computes no per-cover circulant_det")
+
+    monkeypatch.setattr(homology, "_tower_resultants", counting_sweep)
+    monkeypatch.setattr(homology, "_int_resultant", counting_resultant)
+    monkeypatch.setattr(homology, "circulant_det", no_circulant_det)
+    # one D0 for Lehmer and the walk trial (whose block is 0 at q = 1);
+    # (t + 1)(t^2 - 3t + 1) has D0 = t^2 - 3t + 1 at even q and itself at odd q
+    for B, sweeps in (([[LEHMER]], [100]), (walk_trial_block(), [99]),
+                      ([[DEGENERATE]], [50, 50])):
+        calls["sweep"].clear()
+        calls["int_resultant"] = 0
+        growth_scan(B, range(1, 101))
+        assert sorted(calls["sweep"]) == sweeps
+        assert calls["int_resultant"] == len(sweeps)
+    assert calls["circulant_det"] == 0
 
 
 # -- Heegaard homology -------------------------------------------------

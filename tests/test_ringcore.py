@@ -294,6 +294,15 @@ def test_crt_symmetric_lifts_batches():
         assert _crt_symmetric(residues, primes) == xs
         # residues need not be reduced: any int64 representative lifts
         assert _crt_symmetric(residues - np.array(primes)[:, None], primes) == xs
+        # a column with its own prime count reads only its leading primes
+        counts = [gen.randint(1, k) for _ in xs]
+        want = []
+        for x, n in zip(xs, counts):
+            m = math.prod(primes[:n])
+            want.append(x % m - m if 2 * (x % m) > m else x % m)
+        garbage = np.array([[gen.randrange(1 << 31) for _ in xs] for _ in primes], dtype=np.int64)
+        ragged = np.where(np.arange(k)[:, None] < np.array(counts), residues, garbage)
+        assert _crt_symmetric(ragged, primes, counts) == want
 
 
 def schoolbook_prem(a, b):
