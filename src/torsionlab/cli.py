@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import hashlib
 import io
@@ -84,6 +85,12 @@ def _load_poly_matrix(path: str):
         return [list(r) for r in FormMatrix.from_json_obj(obj).rows]
     rows = obj["rows"] if isinstance(obj, dict) else obj
     return [[LaurentPoly.from_json_obj(e) for e in row] for row in rows]
+
+
+def _exact(n: int) -> str:
+    """n in decimal at any size.  str() refuses integers of more than
+    sys.get_int_max_str_digits() digits; Decimal converts them exactly."""
+    return str(decimal.Decimal(n))
 
 
 def _print_json(obj):
@@ -212,7 +219,7 @@ def _cmd_torsion_scan(args) -> int:
 
 def _scan_rows(result: GrowthScanResult):
     return [
-        [r.q, str(r.torsion_order), r.betti, repr(r.log_torsion_over_q)]
+        [r.q, _exact(r.torsion_order), r.betti, repr(r.log_torsion_over_q)]
         for r in result.reports
     ]
 
@@ -225,9 +232,9 @@ def _cmd_heegaard(args) -> int:
     _print_json(
         {
             "betti": rep["betti"],
-            "torsion": str(rep["torsion"]),
-            "factors": [str(d) for d in rep["factors"]],
-            "det_bottom_left": str(rep["det_bottom_left"]),
+            "torsion": _exact(rep["torsion"]),
+            "factors": [_exact(d) for d in rep["factors"]],
+            "det_bottom_left": _exact(rep["det_bottom_left"]),
             "det_agrees": rep["det_agrees"],
         }
     )

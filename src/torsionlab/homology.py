@@ -35,8 +35,8 @@ import numpy as np
 from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
-from .ringcore import _crt_symmetric, _div_exact_int, _int_det, _int_resultant, _monic_resultant
-from .ringcore import _graeffe_step, _poly_divmod, _poly_mul, _primes_for, _rem_monic
+from .ringcore import _crt_symmetric, _int_det, _int_resultant, _monic_resultant
+from .ringcore import _graeffe_step, _phi_quotient, _poly_mul, _primes_for, _rem_monic
 from .hermitian import block_det
 
 class NotSymplectic(ValueError):
@@ -467,15 +467,10 @@ def _report(q: int, torsion: int, betti: int, method: str) -> TorsionReport:
     )
 
 
-def _phi_divides(d: int, g: list[int]) -> bool:
-    """Whether Phi_d divides the nonzero polynomial g; Phi_d is built only
-    when phi(d) <= deg g."""
-    return totient(d) < len(g) and not _poly_divmod(g, cyclotomic(d).coeff_list())[1]
-
-
 def _common_phi(polys: list[list[int]], candidates) -> list[int]:
-    """The d among candidates with Phi_d dividing every one of polys."""
-    return [d for d in candidates if all(_phi_divides(d, g) for g in polys)]
+    """The d among candidates with Phi_d dividing every one of the nonzero
+    polys."""
+    return [d for d in candidates if all(_phi_quotient(g, d) is not None for g in polys)]
 
 
 def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
@@ -483,8 +478,8 @@ def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
     and rest divisible by none of them; g nonzero."""
     k = {}
     for e in candidates:
-        while _phi_divides(e, g):
-            g = _div_exact_int(g, cyclotomic(e).coeff_list())
+        while (quot := _phi_quotient(g, e)) is not None:
+            g = quot
             k[e] = k.get(e, 0) + 1
     return g, k
 

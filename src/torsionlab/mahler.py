@@ -30,9 +30,9 @@ from enum import Enum
 import mpmath as mp
 import numpy as np
 
-from .ringcore import LaurentPoly, cyclotomic, divisors, laurent_eval, normalize_unit, totient
-from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _graeffe_step, _poly_divmod
-from .ringcore import _poly_gcd, _pp, _squarefree_by_prime, _strip_unit_roots
+from .ringcore import LaurentPoly, cyclotomic, laurent_eval, normalize_unit, totient
+from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _graeffe_step, _mobius_binomials
+from .ringcore import _phi_quotient, _poly_gcd, _pp, _squarefree_by_prime, _strip_unit_roots
 
 # unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
 CIRCLE_SAMPLES = 1024
@@ -174,35 +174,29 @@ def _binomial_row(d: int) -> list[int]:
 def _cyclotomic_indices(cs: list[int]) -> Counter:
     """Indices, with multiplicity, of the factors of cs = +-prod Phi_m.
 
-    One ascending pass over m divides out Phi_m while it divides.  Phi_m
-    is built only when phi(m) fits the remaining degree and Phi_m(2)
-    divides P(2).  Phi_m(2) = (2^m - 1) / prod_{d | m, d < m} Phi_d(2) is
-    kept for every m that fits; every divisor d of a later m that fits
-    has phi(d) <= phi(m), so it fitted too.  The input must be certified
-    by the fixed point; phi(m) >= sqrt(m / 2) bounds the indices a
-    product of the remaining degree can still hold.
+    One ascending pass over m divides out Phi_m while it divides.  The
+    Moebius binomials of m, Phi_m = prod (t^d - 1)^mu(m/d), give phi(m)
+    and Phi_m(2), and the division runs only when phi(m) fits the
+    remaining degree and Phi_m(2) divides P(2).  It goes through the same
+    binomials (_phi_quotient), so Phi_m itself is never built.  The input
+    must be certified by the fixed point; phi(m) >= sqrt(m / 2) bounds the
+    indices a product of the remaining degree can still hold.
     """
     indices: Counter = Counter()
     value = sum(c << k for k, c in enumerate(cs))
-    at_two: dict[int, int] = {}
     m = 0
     while len(cs) > 1:
         m += 1
         deg = len(cs) - 1
         if m > 2 * deg * deg + 2:
             raise ArithmeticError(f"certified remainder of degree {deg} has no cyclotomic factor")
-        if totient(m) > deg:
+        plus, minus = _mobius_binomials(m)
+        if sum(plus) - sum(minus) > deg:
             continue
-        v = (1 << m) - 1
-        for k in divisors(m)[:-1]:
-            v //= at_two[k]
-        at_two[m] = v
-        if value % v:
-            continue
-        phi = cyclotomic(m).coeff_list()
+        v = math.prod((1 << d) - 1 for d in plus) // math.prod((1 << d) - 1 for d in minus)
         while not value % v:
-            quot, rem = _poly_divmod(cs, phi)
-            if rem:
+            quot = _phi_quotient(cs, m)
+            if quot is None:
                 break
             cs, value = quot, value // v
             indices[m] += 1

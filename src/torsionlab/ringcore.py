@@ -13,6 +13,7 @@ batch of those primes back to integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -446,22 +447,28 @@ def circulant_expand(c: CycElem):
     return [[c.coeffs[(i - j) % q] for j in range(q)] for i in range(q)]
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def totient(n: int) -> int:
     """Euler's totient by trial-division factorization."""
     if n < 1:
         raise ValueError("totient requires n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
 _CYCLOTOMIC_CACHE: dict[int, LaurentPoly] = {}
@@ -469,9 +476,11 @@ _CYCLOTOMIC_LOCK = threading.Lock()
 
 
 def cyclotomic(n: int) -> LaurentPoly:
-    """The n-th cyclotomic polynomial, by exact recursive division.
+    """The n-th cyclotomic polynomial from its Moebius binomials.
 
-    Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d; results are memoized.
+    Phi_n = prod_{d | n} (1 - t^d)^mu(n/d) for n > 1, and 1 - t = -Phi_1:
+    [1] is multiplied by the binomials with mu = 1 and divided exactly by
+    those with mu = -1, one pass each.  Results are memoized.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
@@ -479,12 +488,15 @@ def cyclotomic(n: int) -> LaurentPoly:
         hit = _CYCLOTOMIC_CACHE.get(n)
     if hit is not None:
         return hit
-    num = LaurentPoly({n: 1, 0: -1})
-    for d in range(1, n):
-        if n % d == 0:
-            num = num.divide_exact(cyclotomic(d))
-            if num is None:
-                raise ArithmeticError("cyclotomic division must be exact")
+    plus, minus = _mobius_binomials(n)
+    g = [1]
+    for d in plus:
+        g = _times_binomial(g, d)
+    for d in minus:
+        g = _over_binomial(g, d)
+        if g is None:
+            raise ArithmeticError("cyclotomic division must be exact")
+    num = LaurentPoly.from_list(g if n > 1 else [-c for c in g])
     with _CYCLOTOMIC_LOCK:
         _CYCLOTOMIC_CACHE[n] = num
     return num
@@ -506,34 +518,139 @@ def divisors(n: int) -> list[int]:
 # dense integer-polynomial kernel: lists of Python ints, index = exponent
 
 
+def _offset(n: int, width: int) -> int:
+    """sum 2^(8 width - 1) 2^(8 width k) over k < n: half a slot in each
+    of n slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
 def _pack(a: list[int], width: int) -> int:
-    """sum a_k 2^(8 width k) for signed a_k below 2^(8 width) in size."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in a)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in a)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum a_k 2^(8 width k) for signed |a_k| < 2^(8 width - 1).
+
+    Slot k holds the nonnegative digit a_k + 2^(8 width - 1), and the
+    offsets are subtracted once at the end.  When every a_k fits int64,
+    numpy writes all slots in one pass: the low 8 bytes of a digit are
+    a_k + 2^(8 width - 1) modulo 2^64, and above them come a_k's sign
+    bytes with the top bit flipped.  Past int64 each coefficient is
+    converted on its own.
+    """
+    half = 1 << (8 * width - 1)
+    try:
+        v = np.array(a, dtype=np.int64)
+    except OverflowError:
+        raw = b"".join((c + half).to_bytes(width, "little") for c in a)
+    else:
+        k = min(width, 8)
+        low = v.view(np.uint64) + np.uint64(half % (1 << 64))
+        slots = np.empty((len(a), width), np.uint8)
+        slots[:, :k] = low.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :k]
+        if width > 8:
+            slots[:, 8:] = (v < 0)[:, None] * np.uint8(255)
+            slots[:, -1] ^= 0x80
+        raw = slots.tobytes()
+    return int.from_bytes(raw, "little") - _offset(len(a), width)
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n slots v_k of x = sum v_k 2^(8 width k), |v_k| < 2^(8 width - 1).
+
+    The inverse of _pack: adding the offsets makes every slot the digit
+    v_k + 2^(8 width - 1), with no borrow between slots.  numpy reads all
+    slots in one pass when every v_k fits int64, which the digit's bytes
+    above its low 8 show; else each slot is read on its own.
+    """
+    half = 1 << (8 * width - 1)
+    raw = (x + _offset(n, width)).to_bytes(width * n, "little")
+    slots = np.frombuffer(raw, np.uint8).reshape(n, width)
+    k = min(width, 8)
+    words = np.zeros((n, 8), np.uint8)
+    words[:, :k] = slots[:, :k]
+    v = (words.view("<u8")[:, 0] - np.uint64(half % (1 << 64))).view(np.int64)
+    if width > 8:
+        sign = (v < 0)[:, None] * np.uint8(255)
+        if not ((slots[:, 8:-1] == sign).all() and (slots[:, -1:] == sign ^ 0x80).all()):
+            digits = memoryview(raw)
+            return [int.from_bytes(digits[i:i + width], "little") - half
+                    for i in range(0, width * n, width)]
+    return v.tolist()
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     """Product of two dense integer polynomials by Kronecker substitution.
 
     Both factors are packed into one integer with slots wide enough for
-    any signed coefficient of the product, multiplied once, and unpacked
-    after adding half a slot to every slot, which makes each slot a
-    nonnegative digit with no borrow between slots.
+    any signed coefficient of the product, multiplied once, and unpacked.
     """
     if not a or not b:
         return []
-    n = len(a) + len(b) - 1
     bits = (max(abs(c) for c in a).bit_length() + max(abs(c) for c in b).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     width = (bits + 7) // 8
     x = _pack(a, width)
     prod = x * x if b is a else x * _pack(b, width)
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    digits = memoryview((prod + bias).to_bytes(width * n, "little"))
-    return [int.from_bytes(digits[i:i + width], "little") - half
-            for i in range(0, width * n, width)]
+    return _unpack(prod, len(a) + len(b) - 1, width)
+
+
+@functools.lru_cache(maxsize=4096)
+def _mobius_binomials(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(plus, minus): the d | m with mu(m/d) = 1, resp. -1, so that
+    Phi_m = prod_plus (t^d - 1) / prod_minus (t^d - 1).  plus starts with m,
+    and phi(m) = sum(plus) - sum(minus).  Cached: the index scan asks for
+    every m up to its largest factor, once per input."""
+    plus, minus = (m,), ()
+    for p in _prime_factors(m):
+        plus, minus = plus + tuple(d // p for d in minus), minus + tuple(d // p for d in plus)
+    return plus, minus
+
+
+def _times_binomial(g: list[int], d: int) -> list[int]:
+    """g (1 - t^d)."""
+    return list(map(operator.sub, g + [0] * d, [0] * d + g))
+
+
+def _over_binomial(g: list[int], d: int) -> list[int] | None:
+    """g / (1 - t^d) when that division is exact, else None.
+
+    The quotient's coefficients are the running sums of g along each
+    residue class mod d: q_i = g_i + q_(i-d).  The division is exact iff
+    the whole remainder, the last d running sums, vanishes.  The sums run
+    per residue class when d is small and per block of d otherwise, so
+    either loop takes at most sqrt(len g) steps.
+    """
+    n = len(g)
+    if d * d < n:
+        q = [0] * n
+        for r in range(d):
+            q[r::d] = list(itertools.accumulate(g[r::d]))
+    else:
+        q = g[:d]
+        for k in range(d, n, d):
+            q += map(operator.add, g[k:k + d], q[k - d:k])
+    cut = max(n - d, 0)
+    if any(q[cut:]):
+        return None
+    return q[:cut]
+
+
+def _phi_quotient(g: list[int], m: int) -> list[int] | None:
+    """g / Phi_m when Phi_m divides the nonzero polynomial g, else None.
+
+    Phi_m = prod_{d | m} (1 - t^d)^mu(m/d) for m > 1, and 1 - t = -Phi_1.
+    g is first multiplied by the binomials with mu = -1, then divided by
+    those with mu = 1, each in one pass; every division checks its whole
+    remainder.  Since the product comes first, every division is exact
+    exactly when Phi_m divides g.
+    """
+    plus, minus = _mobius_binomials(m)
+    if sum(plus) - sum(minus) >= len(g):
+        return None
+    for d in minus:
+        g = _times_binomial(g, d)
+    for d in plus:
+        g = _over_binomial(g, d)
+        if g is None:
+            return None
+    return g if m > 1 else [-c for c in g]
 
 
 def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]] | None:
@@ -608,16 +725,17 @@ def _graeffe_step(coeffs: list[int]) -> list[int]:
     """Root-squaring: coefficients of +-P(sqrt(y))P(-sqrt(y)).
 
     With P(x) = E(x^2) + x O(x^2) this is E(y)^2 - y O(y)^2, normalized to
-    a positive leading coefficient; its roots are the squares of P's.
+    a positive leading coefficient; its roots are the squares of P's.  E
+    and O are packed once each, at one slot width that holds every
+    coefficient |sum E_i E_j - sum O_i O_j| <= len(P) max|P_k|^2, and the
+    packed E^2 - 2^(8 width) O^2 is unpacked once.
     """
-    d = len(coeffs) - 1
-    out = [0] * (d + 1)
-    even, odd = coeffs[0::2], coeffs[1::2]
-    for k, c in enumerate(_poly_mul(even, even)):
-        out[k] = c
-    for k, c in enumerate(_poly_mul(odd, odd)):
-        out[k + 1] -= c
-    if out[d] < 0:
+    n = len(coeffs)
+    bits = 2 * max(abs(c) for c in coeffs).bit_length() + n.bit_length() + 1
+    width = (bits + 7) // 8
+    even, odd = _pack(coeffs[0::2], width), _pack(coeffs[1::2], width)
+    out = _unpack(even * even - (odd * odd << 8 * width), n, width)
+    if out[-1] < 0:
         out = [-c for c in out]
     return out
 
@@ -629,10 +747,10 @@ def _derivative(c: list[int]) -> list[int]:
 def _strip_unit_roots(c: list[int]) -> tuple[list[int], int, int]:
     """(rest, a, b) with c = (t - 1)^a (t + 1)^b rest and rest(+-1) != 0."""
     a = b = 0
-    while len(c) > 1 and not sum(c):
-        c, a = _div_exact_int(c, [-1, 1]), a + 1
-    while len(c) > 1 and sum(c[0::2]) == sum(c[1::2]):
-        c, b = _div_exact_int(c, [1, 1]), b + 1
+    while (quot := _phi_quotient(c, 1)) is not None:
+        c, a = quot, a + 1
+    while (quot := _phi_quotient(c, 2)) is not None:
+        c, b = quot, b + 1
     return c, a, b
 
 

@@ -107,6 +107,25 @@ def test_torsion_scan_row_count(tmp_path, capsys):
     assert str(f) in manifest["input_digests"]
 
 
+def test_torsion_scan_writes_orders_past_the_int_str_limit(tmp_path, capsys):
+    # Res(t^q - 1, t - 10) = 10^q - 1 has q digits, beyond the 4300-digit
+    # limit of str(); no interpreter setting may outlive the call
+    limit = sys.get_int_max_str_digits()
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps({"rows": [[LaurentPoly({1: 1, 0: -10}).to_json_obj()]]}))
+    out_csv = tmp_path / "scan.csv"
+    rc, out = run_cli(
+        capsys, "torsion", "scan", "--binf", str(f), "--qmax", "4400", "--stride", "4399",
+        "--out", str(out_csv),
+    )
+    assert rc == 0
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [(r["q"], r["betti"]) for r in rows] == [("1", "0"), ("4400", "0")]
+    assert rows[0]["torsion_order"] == "9"
+    assert rows[1]["torsion_order"] == "9" * 4400  # 10^4400 - 1
+    assert sys.get_int_max_str_digits() == limit
+
+
 # -- heegaard ----------------------------------------------------------
 
 
@@ -118,6 +137,20 @@ def test_heegaard_command(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["betti"] == 0
     assert obj["torsion"] == "2"
+
+
+def test_heegaard_writes_torsion_past_the_int_str_limit(tmp_path, capsys):
+    # a -> a + 10^3999 b on both handles: torsion and det B are 10^7998
+    n = 10**3999
+    P = [[1, 0, 0, 0], [0, 1, 0, 0], [n, 0, 1, 0], [0, n, 0, 1]]
+    f = tmp_path / "phi.json"
+    f.write_text(json.dumps(P))
+    rc, out = run_cli(capsys, "heegaard", "--matrix", str(f))
+    assert rc == 0
+    obj = json.loads(out)
+    big = "1" + "0" * 7998
+    assert (obj["betti"], obj["torsion"], obj["det_bottom_left"]) == (0, big, big)
+    assert obj["factors"][-2:] == ["1" + "0" * 3999] * 2 and obj["det_agrees"] is True
 
 
 # -- walk --------------------------------------------------------------

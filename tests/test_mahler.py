@@ -37,6 +37,7 @@ from torsionlab.ringcore import (
     _squarefree_by_prime,
     cyclotomic,
     normalize_unit,
+    totient,
 )
 from torsionlab.walks import bundled_generators
 
@@ -477,6 +478,85 @@ def test_graeffe_step_matches_schoolbook():
         if trial % 5 == 0:
             cs[-1] = gen.choice((1, -1)) << bits
         assert _graeffe_step(cs) == schoolbook_graeffe(cs), cs
+
+
+def two_product_graeffe(cs):
+    """E(y)^2 - y O(y)^2 from two separate products, sign-normalized."""
+    out = [0] * len(cs)
+    for k, c in enumerate(_poly_mul(cs[0::2], cs[0::2])):
+        out[k] = c
+    for k, c in enumerate(_poly_mul(cs[1::2], cs[1::2])):
+        out[k + 1] -= c
+    return [-c for c in out] if out[-1] < 0 else out
+
+
+def test_graeffe_step_at_every_slot_width():
+    # the step packs E and O at (2 bits(max|c|) + bits(len) + 1) / 8 bytes
+    # a slot; the largest coefficients that width allows, all of one sign
+    # in E, fill the slot to within two bits of the top
+    gen = random.Random(17)
+    widths = set()
+    for n in (1, 2, 3, 40, 991):  # degrees 0, 1, 2, 39 and 990
+        for width in range(1, 18):
+            b = (8 * width - 1 - n.bit_length()) // 2
+            if b < 1:
+                continue
+            assert (2 * b + n.bit_length() + 1 + 7) // 8 == width
+            widths.add(width)
+            top = (1 << b) - 1
+            full = [top] * n
+            mixed = [gen.choice((top, -top, gen.randint(-top, top))) for _ in range(n)]
+            for cs in (full, [-c for c in full], mixed, [c if k % 2 == 0 else 0 for k, c in enumerate(full)]):
+                if cs[-1] == 0:
+                    cs = cs[:-1] + [top]
+                assert _graeffe_step(cs) == two_product_graeffe(cs), (n, width)
+    assert widths == set(range(1, 18))
+    # int64 extremes take numpy's path, 2^63 and beyond the per-coefficient one
+    big = 1 << 63
+    for n in (1, 2, 991):
+        for pool in ((big - 1, -(big - 1), -big), (big, -big, big + 1), (big << 80, -big, 1)):
+            cs = [gen.choice(pool) for _ in range(n)]
+            assert _graeffe_step(cs) == two_product_graeffe(cs), (n, pool)
+            if n < 40:
+                assert _graeffe_step(cs) == schoolbook_graeffe(cs)
+
+
+def test_kronecker_seeded_corpus_to_degree_1000():
+    # +-t^k prod Phi_m^e of degrees 1..1000 with repeated factors and
+    # indices beyond 2000; every other one times Lehmer or a Pisot factor
+    gen = random.Random(1000)
+    large = [2010, 2040, 2310, 4620]  # phi = 528, 512, 480, 960
+    degrees = sorted({int(1000 ** gen.random()) for _ in range(10)}
+                     | {gen.randint(100, 1000) for _ in range(8)} | {1, 997, 1000})
+    for i, deg in enumerate(degrees):
+        want, total = {}, 0
+        if i % 3 == 0:
+            m = gen.choice([m for m in large if totient(m) <= deg] or [1])
+            want[m], total = 1, totient(m)
+        while total < deg:
+            m = int(round(min(deg, 300) ** gen.random()) * gen.choice((1, 1, 2)))
+            e = gen.randint(1, 3)
+            if total + e * totient(m) <= deg:
+                want[m] = want.get(m, 0) + e
+                total += e * totient(m)
+            elif total + totient(1) <= deg:
+                want[1] = want.get(1, 0) + 1
+                total += 1
+        prod = LaurentPoly.one()
+        for m, e in want.items():
+            prod = prod * cyclotomic(m) ** e
+        sign, k = gen.choice((1, -1)), gen.randint(-20, 20)
+        p = prod * LaurentPoly({k: sign})
+        assert p.degree_span() == deg
+        fac = kronecker_zero_test(p)
+        assert fac is not None, deg
+        assert (fac.sign, fac.k_exponent, dict(fac.cyclotomic_indices)) == (sign, k, want)
+        rebuilt = LaurentPoly({fac.k_exponent: fac.sign})
+        for m, e in fac.cyclotomic_indices.items():
+            rebuilt = rebuilt * cyclotomic(m) ** e
+        assert rebuilt == p
+        if i % 2:
+            assert kronecker_zero_test(p * SMALL_MEASURE[i // 2 % 3]) is None, deg
 
 
 def test_certificate_multiplies_back_out():

@@ -12,6 +12,8 @@ from torsionlab.ringcore import (
     CycElem,
     _crt_symmetric,
     _fold_palindromic,
+    _mobius_binomials,
+    _phi_quotient,
     _poly_divmod,
     _poly_mul,
     _primes_below_2_31,
@@ -367,6 +369,61 @@ def test_cyclotomic_product_identity():
         for d in divisors(n):
             prod = prod * cyclotomic(d)
         assert prod == LaurentPoly({n: 1, 0: -1})
+
+
+def _recursive_cyclotomic(n, memo={}):
+    """Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d, by schoolbook division."""
+    if n not in memo:
+        num = [-1] + [0] * (n - 1) + [1]
+        for d in divisors(n)[:-1]:
+            num, rem = _poly_divmod(num, _recursive_cyclotomic(d))
+            assert rem == []
+        memo[n] = num
+    return memo[n]
+
+
+def test_cyclotomic_from_binomials_matches_recursive_division():
+    for n in list(range(1, 301)) + [2010, 2310]:
+        assert cyclotomic(n) == LaurentPoly.from_list(_recursive_cyclotomic(n)), n
+
+
+def test_mobius_binomials():
+    for m in list(range(1, 200)) + [2310, 2**10, 3**5 * 7]:
+        plus, minus = _mobius_binomials(m)
+        assert plus[0] == m and sum(plus) - sum(minus) == totient(m)
+        mu = {}  # mu(m/d) by the Moebius sum over the divisors of m/d
+        for k in divisors(m):
+            mu[k] = 1 if k == 1 else -sum(mu[j] for j in divisors(k)[:-1])
+        assert sorted(plus) == sorted(d for d in divisors(m) if mu[m // d] == 1)
+        assert sorted(minus) == sorted(d for d in divisors(m) if mu[m // d] == -1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 30, 210, 2310, 2**10])
+def test_phi_quotient_matches_division_by_phi(m):
+    gen = random.Random(m)
+    phi = cyclotomic(m).coeff_list()
+    for trial in range(24):
+        bits = gen.choice((1, 8, 200))
+        h = [gen.randint(-(1 << bits), 1 << bits) for _ in range(gen.randint(1, 40))]
+        h[-1] = h[-1] or 3  # a nonzero, mostly non-unit leading coefficient
+        g = _poly_mul(h, phi)
+        if trial % 2:
+            # a nonzero remainder of degree below phi(m), or a perturbed
+            # top coefficient, keeps Phi_m from dividing g
+            if trial % 4 == 1:
+                g[gen.randrange(len(phi) - 1)] += gen.choice((1, -1, 1 << 199))
+            else:
+                g = g + [gen.choice((1, -1))]
+        while not g[-1]:
+            g.pop()
+        quot, rem = _poly_divmod(g, phi)
+        want = quot if not rem else None
+        assert _phi_quotient(g, m) == want, (m, trial)
+        assert (want is None) == bool(trial % 2)
+    # shorter than Phi_m; Phi_m itself, of either sign
+    assert _phi_quotient(phi[:-1], m) is None
+    assert _phi_quotient(phi, m) == [1]
+    assert _phi_quotient([-c for c in phi], m) == [-1]
 
 
 def test_cyclotomic_roots_primitive():
