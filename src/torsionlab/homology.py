@@ -11,14 +11,13 @@ Apostol's closed form for D's own Phi_e.  Only a cover where some Phi_d
 form of the expanded presentation.
 
 Res(t^q - 1, D0) is a modular Euclid resultant over primes below 2^31,
-lifted by CRT under a rigorous Mahler-measure height bound.  growth_scan
-takes det B and the common Phi_d once per tower, and sweeps every q that
-shares a D0 in one batched pass (_tower_resultants): t^q mod D0 advances
-by one shift per unit step of q, modulo the one prime list of the largest
-q, and the (q, p) rows go through one vectorised Euclid in chunks.
-cover_homology feeds the core one reduced block B_q, with Res(t^q - 1, D0)
-from circulant_det's own square-and-multiply: the independent per-cover
-path.
+lifted by CRT under a rigorous Mahler-measure height bound, and one
+engine computes it for one q as for many (_tower_resultants): t^q mod D0
+advances by one shift per unit step of q, modulo the one prime list of
+the largest q, and the (q, p) rows go through one vectorised Euclid in
+chunks.  growth_scan takes det B and the common Phi_d once per tower and
+sweeps every q that shares a D0 in one pass; cover_homology feeds the
+core one reduced block B_q, and circulant_det is the same engine at one q.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
 from .ringcore import _crt_symmetric, _int_det, _int_resultant, _monic_resultant
-from .ringcore import _graeffe_step, _phi_quotient, _poly_mul, _primes_for, _rem_monic
+from .ringcore import _graeffe_step, _phi_quotient, _poly_mul, _primes_for
 from .hermitian import block_det
 
 class NotSymplectic(ValueError):
@@ -197,10 +196,8 @@ def _window(c: CycElem) -> tuple[int, list[int]]:
     return s, [cs[(s + k) % q] for k in range(q - gap + 1)]
 
 
-# root-squarings behind the Mahler-measure height bound of circulant_det
+# root-squarings behind the Mahler-measure height bound of _tower_resultants
 GRAEFFE_ROUNDS = 6
-# circulant_det runs fewer primes than this one at a time, more in one batch
-BATCH_PRIMES = 8
 # (q, p) rows the tower sweep sends through one batched Euclid
 SWEEP_ROWS = 8192
 
@@ -296,83 +293,20 @@ def _monic_rows(g: list[int], primes: list[int]) -> np.ndarray:
     return np.array([[x * inv % p for x in g] for p, inv in zip(primes, invs)], dtype=np.int64)
 
 
-def _mulmod(a: list, b: list, m: list, p: int) -> list:
-    """a * b modulo the monic m over F_p."""
-    h = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                h[i + j] += x * y
-    return _rem_monic(h, m, p)
-
-
-def _resultant_mod(g: list[int], q: int, p: int) -> int:
-    """prod (beta^q - 1) over the roots beta of g, over F_p (p not dividing
-    lc(g)): t^q is reduced modulo g / lc(g) by square-and-multiply and the
-    product finished by Euclid."""
-    inv = pow(g[-1], -1, p)
-    m = [x * inv % p for x in g]
-    r = [1] + [0] * (len(g) - 2)
-    for bit in bin(q)[2:]:
-        r = _mulmod(r, r, m, p)
-        if bit == "1":
-            r = _rem_monic([0] + r, m, p)
-    r[0] = (r[0] - 1) % p
-    return _monic_resultant(m, r, p)
-
-
-def _resultants_mod(g: list[int], q: int, primes: list[int]) -> list[int]:
-    """_resultant_mod for each of the primes (below 2^31, none dividing
-    lc(g)); from BATCH_PRIMES primes on, all at once, one int64 numpy row
-    per prime, with square-and-multiply for t^q and _euclid_rows after it.
-    Residues stay below 2^31, so every product fits in 62 bits and a sum
-    of d of them in 63."""
-    if len(primes) < BATCH_PRIMES:
-        return [_resultant_mod(g, q, p) for p in primes]
-    d = len(g) - 1
-    P = np.array(primes, dtype=np.int64)[:, None]
-    m = _monic_rows(g, primes)
-    low = m[:, :d]
-    r = np.zeros((len(primes), d), dtype=np.int64)
-    r[:, 0] = 1
-    for bit in bin(q)[2:]:
-        h = np.zeros((len(primes), 2 * d - 1), dtype=np.int64)
-        for i in range(d):
-            h[:, i:i + d] += r[:, i:i + 1] * r % P
-        for k in range(2 * d - 2, d - 1, -1):
-            h[:, k - d:k] = (h[:, k - d:k] - h[:, k:k + 1] % P * low) % P
-        r = h[:, :d] % P
-        if bit == "1":
-            top = r[:, -1:]
-            r = (np.concatenate([0 * top, r[:, :-1]], axis=1) - top * low) % P
-    r[:, 0] = (r[:, 0] - 1) % P[:, 0]
-    return _euclid_rows(m, r, P[:, 0]).tolist()
-
-
 def circulant_det(c: CycElem) -> int:
-    """Exact determinant of the q x q circulant of c: the per-cover path.
+    """Exact determinant of the q x q circulant of c.
 
     circ is a ring homomorphism, so det circ(c) = prod_j c(zeta^j) =
     Res(t^q - 1, c).  Write c = t^s g with g from _window (degree d < q);
-    det circ(t^s) = (-1)^{s(q-1)}.  Modulo primes below 2^31 (_resultants_mod),
-    t^q - 1 is reduced modulo g by square-and-multiply and the resultant
-    finished by Euclid; CRT recovers the integer once the modulus exceeds
-    twice the height bound of _height_bits.
+    det circ(t^s) = (-1)^{s(q-1)}, and Res(t^q - 1, g) is the tower sweep
+    at the one q.
     """
     q = c.q
     s, g = _window(c)
     if not g:
         return 0
-    d = len(g) - 1
     sign = -1 if s * (q - 1) % 2 else 1
-    if d == 0:
-        return sign * g[0] ** q
-    primes = _primes_for(1 << _height_bits(g, q), avoid=g[-1])
-    # Res(t^q - 1, g) = (-1)^{qd} lc^q prod_{g(beta)=0} (t^q - 1)(beta)
-    vs = [pow(g[-1], q, p) * v % p for p, v in zip(primes, _resultants_mod(g, q, primes))]
-    if q * d % 2:
-        vs = [-v % p for v, p in zip(vs, primes)]
-    return sign * _crt_symmetric(np.array(vs, dtype=np.int64)[:, None], primes)[0]
+    return sign * _tower_resultants(g, [q])[0]
 
 
 def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
@@ -383,8 +317,8 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     Modulo each prime, r = t^q mod g / lc(g) and lc^q advance one shift
     and reduction per unit step of q; at each scanned q the rows r - 1 of
     its primes join a batch, and every SWEEP_ROWS rows go through one
-    _euclid_rows.  Res(t^q - 1, g) = (-1)^{qd} lc^q prod (beta^q - 1), as
-    in circulant_det, and CRT gives it per q.  g needs no reduction modulo
+    _euclid_rows.  Res(t^q - 1, g) = (-1)^{qd} lc^q prod (beta^q - 1) over
+    the roots beta of g, and CRT gives it per q.  g needs no reduction modulo
     t^q - 1: the height bound holds for any degree.
     """
     d, lc = len(g) - 1, g[-1]
@@ -484,7 +418,7 @@ def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
     return g, k
 
 
-def _split_covers(delta: list[int], h: int, covers, resultants) -> list[TorsionReport | None]:
+def _split_covers(delta: list[int], h: int, covers) -> list[TorsionReport | None]:
     """Torsion order and Betti number of each q-cover (q, S) of an h x h
     block B, or None for a cover that needs Smith normal form.
 
@@ -502,8 +436,8 @@ def _split_covers(delta: list[int], h: int, covers, resultants) -> list[TorsionR
     e outside S.  Otherwise D's own Phi_e are priced by Apostol's closed
     form, and the rest D0 = Delta' prod_{e not dividing q} Phi_e^k_e has
     Res(F, D0) = Res(t^q - 1, D0) / Res(G, D0).  Covers sharing D0 get
-    Res(t^q - 1, D0) from one call resultants(D0, their q list) and
-    Res(G, D0) once per S (method "circulant_det" when G = 1, else
+    Res(t^q - 1, D0) from one _tower_resultants sweep over their ascending
+    q and Res(G, D0) once per S (method "circulant_det" when G = 1, else
     "split_resultant").
     """
     out: list[TorsionReport | None] = [None] * len(covers)
@@ -527,7 +461,8 @@ def _split_covers(delta: list[int], h: int, covers, resultants) -> list[TorsionR
             for _ in range(k[e]):
                 D0 = _poly_mul(D0, cyclotomic(e).coeff_list())
         res_G = {}
-        for (i, deg_G, mult), res in zip(group, resultants(D0, [covers[i][0] for i, _, _ in group])):
+        qs = [covers[i][0] for i, _, _ in group]
+        for (i, deg_G, mult), res in zip(group, _tower_resultants(D0, qs)):
             q, S = covers[i]
             if tuple(S) not in res_G:
                 G = [1]
@@ -550,21 +485,27 @@ def _snf_report(Bq, q: int) -> TorsionReport:
     return _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
 
 
+def _check_block(B, q: int) -> None:
+    """Raise ValueError unless B is a square block (a list of rows), and
+    InvalidModulus unless the cover degree q is at least 1."""
+    if any(len(row) != len(B) for row in B):
+        raise ValueError(f"expected a square block, got rows of lengths {[len(r) for r in B]}")
+    if q < 1:
+        raise InvalidModulus(f"cover degrees must be >= 1, got {q}")
+
+
 def cover_homology(Bq, q: int) -> TorsionReport:
     """Torsion order and Betti number of the q-cover presentation Bq, an
-    h x h block over Z[Z/q]: the independent per-cover path.  The common
-    Phi_d (d | q) are found on the shortest-window lifts of the entries,
-    det B is the determinant of those lifts, and Res(t^q - 1, D0) comes
-    from circulant_det."""
-    if q < 1:
-        raise ValueError("cover degree must be >= 1")
+    h x h block over Z[Z/q], on its own.  The common Phi_d (d | q) are
+    found on the shortest-window lifts of the entries, det B is the
+    determinant of those lifts, and the core sweeps the one q."""
+    _check_block(Bq, q)
     windows = [[_window(e) for e in row] for row in Bq]
     S = _common_phi([g for row in windows for _, g in row if g], divisors(q))
     lifts = [[LaurentPoly.from_list(g, lo=s) if g else LaurentPoly.zero() for s, g in row]
              for row in windows]
     delta = block_det(lifts, q=None).coeff_list()
-    rep, = _split_covers(delta, len(Bq), [(q, S)],
-                         lambda D0, qs: [circulant_det(CycElem(q, D0)) for q in qs])
+    rep, = _split_covers(delta, len(Bq), [(q, S)])
     return rep or _snf_report(Bq, q)
 
 
@@ -605,8 +546,7 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
         q2 <= q1 for q1, q2 in zip(q_range, q_range[1:])
     ):
         raise ValueError("q_range must be nonempty and ascending")
-    if q_range[0] < 1:
-        raise InvalidModulus(f"cover degrees must be >= 1, got {q_range[0]}")
+    _check_block(B_inf, q_range[0])
     det = block_det(B_inf, q=None)
     measure = None if det.is_zero() else mahler_measure(det)
     delta = det.coeff_list()
@@ -616,7 +556,7 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
     low = min((len(g) - 1 for g in polys), default=q_range[-1])
     C = set(_common_phi(polys, range(1, min(2 * low * low + 2, q_range[-1]) + 1)))
     covers = [(q, [d for d in divisors(q) if d in C]) for q in q_range]
-    reports = _split_covers(delta, len(B_inf), covers, _tower_resultants)
+    reports = _split_covers(delta, len(B_inf), covers)
     for i, q in enumerate(q_range):
         reports[i] = reports[i] or _snf_report(
             [[reduce_mod_q(e, q) for e in r] for r in B_inf], q)

@@ -126,6 +126,20 @@ def test_torsion_scan_writes_orders_past_the_int_str_limit(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("rows", [
+    [[[[1, 1]], [[0, 1]]], [[[0, 1]]]],  # ragged: [t, 1] over [1]
+    [[[[1, 1]], [[0, 1]]]],  # 1 x 2: [t, 1]
+])
+def test_torsion_scan_rejects_non_square_blocks(tmp_path, capsys, rows):
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps({"rows": rows}))
+    out_csv = tmp_path / "scan.csv"
+    rc = dispatch(["torsion", "scan", "--binf", str(f), "--qmax", "5", "--out", str(out_csv)])
+    assert rc == 2
+    assert "square" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 # -- heegaard ----------------------------------------------------------
 
 

@@ -9,14 +9,11 @@ import pytest
 from torsionlab import homology
 from torsionlab.hermitian import block_det, bottom_left_block
 from torsionlab.homology import (
-    BATCH_PRIMES,
     NotSymplectic,
     _cyclotomic_resultant,
     _euclid_rows,
     _height_bits,
     _phi_split,
-    _resultant_mod,
-    _resultants_mod,
     _tower_resultants,
     circulant_det,
     cover_homology,
@@ -27,7 +24,7 @@ from torsionlab.homology import (
 )
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from torsionlab.ringcore import InvalidModulus, reduce_mod_q
-from torsionlab.ringcore import _int_resultant, _monic_resultant, _primes_for
+from torsionlab.ringcore import _int_resultant, _monic_resultant, _primes_for, _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
 rng = random.Random(314159)
@@ -80,6 +77,35 @@ def resultant_with_tq_minus_1(p: LaurentPoly, q: int) -> int:
         for k, c in enumerate(g):
             S[q + i][i + q - k] = c
     return abs(bareiss_det(S))
+
+
+def _mulmod(a: list, b: list, m: list, p: int) -> list:
+    """a * b modulo the monic m over F_p."""
+    h = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                h[i + j] += x * y
+    return _rem_monic(h, m, p)
+
+
+def _resultant_mod(g: list[int], q: int, p: int) -> int:
+    """The per-prime oracle: prod (beta^q - 1) over the roots beta of g,
+    over F_p (p not dividing lc(g)); t^q is reduced modulo g / lc(g) by
+    square-and-multiply and the product finished by Euclid."""
+    inv = pow(g[-1], -1, p)
+    m = [x * inv % p for x in g]
+    r = [1] + [0] * (len(g) - 2)
+    for bit in bin(q)[2:]:
+        r = _mulmod(r, r, m, p)
+        if bit == "1":
+            r = _rem_monic([0] + r, m, p)
+    r[0] = (r[0] - 1) % p
+    return _monic_resultant(m, r, p)
+
+
+# the largest primes below 2^30; the sweep draws its own from below 2^31
+ORACLE_PRIMES = [1073741789, 1073741783, 1073741741]
 
 
 def rand_matrix(m, n, lo=-9, hi=9):
@@ -334,18 +360,12 @@ def test_cyclotomic_resultant_closed_form():
                 assert _cyclotomic_resultant(m, n) == abs(exact), (m, n)
 
 
-def test_batched_residues_match_one_prime_at_a_time():
+def test_euclid_rows_match_one_row_at_a_time():
+    # the row kernel of the tower sweep, every row its own a, b and prime:
     # small primes make the remainder sequences drop degree often, so rows
     # leave the batch and are finished alone from their current state
     local = random.Random(1618)
     small = [p for p in range(3, 200) if all(p % k for k in range(2, p))]
-    for _ in range(200):
-        d = local.randint(1, 8)
-        g = [local.randint(-20, 20) for _ in range(d)] + [local.choice([1, -1, 2, 3, 7])]
-        q = local.randint(1, 70)
-        primes = [p for p in small if g[-1] % p][:local.randint(BATCH_PRIMES, 30)]
-        assert _resultants_mod(g, q, primes) == [_resultant_mod(g, q, p) for p in primes]
-    # the row kernel of the tower sweep: every row its own a, b and prime
     for _ in range(200):
         k = local.randint(1, 9)
         P = [local.choice(small) for _ in range(local.randint(1, 40))]
@@ -374,18 +394,25 @@ def test_tower_resultants_match_int_resultant_oracle():
     assert zeros > 10
 
 
-def test_tower_resultants_equal_circulant_det():
-    # the sweep against the per-cover path, at every q <= 200, on the D0
-    # that growth_scan sweeps for Lehmer, (t + 1)(t^2 - 3t + 1) and the
-    # walk trial
+def test_tower_resultants_match_per_prime_oracle():
+    # the sweep at every q <= 200, on the D0 that growth_scan sweeps for
+    # Lehmer, (t + 1)(t^2 - 3t + 1) and the walk trial, against the
+    # per-prime square-and-multiply modulo primes the sweep does not use,
+    # so the CRT lift is checked too
     delta = block_det(walk_trial_block(), q=None).coeff_list()
     trial, k = _phi_split(delta, range(1, 100))
     assert k == {1: 6} and len(trial) == 29
     towers = [LEHMER.coeff_list(), DEGENERATE.coeff_list(), [1, -3, 1], trial]
+    qs = list(range(1, 201))
     for D0 in towers:
-        qs = list(range(1, 201))
+        d, lc = len(D0) - 1, D0[-1]
+        assert not set(ORACLE_PRIMES) & set(_primes_for(1 << _height_bits(D0, qs[-1]), avoid=lc))
         got = _tower_resultants(D0, qs)
-        assert got == [circulant_det(CycElem(q, D0)) for q in qs]
+        for q, res in zip(qs, got):
+            for p in ORACLE_PRIMES:
+                # Res(t^q - 1, D0) = (-1)^{qd} lc^q prod (beta^q - 1)
+                want = (-1) ** (q * d) * pow(lc, q, p) * _resultant_mod(D0, q, p)
+                assert res % p == want % p, (D0, q, p)
         # t^d - 1 divides t^q - 1 for d | q, so Res(t^d - 1, D0) | Res(t^q - 1, D0)
         for q in qs:
             for d in divisors(q):
@@ -493,9 +520,24 @@ def test_growth_scan_validation():
             growth_scan([[LaurentPoly({1: 1, 0: -2})]], qs)
 
 
+def test_non_square_blocks_and_bad_cover_degrees_are_rejected():
+    t, one = LaurentPoly.t(), LaurentPoly.one()
+    # ragged rows, and a 1 x 2 block whose determinant would be read off
+    # its first entry alone
+    for B in ([[t, one], [one]], [[t, one]], [[t], [one]]):
+        with pytest.raises(ValueError, match="square"):
+            growth_scan(B, range(1, 6))
+        with pytest.raises(ValueError, match="square"):
+            cover_homology([[reduce_mod_q(e, 3) for e in row] for row in B], 3)
+    for q in (0, -2):
+        with pytest.raises(InvalidModulus):
+            cover_homology([[CycElem.one(1)]], q)
+
+
 def test_growth_scan_rows_equal_per_cover_rows():
-    # growth_scan takes det B once per tower; cover_homology is the
-    # independent per-cover path on the reduced block
+    # growth_scan takes det B once per tower, on the Laurent entries, and
+    # sweeps many q in chunks; cover_homology takes the shortest-window
+    # lifts of the reduced block, finds its own S and sweeps its one q
     t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
     lehmer = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
     s6 = t ** 6 - one  # Phi_1 Phi_2 Phi_3 Phi_6 divides every entry
