@@ -2,22 +2,24 @@
 
 Torsion orders and Betti numbers come from exact integer arithmetic.  The
 q-cover presentation is the h x h block B_q acting on (Z[t^+-1]/(t^q - 1))^h.
-One core, _split_covers, decides covers from det B and the Phi_d (d | q)
-dividing every entry: it splits det B = Delta' prod Phi_e^k_e once for all
-of them, and the Betti number and torsion order of each cover come from a
-split resultant, Res(t^q - 1, D0) divided by Res(G, D0) and times
-Apostol's closed form for D's own Phi_e.  Only a cover where some Phi_d
-(d | q) divides det B but not every entry goes to an exact Smith normal
-form of the expanded presentation.
+One core, _tower, decides every cover of a tower from B and det B.  It
+splits det B = D0 prod Phi_e^k_e once, over the divisors of every q, with
+the kernel's one cyclotomic split (_phi_split), and finds the Phi_d
+dividing every entry.  The Betti number and torsion order of each cover
+come from a split resultant: Res(t^q - 1, D0) divided by Res(Phi_d, D0)
+for each common Phi_d (d | q), times Apostol's closed form for every
+Phi_e of det B.  Only a cover where some Phi_e (e | q) divides det B but
+not every entry goes to an exact Smith normal form of the expanded
+presentation.
 
 Res(t^q - 1, D0) is a modular Euclid resultant over primes below 2^31,
 lifted by CRT under a rigorous Mahler-measure height bound, and one
 engine computes it for one q as for many (_tower_resultants): t^q mod D0
 advances by one shift per unit step of q, modulo the one prime list of
 the largest q, and the (q, p) rows go through one vectorised Euclid in
-chunks.  growth_scan takes det B and the common Phi_d once per tower and
-sweeps every q that shares a D0 in one pass; cover_homology feeds the
-core one reduced block B_q, and circulant_det is the same engine at one q.
+chunks.  Each tower sweeps its one D0 once: growth_scan is the tower over
+its q range, cover_homology the tower of the reduced block's lifts at its
+one q, and circulant_det the same engine at one q.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
 from .ringcore import _crt_symmetric, _int_det, _int_resultant, _monic_resultant
-from .ringcore import _graeffe_step, _phi_quotient, _poly_mul, _primes_for
+from .ringcore import _graeffe_step, _phi_quotient, _phi_split, _primes_for
 from .hermitian import block_det
 
 class NotSymplectic(ValueError):
@@ -321,6 +323,8 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     the roots beta of g, and CRT gives it per q.  g needs no reduction modulo
     t^q - 1: the height bound holds for any degree.
     """
+    if not qs:
+        return []
     d, lc = len(g) - 1, g[-1]
     if d == 0:
         return [lc ** q for q in qs]
@@ -401,88 +405,58 @@ def _report(q: int, torsion: int, betti: int, method: str) -> TorsionReport:
     )
 
 
-def _common_phi(polys: list[list[int]], candidates) -> list[int]:
-    """The d among candidates with Phi_d dividing every one of the nonzero
-    polys."""
-    return [d for d in candidates if all(_phi_quotient(g, d) is not None for g in polys)]
+def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
+    """Torsion order and Betti number of the q-cover of the h x h block B
+    of Laurent polynomials, for each q of the ascending nonempty qs.
 
+    Let S be the d | q with Phi_d dividing every entry, G = prod_{d in S}
+    Phi_d, F = (t^q - 1)/G and D = det B / G^h.  When D vanishes at no root
+    of F, the snake lemma for B on 0 -> (Lambda/F)^h -> (Lambda/(t^q - 1))^h
+    -> (Lambda/G)^h -> 0, Lambda = Z[t^+-1], gives Betti number h deg G and
+    torsion order |Res(F, D)|.
 
-def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
-    """(rest, k) with g = rest prod Phi_e^k[e] over the e among candidates
-    and rest divisible by none of them; g nonzero."""
-    k = {}
-    for e in candidates:
-        while (quot := _phi_quotient(g, e)) is not None:
-            g = quot
-            k[e] = k.get(e, 0) + 1
-    return g, k
-
-
-def _split_covers(delta: list[int], h: int, covers) -> list[TorsionReport | None]:
-    """Torsion order and Betti number of each q-cover (q, S) of an h x h
-    block B, or None for a cover that needs Smith normal form.
-
-    delta is det B as an honest polynomial ([] for 0), needed only up to
-    a unit and a multiple of t^q - 1, and S lists the d | q with Phi_d
-    dividing every entry.  Let G = prod_{d in S} Phi_d, F = (t^q - 1)/G,
-    D = delta/G^h and Lambda = Z[t^+-1].  When D vanishes at no root of
-    F, the snake lemma for B on 0 -> (Lambda/F)^h -> (Lambda/(t^q - 1))^h
-    -> (Lambda/G)^h -> 0 gives Betti number h deg G and torsion order
-    |Res(F, D)|, which depends on D only modulo F.
-
-    delta = Delta' prod Phi_e^k_e is split once for all covers, over the
-    divisors of their q.  Phi_e (e | q) has multiplicity k_e - h [e in S]
-    in D, and the cover needs SNF exactly when that is positive for some
-    e outside S.  Otherwise D's own Phi_e are priced by Apostol's closed
-    form, and the rest D0 = Delta' prod_{e not dividing q} Phi_e^k_e has
-    Res(F, D0) = Res(t^q - 1, D0) / Res(G, D0).  Covers sharing D0 get
-    Res(t^q - 1, D0) from one _tower_resultants sweep over their ascending
-    q and Res(G, D0) once per S (method "circulant_det" when G = 1, else
-    "split_resultant").
+    det, which is det B = D0 prod Phi_e^k_e, is split once, over the
+    divisors of every q, so the tower has one D0.  Phi_e has multiplicity
+    k_e - h [e in S] in D, and a cover goes to Smith normal form exactly
+    when that is positive for some e | q outside S.  Otherwise Res(F, D) =
+    Res(t^q - 1, D0) / prod_{d in S} Res(Phi_d, D0) times Apostol's
+    Res(Phi_d, Phi_e) to that multiplicity for every d | q outside S: one
+    _tower_resultants sweep and one Res(Phi_d, D0) per d serve the tower
+    (method "circulant_det" when S is empty, else "split_resultant").
     """
-    out: list[TorsionReport | None] = [None] * len(covers)
-    rest, k = _phi_split(delta, sorted({e for q, _ in covers for e in divisors(q)})) \
-        if delta else ([], {})
-    towers = {}  # the e with Phi_e in D0 -> the covers sharing that D0
-    for i, (q, S) in enumerate(covers):
-        deg_G = sum(totient(d) for d in S)
-        if deg_G == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
-            out[i] = _report(q, 1, h * q, "split_resultant")
-        elif delta:
-            mult = {e: k.get(e, 0) - h * (e in S) for e in divisors(q)}
-            if min(mult.values()) < 0:
-                raise ArithmeticError("Phi_d^h must divide det B for every d in S")
-            mult = {e: m for e, m in mult.items() if m}
-            if all(e in S for e in mult):
-                towers.setdefault(tuple(e for e in k if q % e), []).append((i, deg_G, mult))
-    for key, group in towers.items():
-        D0 = rest
-        for e in key:
-            for _ in range(k[e]):
-                D0 = _poly_mul(D0, cyclotomic(e).coeff_list())
-        res_G = {}
-        qs = [covers[i][0] for i, _, _ in group]
-        for (i, deg_G, mult), res in zip(group, _tower_resultants(D0, qs)):
-            q, S = covers[i]
-            if tuple(S) not in res_G:
-                G = [1]
-                for d in S:
-                    G = _poly_mul(G, cyclotomic(d).coeff_list())
-                res_G[tuple(S)] = abs(_int_resultant(G, D0))
-            torsion, rem = divmod(abs(res), res_G[tuple(S)])
-            if rem:
-                raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
-            for e, m in mult.items():
-                for d in divisors(q):
-                    if d not in S:
-                        torsion *= _cyclotomic_resultant(d, e) ** m
-            out[i] = _report(q, torsion, h * deg_G, "split_resultant" if S else "circulant_det")
-    return out
-
-
-def _snf_report(Bq, q: int) -> TorsionReport:
-    snf = smith_normal_form(expand_presentation(Bq, q))
-    return _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
+    h, delta = len(B), det.coeff_list()
+    polys = [e.coeff_list() for row in B for e in row if not e.is_zero()]
+    divs = sorted({d for q in qs for d in divisors(q)})
+    C = {d for d in divs if all(_phi_quotient(g, d) is not None for g in polys)}
+    D0, k = _phi_split(delta, divs) if delta else ([], {})
+    reports: list[TorsionReport | None] = [None] * len(qs)
+    swept = []  # (i, S, the nonzero multiplicities in D) of the covers the sweep decides
+    for i, q in enumerate(qs):
+        S = [d for d in divisors(q) if d in C]
+        mult = {e: m for e in {*k, *S} if (m := k.get(e, 0) - h * (e in S))}
+        if sum(totient(d) for d in S) == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
+            reports[i] = _report(q, 1, h * q, "split_resultant")
+        elif delta and min(mult.values(), default=0) < 0:
+            raise ArithmeticError("Phi_d^h must divide det B for every d in S")
+        elif delta and all(e in S or q % e for e in mult):
+            swept.append((i, S, mult))
+        else:
+            snf = smith_normal_form(expand_presentation(
+                [[reduce_mod_q(e, q) for e in row] for row in B], q))
+            reports[i] = _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
+    res_phi = {d: abs(_int_resultant(cyclotomic(d).coeff_list(), D0))
+               for d in {d for _, S, _ in swept for d in S}}
+    for (i, S, mult), res in zip(swept, _tower_resultants(D0, [qs[i] for i, _, _ in swept])):
+        q = qs[i]
+        torsion, rem = divmod(abs(res), math.prod(res_phi[d] for d in S))
+        if rem:
+            raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
+        # d != e: an e | q outside S with nonzero multiplicity went to SNF
+        torsion *= math.prod(_cyclotomic_resultant(d, e) ** m for e, m in mult.items()
+                             for d in divisors(q) if d not in S)
+        reports[i] = _report(q, torsion, h * sum(totient(d) for d in S),
+                             "split_resultant" if S else "circulant_det")
+    return reports
 
 
 def _check_block(B, q: int) -> None:
@@ -496,17 +470,13 @@ def _check_block(B, q: int) -> None:
 
 def cover_homology(Bq, q: int) -> TorsionReport:
     """Torsion order and Betti number of the q-cover presentation Bq, an
-    h x h block over Z[Z/q], on its own.  The common Phi_d (d | q) are
-    found on the shortest-window lifts of the entries, det B is the
-    determinant of those lifts, and the core sweeps the one q."""
+    h x h block over Z[Z/q], on its own: the tower of the shortest-window
+    lifts of its entries at the one q."""
     _check_block(Bq, q)
-    windows = [[_window(e) for e in row] for row in Bq]
-    S = _common_phi([g for row in windows for _, g in row if g], divisors(q))
-    lifts = [[LaurentPoly.from_list(g, lo=s) if g else LaurentPoly.zero() for s, g in row]
-             for row in windows]
-    delta = block_det(lifts, q=None).coeff_list()
-    rep, = _split_covers(delta, len(Bq), [(q, S)])
-    return rep or _snf_report(Bq, q)
+    if not all(isinstance(e, CycElem) and e.q == q for row in Bq for e in row):
+        raise ValueError(f"expected a block over Z[Z/{q}]")
+    lifts = [[LaurentPoly.from_list(g, lo=s) for s, g in map(_window, row)] for row in Bq]
+    return _tower(lifts, block_det(lifts, q=None), [q])[0]
 
 
 def _log(n: int) -> float:
@@ -534,12 +504,11 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
     determinant is reported as degenerate: the cover homology keeps
     positive rank and the growth rate is undefined.
 
-    det B and the set C of d with Phi_d dividing every nonzero entry are
-    fixed for the tower: Phi_d (d | q) divides t^q - 1, so it divides an
-    entry's image in Z[Z/q] exactly when it divides the Laurent entry.  B
-    is reduced modulo t^q - 1 only for covers that need Smith normal form;
-    the other covers take Res(t^q - 1, D0) from one _tower_resultants sweep
-    per distinct D0.
+    det B is taken once, for the Mahler measure and for _tower, which
+    decides every q from it with one resultant sweep.  Phi_d (d | q)
+    divides t^q - 1, so it divides an entry's image in Z[Z/q] exactly when
+    it divides the Laurent entry, and B is reduced modulo t^q - 1 only for
+    covers that need Smith normal form.
     """
     q_range = list(q_range)
     if not q_range or any(
@@ -549,17 +518,7 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
     _check_block(B_inf, q_range[0])
     det = block_det(B_inf, q=None)
     measure = None if det.is_zero() else mahler_measure(det)
-    delta = det.coeff_list()
-    polys = [e.coeff_list() for row in B_inf for e in row if not e.is_zero()]
-    # Phi_d divides a nonzero entry only if phi(d) <= its degree, and
-    # phi(d) >= sqrt(d / 2)
-    low = min((len(g) - 1 for g in polys), default=q_range[-1])
-    C = set(_common_phi(polys, range(1, min(2 * low * low + 2, q_range[-1]) + 1)))
-    covers = [(q, [d for d in divisors(q) if d in C]) for q in q_range]
-    reports = _split_covers(delta, len(B_inf), covers)
-    for i, q in enumerate(q_range):
-        reports[i] = reports[i] or _snf_report(
-            [[reduce_mod_q(e, q) for e in r] for r in B_inf], q)
+    reports = _tower(B_inf, det, q_range)
     deviations = []
     if measure is not None:
         deviations = [abs(rep.log_torsion_over_q - measure.log_measure) for rep in reports]

@@ -3,11 +3,14 @@
 The zero/nonzero decision is made by exact integer arithmetic: Graeffe
 root-squaring iterated to a fixed point, which exists exactly when every
 root is a root of unity (Kronecker), with a binomial coefficient bound
-as an early reject.  Floating point enters only for the root product of
-provably-nonzero measures.  Before any root finding the exact kernel
-divides out (t-1)^a (t+1)^b, whose roots add nothing, and folds a
-palindromic rest (every walk determinant is one) to half the degree in
-x = t + 1/t; each root x gives back the pair t = x/2 +- sqrt(x^2/4 - 1).
+as an early reject; the kernel's one cyclotomic split (_phi_split), over
+every index a product of that degree can hold, then reads off the indices
+of a certified input.  Floating point enters only for the root product of
+provably-nonzero measures.  Before any root finding the same split over
+Phi_1 and Phi_2 divides out (t-1)^a (t+1)^b, whose roots add nothing,
+and the kernel folds a palindromic rest (every walk determinant is one)
+to half the degree in x = t + 1/t; each root x gives back the pair
+t = x/2 +- sqrt(x^2/4 - 1).
 Roots of each square-free factor come from one Aberth root finder: the
 eigenvalues of the companion matrix, one LAPACK call on floats, seed a
 polish on fixed-point Gaussian integers, pairs of Python ints (a, b)
@@ -31,8 +34,8 @@ import mpmath as mp
 import numpy as np
 
 from .ringcore import LaurentPoly, cyclotomic, laurent_eval, normalize_unit, totient
-from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _graeffe_step, _mobius_binomials
-from .ringcore import _phi_quotient, _poly_gcd, _pp, _squarefree_by_prime, _strip_unit_roots
+from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _graeffe_step, _phi_split
+from .ringcore import _poly_gcd, _pp, _squarefree_by_prime
 
 # unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
 CIRCLE_SAMPLES = 1024
@@ -174,33 +177,16 @@ def _binomial_row(d: int) -> list[int]:
 def _cyclotomic_indices(cs: list[int]) -> Counter:
     """Indices, with multiplicity, of the factors of cs = +-prod Phi_m.
 
-    One ascending pass over m divides out Phi_m while it divides.  The
-    Moebius binomials of m, Phi_m = prod (t^d - 1)^mu(m/d), give phi(m)
-    and Phi_m(2), and the division runs only when phi(m) fits the
-    remaining degree and Phi_m(2) divides P(2).  It goes through the same
-    binomials (_phi_quotient), so Phi_m itself is never built.  The input
-    must be certified by the fixed point; phi(m) >= sqrt(m / 2) bounds the
-    indices a product of the remaining degree can still hold.
+    The input must be certified by the fixed point; phi(m) >= sqrt(m / 2)
+    bounds the indices a product of its degree can hold, and one ascending
+    _phi_split over them divides each Phi_m out through its binomials, so
+    Phi_m itself is never built.
     """
-    indices: Counter = Counter()
-    value = sum(c << k for k, c in enumerate(cs))
-    m = 0
-    while len(cs) > 1:
-        m += 1
-        deg = len(cs) - 1
-        if m > 2 * deg * deg + 2:
-            raise ArithmeticError(f"certified remainder of degree {deg} has no cyclotomic factor")
-        plus, minus = _mobius_binomials(m)
-        if sum(plus) - sum(minus) > deg:
-            continue
-        v = math.prod((1 << d) - 1 for d in plus) // math.prod((1 << d) - 1 for d in minus)
-        while not value % v:
-            quot = _phi_quotient(cs, m)
-            if quot is None:
-                break
-            cs, value = quot, value // v
-            indices[m] += 1
-    return indices
+    deg = len(cs) - 1
+    rest, k = _phi_split(cs, range(1, 2 * deg * deg + 3))
+    if len(rest) > 1:
+        raise ArithmeticError(f"certified rest of degree {len(rest) - 1} has no cyclotomic factor")
+    return Counter(k)
 
 
 def _fixed(x: float, shift: int) -> int:
@@ -470,10 +456,10 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     if len(dense) == 1:
         return MahlerResult(math.log(abs(lead)), [], lead, MahlerMethod.ROOT_PRODUCT)
 
-    rest, a, b = _strip_unit_roots(dense)
+    rest, k = _phi_split(dense, (1, 2))
     folded = _fold_palindromic(rest)
     factors = _roots_with_multiplicity(folded or rest, tol)
-    roots = [complex(1)] * a + [complex(-1)] * b
+    roots = [complex(1)] * k.get(1, 0) + [complex(-1)] * k.get(2, 0)
     with mp.workdps(40):
         logm = mp.log(abs(lead))
         for fixed, dps, _ in factors:

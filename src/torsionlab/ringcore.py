@@ -653,6 +653,30 @@ def _phi_quotient(g: list[int], m: int) -> list[int] | None:
     return g if m > 1 else [-c for c in g]
 
 
+def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
+    """(rest, k) with g = rest prod Phi_e^k[e] over the e among the
+    candidates and rest divisible by none of them; g nonzero.
+
+    The Moebius binomials of e give phi(e) and Phi_e(2), and the division
+    (_phi_quotient) runs only when phi(e) fits the remaining degree and
+    Phi_e(2) divides the remaining g(2); the scan stops once the rest is a
+    constant.  This is the one loop that divides out cyclotomic factors.
+    """
+    k = {}
+    value = sum(c << j for j, c in enumerate(g))
+    for e in candidates:
+        if len(g) == 1:
+            break
+        plus, minus = _mobius_binomials(e)
+        if sum(plus) - sum(minus) >= len(g):
+            continue
+        v = math.prod((1 << d) - 1 for d in plus) // math.prod((1 << d) - 1 for d in minus)
+        while not value % v and (quot := _phi_quotient(g, e)) is not None:
+            g, value = quot, value // v
+            k[e] = k.get(e, 0) + 1
+    return g, k
+
+
 def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]] | None:
     """Quotient and remainder of a by b (b[-1] != 0) over Z.
 
@@ -742,16 +766,6 @@ def _graeffe_step(coeffs: list[int]) -> list[int]:
 
 def _derivative(c: list[int]) -> list[int]:
     return [k * x for k, x in enumerate(c)][1:]
-
-
-def _strip_unit_roots(c: list[int]) -> tuple[list[int], int, int]:
-    """(rest, a, b) with c = (t - 1)^a (t + 1)^b rest and rest(+-1) != 0."""
-    a = b = 0
-    while (quot := _phi_quotient(c, 1)) is not None:
-        c, a = quot, a + 1
-    while (quot := _phi_quotient(c, 2)) is not None:
-        c, b = quot, b + 1
-    return c, a, b
 
 
 def _fold_palindromic(c: list[int]) -> list[int] | None:

@@ -13,7 +13,6 @@ from torsionlab.homology import (
     _cyclotomic_resultant,
     _euclid_rows,
     _height_bits,
-    _phi_split,
     _tower_resultants,
     circulant_det,
     cover_homology,
@@ -24,7 +23,8 @@ from torsionlab.homology import (
 )
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from torsionlab.ringcore import InvalidModulus, reduce_mod_q
-from torsionlab.ringcore import _int_resultant, _monic_resultant, _primes_for, _rem_monic
+from torsionlab.ringcore import _int_resultant, _monic_resultant, _phi_split, _primes_for
+from torsionlab.ringcore import _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
 rng = random.Random(314159)
@@ -532,6 +532,10 @@ def test_non_square_blocks_and_bad_cover_degrees_are_rejected():
     for q in (0, -2):
         with pytest.raises(InvalidModulus):
             cover_homology([[CycElem.one(1)]], q)
+    # t - 2 over Z[Z/5] passed as a 3-cover, and a Laurent entry
+    for B in ([[reduce_mod_q(t - 2 * one, 5)]], [[t - 2 * one]]):
+        with pytest.raises(ValueError, match="Z/3"):
+            cover_homology(B, 3)
 
 
 def test_growth_scan_rows_equal_per_cover_rows():
@@ -580,8 +584,8 @@ def test_growth_scan_stride_rows_equal_stride_one_rows():
         assert strided == [every[r.q - 1] for r in strided]
 
 
-def test_growth_scan_sweeps_once_per_D0(monkeypatch):
-    calls = {"sweep": [], "circulant_det": 0, "int_resultant": 0}
+def test_growth_scan_sweeps_once_per_tower(monkeypatch):
+    calls = {"sweep": [], "int_resultant": 0}
     sweep, resultant = homology._tower_resultants, homology._int_resultant
 
     def counting_sweep(D0, qs):
@@ -592,23 +596,44 @@ def test_growth_scan_sweeps_once_per_D0(monkeypatch):
         calls["int_resultant"] += 1
         return resultant(a, b)
 
-    def no_circulant_det(c):
-        calls["circulant_det"] += 1
-        raise AssertionError("growth_scan computes no per-cover circulant_det")
-
     monkeypatch.setattr(homology, "_tower_resultants", counting_sweep)
     monkeypatch.setattr(homology, "_int_resultant", counting_resultant)
-    monkeypatch.setattr(homology, "circulant_det", no_circulant_det)
-    # one D0 for Lehmer and the walk trial (whose block is 0 at q = 1);
-    # (t + 1)(t^2 - 3t + 1) has D0 = t^2 - 3t + 1 at even q and itself at odd q
-    for B, sweeps in (([[LEHMER]], [100]), (walk_trial_block(), [99]),
-                      ([[DEGENERATE]], [50, 50])):
+    # one D0 per tower: the walk trial's block is 0 at q = 1, and
+    # (t + 1)(t^2 - 3t + 1) has D0 = t^2 - 3t + 1 at every q, with Phi_2
+    # common to every entry at even q and priced by Apostol at odd q;
+    # Res(Phi_d, D0) is taken once per common d.  The last block takes
+    # Smith normal form at every q, and its sweep is empty.
+    t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
+    for B, qmax, sweeps, resultants in (
+            ([[LEHMER]], 100, [100], 0), (walk_trial_block(), 100, [99], 1),
+            ([[DEGENERATE]], 100, [100], 1), ([[t - one, one], [zero, t + 2 * one]], 20, [0], 0)):
         calls["sweep"].clear()
         calls["int_resultant"] = 0
-        growth_scan(B, range(1, 101))
-        assert sorted(calls["sweep"]) == sweeps
-        assert calls["int_resultant"] == len(sweeps)
-    assert calls["circulant_det"] == 0
+        growth_scan(B, range(1, qmax + 1))
+        assert calls["sweep"] == sweeps
+        assert calls["int_resultant"] == resultants
+
+
+def test_phi_e_of_det_dividing_some_q_matches_snf():
+    # det B has Phi_e factors whose e divides only some of the q: at the
+    # other q they are priced by Apostol's closed form, not swept in D0
+    t, one = LaurentPoly.t(), LaurentPoly.one()
+    phi = [None] + [cyclotomic(m) for m in range(1, 7)]
+    towers = [
+        [[phi[3] * phi[5] ** 2 * (t * t - 3 * t + one)]],
+        [[phi[4] * (t - one), phi[4]], [phi[4] * phi[6], phi[4] * (t + 2 * one)]],
+    ]
+    methods = set()
+    for B in towers:
+        for qs in (range(1, 25), range(1, 25, 5)):
+            for rep in growth_scan(B, qs).reports:
+                q = rep.q
+                snf = smith_normal_form(expand_presentation(
+                    [[reduce_mod_q(e, q) for e in row] for row in B], q))
+                assert (rep.torsion_order, rep.betti) == (
+                    math.prod(snf.nonzero_factors()), snf.corank()), (B, q)
+                methods.add(rep.method)
+    assert methods == {"circulant_det", "split_resultant"}
 
 
 # -- Heegaard homology -------------------------------------------------

@@ -14,12 +14,12 @@ from torsionlab.ringcore import (
     _fold_palindromic,
     _mobius_binomials,
     _phi_quotient,
+    _phi_split,
     _poly_divmod,
     _poly_mul,
     _primes_below_2_31,
     _primes_for,
     _pseudo_rem,
-    _strip_unit_roots,
     LaurentPoly,
     NonUnitModulus,
     circulant_expand,
@@ -218,7 +218,8 @@ def test_strip_unit_roots_and_fold():
             continue
         a, b = gen.randint(0, 4), gen.randint(0, 4)
         p = LaurentPoly.from_list(rest) * (t - one) ** a * (t + one) ** b
-        assert _strip_unit_roots(p.coeff_list()) == (rest, a, b)
+        k = {e: m for e, m in ((1, a), (2, b)) if m}
+        assert _phi_split(p.coeff_list(), (1, 2)) == (rest, k)
         q = _fold_palindromic(rest)
         m = len(half) - 1
         assert len(q) == m + 1 and q[-1] == rest[-1]
@@ -229,7 +230,32 @@ def test_strip_unit_roots_and_fold():
     assert _fold_palindromic([1, 2, 2, 1]) is None  # odd degree
     assert _fold_palindromic([1, 2, 3]) is None  # not palindromic
     assert _fold_palindromic([5]) == [5]
-    assert _strip_unit_roots([3]) == ([3], 0, 0)
+    assert _phi_split([3], (1, 2)) == ([3], {})
+
+
+def test_phi_split_matches_plain_division_loop():
+    # random products of Phi_m (m <= 60, with repeats) times a random
+    # factor, sometimes with g(2) = 0 so that every Phi_e(2) divides g(2)
+    gen = random.Random(15)
+    for _ in range(80):
+        g = [gen.randint(-9, 9) for _ in range(gen.randint(0, 6))] + [gen.choice((1, -1, 2, -3))]
+        if gen.random() < 0.2:
+            g = _poly_mul(g, [-2, 1])
+        for _ in range(gen.randint(0, 6)):
+            m = gen.choice((1, 2, 3, 4, 6, gen.randint(1, 60)))
+            g = _poly_mul(g, cyclotomic(m).coeff_list())
+        rest, k = _phi_split(g, range(1, 61))
+        back = rest
+        for e, m in k.items():
+            back = _poly_mul(back, (cyclotomic(e) ** m).coeff_list())
+        assert back == g
+        # the oracle: divide while Phi_e divides, with no Phi_e(2) pre-filter
+        # and no early stop
+        want, h = {}, g
+        for e in range(1, 61):
+            while (quot := _phi_quotient(h, e)) is not None:
+                h, want[e] = quot, want.get(e, 0) + 1
+        assert (rest, k) == (h, want)
 
 
 def test_dense_kernel_mul_and_divmod():
