@@ -31,7 +31,7 @@ from .hermitian import (
 )
 from .homology import GrowthScanResult, growth_scan, heegaard_homology
 from .mahler import build_K_alpha, kronecker_zero_test, mahler_measure
-from .ringcore import LaurentPoly
+from .ringcore import LaurentPoly, json_int
 from .walks import WalkConfig, WalkReport, proximality_probe, run_walk
 
 
@@ -77,14 +77,21 @@ def _load_poly(path: str) -> LaurentPoly:
     return LaurentPoly.from_json_obj(obj)
 
 
+def _rows(obj) -> list:
+    """obj["rows"] of a dict, else obj, checked to be a list of lists."""
+    rows = obj["rows"] if isinstance(obj, dict) else obj
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("expected the matrix as a list of rows")
+    return rows
+
+
 def _load_poly_matrix(path: str):
     """Matrix of Laurent polynomials: {"rows": [[poly, ...], ...]} or a
     full FormMatrix JSON."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "g" in obj:
         return [list(r) for r in FormMatrix.from_json_obj(obj).rows]
-    rows = obj["rows"] if isinstance(obj, dict) else obj
-    return [[LaurentPoly.from_json_obj(e) for e in row] for row in rows]
+    return [[LaurentPoly.from_json_obj(e) for e in row] for row in _rows(obj)]
 
 
 def _exact(n: int) -> str:
@@ -225,10 +232,8 @@ def _scan_rows(result: GrowthScanResult):
 
 
 def _cmd_heegaard(args) -> int:
-    rows = _load_json(args.matrix)
-    if isinstance(rows, dict):
-        rows = rows["rows"]
-    rep = heegaard_homology(rows)
+    rows = _rows(_load_json(args.matrix))
+    rep = heegaard_homology([[json_int(x) for x in row] for row in rows])
     _print_json(
         {
             "betti": rep["betti"],

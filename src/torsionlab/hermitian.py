@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ringcore import CycElem, LaurentPoly, reduce_mod_q
+from .ringcore import CycElem, LaurentPoly, json_int, reduce_mod_q
 
 
 class NotIsotropic(ValueError):
@@ -180,13 +180,13 @@ class FormMatrix:
 
     @classmethod
     def from_json_obj(cls, obj) -> "FormMatrix":
-        model = SurfaceModel(int(obj["g"]))
+        model = SurfaceModel(json_int(obj["g"]))
         ring = obj["ring"]
         if ring == "laurent":
             rows = [[LaurentPoly.from_json_obj(e) for e in r] for r in obj["rows"]]
             return cls(model, rows, None)
-        q = int(ring["cyclic"])
-        rows = [[CycElem(q, [int(c) for c in e]) for e in r] for r in obj["rows"]]
+        q = json_int(ring["cyclic"])
+        rows = [[CycElem(q, [json_int(c) for c in e]) for e in r] for r in obj["rows"]]
         return cls(model, rows, q)
 
     def dumps(self) -> str:

@@ -46,10 +46,9 @@ class NotSymplectic(ValueError):
 
 @dataclass
 class SmithDecomposition:
-    """U A V = D with unimodular U, V and divisibility chain on D."""
+    """Smith normal form D of an m x n integer matrix: diagonal, with
+    nonnegative entries, each nonzero one dividing the next."""
 
-    U: list
-    V: list
     D: list
     shape: tuple[int, int]
 
@@ -77,53 +76,16 @@ class TorsionReport:
     method: str
 
 
-def _identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(A) -> SmithDecomposition:
-    """Exact Smith normal form over Z with transform matrices.
+    """Exact Smith normal form over Z, invariant factors only.
 
-    Pivots are chosen by minimal absolute value to limit entry blowup;
-    arbitrary-precision integers throughout.
+    Row and column operations act on A alone: transform matrices would
+    grow much faster than A.  Pivots are chosen by minimal absolute value
+    to limit entry blowup; arbitrary-precision integers throughout.
     """
     M = [[int(x) for x in row] for row in A]
     m = len(M)
     n = len(M[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-
-    def swap_rows(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        Ms, Md = M[src], M[dst]
-        for k in range(n):
-            Md[k] += c * Ms[k]
-        Us, Ud = U[src], U[dst]
-        for k in range(m):
-            Ud[k] += c * Us[k]
-
-    def add_col(src, dst, c):
-        for row in M:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        M[i] = [-x for x in M[i]]
-        U[i] = [-x for x in U[i]]
-
     for k in range(min(m, n)):
         while True:
             # locate the minimal-magnitude nonzero entry in the submatrix
@@ -141,44 +103,36 @@ def smith_normal_form(A) -> SmithDecomposition:
             if best is None:
                 break  # submatrix is zero
             _, bi, bj = best
-            swap_rows(k, bi)
-            swap_cols(k, bj)
-            piv = M[k][k]
-            dirty = False
-            for i in range(k + 1, m):
-                if M[i][k]:
-                    qq = M[i][k] // piv
-                    if qq:
-                        add_row(k, i, -qq)
-                    if M[i][k]:
-                        dirty = True
+            # rows and columns before k are zero outside the diagonal, so
+            # every operation below starts at k
+            M[k], M[bi] = M[bi], M[k]
+            if bj != k:
+                for row in M[k:]:
+                    row[k], row[bj] = row[bj], row[k]
+            Mk = M[k]
+            piv = Mk[k]
+            for Mi in M[k + 1:]:
+                qq = Mi[k] // piv
+                if qq:
+                    for j in range(k, n):
+                        Mi[j] -= qq * Mk[j]
             for j in range(k + 1, n):
-                if M[k][j]:
-                    qq = M[k][j] // piv
-                    if qq:
-                        add_col(k, j, -qq)
-                    if M[k][j]:
-                        dirty = True
-            if dirty:
+                qq = Mk[j] // piv
+                if qq:
+                    for row in M[k:]:
+                        row[j] -= qq * row[k]
+            # a nonzero remainder in the pivot's row or column: pivot again
+            if any(Mi[k] for Mi in M[k + 1:]) or any(Mk[k + 1:]):
                 continue
             # divisibility chain: absorb a bad entry into the pivot row
-            piv = M[k][k]
-            bad = None
-            for i in range(k + 1, m):
-                row = M[i]
-                for j in range(k + 1, n):
-                    if row[j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(k + 1, m) if any(x % piv for x in M[i][k + 1:])), None)
             if bad is None:
                 break
-            add_row(bad, k, 1)
+            M[k] = [a + b for a, b in zip(Mk, M[bad])]
     for k in range(min(m, n)):
         if M[k][k] < 0:
-            negate_row(k)
-    return SmithDecomposition(U=U, V=V, D=M, shape=(m, n))
+            M[k] = [-x for x in M[k]]
+    return SmithDecomposition(D=M, shape=(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +500,7 @@ def heegaard_homology(phi_star) -> dict:
     if not _is_symplectic(P, g):
         raise NotSymplectic("matrix does not preserve the symplectic form")
     # columns: the a-basis vectors, then their images under phi
-    cols = []
-    for i in range(g):
-        cols.append([1 if r == i else 0 for r in range(n)])
-    for i in range(g):
-        cols.append([P[r][i] for r in range(n)])
-    A = [[cols[j][i] for j in range(n)] for i in range(n)]
+    A = [[int(i == j) for j in range(g)] + P[i][:g] for i in range(n)]
     snf = smith_normal_form(A)
     factors = snf.invariant_factors
     torsion = math.prod(snf.nonzero_factors())

@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import operator
-import threading
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -35,6 +34,15 @@ class InvalidModulus(ValueError):
 # products of two LaurentPolys with at least this many terms each go
 # through the dense Kronecker kernel _poly_mul instead of the term loop
 KRONECKER_TERMS = 16
+
+
+def json_int(x) -> int:
+    """A JSON integer or integer string as an int; floats, bools and null
+    raise ValueError rather than being truncated, and so does a string
+    int() refuses, such as "1.5"."""
+    if type(x) in (int, str):
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
 
 
 class LaurentPoly:
@@ -265,7 +273,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj) -> "LaurentPoly":
-        return cls({int(k): int(c) for k, c in obj})
+        if not isinstance(obj, list) or not all(isinstance(t, list) and len(t) == 2 for t in obj):
+            raise ValueError("expected a polynomial as a list of [exponent, coeff] pairs")
+        d = {json_int(k): json_int(c) for k, c in obj}
+        if len(d) < len(obj):
+            raise ValueError("repeated exponent in a polynomial")
+        return cls._raw({k: c for k, c in d.items() if c})
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -381,7 +394,7 @@ class CycElem:
 
     @classmethod
     def from_json_obj(cls, obj) -> "CycElem":
-        return cls(int(obj["q"]), [int(c) for c in obj["coeffs"]])
+        return cls(json_int(obj["q"]), [json_int(c) for c in obj["coeffs"]])
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +485,6 @@ def totient(n: int) -> int:
 
 
 _CYCLOTOMIC_CACHE: dict[int, LaurentPoly] = {}
-_CYCLOTOMIC_LOCK = threading.Lock()
 
 
 def cyclotomic(n: int) -> LaurentPoly:
@@ -484,8 +496,7 @@ def cyclotomic(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    with _CYCLOTOMIC_LOCK:
-        hit = _CYCLOTOMIC_CACHE.get(n)
+    hit = _CYCLOTOMIC_CACHE.get(n)
     if hit is not None:
         return hit
     plus, minus = _mobius_binomials(n)
@@ -497,8 +508,7 @@ def cyclotomic(n: int) -> LaurentPoly:
         if g is None:
             raise ArithmeticError("cyclotomic division must be exact")
     num = LaurentPoly.from_list(g if n > 1 else [-c for c in g])
-    with _CYCLOTOMIC_LOCK:
-        _CYCLOTOMIC_CACHE[n] = num
+    _CYCLOTOMIC_CACHE[n] = num
     return num
 
 

@@ -140,6 +140,29 @@ def test_torsion_scan_rejects_non_square_blocks(tmp_path, capsys, rows):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv, obj", [
+    (["heegaard", "--matrix"], [[1.5, 0], [0, 1]]),
+    (["heegaard", "--matrix"], [1, 2]),
+    (["heegaard", "--matrix"], {"rows": 5}),
+    (["heegaard", "--matrix"], [[None, 0], [0, 1]]),
+    (["mahler", "eval", "--poly"], {"poly": [[0, 1.5], [1, 1]]}),
+    (["torsion", "scan", "--qmax", "5", "--binf"], {"rows": [[[[0.5, 1], [1, 1]]]]}),
+    (["torsion", "scan", "--qmax", "5", "--binf"], {"rows": [[5]]}),
+])
+def test_non_integer_and_malformed_inputs_exit_2(tmp_path, capsys, argv, obj):
+    # floats, null and misshapen rows are bad input: never truncated, never
+    # an internal error
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    out_csv = tmp_path / "scan.csv"
+    extra = ["--out", str(out_csv)] if argv[0] == "torsion" else []
+    rc = dispatch([*argv, str(f), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not out_csv.exists()
+
+
 # -- heegaard ----------------------------------------------------------
 
 

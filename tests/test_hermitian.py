@@ -270,3 +270,12 @@ def test_form_matrix_json_roundtrip():
     assert FormMatrix.loads(M.dumps()) == M
     Mq = M.reduce_mod_q(4)
     assert FormMatrix.loads(Mq.dumps()) == Mq
+    # the genus, the cyclic modulus and cyclic coefficients must be integers
+    obj = Mq.to_json_obj()
+    for key, value in (("g", 3.0), ("ring", {"cyclic": 4.5})):
+        with pytest.raises(ValueError):
+            FormMatrix.from_json_obj({**obj, key: value})
+    rows = [[list(e) for e in r] for r in obj["rows"]]
+    rows[0][0][0] = 0.5
+    with pytest.raises(ValueError):
+        FormMatrix.from_json_obj({**obj, "rows": rows})

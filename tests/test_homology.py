@@ -1,5 +1,6 @@
 """Smith normal form, cover torsion, growth scans, Heegaard homology."""
 
+import itertools
 import math
 import random
 
@@ -124,19 +125,22 @@ def test_snf_examples():
 
 
 def test_snf_decomposition_property():
-    for _ in range(40):
+    # independent oracle: d_1 ... d_k is the gcd of all k x k minors of A
+    for _ in range(200):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        A = rand_matrix(m, n)
+        A = [[x if rng.random() < 0.7 else 0 for x in row] for row in rand_matrix(m, n)]
         dec = smith_normal_form(A)
-        U = np.array(dec.U, dtype=object)
-        V = np.array(dec.V, dtype=object)
-        D = U @ np.array(A, dtype=object) @ V
-        assert (D == np.array(dec.D, dtype=object)).all()
-        assert abs(bareiss_det(dec.U)) == 1
-        assert abs(bareiss_det(dec.V)) == 1
+        assert all(dec.D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        fac = dec.invariant_factors
+        assert min(fac) >= 0
+        for k in range(1, min(m, n) + 1):
+            minors = [bareiss_det([[A[i][j] for j in cols] for i in rows])
+                      for rows in itertools.combinations(range(m), k)
+                      for cols in itertools.combinations(range(n), k)]
+            assert math.prod(fac[:k]) == math.gcd(*minors), (A, fac, k)
         # divisibility chain
-        fac = [d for d in dec.invariant_factors if d]
-        for a, b in zip(fac, fac[1:]):
+        nz = dec.nonzero_factors()
+        for a, b in zip(nz, nz[1:]):
             assert b % a == 0
 
 

@@ -482,3 +482,13 @@ def test_json_roundtrip():
     q = 5
     c = rand_cyc(q)
     assert CycElem.from_json_obj(c.to_json_obj()) == c
+    # JSON integers and integer strings only: a float, bool or null is
+    # refused rather than truncated, and so is a repeated exponent
+    assert LaurentPoly.from_json_obj([[-2, "-7"], [1, 3], [4, 0]]) == LaurentPoly({-2: -7, 1: 3})
+    for bad in ([[0, 1.5]], [[0.5, 1]], [[0, True]], [[0, None]], [[0, "1.0"]], [[0, "1e3"]],
+                [5], [[0, 1, 2]], 5, [[0, 5], [1, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_obj(bad)
+    for bad in ({"q": 2.0, "coeffs": [1, 0]}, {"q": 2, "coeffs": [1, 0.5]}):
+        with pytest.raises(ValueError):
+            CycElem.from_json_obj(bad)
