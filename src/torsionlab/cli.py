@@ -16,6 +16,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .hermitian import (
 )
 from .homology import GrowthScanResult, growth_scan, heegaard_homology
 from .mahler import build_K_alpha, kronecker_zero_test, mahler_measure
-from .ringcore import LaurentPoly, json_int
+from .ringcore import LaurentPoly, json_int, json_rows
 from .walks import WalkConfig, WalkReport, proximality_probe, run_walk
 
 
@@ -79,10 +80,7 @@ def _load_poly(path: str) -> LaurentPoly:
 
 def _rows(obj) -> list:
     """obj["rows"] of a dict, else obj, checked to be a list of lists."""
-    rows = obj["rows"] if isinstance(obj, dict) else obj
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValueError("expected the matrix as a list of rows")
-    return rows
+    return json_rows(obj["rows"] if isinstance(obj, dict) else obj)
 
 
 def _load_poly_matrix(path: str):
@@ -251,17 +249,24 @@ def _walk_config_from_file(path: str, seed_override=None, twist=None) -> WalkCon
     gens = [FormMatrix.from_json_obj(m) for m in obj["generators"]]
     probs = [Fraction(p) for p in obj["probabilities"]]
     seed = obj.get("master_seed", 0) if seed_override is None else seed_override
+    twist = twist if twist is not None else obj.get("unit_twist_seed")
+    q_list = obj.get("q_list", [3])
+    if not isinstance(q_list, list):
+        raise ValueError(f"expected q_list as a list of integers, got {q_list!r}")
+    alpha = obj.get("alpha", 0.05)
+    if type(alpha) not in (int, float) or not math.isfinite(alpha):
+        raise ValueError(f"expected alpha as a finite real number, got {alpha!r}")
     return WalkConfig(
         generators=gens,
         probabilities=probs,
-        g=obj["g"],
-        n_steps=obj.get("n_steps", 64),
-        n_trials=obj.get("n_trials", 200),
-        master_seed=seed,
-        q_list=tuple(obj.get("q_list", [3])),
-        alpha=obj.get("alpha", 0.05),
-        root_index=obj.get("root_index", 1),
-        unit_twist_seed=twist if twist is not None else obj.get("unit_twist_seed"),
+        g=json_int(obj["g"]),
+        n_steps=json_int(obj.get("n_steps", 64)),
+        n_trials=json_int(obj.get("n_trials", 200)),
+        master_seed=json_int(seed),
+        q_list=tuple(json_int(q) for q in q_list),
+        alpha=alpha,
+        root_index=json_int(obj.get("root_index", 1)),
+        unit_twist_seed=None if twist is None else json_int(twist),
     )
 
 

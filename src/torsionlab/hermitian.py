@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ringcore import CycElem, LaurentPoly, json_int, reduce_mod_q
+from .ringcore import CycElem, LaurentPoly, json_int, json_rows, reduce_mod_q
 
 
 class NotIsotropic(ValueError):
@@ -127,13 +127,17 @@ class FormMatrix:
             raise ValueError("ring/model mismatch in matrix product")
         n = self.n
         a, b = self.rows, other.rows
+        # zero factors are skipped: the form J and transvections are sparse
+        bcols = [[(k, b[k][j]) for k in range(n) if not b[k][j].is_zero()] for j in range(n)]
         out = []
         for i in range(n):
+            ai = [x.is_zero() for x in a[i]]
             row = []
-            for j in range(n):
+            for col in bcols:
                 s = _zero(self.q)
-                for k in range(n):
-                    s = s + a[i][k] * b[k][j]
+                for k, y in col:
+                    if not ai[k]:
+                        s = s + a[i][k] * y
                 row.append(s)
             out.append(row)
         return FormMatrix(self.model, out, self.q)
@@ -182,12 +186,15 @@ class FormMatrix:
     def from_json_obj(cls, obj) -> "FormMatrix":
         model = SurfaceModel(json_int(obj["g"]))
         ring = obj["ring"]
+        rows = json_rows(obj["rows"])
         if ring == "laurent":
-            rows = [[LaurentPoly.from_json_obj(e) for e in r] for r in obj["rows"]]
-            return cls(model, rows, None)
+            return cls(model, [[LaurentPoly.from_json_obj(e) for e in r] for r in rows], None)
+        if not isinstance(ring, dict):
+            raise ValueError(f"unknown ring {ring!r}")
         q = json_int(ring["cyclic"])
-        rows = [[CycElem(q, [json_int(c) for c in e]) for e in r] for r in obj["rows"]]
-        return cls(model, rows, q)
+        if not all(isinstance(e, list) for r in rows for e in r):
+            raise ValueError("expected each cyclic entry as a list of coefficients")
+        return cls(model, [[CycElem(q, [json_int(c) for c in e]) for e in r] for r in rows], q)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -317,21 +324,35 @@ def block_det(block, q: int | None = None):
     return det
 
 
+def _iota_at(q: int, root_index: int):
+    """Evaluation of elements of Z[Z/q] at zeta = exp(2*pi*i*root_index/q),
+    each power of zeta computed once, when an element first needs it."""
+    if math.gcd(root_index, q) != 1:
+        raise NonPrimitiveRoot(f"gcd({root_index}, {q}) != 1")
+    zeta = np.exp(2j * np.pi * root_index / q)
+    powers = {}
+
+    def at(c: CycElem) -> complex:
+        for k, co in enumerate(c.coeffs):
+            if co and k not in powers:
+                powers[k] = zeta**k
+        return complex(sum(co * powers[k] for k, co in enumerate(c.coeffs) if co))
+
+    return at
+
+
 def iota_scalar(c: CycElem, root_index: int = 1) -> complex:
     """Evaluation of a group-ring element at exp(2*pi*i*j/q)."""
-    if math.gcd(root_index, c.q) != 1:
-        raise NonPrimitiveRoot(f"gcd({root_index}, {c.q}) != 1")
-    q = c.q
-    zeta = np.exp(2j * np.pi * root_index / q)
-    return complex(sum(co * zeta ** k for k, co in enumerate(c.coeffs) if co))
+    return _iota_at(c.q, root_index)(c)
 
 
 def iota_embed(M: FormMatrix, root_index: int = 1) -> np.ndarray:
-    """Entrywise evaluation of a cyclic-ring matrix at a primitive root."""
+    """Entrywise evaluation of a cyclic-ring matrix at a primitive root,
+    with zeta and its powers computed once per matrix."""
     if M.q is None:
         raise ValueError("iota_embed requires a cyclic-ring matrix")
-    # iota_scalar raises NonPrimitiveRoot when gcd(root_index, q) != 1
-    return np.array([[iota_scalar(e, root_index) for e in row] for row in M.rows], dtype=complex)
+    at = _iota_at(M.q, root_index)
+    return np.array([[at(e) for e in row] for row in M.rows], dtype=complex)
 
 
 @dataclass(frozen=True)

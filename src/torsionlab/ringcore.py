@@ -45,6 +45,13 @@ def json_int(x) -> int:
     raise ValueError(f"expected an integer, got {x!r}")
 
 
+def json_rows(rows) -> list:
+    """A JSON matrix, checked to be a list of lists."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("expected the matrix as a list of rows")
+    return rows
+
+
 class LaurentPoly:
     """Integer Laurent polynomial in one variable t, stored sparsely.
 

@@ -5,20 +5,25 @@ Each trial has its own counter-based RNG substream keyed by
 worker count or scheduling.  The walk order is b_n ... b_1: new letters
 multiply on the left.
 
-Two lanes run over the same sampled letters.  The exact lane carries
-the a-frame, the image of the a-basis (the word's first g-1 columns),
-and inspects det of its b-rows, the bottom-left block, at a logarithmic
-schedule of lengths.  It keeps the frame modulo a batch of primes below
-2^31, as one int64 array of dense coefficient windows, with enough primes
-for a per-entry l1 bound tracked exactly beforehand; at schedule points
-only, the b-rows are lifted to integers by CRT and det B taken exactly
-over the Laurent ring.  The embedded lane propagates the
-a-subspace frame through the iota image of each letter with QR
-renormalization: the accumulated log-volume is the exterior norm of the
-image of e, and the f-coefficient is the bottom-block minor of the
-frame.  Letters are unit-normalized (lowest entry exponent shifted to
-zero) before embedding, which makes every |iota| statistic exactly
-independent of unit twists of the generators.
+Two lanes run over the same sampled letters; a worker draws the letters
+of all of its trials first.  The exact lane runs one trial at a time.  It
+carries the a-frame, the image of the a-basis (the word's first g-1
+columns), and inspects det of its b-rows, the bottom-left block, at a
+logarithmic schedule of lengths.  It keeps the frame modulo a batch of
+primes below 2^31, as one int64 array of dense coefficient windows, with
+enough primes for a per-entry l1 bound tracked exactly beforehand, and
+reduces the residues only when a running magnitude bound requires it; at
+schedule points only, the b-rows are lifted to integers by CRT and det B
+taken exactly over the Laurent ring.  The embedded lane runs all of the
+worker's trials in lockstep, one loop over the steps per cover degree: it
+propagates each trial's a-subspace frame through the iota image of its
+letter, with one stacked QR renormalization per step.  The accumulated
+log-volume is the exterior norm of the image of e, and the f-coefficient
+is the bottom-block minor of the frame.  Each trial gets the floats its
+own loop would give, whichever trials share its chunk.  Letters are
+unit-normalized (lowest entry exponent shifted to zero) before
+embedding, which makes every |iota| statistic exactly independent of
+unit twists of the generators.
 """
 
 from __future__ import annotations
@@ -209,6 +214,10 @@ def _normalized_iota(M: FormMatrix, q: int, root_index: int) -> np.ndarray:
 # c * residue inside int64 for primes below 2^31; a wider letter is reduced
 # modulo each prime, and the frame after every term
 _WIDE_ROW = 1 << 32
+# the frame's entries are residues below 2^31 right after a reduction, and
+# it is reduced again before a letter would take their bound past 2^62
+_REDUCED = 1 << 31
+_LAZY_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -217,14 +226,16 @@ class _LetterPlan:
 
     rows[i] lists (k, offset, c) for each term c t^e of entry (i, k), with
     offset = e - lo above the letter's lowest exponent lo; span is its
-    highest exponent minus lo, and norms[i] lists (k, l1 norm of entry
-    (i, k)) for the nonzero entries of row i.
+    highest exponent minus lo, norms[i] lists (k, l1 norm of entry (i, k))
+    for the nonzero entries of row i, and row_l1 is the largest row sum of
+    those norms: the factor by which the letter can grow a frame entry.
     """
 
     lo: int
     span: int
     rows: tuple
     norms: tuple
+    row_l1: int
     wide: bool
 
 
@@ -239,8 +250,8 @@ def _letter_plan(M: FormMatrix) -> _LetterPlan:
         tuple((k, sum(map(abs, x.coeffs.values()))) for k, x in enumerate(row) if x)
         for row in M.rows
     )
-    wide = max(sum(n for _, n in row) for row in norms) >= _WIDE_ROW
-    return _LetterPlan(lo, max(exps) - lo, rows, norms, wide)
+    row_l1 = max(sum(n for _, n in row) for row in norms)
+    return _LetterPlan(lo, max(exps) - lo, rows, norms, row_l1, row_l1 >= _WIDE_ROW)
 
 
 @dataclass(frozen=True)
@@ -290,9 +301,12 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     The frame is one int64 array (2h, h, primes, exponents) over a window
     that starts at the running sum of the letters' lowest exponents, so a
     term c t^e adds c times the frame at offset e - lo, and a unit twist
-    only moves the window's base exponent.  Residues are reduced once per
-    letter.  At a schedule point the b-rows are lifted by CRT over as many
-    primes as that point's bound needs.
+    only moves the window's base exponent.  Residues are reduced lazily:
+    `bound` caps every |entry| since the last reduction (2^31 times the
+    row_l1 of each letter since), and the frame is reduced when the next
+    letter would take it past 2^62, before a wide letter and at schedule
+    points.  There the b-rows are lifted by CRT over as many primes as
+    that point's bound needs.
     """
     plans = [setup.letters[int(i)] for i in idx]
     at = {n: _primes_for(b) for n, b in _frame_bounds(plans, setup.sched, h).items()}
@@ -300,33 +314,44 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     pcol = np.array(primes, dtype=np.int64)[:, None]
     frame = np.zeros((2 * h, h, len(primes), 1 + sum(L.span for L in plans)), dtype=np.int64)
     spare = np.zeros_like(frame)
+    scratch = np.empty_like(frame[0])  # c times a source row
     for j in range(h):
         frame[j, j, :, 0] = 1
-    width, base = 1, 0
+    width, base, bound = 1, 0, _REDUCED
     reduced = {}  # coefficient of a wide letter -> its residues, as a column
     dets = {}
     for step, L in enumerate(plans, 1):
+        if bound > _REDUCED and (L.wide or bound * L.row_l1 > _LAZY_LIMIT):
+            np.remainder(frame[..., :width], pcol, out=frame[..., :width])
+            bound = _REDUCED
         out = spare[..., : width + L.span]
         out[...] = 0
+        srcs = [frame[k, :, :, :width] for k in range(2 * h)]
+        tmp = scratch[..., :width]
         for i, terms in enumerate(L.rows):
+            row = out[i]
             for k, o, c in terms:
-                src = frame[k, :, :, :width]
-                dst = out[i, :, :, o : o + width]
+                dst = row[..., o : o + width]
                 if L.wide:
                     if c not in reduced:
                         reduced[c] = np.array([[c % p] for p in primes], dtype=np.int64)
-                    np.remainder(dst + reduced[c] * src, pcol, out=dst)
+                    np.multiply(srcs[k], reduced[c], out=tmp)
+                    tmp += dst
+                    np.remainder(tmp, pcol, out=dst)
                 elif c == 1:
-                    dst += src
+                    dst += srcs[k]
                 elif c == -1:
-                    dst -= src
+                    dst -= srcs[k]
                 else:
-                    dst += c * src
-        np.remainder(out, pcol, out=out)
+                    np.multiply(srcs[k], c, out=tmp)
+                    dst += tmp
         frame, spare = spare, frame
         width += L.span
+        bound = _REDUCED if L.wide else bound * L.row_l1
         base += L.lo + (0 if twists is None else int(twists[step - 1]))
         if step in at:
+            np.remainder(frame[..., :width], pcol, out=frame[..., :width])
+            bound = _REDUCED
             k = len(at[step])
             b = frame[h:, :, :k, :width].transpose(2, 0, 1, 3).reshape(k, -1)
             vals = _crt_symmetric(b, at[step])
@@ -339,21 +364,16 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     return dets
 
 
-def _trial_record(config: WalkConfig, trial_index: int, setup: _RunSetup) -> dict:
-    """All per-trial statistics, deterministic in (seed, trial_index)."""
-    sched_set = set(setup.sched)
+def _trial_record(config: WalkConfig, trial_index: int, setup: _RunSetup, idx, twists) -> dict:
+    """The trial's exact-lane statistics, from its letters idx and unit
+    twists: det B at each schedule point and its cyclotomic constraints."""
     h = config.g - 1
-    idx, twists = _trial_letters(config, trial_index)
     rec = {
         "trial": trial_index,
         "mahler_positive": {},
         "constraint_verdict": {},
         "det_degree": {},
-        "L_n": {q: {} for q in config.q_list},
-        "f_ratio": {q: {} for q in config.q_list},
-        "degenerate": {q: False for q in config.q_list},
     }
-    # exact lane: det B of the a-frame's b-rows at each schedule point
     for step, det in _modular_dets(setup, idx, twists, h).items():
         if det.is_zero():
             rec["mahler_positive"][step] = False
@@ -369,33 +389,67 @@ def _trial_record(config: WalkConfig, trial_index: int, setup: _RunSetup) -> dic
         rec["constraint_verdict"][step] = (
             v.verdict.value if v.hit_index is None else f"cyclotomic_hit_{v.hit_index}"
         )
-
-    # embedded lane: the a-frame at each cover degree, until it degenerates
-    for q in config.q_list:
-        mats = setup.iota[q]
-        Y = np.zeros((2 * h, h), dtype=complex)
-        Y[:h, :h] = np.eye(h)
-        logvol = 0.0
-        for step, gi in enumerate(idx.tolist(), 1):
-            Q, R = np.linalg.qr(mats[gi] @ Y)
-            vol = float(np.prod(np.abs(np.diag(R))))
-            if vol <= 0.0 or not math.isfinite(vol):
-                rec["degenerate"][q] = True
-                break
-            logvol += math.log(vol)
-            # fix phases so the minor below is well defined up to modulus
-            Y = Q
-            if step in sched_set:
-                rec["L_n"][q][step] = logvol / step
-                minor = np.linalg.det(Y[h : 2 * h, :])
-                rec["f_ratio"][q][step] = float(abs(minor))
     return rec
 
 
+def _embedded_lane(mats: list, idxs: np.ndarray, sched: list, h: int):
+    """The embedded lane of every trial at one cover degree, in lockstep.
+
+    Row r of idxs holds trial r's letters, and mats the iota image of each
+    generator.  Each step multiplies every live trial's a-frame by its
+    letter and renormalizes all of them with one stacked QR: the
+    accumulated log-volume is the exterior norm of the image of e, and the
+    determinant of the frame's bottom block the f-coefficient.  A trial
+    whose volume is not positive and finite is degenerate and leaves the
+    live set.  Returns L_n and f_ratio (step -> value) and the degenerate
+    flag of each trial.
+    """
+    n_trials = len(idxs)
+    L_n = [{} for _ in range(n_trials)]
+    f_ratio = [{} for _ in range(n_trials)]
+    degenerate = [False] * n_trials
+    mats = np.stack(mats)
+    live = np.arange(n_trials)
+    Y = np.zeros((n_trials, 2 * h, h), dtype=complex)
+    Y[:, :h, :] = np.eye(h)
+    logvol = np.zeros(n_trials)
+    for step in range(1, idxs.shape[1] + 1):
+        Q, R = np.linalg.qr(mats[idxs[live, step - 1]] @ Y)
+        vol = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1)
+        ok = (vol > 0.0) & np.isfinite(vol)
+        if not ok.all():
+            for t in live[~ok].tolist():
+                degenerate[t] = True
+            live, Q, vol, logvol = live[ok], Q[ok], vol[ok], logvol[ok]
+            if not live.size:
+                break
+        # math.log per trial, as the per-trial loop took it
+        logvol = logvol + [math.log(v) for v in vol.tolist()]
+        # fix phases so the minor below is well defined up to modulus
+        Y = Q
+        if step in sched:
+            minors = np.linalg.det(Y[:, h : 2 * h, :])
+            for t, lv, minor in zip(live.tolist(), logvol.tolist(), minors):
+                L_n[t][step] = lv / step
+                f_ratio[t][step] = float(abs(minor))
+    return L_n, f_ratio, degenerate
+
+
 def _trial_chunk(args) -> list[dict]:
+    """Records of the trials `indices`: the exact lane one trial at a time,
+    then the embedded lane once per cover degree over all of them."""
     config, indices = args
     setup = _run_setup(config)
-    return [_trial_record(config, i, setup) for i in indices]
+    letters = [_trial_letters(config, i) for i in indices]
+    records = [_trial_record(config, i, setup, *lt) for i, lt in zip(indices, letters)]
+    for rec in records:
+        rec["L_n"], rec["f_ratio"], rec["degenerate"] = {}, {}, {}
+    idxs = np.array([idx for idx, _ in letters])
+    for q in config.q_list:
+        lane = _embedded_lane(setup.iota[q], idxs, setup.sched, config.g - 1)
+        for rec, L, f, degen in zip(records, *lane):
+            rec["L_n"][q], rec["f_ratio"][q], rec["degenerate"][q] = L, f, degen
+    return records
 
 
 def run_walk(config: WalkConfig, workers: int | None = None) -> WalkReport:

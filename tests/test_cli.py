@@ -140,6 +140,9 @@ def test_torsion_scan_rejects_non_square_blocks(tmp_path, capsys, rows):
     assert not out_csv.exists()
 
 
+MOD2 = bundled_generators(3)[0][0].reduce_mod_q(2).to_json_obj()
+
+
 @pytest.mark.parametrize("argv, obj", [
     (["heegaard", "--matrix"], [[1.5, 0], [0, 1]]),
     (["heegaard", "--matrix"], [1, 2]),
@@ -148,6 +151,10 @@ def test_torsion_scan_rejects_non_square_blocks(tmp_path, capsys, rows):
     (["mahler", "eval", "--poly"], {"poly": [[0, 1.5], [1, 1]]}),
     (["torsion", "scan", "--qmax", "5", "--binf"], {"rows": [[[[0.5, 1], [1, 1]]]]}),
     (["torsion", "scan", "--qmax", "5", "--binf"], {"rows": [[5]]}),
+    (["torsion", "scan", "--qmax", "5", "--binf"], {"g": 3, "ring": "laurent", "rows": 5}),
+    # a bundled generator mod 2 with a row, or an entry, as the string "10"
+    (["rep", "check-form"], {**MOD2, "rows": ["10", *MOD2["rows"][1:]]}),
+    (["rep", "check-form"], {**MOD2, "rows": [["10", *MOD2["rows"][0][1:]], *MOD2["rows"][1:]]}),
 ])
 def test_non_integer_and_malformed_inputs_exit_2(tmp_path, capsys, argv, obj):
     # floats, null and misshapen rows are bad input: never truncated, never
@@ -236,6 +243,20 @@ def test_walk_run_rejects_empty_walks(tmp_path, capsys, bad):
     rc = dispatch(["walk", "run", "--config", str(f), "--out", str(out_dir), "--threads", "1"])
     assert rc == 2
     assert "internal error" not in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_steps": 8.5}, {"n_trials": 2.5}, {"master_seed": 1.5}, {"q_list": [3.5]},
+    {"q_list": 3}, {"root_index": 1.5}, {"unit_twist_seed": 0.5}, {"g": 3.0},
+    {"alpha": "x"}, {"alpha": True}, {"alpha": math.nan}, {"alpha": math.inf},
+])
+def test_walk_run_rejects_non_integer_fields(tmp_path, capsys, bad):
+    f = walk_config_file(tmp_path, **bad)
+    out_dir = tmp_path / "out"
+    rc = dispatch(["walk", "run", "--config", str(f), "--out", str(out_dir), "--threads", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert not out_dir.exists()
 
 

@@ -98,6 +98,26 @@ def test_pairing_linear_in_first_argument():
     assert pairing(xz, y, model) == pairing(x, y, model) + pairing(z, y, model)
 
 
+def test_product_matches_dense_product():
+    # the product skips zero factors; the dense triple loop is the oracle
+    model = SurfaceModel(3)
+
+    def dense(A, B):
+        n = A.n
+        zero = A.rows[0][0] - A.rows[0][0]
+        return [[sum((A.rows[i][k] * B.rows[k][j] for k in range(n)), zero) for j in range(n)]
+                for i in range(n)]
+
+    for q in (None, 5):
+        J = reidemeister_form(model, q)
+        for _ in range(5):
+            A, B = rand_word(model, 3), rand_word(model, 2)
+            if q is not None:
+                A, B = A.reduce_mod_q(q), B.reduce_mod_q(q)
+            for X, Y in ((A, B), (J, A), (B, J), (J, J)):
+                assert [list(r) for r in (X @ Y).rows] == dense(X, Y)
+
+
 def test_identity_preserves_form():
     assert check_form_preserved(FormMatrix.identity(SurfaceModel(3)))
     assert check_form_preserved(FormMatrix.identity(SurfaceModel(4), q=5))
@@ -180,6 +200,22 @@ def test_iota_carries_form_to_standard_form():
         M = rand_word(model, 4).reduce_mod_q(q)
         A = iota_embed(M)
         assert np.allclose(A.conj().T @ Jc @ A, Jc, atol=1e-9)
+
+
+def test_iota_embed_is_iota_scalar_bit_for_bit():
+    # both share one table of powers of zeta per call; each entry must be
+    # the per-entry sum with zeta recomputed, as iota_scalar once took it
+    def per_entry(c, root):
+        zeta = np.exp(2j * np.pi * root / c.q)
+        return complex(sum(co * zeta ** k for k, co in enumerate(c.coeffs) if co))
+
+    model = SurfaceModel(3)
+    for q, root in ((3, 1), (5, 2), (7, 3), (12, 5), (97, 10)):
+        for M in (rand_word(model, 4).reduce_mod_q(q), reidemeister_form(model, q)):
+            want = np.array([[per_entry(e, root) for e in row] for row in M.rows])
+            scalars = np.array([[iota_scalar(e, root) for e in row] for row in M.rows])
+            for got in (iota_embed(M, root), scalars):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (q, root)
 
 
 def test_iota_matches_laurent_eval():
@@ -279,3 +315,11 @@ def test_form_matrix_json_roundtrip():
     rows[0][0][0] = 0.5
     with pytest.raises(ValueError):
         FormMatrix.from_json_obj({**obj, "rows": rows})
+    # rows must be lists of lists, and a cyclic entry a list, not a string
+    # of digits read one character at a time
+    rows[0][0] = "10"
+    lrows = M.to_json_obj()
+    for bad in ({**obj, "rows": rows}, {**obj, "rows": 5}, {**lrows, "rows": 5},
+                {**lrows, "rows": [5] * 4}, {**obj, "ring": 4}):
+        with pytest.raises(ValueError):
+            FormMatrix.from_json_obj(bad)

@@ -22,13 +22,16 @@ from torsionlab.hermitian import (
 from torsionlab.mahler import kronecker_zero_test
 from torsionlab.ringcore import LaurentPoly, _primes_below_2_31, _primes_for
 from torsionlab.walks import (
+    _WIDE_ROW,
     WalkConfig,
     WalkReport,
     _frame_bounds,
+    _letter_plan,
     _modular_dets,
     _normalized_iota,
     _run_setup,
     _sample_indices,
+    _trial_chunk,
     _trial_letters,
     _trial_record,
     bundled_generators,
@@ -187,7 +190,7 @@ def test_normalized_iota_matches_term_sum(q, root_index):
 
 def test_embedded_lane_matches_brute_force_exterior():
     cfg = small_config(n_steps=8, n_trials=1)
-    rec = _trial_record(cfg, 0, _run_setup(cfg))
+    rec = _trial_chunk((cfg, [0]))[0]
     q = 3
     idx = _sample_indices(cfg, 0, 8)
     mk = ExteriorMarking(3)
@@ -203,6 +206,68 @@ def test_embedded_lane_matches_brute_force_exterior():
     assert rec["f_ratio"][q][8] == pytest.approx(
         abs(v[mk.f_index]) / np.linalg.norm(v), abs=1e-9
     )
+
+
+def _embedded_one_trial(mats, idx, sched, h):
+    """The embedded lane of one trial as its own loop, one QR per step."""
+    L_n, f_ratio = {}, {}
+    Y = np.zeros((2 * h, h), dtype=complex)
+    Y[:h, :h] = np.eye(h)
+    logvol = 0.0
+    for step, gi in enumerate(idx.tolist(), 1):
+        Q, R = np.linalg.qr(mats[gi] @ Y)
+        vol = float(np.prod(np.abs(np.diag(R))))
+        if vol <= 0.0 or not math.isfinite(vol):
+            return L_n, f_ratio, True
+        logvol += math.log(vol)
+        Y = Q
+        if step in sched:
+            L_n[step] = logvol / step
+            f_ratio[step] = float(abs(np.linalg.det(Y[h:, :])))
+    return L_n, f_ratio, False
+
+
+def test_chunk_records_match_trials_run_alone():
+    # the lockstep lane gives each trial the floats of its own loop, bit for
+    # bit, whatever else is in the chunk
+    cfg = small_config(n_steps=64, n_trials=8, unit_twist_seed=77, q_list=(3, 5))
+    setup = _run_setup(cfg)
+    chunk = _trial_chunk((cfg, list(range(8))))
+    assert [rec["trial"] for rec in chunk] == list(range(8))
+    for t, rec in enumerate(chunk):
+        assert repr(rec) == repr(_trial_chunk((cfg, [t]))[0]), t
+        idx, _ = _trial_letters(cfg, t)
+        for q in cfg.q_list:
+            own = _embedded_one_trial(setup.iota[q], idx, set(setup.sched), 2)
+            assert repr((rec["L_n"][q], rec["f_ratio"][q], rec["degenerate"][q])) == repr(own)
+    assert repr(_trial_chunk((cfg, [6, 1, 3]))) == repr([chunk[6], chunk[1], chunk[3]])
+
+
+def test_zero_letter_degenerates_only_its_trials(monkeypatch):
+    cfg = small_config(n_steps=8, n_trials=8, q_list=(3, 5))
+    setup = _run_setup(cfg)
+    base = _trial_chunk((cfg, list(range(8))))
+    idxs = [_trial_letters(cfg, t)[0].tolist() for t in range(8)]
+    # a generator drawn by some of the trials but not all
+    gi = next(i for i in range(len(GENS)) if 0 < sum(i in idx for idx in idxs) < 8)
+    zeroed = {q: [np.zeros_like(m) if i == gi else m for i, m in enumerate(mats)]
+              for q, mats in setup.iota.items()}
+    monkeypatch.setattr(walks, "_run_setup", lambda config: dataclasses.replace(setup, iota=zeroed))
+    got = _trial_chunk((cfg, list(range(8))))
+    for t, (rec, ref) in enumerate(zip(got, base)):
+        assert not any(ref["degenerate"].values())
+        if gi not in idxs[t]:
+            assert repr(rec) == repr(ref), t
+            continue
+        first = idxs[t].index(gi) + 1
+        for q in cfg.q_list:
+            assert rec["degenerate"][q]
+            # the values before the zero letter stand, and none after it
+            kept = {n: v for n, v in ref["L_n"][q].items() if n < first}
+            assert rec["L_n"][q] == kept
+            assert set(rec["f_ratio"][q]) == set(kept)
+        for key in ("mahler_positive", "constraint_verdict", "det_degree"):
+            assert rec[key] == ref[key]
 
 
 def _full_word_oracle(cfg, trial, n):
@@ -228,7 +293,7 @@ def test_exact_lane_matches_full_word(swap):
     cfg = small_config(generators=gens, n_steps=16, n_trials=4)
     seen = set()
     for trial in range(cfg.n_trials):
-        rec = _trial_record(cfg, trial, _run_setup(cfg))
+        rec = _trial_record(cfg, trial, _run_setup(cfg), *_trial_letters(cfg, trial))
         for n in cfg.schedule():
             deg, positive = _full_word_oracle(cfg, trial, n)
             assert rec["det_degree"][n] == deg, (trial, n)
@@ -281,7 +346,8 @@ def test_modular_lane_higher_genus_and_zero_dets(g):
     assert any(d.is_zero() for d in dets)
     setup = _run_setup(cfg)
     verdicts = [v for t in range(cfg.n_trials)
-                for v in _trial_record(cfg, t, setup)["constraint_verdict"].values()]
+                for v in _trial_record(cfg, t, setup, *_trial_letters(cfg, t))
+                ["constraint_verdict"].values()]
     assert verdicts.count("degenerate_zero") == sum(d.is_zero() for d in dets)
 
 
@@ -314,6 +380,28 @@ def test_modular_lane_wide_coefficients(scale):
     drawn = {int(i) for t in range(cfg.n_trials) for i in _trial_letters(cfg, t)[0][:8]}
     assert set(range(len(GENS), len(GENS) + 4)) <= drawn
     _oracle_check(cfg, range(cfg.n_trials))
+
+
+def test_modular_lane_reduces_before_every_near_wide_letter():
+    # k (t + 1/t - 2) with k as large as keeps a letter's row_l1 below
+    # _WIDE_ROW: one letter takes the bound from 2^31 past 2^62, so the
+    # frame is reduced before every later letter, and unreduced it would
+    # pass 2^63 on the next
+    model = SurfaceModel(3)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    gens = []
+    for v in ([one, zero, zero, zero], [zero, zero, one, zero], [one, zero, zero, one]):
+        k = (_WIDE_ROW - 2) // (4 * sum(map(bool, v)))
+        for c in (k, -k):
+            gens.append(transvection(model, v, LaurentPoly({1: c, -1: c, 0: -2 * c}),
+                                     torelli_like=True))
+    plans = [_letter_plan(M) for M in gens]
+    assert all(not L.wide and _WIDE_ROW - 16 < L.row_l1 < _WIDE_ROW for L in plans)
+    assert all(2**31 * L.row_l1 > 2**62 for L in plans)
+    cfg = small_config(generators=gens, probabilities=[Fraction(1, 6)] * 6,
+                       n_steps=16, n_trials=3)
+    dets = _oracle_check(cfg, range(cfg.n_trials))
+    assert any(not d.is_zero() for d in dets)
 
 
 @pytest.mark.parametrize("make", [lambda: small_config(n_steps=64, n_trials=2),
@@ -352,7 +440,7 @@ def test_primes_for_matches_old_prime_count_on_frame_bounds():
 
 def test_exact_lane_degree_ledger():
     cfg = small_config(n_steps=8, n_trials=1)
-    rec = _trial_record(cfg, 0, _run_setup(cfg))
+    rec = _trial_record(cfg, 0, _run_setup(cfg), *_trial_letters(cfg, 0))
     d_mu = cfg.d_mu()
     for n, deg in rec["det_degree"].items():
         assert deg <= (cfg.g - 1) * d_mu * n
