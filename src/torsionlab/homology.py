@@ -17,9 +17,12 @@ lifted by CRT under a rigorous Mahler-measure height bound, and one
 engine computes it for one q as for many (_tower_resultants): t^q mod D0
 advances by one shift per unit step of q, modulo the one prime list of
 the largest q, and the (q, p) rows go through one vectorised Euclid in
-chunks.  Each tower sweeps its one D0 once: growth_scan is the tower over
-its q range, cover_homology the tower of the reduced block's lifts at its
-one q, and circulant_det the same engine at one q.
+chunks.  That Euclid takes pseudo-remainders, so no remainder is made
+monic: each row carries its leading-coefficient powers as a denominator
+and takes one Fermat inverse when it finishes.  Each tower sweeps its one
+D0 once: growth_scan is the tower over its q range, cover_homology the
+tower of the reduced block's lifts at its one q, and circulant_det the
+same engine at one q.
 """
 
 from __future__ import annotations
@@ -188,10 +191,18 @@ def _height_bits(g: list[int], q: int) -> int:
 
 def _pow_rows(x: np.ndarray, e, P: np.ndarray) -> np.ndarray:
     """x^e modulo P entrywise by square-and-multiply over int64 arrays; e
-    is one exponent or one per entry, and P holds primes below 2^31, so
-    every product fits in 62 bits."""
+    is one Python int or an int64 array with one exponent per entry, and P
+    holds primes below 2^31, so every product fits in 62 bits."""
     out = np.ones_like(x)
-    while np.any(e):
+    if isinstance(e, int):
+        while e:
+            if e & 1:
+                out = out * x % P
+            e >>= 1
+            if e:
+                x = x * x % P
+        return out
+    for _ in range(int(e.max(initial=0)).bit_length()):
         out = np.where(e & 1, out * x % P, out)
         x = x * x % P
         e = e >> 1
@@ -202,43 +213,56 @@ def _euclid_rows(a: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
     """prod b(alpha) over the roots alpha of a, modulo p, for each row
     (a, b, p) of the int64 arrays: a monic of degree k (k + 1 columns),
     b of degree < k (k columns), p a prime below 2^31; residues in [0, p).
-    a is overwritten.
+    a and b are overwritten.
 
-    Residues stay below 2^31, so every product fits in 62 bits.  Every row
-    follows the same degree sequence through Euclid; a row whose remainder
-    drops degree where the others do not leaves the batch and is finished
-    alone by _monic_resultant from its current state.
+    Euclid without inverses (pseudo-division, Knuth TAOCP 4.6.1).  For
+    deg a = m, deg b = n and c = lc(b), prod_a b(alpha) = (-1)^{mn} c^m
+    lc(a)^-n prod_b a(beta), and the m - n + 1 steps a <- c a - a_k
+    t^(k-n) b of the pseudo-remainder multiply each a(beta) by c^(m-n+1).
+    So a step divides by lc(a)^n c^f, f = (m-n)(n-1), and nothing is made
+    monic: den takes lc(a)^(n + f), f from the step before, in one power
+    per step, and each row takes one Fermat inverse of den when it
+    finishes.  Both products of a step are below 2^62, and so is their
+    difference.  Every row follows the same degree sequence; a row whose
+    remainder drops degree where the others do not leaves the batch, is
+    made monic, and is finished alone by _monic_resultant.
     """
     out = np.zeros(len(P), dtype=np.int64)
     rows = np.arange(len(P))
-    acc = np.ones(len(P), dtype=np.int64)
+    den = np.ones(len(P), dtype=np.int64)
+    neg, f = False, 0
     while True:
         cols = np.flatnonzero(b.any(axis=0))
         if not cols.size:
             return out  # b = 0: the resultant vanishes modulo these primes
         n = int(cols[-1])
+        m = a.shape[1] - 1
         drop = b[:, n] == 0
         if drop.any():
             for j in np.flatnonzero(drop).tolist():
-                p = int(P[j])
-                out[rows[j]] = int(acc[j]) * _monic_resultant(a[j].tolist(), b[j].tolist(), p) % p
+                p, la = int(P[j]), int(a[j, m])
+                # with dd = den lc(a)^f and inv = (dd lc(a))^-1, inv dd = lc(a)^-1
+                # and inv lc(a) = dd^-1
+                dd = int(den[j]) * pow(la, f, p) % p
+                inv = pow(dd * la, p - 2, p)
+                monic = [v * inv * dd % p for v in a[j].tolist()]
+                v = inv * la * _monic_resultant(monic, b[j].tolist(), p) % p
+                out[rows[j]] = -v % p if neg else v
             keep = ~drop
-            a, b, acc, rows, P = a[keep], b[keep], acc[keep], rows[keep], P[keep]
+            a, b, den, rows, P = a[keep], b[keep], den[keep], rows[keep], P[keep]
         b = b[:, :n + 1]
-        deg_a = a.shape[1] - 1
-        lc = b[:, n]
-        # prod_a b(alpha) = (-1)^{mn} lc(b)^m prod_b a(beta)
-        acc = acc * _pow_rows(lc, deg_a, P) % P
+        c = b[:, n]
+        den = den * _pow_rows(a[:, m], f + n, P) % P
         if n == 0:
-            out[rows] = acc
+            v = _pow_rows(c, m, P) * _pow_rows(den, P - 2, P) % P
+            out[rows] = (P - v) % P if neg else v
             return out
-        if deg_a * n % 2:
-            acc = (P - acc) % P
-        # b / lc(b), by Fermat: lc^(p - 2) = lc^-1 mod p
-        b = b * _pow_rows(lc, P - 2, P)[:, None] % P[:, None]
-        # a mod the monic b
-        for k in range(deg_a, n - 1, -1):
-            a[:, k - n:k] = (a[:, k - n:k] - a[:, k:k + 1] * b[:, :n]) % P[:, None]
+        neg ^= m * n % 2 == 1
+        f = (m - n) * (n - 1)
+        for k in range(m, n - 1, -1):
+            a[:, :k] *= c[:, None]
+            a[:, k - n:k] -= a[:, k:k + 1] * b[:, :n]
+            a[:, :k] %= P[:, None]
         a, b = b, a[:, :n]
 
 
@@ -270,12 +294,14 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
 
     The primes are one descending list, drawn once for the largest height
     bound, and each q takes the prefix its own _height_bits bound needs.
-    Modulo each prime, r = t^q mod g / lc(g) and lc^q advance one shift
-    and reduction per unit step of q; at each scanned q the rows r - 1 of
-    its primes join a batch, and every SWEEP_ROWS rows go through one
-    _euclid_rows.  Res(t^q - 1, g) = (-1)^{qd} lc^q prod (beta^q - 1) over
-    the roots beta of g, and CRT gives it per q.  g needs no reduction modulo
-    t^q - 1: the height bound holds for any degree.
+    Modulo each prime, r = t^q mod g / lc(g) advances one shift and
+    reduction per unit step of q, between two preallocated buffers; at
+    each scanned q the rows r - 1 of its primes join a batch, and every
+    SWEEP_ROWS rows go through one _euclid_rows and one _pow_rows that
+    raises (-1)^d lc to each row's own q.  Res(t^q - 1, g) = ((-1)^d lc)^q
+    prod (beta^q - 1) over the roots beta of g, and CRT gives it per q.
+    g needs no reduction modulo t^q - 1: the height bound holds for any
+    degree.
     """
     if not qs:
         return []
@@ -289,18 +315,19 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     counts = [bisect.bisect_right(prods, 2 << b) + 1 for b in bits]
     P = np.array(primes, dtype=np.int64)
     m = _monic_rows(g, primes)
-    low = m[:, :d]
-    lcp = np.array([lc % p for p in primes], dtype=np.int64)
+    neg_low = -m[:, :d]
+    sign_lc = np.array([(-1) ** d * lc % p for p in primes], dtype=np.int64)
     r = np.zeros((len(primes), d), dtype=np.int64)
     r[:, 0] = 1
-    lcq = np.ones(len(primes), dtype=np.int64)
+    nxt = np.empty_like(r)
     out, batch, rows, q_at = [], [], 0, 0
 
     def flush():
-        ns, bs, cs = zip(*batch)
+        ns, bs, qb = zip(*batch)
         idx = np.concatenate([np.arange(n) for n in ns])
         Pb = P[idx]
-        v = _euclid_rows(m[idx], np.concatenate(bs), Pb) * np.concatenate(cs) % Pb
+        lcq = _pow_rows(sign_lc[idx], np.repeat(qb, ns), Pb)
+        v = _euclid_rows(m[idx], np.concatenate(bs), Pb) * lcq % Pb
         # one column of residues per q, its own primes on top
         R = np.zeros((max(ns), len(ns)), dtype=np.int64)
         R.T[np.arange(max(ns)) < np.array(ns)[:, None]] = v
@@ -309,14 +336,15 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
 
     for q, n in zip(qs, counts):
         for _ in range(q - q_at):
-            top = r[:, -1:]
-            r = np.concatenate([0 * top, r[:, :-1]], axis=1) - top * low
-            r %= P[:, None]
-            lcq = lcq * lcp % P
+            # r <- t r - top(r) low, into the other buffer
+            np.multiply(r[:, -1:], neg_low, out=nxt)
+            np.add(nxt[:, 1:], r[:, :-1], out=nxt[:, 1:])
+            np.remainder(nxt, P[:, None], out=nxt)
+            r, nxt = nxt, r
         q_at = q
         b = r[:n].copy()
         b[:, 0] = (b[:, 0] - 1) % P[:n]
-        batch.append((n, b, (P[:n] - lcq[:n]) % P[:n] if q * d % 2 else lcq[:n]))
+        batch.append((n, b, q))
         rows += n
         if rows >= SWEEP_ROWS:
             flush()
@@ -380,13 +408,14 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
     """
     h, delta = len(B), det.coeff_list()
     polys = [e.coeff_list() for row in B for e in row if not e.is_zero()]
-    divs = sorted({d for q in qs for d in divisors(q)})
+    qdivs = [divisors(q) for q in qs]
+    divs = sorted({d for ds in qdivs for d in ds})
     C = {d for d in divs if all(_phi_quotient(g, d) is not None for g in polys)}
     D0, k = _phi_split(delta, divs) if delta else ([], {})
     reports: list[TorsionReport | None] = [None] * len(qs)
     swept = []  # (i, S, the nonzero multiplicities in D) of the covers the sweep decides
-    for i, q in enumerate(qs):
-        S = [d for d in divisors(q) if d in C]
+    for i, (q, ds) in enumerate(zip(qs, qdivs)):
+        S = [d for d in ds if d in C]
         mult = {e: m for e in {*k, *S} if (m := k.get(e, 0) - h * (e in S))}
         if sum(totient(d) for d in S) == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
             reports[i] = _report(q, 1, h * q, "split_resultant")
@@ -407,7 +436,7 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
             raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
         # d != e: an e | q outside S with nonzero multiplicity went to SNF
         torsion *= math.prod(_cyclotomic_resultant(d, e) ** m for e, m in mult.items()
-                             for d in divisors(q) if d not in S)
+                             for d in qdivs[i] if d not in S)
         reports[i] = _report(q, torsion, h * sum(totient(d) for d in S),
                              "split_resultant" if S else "circulant_det")
     return reports

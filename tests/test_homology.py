@@ -25,7 +25,7 @@ from torsionlab.homology import (
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from torsionlab.ringcore import InvalidModulus, reduce_mod_q
 from torsionlab.ringcore import _int_resultant, _monic_resultant, _phi_split, _primes_for
-from torsionlab.ringcore import _rem_monic
+from torsionlab.ringcore import _mobius_binomials, _primes_below_2_31, _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
 rng = random.Random(314159)
@@ -367,14 +367,24 @@ def test_cyclotomic_resultant_closed_form():
 def test_euclid_rows_match_one_row_at_a_time():
     # the row kernel of the tower sweep, every row its own a, b and prime:
     # small primes make the remainder sequences drop degree often, so rows
-    # leave the batch and are finished alone from their current state
+    # leave the batch with an a that is no longer monic and are finished
+    # alone from their current state; the largest primes below 2^31, with
+    # residues near p, make every product of a pseudo-remainder step come
+    # near 2^62, so a sum of two of them, or a step without its reduction,
+    # overflows int64
     local = random.Random(1618)
     small = [p for p in range(3, 200) if all(p % k for k in range(2, p))]
-    for _ in range(200):
+    large = _primes_below_2_31(24)[:24]
+    for i in range(300):
         k = local.randint(1, 9)
-        P = [local.choice(small) for _ in range(local.randint(1, 40))]
-        a = [[local.randrange(p) for _ in range(k)] + [1] for p in P]
-        b = [[local.randrange(p) if local.random() > 0.15 else 0 for _ in range(k)] for p in P]
+        if i % 3:
+            P = [local.choice(small) for _ in range(local.randint(1, 40))]
+            a = [[local.randrange(p) for _ in range(k)] + [1] for p in P]
+            b = [[local.randrange(p) if local.random() > 0.15 else 0 for _ in range(k)] for p in P]
+        else:
+            P = [local.choice(large) for _ in range(local.randint(1, 40))]
+            a = [[p - 1 - local.randrange(1 << 12) for _ in range(k)] + [1] for p in P]
+            b = [[p - 1 - local.randrange(1 << 12) for _ in range(k)] for p in P]
         got = _euclid_rows(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
                            np.array(P, dtype=np.int64))
         assert got.tolist() == [_monic_resultant(x, y, p) for x, y, p in zip(a, b, P)]
@@ -422,6 +432,25 @@ def test_tower_resultants_match_per_prime_oracle():
             for d in divisors(q):
                 if got[d - 1]:
                     assert got[q - 1] % got[d - 1] == 0, (D0, d, q)
+
+
+def test_tower_resultants_pass_the_mobius_certificate():
+    # Res(t^q - 1, D0) = prod_{d | q} Res(Phi_d, D0), so over a full tower
+    # R_d = prod_plus Res(t^delta - 1, D0) / prod_minus Res(t^delta - 1, D0),
+    # with delta over the Moebius binomials of Phi_d, is Res(Phi_d, D0): an
+    # integer, which a wrong residue or CRT lift breaks with near certainty
+    qs = list(range(1, 201))
+    delta = block_det(walk_trial_block(), q=None).coeff_list()
+    for g in (LEHMER.coeff_list(), DEGENERATE.coeff_list(), delta):
+        D0 = _phi_split(g, qs)[0]
+        res = _tower_resultants(D0, qs)
+        for d in qs:
+            plus, minus = _mobius_binomials(d)
+            R, rem = divmod(math.prod(res[e - 1] for e in plus),
+                            math.prod(res[e - 1] for e in minus))
+            assert not rem, (D0, d)
+            if d <= 60:
+                assert abs(R) == abs(_int_resultant(cyclotomic(d).coeff_list(), D0)), (D0, d)
 
 
 def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
