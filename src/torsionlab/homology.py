@@ -171,7 +171,7 @@ def _graeffe_norm_bits(g: tuple[int, ...]) -> int:
     return sum(x * x for x in G).bit_length()
 
 
-def _height_bits(g: list[int], q: int) -> int:
+def _height_bits(g: list[int], q: int, power: int | None = None) -> int:
     """An integer b with |Res(t^q - 1, g)| < 2^b, from two rigorous bounds.
 
     |Res| = |lc|^q prod |beta^q - 1| over the roots beta of g, which is at
@@ -181,12 +181,15 @@ def _height_bits(g: list[int], q: int) -> int:
     folds modulo t^q - 1, and its folded coefficients can have the larger
     sum of squares.  The Mahler bound is within a few percent of the true
     height on walk determinants, Parseval's about twice it; the smaller
-    one wins.
+    one wins.  power is (sum g_k^2)^q, for a caller that carries it along
+    its qs; it is raised here otherwise.
     """
     mahler = len(g) - 1 - (-q * _graeffe_norm_bits(tuple(g)) >> (GRAEFFE_ROUNDS + 1))
     if len(g) > q:
         return mahler
-    return min(mahler, ((sum(x * x for x in g) ** q).bit_length() + 1) // 2)
+    if power is None:
+        power = sum(x * x for x in g) ** q
+    return min(mahler, (power.bit_length() + 1) // 2)
 
 
 def _pow_rows(x: np.ndarray, e, P: np.ndarray) -> np.ndarray:
@@ -293,22 +296,27 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     """Res(t^q - 1, g) for each q of the ascending qs, in one sweep.
 
     The primes are one descending list, drawn once for the largest height
-    bound, and each q takes the prefix its own _height_bits bound needs.
-    Modulo each prime, r = t^q mod g / lc(g) advances one shift and
-    reduction per unit step of q, between two preallocated buffers; at
-    each scanned q the rows r - 1 of its primes join a batch, and every
-    SWEEP_ROWS rows go through one _euclid_rows and one _pow_rows that
-    raises (-1)^d lc to each row's own q.  Res(t^q - 1, g) = ((-1)^d lc)^q
-    prod (beta^q - 1) over the roots beta of g, and CRT gives it per q.
-    g needs no reduction modulo t^q - 1: the height bound holds for any
-    degree.
+    bound, and each q takes the prefix its own _height_bits bound needs;
+    the Parseval power (sum g_k^2)^q of those bounds is carried from one q
+    to the next, one multiplication per q.  Modulo each prime, r = t^q mod
+    g / lc(g) advances one shift and reduction per unit step of q, between
+    two preallocated buffers; at each scanned q the rows r - 1 of its
+    primes join a batch, and every SWEEP_ROWS rows go through one
+    _euclid_rows and one _pow_rows that raises (-1)^d lc to each row's own
+    q.  Res(t^q - 1, g) = ((-1)^d lc)^q prod (beta^q - 1) over the roots
+    beta of g, and CRT gives it per q.  g needs no reduction modulo
+    t^q - 1: the height bound holds for any degree.
     """
     if not qs:
         return []
     d, lc = len(g) - 1, g[-1]
     if d == 0:
         return [lc ** q for q in qs]
-    bits = [_height_bits(g, q) for q in qs]
+    norm2, power, prev, bits = sum(x * x for x in g), 1, 0, []
+    for q in qs:
+        power *= norm2 ** (q - prev)
+        prev = q
+        bits.append(_height_bits(g, q, power))
     primes = _primes_for(1 << max(bits), avoid=lc)
     prods = list(itertools.accumulate(primes, operator.mul))
     # the fewest primes with a product above 2^(bits + 1), as _primes_for picks them

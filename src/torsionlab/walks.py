@@ -11,19 +11,23 @@ carries the a-frame, the image of the a-basis (the word's first g-1
 columns), and inspects det of its b-rows, the bottom-left block, at a
 logarithmic schedule of lengths.  It keeps the frame modulo a batch of
 primes below 2^31, as one int64 array of dense coefficient windows, with
-enough primes for a per-entry l1 bound tracked exactly beforehand, and
-reduces the residues only when a running magnitude bound requires it; at
-schedule points only, the b-rows are lifted to integers by CRT and det B
-taken exactly over the Laurent ring.  The embedded lane runs all of the
-worker's trials in lockstep, one loop over the steps per cover degree: it
-propagates each trial's a-subspace frame through the iota image of its
-letter, with one stacked QR renormalization per step.  The accumulated
-log-volume is the exterior norm of the image of e, and the f-coefficient
-is the bottom-block minor of the frame.  Each trial gets the floats its
-own loop would give, whichever trials share its chunk.  Letters are
-unit-normalized (lowest entry exponent shifted to zero) before
-embedding, which makes every |iota| statistic exactly independent of
-unit twists of the generators.
+enough primes for a per-entry l1 bound tracked exactly beforehand.  Each
+generator is planned once as I + sum_a r_a x_a y_a^T (one term for a
+transvection), and a letter updates the frame in place: one pass per
+term c t^e of r_a into each target row of x_a, so the identity costs
+nothing.  Residues are reduced only when a running magnitude bound
+requires it; at schedule points only, the b-rows are lifted to integers
+by CRT and det B taken exactly over the Laurent ring.
+
+The embedded lane runs all of the worker's trials in lockstep, one loop
+over the steps per cover degree: it propagates each trial's a-subspace
+frame through the iota image of its letter, with one stacked QR
+renormalization per step.  The accumulated log-volume is the exterior
+norm of the image of e, and the f-coefficient is the bottom-block minor
+of the frame.  Each trial gets the floats its own loop would give,
+whichever trials share its chunk.  Letters are unit-normalized (lowest
+entry exponent shifted to zero) before embedding, which makes every
+|iota| statistic exactly independent of unit twists of the generators.
 """
 
 from __future__ import annotations
@@ -210,9 +214,10 @@ def _normalized_iota(M: FormMatrix, q: int, root_index: int) -> np.ndarray:
     return iota_embed(M.scale(LaurentPoly.t(-lo)).reduce_mod_q(q), root_index)
 
 
-# a letter whose rows have sum |c| below this keeps each row's sum of
-# c * residue inside int64 for primes below 2^31; a wider letter is reduced
-# modulo each prime, and the frame after every term
+# a letter whose growth is below this keeps every partial sum of its update
+# of residues inside int64 for primes below 2^31; a wider letter has its
+# multipliers reduced modulo each prime, and each row it writes after every
+# product
 _WIDE_ROW = 1 << 32
 # the frame's entries are residues below 2^31 right after a reduction, and
 # it is reduced again before a letter would take their bound past 2^62
@@ -222,36 +227,78 @@ _LAZY_LIMIT = 1 << 62
 
 @dataclass(frozen=True)
 class _LetterPlan:
-    """A generator's sparse terms, read once per run.
+    """A generator L as I + sum_a r_a x_a y_a^T, read once per run.
 
-    rows[i] lists (k, offset, c) for each term c t^e of entry (i, k), with
-    offset = e - lo above the letter's lowest exponent lo; span is its
-    highest exponent minus lo, norms[i] lists (k, l1 norm of entry (i, k))
-    for the nonzero entries of row i, and row_l1 is the largest row sum of
-    those norms: the factor by which the letter can grow a frame entry.
+    r_a is a Laurent polynomial and x_a, y_a are integer vectors.  Each
+    entry of terms is (view, ys, adds) for one term a: ys lists (k, y_ak)
+    over the nonzero entries of y_a, adds lists (i, e, x_ai c) over the
+    target rows i of x_a and the terms c t^e of r_a, and view is k when
+    y_a = e_k and no term of L writes row k (so y_a^T F is row k of F
+    itself), else None.  left and right are how far the terms' exponents
+    reach below and above 0, the widening of the frame's window.
+
+    norms lists (i, ((k, l1 norm of L_ik), ...)) for the rows i of L that
+    are not rows of I, and row_l1 is the largest row sum of the l1 norms
+    over all rows of L.  growth = max_i (1 + sum_a |x_ai| ||r_a||_1
+    ||y_a||_1) >= row_l1 bounds every partial sum of the update, and each
+    w_a and c w_a, in units of the frame's largest |entry|; the letter is
+    wide when growth reaches _WIDE_ROW.
     """
 
-    lo: int
-    span: int
-    rows: tuple
+    terms: tuple
+    left: int
+    right: int
     norms: tuple
     row_l1: int
+    growth: int
     wide: bool
 
 
+def _primitive(v: dict) -> tuple[int, tuple]:
+    """(f, w) with v = f w and w primitive, as sorted (key, value) pairs
+    whose first value is positive."""
+    w = sorted(v.items())
+    f = math.gcd(*v.values()) * (1 if w[0][1] > 0 else -1)
+    return f, tuple((k, c // f) for k, c in w)
+
+
 def _letter_plan(M: FormMatrix) -> _LetterPlan:
-    exps = [e for row in M.rows for x in row for e in x.coeffs]
-    lo = min(exps)
-    rows = tuple(
-        tuple((k, e - lo, c) for k, x in enumerate(row) for e, c in x.coeffs.items())
-        for row in M.rows
-    )
-    norms = tuple(
+    # row i of L - I, its entries grouped by their Laurent value r up to an
+    # integer factor, is a sum of x_i r y^T with y primitive; the rows that
+    # share r and y make one term, so an outer product makes one term
+    xs = {}
+    for i, row in enumerate(M.rows):
+        vecs = {}
+        for k, entry in enumerate(row):
+            if i == k:
+                entry = entry - 1
+            if entry:
+                f, r = _primitive(entry.coeffs)
+                vecs.setdefault(r, {})[k] = f
+        for r, v in vecs.items():
+            f, y = _primitive(v)
+            xs.setdefault((r, y), {})[i] = f
+    written = {i for x in xs.values() for i in x}
+    terms, growth = [], [1] * M.n
+    for (r, y), x in xs.items():
+        view = y[0][0] if len(y) == 1 and y[0][0] not in written else None
+        terms.append((view, y, tuple((i, e, xi * c) for i, xi in x.items() for e, c in r)))
+        for i, xi in x.items():
+            growth[i] += abs(xi) * sum(abs(c) for _, c in r) * sum(abs(c) for _, c in y)
+    exps = [e for r, _ in xs for e, _ in r]
+    norms = [
         tuple((k, sum(map(abs, x.coeffs.values()))) for k, x in enumerate(row) if x)
         for row in M.rows
+    ]
+    return _LetterPlan(
+        terms=tuple(terms),
+        left=max([0] + [-e for e in exps]),
+        right=max([0] + exps),
+        norms=tuple((i, row) for i, row in enumerate(norms) if row != ((i, 1),)),
+        row_l1=max(sum(n for _, n in row) for row in norms),
+        growth=max(growth),
+        wide=max(growth) >= _WIDE_ROW,
     )
-    row_l1 = max(sum(n for _, n in row) for row in norms)
-    return _LetterPlan(lo, max(exps) - lo, rows, norms, row_l1, row_l1 >= _WIDE_ROW)
 
 
 @dataclass(frozen=True)
@@ -284,11 +331,15 @@ def _run_setup(config: WalkConfig) -> _RunSetup:
 def _frame_bounds(plans: list, sched: list, h: int) -> dict:
     """For each schedule point n, a bound on every |coefficient| of the
     frame's b-rows after the first n letters: the l1 norm of (L F)_ij is at
-    most sum_k ||L_ik||_1 ||F_kj||_1, tracked exactly column by column."""
+    most sum_k ||L_ik||_1 ||F_kj||_1, tracked exactly column by column over
+    the rows that L moves."""
     cols = [[int(i == j) for i in range(2 * h)] for j in range(h)]
     out = {}
     for step, L in enumerate(plans, 1):
-        cols = [[sum(n * col[k] for k, n in row) for row in L.norms] for col in cols]
+        for col in cols:
+            new = [sum([n * col[k] for k, n in row]) for _, row in L.norms]
+            for (i, _), v in zip(L.norms, new):
+                col[i] = v
         if step in sched:
             out[step] = max(max(col[h:]) for col in cols)
     return out
@@ -298,63 +349,79 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     """det B at each schedule point of the walk on the letters idx (times
     t^twists, if given), from the a-frame kept modulo a batch of primes.
 
-    The frame is one int64 array (2h, h, primes, exponents) over a window
-    that starts at the running sum of the letters' lowest exponents, so a
-    term c t^e adds c times the frame at offset e - lo, and a unit twist
+    The frame F is one int64 array (2h, exponents, h, primes), updated in
+    place: a letter I + sum_a r_a x_a y_a^T first takes each w_a = y_a^T F,
+    a view of a row of F where its plan allows, else one scratch row, then
+    adds c w_a at offset e into each target row of x_a.  The identity costs
+    nothing: the window of live exponents only widens by the terms'
+    exponent range, inside the one preallocated buffer, and a unit twist
     only moves the window's base exponent.  Residues are reduced lazily:
     `bound` caps every |entry| since the last reduction (2^31 times the
-    row_l1 of each letter since), and the frame is reduced when the next
+    growth of each letter since), and the frame is reduced when the next
     letter would take it past 2^62, before a wide letter and at schedule
-    points.  There the b-rows are lifted by CRT over as many primes as
-    that point's bound needs.
+    points.  A wide letter's multipliers are reduced modulo each prime,
+    and so is each row it writes after every product.  At schedule points
+    the b-rows are lifted by CRT over as many primes as that point's bound
+    needs.
     """
     plans = [setup.letters[int(i)] for i in idx]
     at = {n: _primes_for(b) for n, b in _frame_bounds(plans, setup.sched, h).items()}
     primes = max(at.values(), key=len)
-    pcol = np.array(primes, dtype=np.int64)[:, None]
-    frame = np.zeros((2 * h, h, len(primes), 1 + sum(L.span for L in plans)), dtype=np.int64)
-    spare = np.zeros_like(frame)
-    scratch = np.empty_like(frame[0])  # c times a source row
+    P = np.array(primes, dtype=np.int64)
+    lo = sum(L.left for L in plans)
+    frame = np.zeros((2 * h, 1 + lo + sum(L.right for L in plans), h, len(primes)), dtype=np.int64)
+    # a row per term for the w_a that are copies, and one for c w_a
+    scratch = np.empty((1 + max(len(L.terms) for L in plans), *frame.shape[1:]), dtype=np.int64)
     for j in range(h):
-        frame[j, j, :, 0] = 1
-    width, base, bound = 1, 0, _REDUCED
-    reduced = {}  # coefficient of a wide letter -> its residues, as a column
+        frame[j, lo, j] = 1
+    # the live exponents are the window [a, b), and base is the exponent at a
+    a, b, base, bound = lo, lo + 1, 0, _REDUCED
+    reduced = {}  # multiplier of a wide letter -> its residues
+
+    def add(dst, src, c, wide, tmp):  # dst += c src, reduced if wide
+        if wide:
+            if c not in reduced:
+                reduced[c] = np.array([c % p for p in primes], dtype=np.int64)
+            np.multiply(src, reduced[c], out=tmp)
+            tmp += dst
+            np.remainder(tmp, P, out=dst)
+        elif c == 1:
+            dst += src
+        elif c == -1:
+            dst -= src
+        else:
+            np.multiply(src, c, out=tmp)
+            dst += tmp
+
     dets = {}
     for step, L in enumerate(plans, 1):
-        if bound > _REDUCED and (L.wide or bound * L.row_l1 > _LAZY_LIMIT):
-            np.remainder(frame[..., :width], pcol, out=frame[..., :width])
+        if bound > _REDUCED and (L.wide or bound * L.growth > _LAZY_LIMIT):
+            np.remainder(frame[:, a:b], P, out=frame[:, a:b])
             bound = _REDUCED
-        out = spare[..., : width + L.span]
-        out[...] = 0
-        srcs = [frame[k, :, :, :width] for k in range(2 * h)]
-        tmp = scratch[..., :width]
-        for i, terms in enumerate(L.rows):
-            row = out[i]
-            for k, o, c in terms:
-                dst = row[..., o : o + width]
-                if L.wide:
-                    if c not in reduced:
-                        reduced[c] = np.array([[c % p] for p in primes], dtype=np.int64)
-                    np.multiply(srcs[k], reduced[c], out=tmp)
-                    tmp += dst
-                    np.remainder(tmp, pcol, out=dst)
-                elif c == 1:
-                    dst += srcs[k]
-                elif c == -1:
-                    dst -= srcs[k]
-                else:
-                    np.multiply(srcs[k], c, out=tmp)
-                    dst += tmp
-        frame, spare = spare, frame
-        width += L.span
-        bound = _REDUCED if L.wide else bound * L.row_l1
-        base += L.lo + (0 if twists is None else int(twists[step - 1]))
+        tmp = scratch[-1, : b - a]
+        ws = []
+        for s, (view, ys, _) in enumerate(L.terms):
+            if view is not None:
+                ws.append(frame[view, a:b])
+                continue
+            w = scratch[s, : b - a]
+            ws.append(w)
+            w[...] = 0
+            for k, c in ys:
+                add(w, frame[k, a:b], c, L.wide, tmp)
+        for w, (_, _, adds) in zip(ws, L.terms):
+            for i, e, c in adds:
+                add(frame[i, a + e : b + e], w, c, L.wide, tmp)
+        a, b, base = a - L.left, b + L.right, base - L.left
+        bound = _REDUCED if L.wide else bound * L.growth
+        if twists is not None:
+            base += int(twists[step - 1])
         if step in at:
-            np.remainder(frame[..., :width], pcol, out=frame[..., :width])
+            np.remainder(frame[:, a:b], P, out=frame[:, a:b])
             bound = _REDUCED
-            k = len(at[step])
-            b = frame[h:, :, :k, :width].transpose(2, 0, 1, 3).reshape(k, -1)
-            vals = _crt_symmetric(b, at[step])
+            k, width = len(at[step]), b - a
+            rows = frame[h:, a:b, :, :k].transpose(3, 0, 2, 1).reshape(k, -1)
+            vals = _crt_symmetric(rows, at[step])
             block = [
                 [LaurentPoly.from_list(vals[(i * h + j) * width : (i * h + j + 1) * width], base)
                  for j in range(h)]

@@ -468,6 +468,38 @@ def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
     assert sum(rows) == sum(len(_primes_for(1 << _height_bits(D0, q))) for q in qs)
 
 
+def _height_bits_from_scratch(g, q):
+    # the bound as _height_bits took it before the sweep carried the power
+    mahler = len(g) - 1 - (
+        -q * homology._graeffe_norm_bits(tuple(g)) >> (homology.GRAEFFE_ROUNDS + 1))
+    if len(g) > q:
+        return mahler
+    return min(mahler, ((sum(x * x for x in g) ** q).bit_length() + 1) // 2)
+
+
+def test_tower_height_bits_match_the_power_from_scratch(monkeypatch):
+    # the sweep carries (sum g_k^2)^q along its qs, across unit steps and gaps
+    seen = []
+    bound = homology._height_bits
+
+    def recording(g, q, power=None):
+        seen.append((q, power, bound(g, q, power)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(homology, "_height_bits", recording)
+    delta = block_det(walk_trial_block(), q=None).coeff_list()
+    for g in (LEHMER.coeff_list(), DEGENERATE.coeff_list(), delta):
+        D0 = _phi_split(g, range(1, 301))[0]
+        for qs in (list(range(1, 301)), [2, 3, 9, 10, 40, 41, 150, 299]):
+            seen.clear()
+            _tower_resultants(D0, qs)
+            assert [q for q, _, _ in seen] == qs
+            # Parseval's bound rarely wins here, so check the power itself
+            assert [s for _, s, _ in seen] == [sum(x * x for x in D0) ** q for q in qs], D0
+            assert [b for _, _, b in seen] == [_height_bits_from_scratch(D0, q) for q in qs], D0
+            assert [b for _, _, b in seen] == [bound(D0, q) for q in qs], D0
+
+
 def test_height_bits_bound_the_circulant_det():
     for _ in range(60):
         q = rng.randint(2, 12)

@@ -404,6 +404,113 @@ def test_modular_lane_reduces_before_every_near_wide_letter():
     assert any(not d.is_zero() for d in dets)
 
 
+# -- the letter plan: L = I + sum_a r_a x_a y_a^T ----------------------
+
+
+def _plan_matrix(L, n):
+    """I + sum_a r_a x_a y_a^T, rebuilt from the plan's terms."""
+    rows = [[LaurentPoly.const(int(i == k)) for k in range(n)] for i in range(n)]
+    for _, ys, adds in L.terms:
+        for i, e, c in adds:
+            for k, y in ys:
+                rows[i][k] = rows[i][k] + LaurentPoly({e: c * y})
+    return rows
+
+
+def _near_wide_gens():
+    """The letters of test_modular_lane_reduces_before_every_near_wide_letter."""
+    model = SurfaceModel(3)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    gens = []
+    for v in ([one, zero, zero, zero], [zero, zero, one, zero], [one, zero, zero, one]):
+        k = (_WIDE_ROW - 2) // (4 * sum(map(bool, v)))
+        for c in (k, -k):
+            gens.append(transvection(model, v, LaurentPoly({1: c, -1: c, 0: -2 * c}),
+                                     torelli_like=True))
+    return gens
+
+
+# T(a_0) T(a_1 + b_1): one term reads row 2 of the frame (b_0) as a view,
+# the other writes rows 1 and 3 from a copy of row 1 - row 3
+MIXED = GENS[0] @ GENS[10]
+
+
+def test_letter_plan_rebuilds_the_letter():
+    letters = [M for g in (3, 4, 5) for M in bundled_generators(g)[0]]
+    letters += [GENS[0] @ GENS[2], MIXED] + _wide_config().generators[len(GENS):]
+    letters += _near_wide_gens()
+    for M in letters:
+        L = _letter_plan(M)
+        assert _plan_matrix(L, M.n) == [list(row) for row in M.rows]
+        written = {i for _, _, adds in L.terms for i, _, _ in adds}
+        growth = [1] * M.n
+        for view, ys, adds in L.terms:
+            # a view is a row of F that no term of the letter writes
+            assert view is None or (ys == ((view, 1),) and view not in written)
+            for i, _, c in adds:
+                growth[i] += abs(c) * sum(abs(y) for _, y in ys)
+        assert L.growth == max(growth) >= L.row_l1
+        assert L.wide == (L.growth >= _WIDE_ROW)
+        exps = [e for _, _, adds in L.terms for _, e, _ in adds]
+        assert (L.left, L.right) == (max(0, -min(exps)), max(0, max(exps)))
+    kinds = [view is None for view, _, _ in _letter_plan(MIXED).terms]
+    assert sorted(kinds) == [False, True]
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_bundled_transvection_is_one_term(g):
+    for M in bundled_generators(g)[0]:
+        L = _letter_plan(M)
+        assert len(L.terms) == 1
+        assert L.growth >= L.row_l1
+        view, ys, adds = L.terms[0]
+        # r = +-(t + 1/t - 2) and x, y have one or two entries +-1
+        assert sorted(abs(c) for _, _, c in adds) in ([1, 1, 2], [1, 1, 1, 1, 2, 2])
+        assert (view is not None) == (len(ys) == 1)
+
+
+def test_modular_lane_mixed_view_and_copy_letter():
+    probs = [Fraction(1, 2 * len(GENS))] * len(GENS) + [Fraction(1, 2)]
+    cfg = small_config(generators=GENS + [MIXED], probabilities=probs, n_steps=16, n_trials=4)
+    assert all(len(GENS) in _trial_letters(cfg, t)[0][:4] for t in range(cfg.n_trials))
+    _oracle_check(cfg, range(cfg.n_trials))
+
+
+def _full_norm_bounds(gens, idx, sched, h):
+    """_frame_bounds as a loop over every row of each letter's full norm
+    matrix, one new list of columns per letter."""
+    norms = [
+        tuple(tuple((k, sum(map(abs, x.coeffs.values()))) for k, x in enumerate(row) if x)
+              for row in M.rows)
+        for M in gens
+    ]
+    cols = [[int(i == j) for i in range(2 * h)] for j in range(h)]
+    out = {}
+    for step, i in enumerate(idx, 1):
+        cols = [[sum(n * col[k] for k, n in row) for row in norms[int(i)]] for col in cols]
+        if step in sched:
+            out[step] = max(max(col[h:]) for col in cols)
+    return out
+
+
+G4, P4 = bundled_generators(4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: small_config(n_steps=64, n_trials=6, unit_twist_seed=5),
+    lambda: _wide_config(n_steps=64, n_trials=4),
+    lambda: small_config(generators=G4, probabilities=P4, g=4, n_steps=64, n_trials=4),
+])
+def test_frame_bounds_match_the_full_norm_loop(make):
+    cfg = make()
+    setup = _run_setup(cfg)
+    for trial in range(cfg.n_trials):
+        idx, _ = _trial_letters(cfg, trial)
+        got = _frame_bounds([setup.letters[int(i)] for i in idx], setup.sched, cfg.g - 1)
+        assert got == _full_norm_bounds(cfg.generators, idx, setup.sched, cfg.g - 1)
+        assert list(got) == cfg.schedule()
+
+
 @pytest.mark.parametrize("make", [lambda: small_config(n_steps=64, n_trials=2),
                                   lambda: _wide_config(n_steps=16, n_trials=3)])
 def test_frame_bound_covers_true_coefficients(make):
