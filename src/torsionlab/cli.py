@@ -246,8 +246,16 @@ def _cmd_heegaard(args) -> int:
 
 def _walk_config_from_file(path: str, seed_override=None, twist=None) -> WalkConfig:
     obj = _load_json(path)
-    gens = [FormMatrix.from_json_obj(m) for m in obj["generators"]]
-    probs = [Fraction(p) for p in obj["probabilities"]]
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected the walk config as a JSON object, got {type(obj).__name__}")
+    gens, probs = obj["generators"], obj["probabilities"]
+    if not isinstance(gens, list) or not isinstance(probs, list):
+        raise ValueError("expected generators and probabilities as lists")
+    gens = [FormMatrix.from_json_obj(m) for m in gens]
+    try:
+        probs = [Fraction(p) for p in probs]
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"expected each probability as a number or fraction, got {probs!r}") from exc
     seed = obj.get("master_seed", 0) if seed_override is None else seed_override
     twist = twist if twist is not None else obj.get("unit_twist_seed")
     q_list = obj.get("q_list", [3])

@@ -60,10 +60,6 @@ class SurfaceModel:
     def half(self) -> int:
         return self.g - 1
 
-    def basis_labels(self) -> list[str]:
-        h = self.half
-        return [f"a{i+1}" for i in range(h)] + [f"b{i+1}" for i in range(h)]
-
 
 # ---------------------------------------------------------------------------
 # generic ring helpers: entries are LaurentPoly (q is None) or CycElem
@@ -184,6 +180,8 @@ class FormMatrix:
 
     @classmethod
     def from_json_obj(cls, obj) -> "FormMatrix":
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a matrix as a JSON object, got {type(obj).__name__}")
         model = SurfaceModel(json_int(obj["g"]))
         ring = obj["ring"]
         rows = json_rows(obj["rows"])

@@ -4,13 +4,13 @@ Torsion orders and Betti numbers come from exact integer arithmetic.  The
 q-cover presentation is the h x h block B_q acting on (Z[t^+-1]/(t^q - 1))^h.
 One core, _tower, decides every cover of a tower from B and det B.  It
 splits det B = D0 prod Phi_e^k_e once, over the divisors of every q, with
-the kernel's one cyclotomic split (_phi_split), and finds the Phi_d
-dividing every entry.  The Betti number and torsion order of each cover
-come from a split resultant: Res(t^q - 1, D0) divided by Res(Phi_d, D0)
-for each common Phi_d (d | q), times Apostol's closed form for every
-Phi_e of det B.  Only a cover where some Phi_e (e | q) divides det B but
-not every entry goes to an exact Smith normal form of the expanded
-presentation.
+the kernel's one cyclotomic split (_phi_split), and the same split of
+each entry finds the Phi_d dividing every entry.  The Betti number and
+torsion order of each cover come from a split resultant: Res(t^q - 1, D0)
+divided by Res(Phi_d, D0) for each common Phi_d (d | q), times Apostol's
+closed form for every Phi_e of det B.  Only a cover where some Phi_e
+(e | q) divides det B but not every entry goes to an exact Smith normal
+form of the expanded presentation.
 
 Res(t^q - 1, D0) is a modular Euclid resultant over primes below 2^31,
 lifted by CRT under a rigorous Mahler-measure height bound, and one
@@ -40,7 +40,7 @@ from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
 from .ringcore import _crt_symmetric, _int_det, _int_resultant, _monic_resultant
-from .ringcore import _graeffe_step, _phi_quotient, _phi_split, _primes_for
+from .ringcore import _graeffe_step, _phi_split, _prime_factors, _primes_for
 from .hermitian import block_det
 
 class NotSymplectic(ValueError):
@@ -171,25 +171,15 @@ def _graeffe_norm_bits(g: tuple[int, ...]) -> int:
     return sum(x * x for x in G).bit_length()
 
 
-def _height_bits(g: list[int], q: int, power: int | None = None) -> int:
-    """An integer b with |Res(t^q - 1, g)| < 2^b, from two rigorous bounds.
+def _height_bits(g: list[int], q: int) -> int:
+    """An integer b with |Res(t^q - 1, g)| < 2^b, from the Mahler measure.
 
     |Res| = |lc|^q prod |beta^q - 1| over the roots beta of g, which is at
-    most 2^d M(g)^q, and the Mahler measure satisfies M(g)^(2^k) = M(G_k)
-    <= ||G_k||_2 (Landau) for the k-th Graeffe iterate G_k.  For deg g < q,
-    Parseval and AM-GM also give |Res| <= (sum g_k^2)^(q/2); a longer g
-    folds modulo t^q - 1, and its folded coefficients can have the larger
-    sum of squares.  The Mahler bound is within a few percent of the true
-    height on walk determinants, Parseval's about twice it; the smaller
-    one wins.  power is (sum g_k^2)^q, for a caller that carries it along
-    its qs; it is raised here otherwise.
+    most 2^d M(g)^q, and M(g)^(2^k) = M(G_k) <= ||G_k||_2 (Landau) for the
+    k-th Graeffe iterate G_k.  The bound holds for any degree of g, and it
+    is within a few percent of the true height on walk determinants.
     """
-    mahler = len(g) - 1 - (-q * _graeffe_norm_bits(tuple(g)) >> (GRAEFFE_ROUNDS + 1))
-    if len(g) > q:
-        return mahler
-    if power is None:
-        power = sum(x * x for x in g) ** q
-    return min(mahler, (power.bit_length() + 1) // 2)
+    return len(g) - 1 - (-q * _graeffe_norm_bits(tuple(g)) >> (GRAEFFE_ROUNDS + 1))
 
 
 def _pow_rows(x: np.ndarray, e, P: np.ndarray) -> np.ndarray:
@@ -296,27 +286,22 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     """Res(t^q - 1, g) for each q of the ascending qs, in one sweep.
 
     The primes are one descending list, drawn once for the largest height
-    bound, and each q takes the prefix its own _height_bits bound needs;
-    the Parseval power (sum g_k^2)^q of those bounds is carried from one q
-    to the next, one multiplication per q.  Modulo each prime, r = t^q mod
-    g / lc(g) advances one shift and reduction per unit step of q, between
-    two preallocated buffers; at each scanned q the rows r - 1 of its
-    primes join a batch, and every SWEEP_ROWS rows go through one
-    _euclid_rows and one _pow_rows that raises (-1)^d lc to each row's own
-    q.  Res(t^q - 1, g) = ((-1)^d lc)^q prod (beta^q - 1) over the roots
-    beta of g, and CRT gives it per q.  g needs no reduction modulo
-    t^q - 1: the height bound holds for any degree.
+    bound, and each q takes the prefix its own _height_bits bound needs.
+    Modulo each prime, r = t^q mod g / lc(g) advances one shift and
+    reduction per unit step of q, between two preallocated buffers; at
+    each scanned q the rows r - 1 of its primes join a batch, and every
+    SWEEP_ROWS rows go through one _euclid_rows and one _pow_rows that
+    raises (-1)^d lc to each row's own q.  Res(t^q - 1, g) = ((-1)^d lc)^q
+    prod (beta^q - 1) over the roots beta of g, and CRT gives it per q.  g
+    needs no reduction modulo t^q - 1: the height bound holds for any
+    degree.
     """
     if not qs:
         return []
     d, lc = len(g) - 1, g[-1]
     if d == 0:
         return [lc ** q for q in qs]
-    norm2, power, prev, bits = sum(x * x for x in g), 1, 0, []
-    for q in qs:
-        power *= norm2 ** (q - prev)
-        prev = q
-        bits.append(_height_bits(g, q, power))
+    bits = [_height_bits(g, q) for q in qs]
     primes = _primes_for(1 << max(bits), avoid=lc)
     prods = list(itertools.accumulate(primes, operator.mul))
     # the fewest primes with a product above 2^(bits + 1), as _primes_for picks them
@@ -369,11 +354,8 @@ def _cyclotomic_resultant(m: int, n: int) -> int:
         m, n = n, m
     if m % n:
         return 1
-    r = m // n
-    p = next(k for k in range(2, r + 1) if r % k == 0)
-    while r % p == 0:
-        r //= p
-    return p ** totient(n) if r == 1 else 1
+    ps = _prime_factors(m // n)
+    return ps[0] ** totient(n) if len(ps) == 1 else 1
 
 
 def expand_presentation(Bq, q: int) -> list:
@@ -406,19 +388,25 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
     torsion order |Res(F, D)|.
 
     det, which is det B = D0 prod Phi_e^k_e, is split once, over the
-    divisors of every q, so the tower has one D0.  Phi_e has multiplicity
-    k_e - h [e in S] in D, and a cover goes to Smith normal form exactly
-    when that is positive for some e | q outside S.  Otherwise Res(F, D) =
-    Res(t^q - 1, D0) / prod_{d in S} Res(Phi_d, D0) times Apostol's
-    Res(Phi_d, Phi_e) to that multiplicity for every d | q outside S: one
-    _tower_resultants sweep and one Res(Phi_d, D0) per d serve the tower
+    divisors of every q, so the tower has one D0; the same split of each
+    nonzero entry gives its Phi_d, and S is the d | q common to all of
+    them (every d | q when B = 0).  Phi_e has multiplicity k_e - h [e in S]
+    in D, and a cover goes to Smith normal form exactly when that is
+    positive for some e | q outside S.  Otherwise Res(F, D) = Res(t^q - 1,
+    D0) / prod_{d in S} Res(Phi_d, D0) times Apostol's Res(Phi_d, Phi_e) to
+    that multiplicity for every d | q outside S: one _tower_resultants
+    sweep and one Res(Phi_d, D0) per d serve the tower
     (method "circulant_det" when S is empty, else "split_resultant").
     """
     h, delta = len(B), det.coeff_list()
     polys = [e.coeff_list() for row in B for e in row if not e.is_zero()]
     qdivs = [divisors(q) for q in qs]
     divs = sorted({d for ds in qdivs for d in ds})
-    C = {d for d in divs if all(_phi_quotient(g, d) is not None for g in polys)}
+    # the d with Phi_d dividing every entry: each entry's multiplicities, in
+    # its candidates' order, are the candidates for the next
+    C = dict.fromkeys(divs)
+    for g in polys:
+        C = _phi_split(g, C)[1]
     D0, k = _phi_split(delta, divs) if delta else ([], {})
     reports: list[TorsionReport | None] = [None] * len(qs)
     swept = []  # (i, S, the nonzero multiplicities in D) of the covers the sweep decides

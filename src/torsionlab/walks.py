@@ -161,20 +161,18 @@ class WalkReport:
 # sampling
 
 
+# Philox keys are uint64 arrays: numpy casts a list holding a word of 2^63
+# or more through float64, which rounds it
 def _letter_rng(config: WalkConfig, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=[config.master_seed & (2**64 - 1), trial_index])
-    )
+    key = np.array([config.master_seed & (2**64 - 1), trial_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _twist_rng(config: WalkConfig, trial_index: int) -> np.random.Generator:
     seed = config.unit_twist_seed or 0
-    return np.random.Generator(
-        np.random.Philox(
-            key=[(config.master_seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1), trial_index],
-            counter=[seed, 0, 0, 0],
-        )
-    )
+    key = np.array([(config.master_seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1), trial_index],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[seed, 0, 0, 0]))
 
 
 def _sample_indices(config: WalkConfig, trial_index: int, n: int) -> np.ndarray:
@@ -238,18 +236,17 @@ class _LetterPlan:
     reach below and above 0, the widening of the frame's window.
 
     norms lists (i, ((k, l1 norm of L_ik), ...)) for the rows i of L that
-    are not rows of I, and row_l1 is the largest row sum of the l1 norms
-    over all rows of L.  growth = max_i (1 + sum_a |x_ai| ||r_a||_1
-    ||y_a||_1) >= row_l1 bounds every partial sum of the update, and each
-    w_a and c w_a, in units of the frame's largest |entry|; the letter is
-    wide when growth reaches _WIDE_ROW.
+    are not rows of I.  growth = max_i (1 + sum_a |x_ai| ||r_a||_1
+    ||y_a||_1), at least the largest row sum of those l1 norms, bounds
+    every partial sum of the update, and each w_a and c w_a, in units of
+    the frame's largest |entry|; the letter is wide when growth reaches
+    _WIDE_ROW.
     """
 
     terms: tuple
     left: int
     right: int
     norms: tuple
-    row_l1: int
     growth: int
     wide: bool
 
@@ -295,7 +292,6 @@ def _letter_plan(M: FormMatrix) -> _LetterPlan:
         left=max([0] + [-e for e in exps]),
         right=max([0] + exps),
         norms=tuple((i, row) for i, row in enumerate(norms) if row != ((i, 1),)),
-        row_l1=max(sum(n for _, n in row) for row in norms),
         growth=max(growth),
         wide=max(growth) >= _WIDE_ROW,
     )

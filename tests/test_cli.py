@@ -155,6 +155,12 @@ MOD2 = bundled_generators(3)[0][0].reduce_mod_q(2).to_json_obj()
     # a bundled generator mod 2 with a row, or an entry, as the string "10"
     (["rep", "check-form"], {**MOD2, "rows": ["10", *MOD2["rows"][1:]]}),
     (["rep", "check-form"], {**MOD2, "rows": [["10", *MOD2["rows"][0][1:]], *MOD2["rows"][1:]]}),
+    # a list where a matrix or a walk config belongs
+    (["rep", "check-form"], [1, 2]),
+    (["rep", "block"], [1, 2]),
+    (["rep", "iota", "--q", "3"], [1, 2]),
+    (["walk", "run", "--threads", "1", "--config"], [1, 2]),
+    (["walk", "probe", "--config"], [1, 2]),
 ])
 def test_non_integer_and_malformed_inputs_exit_2(tmp_path, capsys, argv, obj):
     # floats, null and misshapen rows are bad input: never truncated, never
@@ -162,7 +168,7 @@ def test_non_integer_and_malformed_inputs_exit_2(tmp_path, capsys, argv, obj):
     f = tmp_path / "in.json"
     f.write_text(json.dumps(obj))
     out_csv = tmp_path / "scan.csv"
-    extra = ["--out", str(out_csv)] if argv[0] == "torsion" else []
+    extra = ["--out", str(out_csv)] if argv[:2] in (["torsion", "scan"], ["walk", "run"]) else []
     rc = dispatch([*argv, str(f), *extra])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
@@ -200,12 +206,15 @@ def test_heegaard_writes_torsion_past_the_int_str_limit(tmp_path, capsys):
 # -- walk --------------------------------------------------------------
 
 
+WALK_GENS = [g.to_json_obj() for g in bundled_generators(3)[0]]
+WALK_PROBS = [str(p) for p in bundled_generators(3)[1]]
+
+
 def walk_config_file(tmp_path, **kw):
-    gens, probs = bundled_generators(3)
     cfg = {
         "g": 3,
-        "generators": [g.to_json_obj() for g in gens],
-        "probabilities": [str(p) for p in probs],
+        "generators": WALK_GENS,
+        "probabilities": WALK_PROBS,
         "n_steps": 8,
         "n_trials": 8,
         "master_seed": 3,
@@ -250,6 +259,9 @@ def test_walk_run_rejects_empty_walks(tmp_path, capsys, bad):
     {"n_steps": 8.5}, {"n_trials": 2.5}, {"master_seed": 1.5}, {"q_list": [3.5]},
     {"q_list": 3}, {"root_index": 1.5}, {"unit_twist_seed": 0.5}, {"g": 3.0},
     {"alpha": "x"}, {"alpha": True}, {"alpha": math.nan}, {"alpha": math.inf},
+    {"generators": 5}, {"generators": [5, *WALK_GENS[1:]]},
+    {"probabilities": [None, *WALK_PROBS[1:]]}, {"probabilities": [[1], *WALK_PROBS[1:]]},
+    {"probabilities": ["1/0", *WALK_PROBS[1:]]},
 ])
 def test_walk_run_rejects_non_integer_fields(tmp_path, capsys, bad):
     f = walk_config_file(tmp_path, **bad)

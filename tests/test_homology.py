@@ -14,6 +14,7 @@ from torsionlab.homology import (
     _cyclotomic_resultant,
     _euclid_rows,
     _height_bits,
+    _tower,
     _tower_resultants,
     circulant_det,
     cover_homology,
@@ -24,7 +25,8 @@ from torsionlab.homology import (
 )
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from torsionlab.ringcore import InvalidModulus, reduce_mod_q
-from torsionlab.ringcore import _int_resultant, _monic_resultant, _phi_split, _primes_for
+from torsionlab.ringcore import _int_resultant, _monic_resultant, _phi_quotient, _phi_split
+from torsionlab.ringcore import _primes_for
 from torsionlab.ringcore import _mobius_binomials, _primes_below_2_31, _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
@@ -339,6 +341,81 @@ def test_snf_kept_when_phi_divides_det_but_not_every_entry():
         assert (rep.torsion_order, rep.betti) == snf_torsion_betti(Bq, q)
 
 
+class _Swept(Exception):
+    """Raised in place of _tower's split of det B, once its C is known."""
+
+
+def _tower_common_set(monkeypatch, B, qs):
+    """The set C that _tower takes: the Phi_d (d | some q) dividing every
+    nonzero entry.  _tower splits each entry, then det B; the last entry's
+    multiplicities are C, and the run stops at the split of det B."""
+    n = sum(not e.is_zero() for row in B for e in row)
+    found = []
+    split = homology._phi_split
+
+    def spy(g, candidates):
+        if len(found) == n:
+            raise _Swept
+        out = split(g, candidates)
+        found.append(out[1])
+        return out
+
+    monkeypatch.setattr(homology, "_phi_split", spy)
+    try:
+        reports = _tower(B, block_det(B, q=None), qs)
+    except _Swept:
+        reports = None
+    monkeypatch.undo()
+    divs = {d for q in qs for d in divisors(q)}
+    return set(found[-1]) if found else divs, reports
+
+
+def _common_set_oracle(B, qs):
+    """C by the probe _tower took before it split the entries: one
+    _phi_quotient per entry and divisor."""
+    polys = [e.coeff_list() for row in B for e in row if not e.is_zero()]
+    divs = {d for q in qs for d in divisors(q)}
+    return {d for d in divs if all(_phi_quotient(g, d) is not None for g in polys)}
+
+
+def test_tower_common_set_matches_the_quotient_probe(monkeypatch):
+    # random 1 x 1 and 2 x 2 blocks with Phi_d and Phi_d^2 planted in some
+    # entries, and in every entry for some d; the walk trial block; and
+    # blocks with det 0, whose towers run to the end
+    local = random.Random(4242)
+    qs = sorted(local.sample(range(1, 241), 30))
+    divs = sorted({d for q in qs for d in divisors(q)})
+    nontrivial = 0
+    for _ in range(40):
+        h = local.choice([1, 2])
+        common = local.sample(divs[:40], local.randint(0, 2))
+        B = []
+        for _ in range(h):
+            row = []
+            for _ in range(h):
+                e = LaurentPoly({k: local.randint(-3, 3) for k in range(local.randint(1, 4))})
+                for d in common + local.sample(divs[:40], local.randint(0, 2)):
+                    e = e * cyclotomic(d) ** local.randint(1, 2)
+                row.append(e.shift(local.randint(-2, 2)))
+            B.append(row)
+        if block_det(B, q=None).is_zero():
+            continue
+        C, _ = _tower_common_set(monkeypatch, B, qs)
+        assert C == _common_set_oracle(B, qs), B
+        nontrivial += len(C) > 1
+    assert nontrivial >= 10
+    C, _ = _tower_common_set(monkeypatch, walk_trial_block(), range(1, 301))
+    assert C == _common_set_oracle(walk_trial_block(), range(1, 301)) == {1}
+    f = cyclotomic(2) * cyclotomic(3) * LaurentPoly({0: 1, 1: -3, 2: 1})
+    zero = LaurentPoly.zero()
+    for B in ([[f, f], [f, f]], [[f, zero], [zero, zero]], [[zero]]):
+        qs = list(range(1, 13))
+        C, reports = _tower_common_set(monkeypatch, B, qs)
+        assert C == _common_set_oracle(B, qs), B
+        assert [r.betti for r in reports] == [snf_torsion_betti(
+            [[reduce_mod_q(e, q) for e in row] for row in B], q)[1] for q in qs], B
+
+
 def test_walk_cover_at_q_2000_and_resultant_divisibility():
     config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=16)
     B = bottom_left_block(sample_word(config, 0, 16))
@@ -466,38 +543,6 @@ def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
     qs = list(range(1, 301, 3))
     _tower_resultants(D0, qs)
     assert sum(rows) == sum(len(_primes_for(1 << _height_bits(D0, q))) for q in qs)
-
-
-def _height_bits_from_scratch(g, q):
-    # the bound as _height_bits took it before the sweep carried the power
-    mahler = len(g) - 1 - (
-        -q * homology._graeffe_norm_bits(tuple(g)) >> (homology.GRAEFFE_ROUNDS + 1))
-    if len(g) > q:
-        return mahler
-    return min(mahler, ((sum(x * x for x in g) ** q).bit_length() + 1) // 2)
-
-
-def test_tower_height_bits_match_the_power_from_scratch(monkeypatch):
-    # the sweep carries (sum g_k^2)^q along its qs, across unit steps and gaps
-    seen = []
-    bound = homology._height_bits
-
-    def recording(g, q, power=None):
-        seen.append((q, power, bound(g, q, power)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(homology, "_height_bits", recording)
-    delta = block_det(walk_trial_block(), q=None).coeff_list()
-    for g in (LEHMER.coeff_list(), DEGENERATE.coeff_list(), delta):
-        D0 = _phi_split(g, range(1, 301))[0]
-        for qs in (list(range(1, 301)), [2, 3, 9, 10, 40, 41, 150, 299]):
-            seen.clear()
-            _tower_resultants(D0, qs)
-            assert [q for q, _, _ in seen] == qs
-            # Parseval's bound rarely wins here, so check the power itself
-            assert [s for _, s, _ in seen] == [sum(x * x for x in D0) ** q for q in qs], D0
-            assert [b for _, _, b in seen] == [_height_bits_from_scratch(D0, q) for q in qs], D0
-            assert [b for _, _, b in seen] == [bound(D0, q) for q in qs], D0
 
 
 def test_height_bits_bound_the_circulant_det():
