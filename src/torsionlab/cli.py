@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -45,15 +45,6 @@ class ExperimentManifest:
     parameters: dict
     input_digests: dict
     master_seed: int | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "version": self.version,
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "input_digests": self.input_digests,
-            "master_seed": self.master_seed,
-        }
 
 
 def _digest(path: str) -> str:
@@ -106,7 +97,7 @@ def _print_json(obj):
 def _write_manifest(out_dir: str, manifest: ExperimentManifest):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest.to_json_obj(), fh, indent=2)
+        json.dump(asdict(manifest), fh, indent=2)
         fh.write("\n")
 
 

@@ -8,21 +8,23 @@ the kernel's one cyclotomic split (_phi_split), and the same split of
 each entry finds the Phi_d dividing every entry.  The Betti number and
 torsion order of each cover come from a split resultant: Res(t^q - 1, D0)
 divided by Res(Phi_d, D0) for each common Phi_d (d | q), times Apostol's
-closed form for every Phi_e of det B.  Only a cover where some Phi_e
-(e | q) divides det B but not every entry goes to an exact Smith normal
-form of the expanded presentation.
+closed form for every Phi_e of det B.  Res(Phi_d, D0) is the Moebius
+quotient of the Res(t^e - 1, D0), e | d, so one resultant sweep gives
+both.  Only a cover where some Phi_e (e | q) divides det B but not every
+entry goes to an exact Smith normal form of the expanded presentation.
 
 Res(t^q - 1, D0) is a modular Euclid resultant over primes below 2^31,
 lifted by CRT under a rigorous Mahler-measure height bound, and one
-engine computes it for one q as for many (_tower_resultants): t^q mod D0
-advances by one shift per unit step of q, modulo the one prime list of
-the largest q, and the (q, p) rows go through one vectorised Euclid in
-chunks.  That Euclid takes pseudo-remainders, so no remainder is made
-monic: each row carries its leading-coefficient powers as a denominator
-and takes one Fermat inverse when it finishes.  Each tower sweeps its one
-D0 once: growth_scan is the tower over its q range, cover_homology the
-tower of the reduced block's lifts at its one q, and circulant_det the
-same engine at one q.
+engine computes it for one q as for many (_tower_resultants): t^(q + d -
+1) mod D0, d = deg D0, advances by one shift per unit step of q, modulo
+the one prime list of the largest q, and the (q, p) rows go through one
+vectorised Euclid in chunks.  That Euclid takes pseudo-remainders, so
+no remainder is made monic: each row carries its leading-coefficient
+powers as a denominator and takes one Fermat inverse at the end, and
+rows whose remainder drops degree go on as their own batch.  Each tower
+sweeps its one D0 once: growth_scan is the tower over its q range,
+cover_homology the tower of the reduced block's lifts at its one q, and
+circulant_det the same engine at one q.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from functools import lru_cache
 import numpy as np
 
 from .mahler import MahlerResult, mahler_measure
-from .ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
+from .ringcore import CycElem, LaurentPoly, circulant_expand, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
-from .ringcore import _crt_symmetric, _int_det, _int_resultant, _monic_resultant
-from .ringcore import _graeffe_step, _phi_split, _prime_factors, _primes_for
+from .ringcore import _crt_symmetric, _graeffe_step, _int_det, _mobius_binomials
+from .ringcore import _phi_split, _prime_factors, _primes_for
 from .hermitian import block_det
 
 class NotSymplectic(ValueError):
@@ -206,7 +208,7 @@ def _euclid_rows(a: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
     """prod b(alpha) over the roots alpha of a, modulo p, for each row
     (a, b, p) of the int64 arrays: a monic of degree k (k + 1 columns),
     b of degree < k (k columns), p a prime below 2^31; residues in [0, p).
-    a and b are overwritten.
+    a and b may be overwritten.
 
     Euclid without inverses (pseudo-division, Knuth TAOCP 4.6.1).  For
     deg a = m, deg b = n and c = lc(b), prod_a b(alpha) = (-1)^{mn} c^m
@@ -214,49 +216,48 @@ def _euclid_rows(a: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
     t^(k-n) b of the pseudo-remainder multiply each a(beta) by c^(m-n+1).
     So a step divides by lc(a)^n c^f, f = (m-n)(n-1), and nothing is made
     monic: den takes lc(a)^(n + f), f from the step before, in one power
-    per step, and each row takes one Fermat inverse of den when it
-    finishes.  Both products of a step are below 2^62, and so is their
-    difference.  Every row follows the same degree sequence; a row whose
-    remainder drops degree where the others do not leaves the batch, is
-    made monic, and is finished alone by _monic_resultant.
+    per step, and one Fermat power inverts every row's den at the end.
+    Both products of a step are below 2^62, and so is their difference.
+    The rows of a batch follow one degree sequence; rows whose remainder
+    drops degree where the others do not go on as their own batch, with
+    their den, sign and f.  Batches wait by (deg a, f), the highest degree
+    first, and join there, so such rows rejoin the others once their
+    degrees and f agree again, typically two steps later.
     """
-    out = np.zeros(len(P), dtype=np.int64)
-    rows = np.arange(len(P))
-    den = np.ones(len(P), dtype=np.int64)
-    neg, f = False, 0
-    while True:
+    num = np.zeros(len(P), dtype=np.int64)  # stays 0 where b reaches 0
+    dens = np.ones(len(P), dtype=np.int64)
+    # batches (rows, a, b, P, den, sign) waiting at (deg a, f), highest first
+    top = (np.arange(len(P)), a, b, P, np.ones_like(P), np.zeros(len(P), dtype=bool))
+    work = {(a.shape[1] - 1, 0): [top]}
+    while work:
+        key = max(work)
+        m, f = key
+        parts = work.pop(key)
+        rows, a, b, Pr, den, neg = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         cols = np.flatnonzero(b.any(axis=0))
         if not cols.size:
-            return out  # b = 0: the resultant vanishes modulo these primes
+            continue  # b = 0: the resultant vanishes modulo these primes
         n = int(cols[-1])
-        m = a.shape[1] - 1
         drop = b[:, n] == 0
         if drop.any():
-            for j in np.flatnonzero(drop).tolist():
-                p, la = int(P[j]), int(a[j, m])
-                # with dd = den lc(a)^f and inv = (dd lc(a))^-1, inv dd = lc(a)^-1
-                # and inv lc(a) = dd^-1
-                dd = int(den[j]) * pow(la, f, p) % p
-                inv = pow(dd * la, p - 2, p)
-                monic = [v * inv * dd % p for v in a[j].tolist()]
-                v = inv * la * _monic_resultant(monic, b[j].tolist(), p) % p
-                out[rows[j]] = -v % p if neg else v
+            work[key] = [(rows[drop], a[drop], b[drop], Pr[drop], den[drop], neg[drop])]
             keep = ~drop
-            a, b, den, rows, P = a[keep], b[keep], den[keep], rows[keep], P[keep]
+            rows, a, b, Pr, den, neg = rows[keep], a[keep], b[keep], Pr[keep], den[keep], neg[keep]
         b = b[:, :n + 1]
         c = b[:, n]
-        den = den * _pow_rows(a[:, m], f + n, P) % P
+        den = den * _pow_rows(a[:, m], f + n, Pr) % Pr
         if n == 0:
-            v = _pow_rows(c, m, P) * _pow_rows(den, P - 2, P) % P
-            out[rows] = (P - v) % P if neg else v
-            return out
-        neg ^= m * n % 2 == 1
-        f = (m - n) * (n - 1)
+            v = _pow_rows(c, m, Pr)
+            num[rows] = np.where(neg, (Pr - v) % Pr, v)
+            dens[rows] = den
+            continue
         for k in range(m, n - 1, -1):
             a[:, :k] *= c[:, None]
             a[:, k - n:k] -= a[:, k:k + 1] * b[:, :n]
-            a[:, :k] %= P[:, None]
-        a, b = b, a[:, :n]
+            a[:, :k] %= Pr[:, None]
+        work.setdefault((n, (m - n) * (n - 1)), []).append(
+            (rows, b, a[:, :n], Pr, den, neg ^ (m * n % 2 == 1)))
+    return num * _pow_rows(dens, P - 2, P) % P
 
 
 def _monic_rows(g: list[int], primes: list[int]) -> np.ndarray:
@@ -287,22 +288,29 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
 
     The primes are one descending list, drawn once for the largest height
     bound, and each q takes the prefix its own _height_bits bound needs.
-    Modulo each prime, r = t^q mod g / lc(g) advances one shift and
-    reduction per unit step of q, between two preallocated buffers; at
-    each scanned q the rows r - 1 of its primes join a batch, and every
-    SWEEP_ROWS rows go through one _euclid_rows and one _pow_rows that
-    raises (-1)^d lc to each row's own q.  Res(t^q - 1, g) = ((-1)^d lc)^q
-    prod (beta^q - 1) over the roots beta of g, and CRT gives it per q.  g
-    needs no reduction modulo t^q - 1: the height bound holds for any
-    degree.
+    Modulo each prime, r = t^(q + d - 1) mod g / lc(g), d = deg g,
+    advances one shift and reduction per unit step of q, between two
+    preallocated buffers; at each scanned q the rows r - t^(d - 1) of its
+    primes join a batch, and every SWEEP_ROWS rows go through one
+    _euclid_rows and one _pow_rows that raises (-1)^d lc to each row's own
+    q + d - 1.  The rows have degree d - 1 from q = 1 on (t^q - 1 has
+    degree q), so they share one degree sequence in the Euclid.  Over the
+    roots beta of g, Res(t^q - 1, g) = ((-1)^d lc)^q prod (beta^q - 1) and
+    prod beta = (-1)^d g(0) / lc, so the primes avoid lc g(0), and CRT
+    gives Res per q.  Res(t^q - 1, t) = (-1)^(q - 1) takes out a factor t^k
+    of g.  g needs no reduction modulo t^q - 1: the height bound holds for
+    any degree.
     """
     if not qs:
         return []
+    if not g[0]:
+        k = next(i for i, x in enumerate(g) if x)
+        return [(-1) ** ((q - 1) * k) * x for q, x in zip(qs, _tower_resultants(g[k:], qs))]
     d, lc = len(g) - 1, g[-1]
     if d == 0:
         return [lc ** q for q in qs]
     bits = [_height_bits(g, q) for q in qs]
-    primes = _primes_for(1 << max(bits), avoid=lc)
+    primes = _primes_for(1 << max(bits), avoid=lc * g[0])
     prods = list(itertools.accumulate(primes, operator.mul))
     # the fewest primes with a product above 2^(bits + 1), as _primes_for picks them
     counts = [bisect.bisect_right(prods, 2 << b) + 1 for b in bits]
@@ -310,8 +318,9 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     m = _monic_rows(g, primes)
     neg_low = -m[:, :d]
     sign_lc = np.array([(-1) ** d * lc % p for p in primes], dtype=np.int64)
+    g0_pow = np.array([pow(g[0], 1 - d, p) for p in primes], dtype=np.int64)
     r = np.zeros((len(primes), d), dtype=np.int64)
-    r[:, 0] = 1
+    r[:, -1] = 1
     nxt = np.empty_like(r)
     out, batch, rows, q_at = [], [], 0, 0
 
@@ -319,7 +328,7 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
         ns, bs, qb = zip(*batch)
         idx = np.concatenate([np.arange(n) for n in ns])
         Pb = P[idx]
-        lcq = _pow_rows(sign_lc[idx], np.repeat(qb, ns), Pb)
+        lcq = _pow_rows(sign_lc[idx], np.repeat(qb, ns) + (d - 1), Pb) * g0_pow[idx] % Pb
         v = _euclid_rows(m[idx], np.concatenate(bs), Pb) * lcq % Pb
         # one column of residues per q, its own primes on top
         R = np.zeros((max(ns), len(ns)), dtype=np.int64)
@@ -336,7 +345,7 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
             r, nxt = nxt, r
         q_at = q
         b = r[:n].copy()
-        b[:, 0] = (b[:, 0] - 1) % P[:n]
+        b[:, -1] = (b[:, -1] - 1) % P[:n]
         batch.append((n, b, q))
         rows += n
         if rows >= SWEEP_ROWS:
@@ -394,9 +403,13 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
     in D, and a cover goes to Smith normal form exactly when that is
     positive for some e | q outside S.  Otherwise Res(F, D) = Res(t^q - 1,
     D0) / prod_{d in S} Res(Phi_d, D0) times Apostol's Res(Phi_d, Phi_e) to
-    that multiplicity for every d | q outside S: one _tower_resultants
-    sweep and one Res(Phi_d, D0) per d serve the tower
-    (method "circulant_det" when S is empty, else "split_resultant").
+    that multiplicity for every d | q outside S (method "circulant_det"
+    when S is empty, else "split_resultant").  One _tower_resultants sweep
+    serves the tower: it takes these q and every e | d for each common d,
+    and |Res(Phi_d, D0)| = prod_plus |R_e| / prod_minus |R_e| over the
+    Moebius binomials of Phi_d, R_e = Res(t^e - 1, D0).  D0 has no root of
+    unity of order e | q, so no R_e vanishes; a quotient that is not exact
+    raises ArithmeticError.
     """
     h, delta = len(B), det.coeff_list()
     polys = [e.coeff_list() for row in B for e in row if not e.is_zero()]
@@ -423,11 +436,18 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
             snf = smith_normal_form(expand_presentation(
                 [[reduce_mod_q(e, q) for e in row] for row in B], q))
             reports[i] = _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
-    res_phi = {d: abs(_int_resultant(cyclotomic(d).coeff_list(), D0))
-               for d in {d for _, S, _ in swept for d in S}}
-    for (i, S, mult), res in zip(swept, _tower_resultants(D0, [qs[i] for i, _, _ in swept])):
+    common = {d for _, S, _ in swept for d in S}
+    sweep = sorted({qs[i] for i, _, _ in swept}.union(*map(divisors, common)))
+    R = dict(zip(sweep, map(abs, _tower_resultants(D0, sweep))))
+    res_phi = {}
+    for d in common:
+        plus, minus = _mobius_binomials(d)
+        res_phi[d], rem = divmod(math.prod(R[e] for e in plus), math.prod(R[e] for e in minus))
+        if rem:
+            raise ArithmeticError("Res(Phi_d, D0) must be the Moebius quotient of Res(t^e - 1, D0)")
+    for i, S, mult in swept:
         q = qs[i]
-        torsion, rem = divmod(abs(res), math.prod(res_phi[d] for d in S))
+        torsion, rem = divmod(R[q], math.prod(res_phi[d] for d in S))
         if rem:
             raise ArithmeticError("Res(G, D0) must divide Res(t^q - 1, D0)")
         # d != e: an e | q outside S with nonzero multiplicity went to SNF

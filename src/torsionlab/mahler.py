@@ -43,7 +43,8 @@ CIRCLE_SAMPLES = 1024
 FLOAT_SEED_ANGLE = 0.7
 # equal seeds are pulled apart by 2^-SEED_NUDGE_BITS times their size
 SEED_NUDGE_BITS = 26
-# sweep cap of the fixed-point polish
+# sweep cap of the fixed-point polish per started hundred of degree: from
+# the float seeds, the roots of a higher degree take more sweeps to settle
 POLISH_STEPS = 60
 
 
@@ -274,19 +275,19 @@ def _fixed_horner(coeffs: list[int], za: int, zb: int, prec: int):
     return pa, pb, da, db
 
 
-def _fixed_aberth(hi: list[int], roots: list[tuple[int, int]], prec: int) -> bool:
+def _fixed_aberth(hi: list[int], roots: list[tuple[int, int]], prec: int, steps: int) -> bool:
     """Aberth's simultaneous iteration on fixed-point Gaussian integers,
     in place.
 
     Gauss-Seidel order; the step p / (p' - p sum_j 1/(z - w_j)) is the
     Aberth correction.  A root is frozen once its step is below
     2^-(prec//2) * max(1, |z|).  True when every root froze within
-    POLISH_STEPS sweeps.
+    `steps` sweeps.
     """
     two = 2 * prec
     unit, freeze = 1 << two, 2 * (prec // 2)
     live = range(len(roots))
-    for _ in range(POLISH_STEPS):
+    for _ in range(steps):
         moving = []
         for i in live:
             za, zb = roots[i]
@@ -351,7 +352,8 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]],
     The companion-matrix seeds of _seeds start a fixed-point Aberth polish
     on Gaussian integers at prec = dps_to_prec(dps) fractional bits, with
     dps = 30 + bits/3 + degree/2 (bits: coefficient height); it stops once
-    every relative step is below 2^-(prec/2).  Returns the roots as pairs
+    every relative step is below 2^-(prec/2), within POLISH_STEPS sweeps
+    per started hundred of degree.  Returns the roots as pairs
     (a, b) standing for (a + ib) / 2^prec, the dps and a proven upper
     bound on the worst relative residual |p(r)| / (max(1, |r|)^d |lead|),
     which must not exceed tol.  Hitting the sweep cap or the tolerance
@@ -362,9 +364,10 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]],
     prec = mp.libmp.dps_to_prec(dps)
     hi = [c << prec for c in reversed(dense)]
     roots = _seeds(dense, prec)
-    if not _fixed_aberth(hi, roots, prec):
+    steps = POLISH_STEPS * -(-degree // 100)
+    if not _fixed_aberth(hi, roots, prec, steps):
         raise RootRefinementFailed(
-            f"Aberth polish of degree {degree} did not settle in {POLISH_STEPS} sweeps"
+            f"Aberth polish of degree {degree} did not settle in {steps} sweeps"
         )
     worst = _residual_bound(hi, roots, prec)
     if not worst <= tol:

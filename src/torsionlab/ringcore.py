@@ -831,22 +831,6 @@ def _int_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def _int_resultant(a: list[int], b: list[int]) -> int:
-    """Res(a, b) = prod b(alpha) over the roots alpha of the monic a,
-    exactly: the determinant of multiplication by b on Z[t]/(a)."""
-    k = len(a) - 1
-    col = _poly_divmod(b, a)[1]
-    cols = []
-    for _ in range(k):
-        col = col + [0] * (k - len(col))
-        cols.append(col)
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [x - top * y for x, y in zip(col, a)]
-    return _int_det(cols)
-
-
 # ---------------------------------------------------------------------------
 # the same kernel over F_p, for primes below 2^31
 

@@ -24,8 +24,8 @@ from torsionlab.homology import (
     smith_normal_form,
 )
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
-from torsionlab.ringcore import InvalidModulus, reduce_mod_q
-from torsionlab.ringcore import _int_resultant, _monic_resultant, _phi_quotient, _phi_split
+from torsionlab.ringcore import InvalidModulus, reduce_mod_q, totient
+from torsionlab.ringcore import _monic_resultant, _phi_quotient, _phi_split, _poly_divmod
 from torsionlab.ringcore import _primes_for
 from torsionlab.ringcore import _mobius_binomials, _primes_below_2_31, _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
@@ -63,6 +63,22 @@ def bareiss_det(M):
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
         prev = A[k][k]
     return sign * A[-1][-1]
+
+
+def int_resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) = prod b(alpha) over the roots alpha of the monic a,
+    exactly: the determinant of multiplication by b on Z[t]/(a)."""
+    k = len(a) - 1
+    col = _poly_divmod(b, a)[1]
+    cols = []
+    for _ in range(k):
+        col = col + [0] * (k - len(col))
+        cols.append(col)
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [x - top * y for x, y in zip(col, a)]
+    return bareiss_det(cols)
 
 
 def resultant_with_tq_minus_1(p: LaurentPoly, q: int) -> int:
@@ -437,7 +453,7 @@ def test_cyclotomic_resultant_closed_form():
     for m in range(1, 31):
         for n in range(1, 31):
             if m != n:
-                exact = _int_resultant(cyclotomic(m).coeff_list(), cyclotomic(n).coeff_list())
+                exact = int_resultant(cyclotomic(m).coeff_list(), cyclotomic(n).coeff_list())
                 assert _cyclotomic_resultant(m, n) == abs(exact), (m, n)
 
 
@@ -480,9 +496,21 @@ def test_tower_resultants_match_int_resultant_oracle():
         qs = list(range(1, 41))
         got = _tower_resultants(D0, qs)
         for q, res in zip(qs, got):
-            assert res == _int_resultant([-1] + [0] * (q - 1) + [1], D0), (D0, q)
+            assert res == int_resultant([-1] + [0] * (q - 1) + [1], D0), (D0, q)
         zeros += got.count(0)
     assert zeros > 10
+
+
+def test_tower_resultants_take_out_powers_of_t():
+    # the sweep needs g(0) != 0; a factor t^k of g contributes
+    # Res(t^q - 1, t)^k = (-1)^((q - 1) k)
+    local = random.Random(2718)
+    for k in (1, 2, 3):
+        for _ in range(5):
+            g = [0] * k + [local.randint(-6, 6) or 1 for _ in range(local.randint(1, 6))]
+            qs = list(range(1, 16))
+            for q, res in zip(qs, _tower_resultants(g, qs)):
+                assert res == int_resultant([-1] + [0] * (q - 1) + [1], g), (g, q)
 
 
 def test_tower_resultants_match_per_prime_oracle():
@@ -527,7 +555,7 @@ def test_tower_resultants_pass_the_mobius_certificate():
                             math.prod(res[e - 1] for e in minus))
             assert not rem, (D0, d)
             if d <= 60:
-                assert abs(R) == abs(_int_resultant(cyclotomic(d).coeff_list(), D0)), (D0, d)
+                assert abs(R) == abs(int_resultant(cyclotomic(d).coeff_list(), D0)), (D0, d)
 
 
 def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
@@ -539,6 +567,8 @@ def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
         return kernel(a, b, P)
 
     monkeypatch.setattr(homology, "_euclid_rows", counting)
+    # the top-level rows only: rows whose remainder drops degree go on as
+    # their own batch inside the same call
     D0 = LEHMER.coeff_list()
     qs = list(range(1, 301, 3))
     _tower_resultants(D0, qs)
@@ -558,13 +588,13 @@ def test_height_bits_bound_long_polynomials():
     # own coefficients would not bound the resultant
     cases = [(q, [1] + [0] * (q - 1) + [3, 1]) for q in (1, 2, 3, 5, 8, 13)]
     for q, g in cases:  # folds to 4 + t: sum of squares 17 against 11
-        assert sum(x * x for x in g) ** q < abs(_int_resultant([-1] + [0] * (q - 1) + [1], g)) ** 2
+        assert sum(x * x for x in g) ** q < abs(int_resultant([-1] + [0] * (q - 1) + [1], g)) ** 2
     for _ in range(80):
         q = rng.randint(1, 10)
         cases.append((q, [rng.randint(-9, 9) for _ in range(rng.randint(q, q + 8))]
                       + [rng.choice([1, -1, 2, 5])]))
     for q, g in cases:
-        res = _int_resultant([-1] + [0] * (q - 1) + [1], g)
+        res = int_resultant([-1] + [0] * (q - 1) + [1], g)
         assert abs(res) < 2 ** _height_bits(g, q), (g, q)
 
 
@@ -695,33 +725,62 @@ def test_growth_scan_stride_rows_equal_stride_one_rows():
 
 
 def test_growth_scan_sweeps_once_per_tower(monkeypatch):
-    calls = {"sweep": [], "int_resultant": 0}
-    sweep, resultant = homology._tower_resultants, homology._int_resultant
+    sweeps = []
+    sweep = homology._tower_resultants
 
     def counting_sweep(D0, qs):
-        calls["sweep"].append(len(qs))
+        sweeps.append(len(qs))
         return sweep(D0, qs)
 
-    def counting_resultant(a, b):
-        calls["int_resultant"] += 1
-        return resultant(a, b)
-
     monkeypatch.setattr(homology, "_tower_resultants", counting_sweep)
-    monkeypatch.setattr(homology, "_int_resultant", counting_resultant)
-    # one D0 per tower: the walk trial's block is 0 at q = 1, and
+    # one D0 per tower, and one sweep that also takes every e | d for each
+    # Phi_d common to every entry, since Res(Phi_d, D0) is the Moebius
+    # quotient of its Res(t^e - 1, D0): the walk trial's block is 0 at
+    # q = 1, which the sweep takes for Phi_1, common at every q;
     # (t + 1)(t^2 - 3t + 1) has D0 = t^2 - 3t + 1 at every q, with Phi_2
-    # common to every entry at even q and priced by Apostol at odd q;
-    # Res(Phi_d, D0) is taken once per common d.  The last block takes
-    # Smith normal form at every q, and its sweep is empty.
+    # common to every entry at even q and priced by Apostol at odd q.  The
+    # last block takes Smith normal form at every q, and its sweep is empty.
     t, one, zero = LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.zero()
-    for B, qmax, sweeps, resultants in (
-            ([[LEHMER]], 100, [100], 0), (walk_trial_block(), 100, [99], 1),
-            ([[DEGENERATE]], 100, [100], 1), ([[t - one, one], [zero, t + 2 * one]], 20, [0], 0)):
-        calls["sweep"].clear()
-        calls["int_resultant"] = 0
+    for B, qmax, want in (
+            ([[LEHMER]], 100, [100]), (walk_trial_block(), 100, [100]),
+            ([[DEGENERATE]], 100, [100]), ([[t - one, one], [zero, t + 2 * one]], 20, [0])):
+        sweeps.clear()
         growth_scan(B, range(1, qmax + 1))
-        assert calls["sweep"] == sweeps
-        assert calls["int_resultant"] == resultants
+        assert sweeps == want
+
+
+def test_tower_raises_when_the_mobius_quotient_is_not_exact(monkeypatch):
+    # B = [[Phi_6 (t - 2)]] at q = 6: S = {6}, so the sweep takes e = 1, 2,
+    # 3, 6 and Res(Phi_6, D0) = R_6 R_1 / (R_2 R_3) = +-Phi_6(2) = +-3.
+    # A value off by a factor 5 in the denominator leaves no integer
+    t = LaurentPoly.t()
+    B = [[cyclotomic(6) * (t - 2)]]
+    rep = _tower(B, B[0][0], [6])[0]
+    assert (rep.torsion_order, rep.betti, rep.method) == (63 // 3, 2, "split_resultant")
+    sweep = homology._tower_resultants
+
+    def off(D0, qs):
+        return [r * 5 if q == 2 else r for q, r in zip(qs, sweep(D0, qs))]
+
+    monkeypatch.setattr(homology, "_tower_resultants", off)
+    with pytest.raises(ArithmeticError, match="Moebius"):
+        _tower(B, B[0][0], [6])
+
+
+def test_phi_q_times_t_minus_2_closed_form():
+    # B = [[Phi_q (t - 2)]]: S = {q}, F = (t^q - 1) / Phi_q and D = t - 2,
+    # so the q-cover has Betti number phi(q) and torsion order
+    # |F(2)| = (2^q - 1) / Phi_q(2); Res(Phi_q, D0) is the Moebius quotient
+    # over every divisor of q
+    t = LaurentPoly.t()
+    for q in (1, 2, 6, 12, 30, 97, 128, 210, 420):
+        phi = cyclotomic(q)
+        B = [[phi * (t - 2)]]
+        want = ((2 ** q - 1) // sum(c << k for k, c in enumerate(phi.coeff_list())), totient(q))
+        rep = growth_scan(B, [q]).reports[0]
+        assert (rep.torsion_order, rep.betti) == want, q
+        rep = cover_homology([[reduce_mod_q(B[0][0], q)]], q)
+        assert (rep.torsion_order, rep.betti) == want, q
 
 
 def test_phi_e_of_det_dividing_some_q_matches_snf():
