@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import functools
 import hashlib
 import io
@@ -32,7 +31,7 @@ from .hermitian import (
 )
 from .homology import GrowthScanResult, growth_scan, heegaard_homology
 from .mahler import build_K_alpha, kronecker_zero_test, mahler_measure
-from .ringcore import LaurentPoly, json_int, json_rows
+from .ringcore import LaurentPoly, exact_str, json_int, json_rows
 from .walks import WalkConfig, WalkReport, proximality_probe, run_walk
 
 
@@ -81,12 +80,6 @@ def _load_poly_matrix(path: str):
     if isinstance(obj, dict) and "g" in obj:
         return [list(r) for r in FormMatrix.from_json_obj(obj).rows]
     return [[LaurentPoly.from_json_obj(e) for e in row] for row in _rows(obj)]
-
-
-def _exact(n: int) -> str:
-    """n in decimal at any size.  str() refuses integers of more than
-    sys.get_int_max_str_digits() digits; Decimal converts them exactly."""
-    return str(decimal.Decimal(n))
 
 
 def _print_json(obj):
@@ -215,7 +208,7 @@ def _cmd_torsion_scan(args) -> int:
 
 def _scan_rows(result: GrowthScanResult):
     return [
-        [r.q, _exact(r.torsion_order), r.betti, repr(r.log_torsion_over_q)]
+        [r.q, exact_str(r.torsion_order), r.betti, repr(r.log_torsion_over_q)]
         for r in result.reports
     ]
 
@@ -226,9 +219,9 @@ def _cmd_heegaard(args) -> int:
     _print_json(
         {
             "betti": rep["betti"],
-            "torsion": _exact(rep["torsion"]),
-            "factors": [_exact(d) for d in rep["factors"]],
-            "det_bottom_left": _exact(rep["det_bottom_left"]),
+            "torsion": exact_str(rep["torsion"]),
+            "factors": [exact_str(d) for d in rep["factors"]],
+            "det_bottom_left": exact_str(rep["det_bottom_left"]),
             "det_agrees": rep["det_agrees"],
         }
     )
@@ -302,14 +295,7 @@ def _cmd_walk_run(args) -> int:
 def _cmd_walk_probe(args) -> int:
     config = _walk_config_from_file(args.config)
     rep = proximality_probe(config, args.q, root_index=args.root)
-    _print_json(
-        {
-            "witness": rep.witness,
-            "gap_ratio": rep.gap_ratio,
-            "words_examined": rep.words_examined,
-            "length_cap": rep.length_cap,
-        }
-    )
+    _print_json(asdict(rep))
     return 0
 
 

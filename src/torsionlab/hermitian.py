@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ringcore import CycElem, LaurentPoly, json_int, json_rows, reduce_mod_q
+from .ringcore import CycElem, LaurentPoly, exact_str, json_int, json_rows, reduce_mod_q
 
 
 class NotIsotropic(ValueError):
@@ -175,7 +175,7 @@ class FormMatrix:
         if self.q is None:
             rows = [[e.to_json_obj() for e in r] for r in self.rows]
         else:
-            rows = [[[str(c) for c in e.coeffs] for e in r] for r in self.rows]
+            rows = [[[exact_str(c) for c in e.coeffs] for e in r] for r in self.rows]
         return {"g": self.model.g, "ring": ring, "rows": rows}
 
     @classmethod

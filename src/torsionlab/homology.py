@@ -29,10 +29,7 @@ circulant_det the same engine at one q.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,7 +38,7 @@ import numpy as np
 from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
-from .ringcore import _crt_symmetric, _graeffe_step, _int_det, _mobius_binomials
+from .ringcore import _crt_symmetric, _graeffe_step, _mobius_binomials
 from .ringcore import _phi_split, _prime_factors, _primes_for
 from .hermitian import block_det
 
@@ -286,8 +283,9 @@ def circulant_det(c: CycElem) -> int:
 def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     """Res(t^q - 1, g) for each q of the ascending qs, in one sweep.
 
-    The primes are one descending list, drawn once for the largest height
-    bound, and each q takes the prefix its own _height_bits bound needs.
+    The primes are one descending list, drawn once by _primes_for with
+    every q's _height_bits bound, and each q takes the prefix count that
+    _primes_for gives its own bound.
     Modulo each prime, r = t^(q + d - 1) mod g / lc(g), d = deg g,
     advances one shift and reduction per unit step of q, between two
     preallocated buffers; at each scanned q the rows r - t^(d - 1) of its
@@ -310,10 +308,7 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     if d == 0:
         return [lc ** q for q in qs]
     bits = [_height_bits(g, q) for q in qs]
-    primes = _primes_for(1 << max(bits), avoid=lc * g[0])
-    prods = list(itertools.accumulate(primes, operator.mul))
-    # the fewest primes with a product above 2^(bits + 1), as _primes_for picks them
-    counts = [bisect.bisect_right(prods, 2 << b) + 1 for b in bits]
+    primes, counts = _primes_for([1 << b for b in bits], avoid=lc * g[0])
     P = np.array(primes, dtype=np.int64)
     m = _monic_rows(g, primes)
     neg_low = -m[:, :d]
@@ -534,8 +529,8 @@ def heegaard_homology(phi_star) -> dict:
 
     H_1 = Z^{2g} / <L, phi_* L> with L the span of the first g basis
     vectors.  Reports Betti number, torsion order, invariant factors,
-    and |det B| of the bottom-left g x g block, with an agreement check
-    when that determinant is nonzero.
+    and |det B| of the bottom-left g x g block, the product of B's own
+    invariant factors, with an agreement check when it is nonzero.
     """
     P = [[int(x) for x in row] for row in phi_star]
     n = len(P)
@@ -551,13 +546,14 @@ def heegaard_homology(phi_star) -> dict:
     torsion = math.prod(snf.nonzero_factors())
     betti = snf.corank()
     B = [[P[g + i][j] for j in range(g)] for i in range(g)]
-    det_b = _int_det(B)
+    # unimodular operations keep |det B|; a singular B has a zero factor
+    det_b = math.prod(smith_normal_form(B).invariant_factors)
     return {
         "betti": betti,
         "torsion": torsion,
         "factors": factors,
-        "det_bottom_left": abs(det_b),
-        "det_agrees": (abs(det_b) == torsion) if det_b else None,
+        "det_bottom_left": det_b,
+        "det_agrees": (det_b == torsion) if det_b else None,
     }
 
 

@@ -453,8 +453,7 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     if kronecker_zero_test(p) is not None:
         return MahlerResult(0.0, [], 1, MahlerMethod.KRONECKER_EXACT_ZERO)
 
-    poly, _ = normalize_unit(p)
-    dense = poly.coeff_list()
+    dense = p.coeff_list()
     lead = dense[-1]
     if len(dense) == 1:
         return MahlerResult(math.log(abs(lead)), [], lead, MahlerMethod.ROOT_PRODUCT)

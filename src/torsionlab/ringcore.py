@@ -4,15 +4,20 @@ LaurentPoly is a sparse map exponent -> coefficient with Python big
 integers, so products of long matrix words never overflow; two long
 factors multiply by Kronecker substitution in the dense kernel.  CycElem is a
 dense length-q coefficient vector; multiplication is cyclic convolution.
-Both rings carry the involution t -> t^-1 (resp. k -> -k mod q).  The
+Both rings carry the involution t -> t^-1 (resp. k -> -k mod q), and
+every integer they write to JSON goes through exact_str, at any size.  The
 module ends with the dense integer-polynomial kernel (lists of ints,
 constant first) that mahler and homology share, and the same kernel over
-F_p for primes below 2^31, with the Garner CRT that lifts residues modulo a
-batch of those primes back to integers.
+F_p for primes below 2^31: one cached descending list of those primes,
+drawn by a numpy sieve, one rule (_primes_for) that turns every bound of
+a caller into the count of leading primes its CRT lift needs, and the
+Garner CRT that lifts residues modulo a batch of those primes back to
+integers.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import json
@@ -43,6 +48,13 @@ def json_int(x) -> int:
     if type(x) in (int, str):
         return int(x)
     raise ValueError(f"expected an integer, got {x!r}")
+
+
+def exact_str(n: int) -> str:
+    """n in decimal at any size, the one writer of JSON integers.  str()
+    refuses integers of more than sys.get_int_max_str_digits() digits;
+    Decimal converts them exactly."""
+    return str(decimal.Decimal(n))
 
 
 def json_rows(rows) -> list:
@@ -276,7 +288,7 @@ class LaurentPoly:
     # -- serialization ------------------------------------------------
 
     def to_json_obj(self) -> list[list]:
-        return [[k, str(self.coeffs[k])] for k in sorted(self.coeffs)]
+        return [[k, exact_str(self.coeffs[k])] for k in sorted(self.coeffs)]
 
     @classmethod
     def from_json_obj(cls, obj) -> "LaurentPoly":
@@ -397,7 +409,7 @@ class CycElem:
         return f"CycElem(q={self.q}, {self.coeffs})"
 
     def to_json_obj(self) -> dict:
-        return {"q": self.q, "coeffs": [str(c) for c in self.coeffs]}
+        return {"q": self.q, "coeffs": [exact_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "CycElem":
@@ -807,57 +819,8 @@ def _fold_palindromic(c: list[int]) -> list[int] | None:
     return q
 
 
-def _int_det(M) -> int:
-    """Fraction-free (Bareiss) determinant of a small integer matrix."""
-    A = [[int(x) for x in row] for row in M]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # the same kernel over F_p, for primes below 2^31
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, exact below 2^64."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # primes _squarefree_by_prime tries before the exact gcd has to decide
@@ -869,35 +832,58 @@ _PRIMES: tuple[int, ...] = ()
 
 
 def _primes_below_2_31(count: int) -> tuple[int, ...]:
-    """At least `count` of the largest primes below 2^31, descending."""
+    """At least `count` of the largest primes below 2^31, descending.
+
+    The list grows by sieving the window just below its smallest prime
+    with the primes up to isqrt(2^31) = 46340: every composite below 2^31
+    has a prime factor among them.  A window spans 32 numbers per missing
+    prime (about one in 21 is prime there), and the next window below is
+    sieved while too few turn up.
+    """
     global _PRIMES
     primes = _PRIMES
     if len(primes) < count:
+        root = math.isqrt(1 << 31)
+        sieve = np.ones(root + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(root) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        small = np.flatnonzero(sieve).tolist()
         out = list(primes)
-        c = out[-1] - 2 if out else (1 << 31) - 1
+        hi = out[-1] if out else 1 << 31
         while len(out) < count:
-            if _is_probable_prime(c):
-                out.append(c)
-            c -= 2
+            lo = hi - 32 * (count - len(out))
+            is_prime = np.ones(hi - lo, dtype=bool)
+            for p in small:
+                is_prime[-lo % p :: p] = False
+            out += (lo + np.flatnonzero(is_prime)[::-1]).tolist()
+            hi = lo
         _PRIMES = primes = tuple(out)
     return primes
 
 
-def _primes_for(bound: int, avoid: int = 1) -> list[int]:
-    """The fewest of the largest primes below 2^31, descending, that do not
-    divide `avoid` (nonzero) and whose product exceeds 2 * bound, so the
-    symmetric CRT lift of any |x| <= bound is exact; never empty."""
-    primes = _PRIMES
-    out, prod, i = [], 1, 0
-    while not out or prod <= 2 * bound:
-        if i == len(primes):
-            primes = _primes_below_2_31(2 * i + 8)
-        p = primes[i]
-        i += 1
-        if avoid % p:
-            out.append(p)
-            prod *= p
-    return out
+def _primes_for(bounds, avoid: int = 1) -> tuple[list[int], list[int]]:
+    """(primes, counts): the largest primes below 2^31 that do not divide
+    `avoid` (nonzero), descending, and for each of the bounds the fewest
+    of them, from the first, whose product exceeds 2 * bound, so the
+    symmetric CRT lift of any |x| <= bound over that prefix is exact.
+    Every count is at least 1, and there are as many primes as the largest
+    count.  This is the one rule that turns a bound into a prime count."""
+    bounds = list(bounds)
+    counts = [0] * len(bounds)
+    primes, out, prod, i = _PRIMES, [], 1, 0
+    for j in sorted(range(len(bounds)), key=bounds.__getitem__):
+        while not out or prod <= 2 * bounds[j]:
+            if i == len(primes):
+                primes = _primes_below_2_31(2 * i + 8)
+            p = primes[i]
+            i += 1
+            if avoid % p:
+                out.append(p)
+                prod *= p
+        counts[j] = len(out)
+    return out, counts
 
 
 def _crt_symmetric(residues: np.ndarray, primes, counts=None) -> list[int]:

@@ -361,8 +361,9 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     needs.
     """
     plans = [setup.letters[int(i)] for i in idx]
-    at = {n: _primes_for(b) for n, b in _frame_bounds(plans, setup.sched, h).items()}
-    primes = max(at.values(), key=len)
+    bounds = _frame_bounds(plans, setup.sched, h)
+    primes, counts = _primes_for(bounds.values())
+    at = dict(zip(bounds, counts))
     P = np.array(primes, dtype=np.int64)
     lo = sum(L.left for L in plans)
     frame = np.zeros((2 * h, 1 + lo + sum(L.right for L in plans), h, len(primes)), dtype=np.int64)
@@ -415,9 +416,9 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
         if step in at:
             np.remainder(frame[:, a:b], P, out=frame[:, a:b])
             bound = _REDUCED
-            k, width = len(at[step]), b - a
+            k, width = at[step], b - a
             rows = frame[h:, a:b, :, :k].transpose(3, 0, 2, 1).reshape(k, -1)
-            vals = _crt_symmetric(rows, at[step])
+            vals = _crt_symmetric(rows, primes[:k])
             block = [
                 [LaurentPoly.from_list(vals[(i * h + j) * width : (i * h + j + 1) * width], base)
                  for j in range(h)]

@@ -369,6 +369,25 @@ def test_acceptance_heegaard():
     )
 
 
+def test_heegaard_det_bottom_left_is_the_bareiss_determinant():
+    # the matrices of test_acceptance_heegaard: the identities, whose B = 0
+    # is singular, and the same 100 seeded words
+    mats = [np.eye(2 * g, dtype=int) for g in (2, 3, 4)]
+    rng = random.Random(5)
+    for _ in range(100):
+        gens = _sp_generators(rng.choice([2, 3]))
+        M = np.eye(len(gens[0]), dtype=int)
+        for _ in range(rng.randint(2, 8)):
+            M = rng.choice(gens) @ M
+        mats.append(M)
+    dets = []
+    for M in mats:
+        g = len(M) // 2
+        dets.append(heegaard_homology(M.tolist())["det_bottom_left"])
+        assert dets[-1] == abs(bareiss_det(M[g:, :g].tolist())), M
+    assert dets.count(0) > 3 and max(dets) > 1
+
+
 # ---------------------------------------------------------------------------
 # 6. walk trend
 

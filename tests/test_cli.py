@@ -1,6 +1,7 @@
 """Command-line driver: dispatch, exit codes, plot data, manifests."""
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 import torsionlab
 from torsionlab.cli import dispatch, emit_plot_data
+from torsionlab.hermitian import SurfaceModel, block_det, bottom_left_block, transvection
 from torsionlab.homology import GrowthScanResult, growth_scan
 from torsionlab.ringcore import LaurentPoly, cyclotomic
 from torsionlab.walks import WalkConfig, bundled_generators, run_walk
@@ -81,6 +83,27 @@ def test_rep_commands(tmp_path, capsys):
     assert len(obj["real"]) == 4
     rc, _ = run_cli(capsys, "rep", "iota", str(f), "--q", "6", "--root", "2")
     assert rc == 2  # non-primitive root is an input error
+
+
+def test_rep_block_writes_det_past_the_int_str_limit(tmp_path, capsys):
+    # transvections along b1 and b2 with r = c (t + 1/t - 2), c = 10^3000:
+    # every input coefficient has 3001 digits, and B = diag(r, r), so
+    # det B = c^2 (t^2 - 4t + 6 - 4/t + 1/t^2) has 6001-digit coefficients
+    model = SurfaceModel(3)
+    r = LaurentPoly({-1: 1, 0: -2, 1: 1}) * 10**3000
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    M = (transvection(model, [zero, zero, one, zero], r)
+         @ transvection(model, [zero, zero, zero, one], r))
+    f = tmp_path / "m.json"
+    f.write_text(M.dumps())
+    rc, out = run_cli(capsys, "rep", "block", str(f))
+    assert rc == 0
+    det = json.loads(out)["det"]
+    zeros = "0" * 6000
+    assert det == [[-2, "1" + zeros], [-1, "-4" + zeros], [0, "6" + zeros],
+                   [1, "-4" + zeros], [2, "1" + zeros]]
+    want = block_det(bottom_left_block(M), q=None)
+    assert {k: int(decimal.Decimal(c)) for k, c in det} == want.coeffs
 
 
 # -- torsion scan ------------------------------------------------------

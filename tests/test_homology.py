@@ -525,7 +525,7 @@ def test_tower_resultants_match_per_prime_oracle():
     qs = list(range(1, 201))
     for D0 in towers:
         d, lc = len(D0) - 1, D0[-1]
-        assert not set(ORACLE_PRIMES) & set(_primes_for(1 << _height_bits(D0, qs[-1]), avoid=lc))
+        assert not set(ORACLE_PRIMES) & set(_primes_for([1 << _height_bits(D0, qs[-1])], avoid=lc)[0])
         got = _tower_resultants(D0, qs)
         for q, res in zip(qs, got):
             for p in ORACLE_PRIMES:
@@ -572,7 +572,7 @@ def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
     D0 = LEHMER.coeff_list()
     qs = list(range(1, 301, 3))
     _tower_resultants(D0, qs)
-    assert sum(rows) == sum(len(_primes_for(1 << _height_bits(D0, q))) for q in qs)
+    assert sum(rows) == sum(_primes_for([1 << _height_bits(D0, q)])[1][0] for q in qs)
 
 
 def test_height_bits_bound_the_circulant_det():

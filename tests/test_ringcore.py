@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from torsionlab import ringcore
 from torsionlab.ringcore import (
     KRONECKER_TERMS,
     CycElem,
@@ -349,18 +350,60 @@ def schoolbook_prem(a, b):
 
 def test_primes_for_is_the_fewest_prefix():
     # bound 0 still needs one prime: a symmetric CRT lift of 0
-    assert _primes_for(0) == list(_primes_below_2_31(1)[:1])
+    assert _primes_for([0])[0] == list(_primes_below_2_31(1)[:1])
     for bound in (1, 2 ** 31, 2 ** 62, 3 ** 400, 2 ** 3000 - 1):
-        primes = _primes_for(bound)
+        primes = _primes_for([bound])[0]
         k = len(primes)
         assert primes == list(_primes_below_2_31(k)[:k])
         assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
     # divisors of `avoid` are skipped; the product still covers the bound
     p0, p1, p2 = _primes_below_2_31(3)[:3]
-    primes = _primes_for(2 ** 100, avoid=7 * p0 * p2)
+    primes = _primes_for([2 ** 100], avoid=7 * p0 * p2)[0]
     assert p0 not in primes and p2 not in primes and primes[0] == p1
     assert math.prod(primes) > 2 ** 101 >= math.prod(primes[:-1])
-    assert len(_primes_for(2 ** 40000)) > 1000
+    assert len(_primes_for([2 ** 40000])[0]) > 1000
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, exact below 2^64:
+    the sieve's independent oracle."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_sieve_draws_the_miller_rabin_primes(monkeypatch):
+    # from a cold cache: a small draw, then a larger one that sieves on
+    # below it and must keep its prefix
+    monkeypatch.setattr(ringcore, "_PRIMES", ())
+    first = _primes_below_2_31(8)
+    assert len(first) >= 8
+    primes = _primes_below_2_31(2000)
+    assert primes[:len(first)] == first and _primes_below_2_31(100) is primes
+    want, n = [], (1 << 31) - 1
+    while len(want) < 2000:
+        if is_probable_prime(n):
+            want.append(n)
+        n -= 2
+    assert primes[:2000] == tuple(want)
 
 
 def test_pseudo_rem_matches_schoolbook():

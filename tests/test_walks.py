@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -529,12 +530,15 @@ def test_frame_bound_covers_true_coefficients(make):
             assert bound >= max(e.content_max() for row in block for e in row), (trial, n)
 
 
-def _prime_count(bound):
-    # the prime rule _modular_dets used before _primes_for
+def _prime_count(bound, avoid=1):
+    # the prime rule _modular_dets used before _primes_for, on the primes
+    # that do not divide avoid
     k = 1
-    while math.prod(_primes_below_2_31(k)[:k]) <= 2 * bound:
+    while True:
+        kept = [p for p in _primes_below_2_31(k)[:k] if avoid % p]
+        if kept and math.prod(kept) > 2 * bound:
+            return len(kept)
         k += 1
-    return k
 
 
 def test_primes_for_matches_old_prime_count_on_frame_bounds():
@@ -547,7 +551,24 @@ def test_primes_for_matches_old_prime_count_on_frame_bounds():
     assert max(bounds).bit_length() > 31 * 8
     for bound in bounds:
         k = _prime_count(bound)
-        assert _primes_for(bound) == list(_primes_below_2_31(k)[:k]), bound
+        assert _primes_for([bound])[0] == list(_primes_below_2_31(k)[:k]), bound
+
+
+def test_primes_for_counts_match_the_single_bound_rule():
+    # many bounds at once, in no order, against one bound at a time; the
+    # bounds include both sides of the products of the first kept primes
+    gen = random.Random(22)
+    p0, p1, p2, p3 = _primes_below_2_31(4)[:4]
+    for avoid in (1, p0, -p1 * p3, 7 * p0 * p2):
+        a, b = [p for p in (p0, p1, p2, p3) if avoid % p][:2]
+        bounds = [0, 1, a // 2, a // 2 + 1, a * b // 2, a * b // 2 + 1]
+        bounds += [gen.getrandbits(gen.randint(1, 1200)) for _ in range(30)]
+        gen.shuffle(bounds)
+        primes, counts = _primes_for(bounds, avoid=avoid)
+        assert len(primes) == max(counts) and all(avoid % p for p in primes)
+        for bound, n in zip(bounds, counts):
+            assert n == _prime_count(bound, avoid), (bound, avoid)
+            assert primes[:n] == _primes_for([bound], avoid=avoid)[0]
 
 
 def test_exact_lane_degree_ledger():
