@@ -28,6 +28,7 @@ from .hermitian import (
     bottom_left_block,
     check_form_preserved,
     iota_embed,
+    is_torelli_like,
 )
 from .homology import GrowthScanResult, growth_scan, heegaard_homology
 from .mahler import build_K_alpha, kronecker_zero_test, mahler_measure
@@ -141,17 +142,14 @@ def _cmd_mahler_kalpha(args) -> int:
 
 def _cmd_rep_check_form(args) -> int:
     M = _load_form(args.matrix)
-    ok = check_form_preserved(M)
-    aug = M.augmentation()
-    ident = [[1 if i == j else 0 for j in range(M.n)] for i in range(M.n)]
-    _print_json({"form_preserved": ok, "torelli_like": aug == ident})
+    _print_json({"form_preserved": check_form_preserved(M), "torelli_like": is_torelli_like(M)})
     return 0
 
 
 def _cmd_rep_block(args) -> int:
     M = _load_form(args.matrix)
     B = bottom_left_block(M)
-    det = block_det(B, q=M.q)
+    det = block_det(B)
     _print_json(
         {
             "block": [[e.to_json_obj() for e in row] for row in B],
@@ -228,7 +226,7 @@ def _cmd_heegaard(args) -> int:
     return 0
 
 
-def _walk_config_from_file(path: str, seed_override=None, twist=None) -> WalkConfig:
+def _walk_config_from_file(path: str, seed_override=None) -> WalkConfig:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"expected the walk config as a JSON object, got {type(obj).__name__}")
@@ -241,7 +239,7 @@ def _walk_config_from_file(path: str, seed_override=None, twist=None) -> WalkCon
     except (TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"expected each probability as a number or fraction, got {probs!r}") from exc
     seed = obj.get("master_seed", 0) if seed_override is None else seed_override
-    twist = twist if twist is not None else obj.get("unit_twist_seed")
+    twist = obj.get("unit_twist_seed")
     q_list = obj.get("q_list", [3])
     if not isinstance(q_list, list):
         raise ValueError(f"expected q_list as a list of integers, got {q_list!r}")

@@ -8,6 +8,11 @@ Conventions fixed here and used everywhere downstream:
   * the bottom-left block B has rows indexed by the b-basis and columns
     by the a-basis, so column j of B lists the b-components of the
     image of the j-th a-vector.
+
+The form is stated once, in pairing and columns_pair_as_basis, which
+serves both rings and the integer gluings of homology.  Matrices,
+pairings, transvections and block determinants read their ring from
+their entries; FormMatrix.identity and reidemeister_form take q.
 """
 
 from __future__ import annotations
@@ -73,26 +78,33 @@ def _one(q):
     return LaurentPoly.one() if q is None else CycElem.one(q)
 
 
+def _ring_of(e) -> int | None:
+    """The ring of an entry: None for Z[t,t^-1], q for Z[Z/q]."""
+    if isinstance(e, LaurentPoly):
+        return None
+    if isinstance(e, CycElem):
+        return e.q
+    raise TypeError(f"matrix entries must be LaurentPoly or CycElem, not {type(e).__name__}")
+
+
 class FormMatrix:
     """Square matrix over Z[t,t^-1] or Z[Z/q] with pairing metadata.
 
-    `q` is None for the Laurent ring and the cover degree otherwise.
-    Instances are immutable; products allocate fresh matrices.
+    `q`, read from the entries, is None for the Laurent ring and the
+    cover degree otherwise.  Instances are immutable; products allocate
+    fresh matrices.
     """
 
     __slots__ = ("model", "q", "rows")
 
-    def __init__(self, model: SurfaceModel, rows, q: int | None = None):
+    def __init__(self, model: SurfaceModel, rows):
         n = model.dim
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected {n}x{n} matrix for genus {model.g}")
-        for r in rows:
-            for e in r:
-                if q is None and not isinstance(e, LaurentPoly):
-                    raise TypeError("laurent matrix entries must be LaurentPoly")
-                if q is not None and not (isinstance(e, CycElem) and e.q == q):
-                    raise TypeError(f"cyclic matrix entries must be CycElem mod {q}")
+        q = _ring_of(rows[0][0])
+        if any(_ring_of(e) != q for r in rows for e in r):
+            raise TypeError("matrix entries must all lie in one ring")
         self.model = model
         self.q = q
         self.rows = rows
@@ -107,7 +119,6 @@ class FormMatrix:
         return cls(
             model,
             [[_one(q) if i == j else _zero(q) for j in range(n)] for i in range(n)],
-            q,
         )
 
     def __eq__(self, other):
@@ -136,24 +147,18 @@ class FormMatrix:
                         s = s + a[i][k] * y
                 row.append(s)
             out.append(row)
-        return FormMatrix(self.model, out, self.q)
+        return FormMatrix(self.model, out)
 
     def scale(self, unit) -> "FormMatrix":
         """Multiply every entry by a ring element (e.g. the unit t^k)."""
-        return FormMatrix(
-            self.model, [[unit * e for e in r] for r in self.rows], self.q
-        )
+        return FormMatrix(self.model, [[unit * e for e in r] for r in self.rows])
 
     def conjugate(self) -> "FormMatrix":
-        return FormMatrix(
-            self.model, [[e.involution() for e in r] for r in self.rows], self.q
-        )
+        return FormMatrix(self.model, [[e.involution() for e in r] for r in self.rows])
 
     def transpose(self) -> "FormMatrix":
         n = self.n
-        return FormMatrix(
-            self.model, [[self.rows[j][i] for j in range(n)] for i in range(n)], self.q
-        )
+        return FormMatrix(self.model, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def augmentation(self):
         """Integer matrix of entrywise augmentations (t -> 1)."""
@@ -162,11 +167,7 @@ class FormMatrix:
     def reduce_mod_q(self, q: int) -> "FormMatrix":
         if self.q is not None:
             raise ValueError("matrix already lives over a cyclic ring")
-        return FormMatrix(
-            self.model,
-            [[reduce_mod_q(e, q) for e in r] for r in self.rows],
-            q,
-        )
+        return FormMatrix(self.model, [[reduce_mod_q(e, q) for e in r] for r in self.rows])
 
     # -- serialization ------------------------------------------------
 
@@ -186,13 +187,13 @@ class FormMatrix:
         ring = obj["ring"]
         rows = json_rows(obj["rows"])
         if ring == "laurent":
-            return cls(model, [[LaurentPoly.from_json_obj(e) for e in r] for r in rows], None)
+            return cls(model, [[LaurentPoly.from_json_obj(e) for e in r] for r in rows])
         if not isinstance(ring, dict):
             raise ValueError(f"unknown ring {ring!r}")
         q = json_int(ring["cyclic"])
         if not all(isinstance(e, list) for r in rows for e in r):
             raise ValueError("expected each cyclic entry as a list of coefficients")
-        return cls(model, [[CycElem(q, [json_int(c) for c in e]) for e in r] for r in rows], q)
+        return cls(model, [[CycElem(q, [json_int(c) for c in e]) for e in r] for r in rows])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -214,24 +215,52 @@ def reidemeister_form(model: SurfaceModel, q: int | None = None) -> FormMatrix:
     for i in range(h):
         rows[i][h + i] = _one(q)
         rows[h + i][i] = -_one(q)
-    return FormMatrix(model, rows, q)
+    return FormMatrix(model, rows)
 
 
-def pairing(x, y, model: SurfaceModel, q: int | None = None):
-    """Phi(x, y) = x^T J ybar for coordinate vectors over the ring."""
-    h = model.half
-    ybar = [e.involution() for e in y]
-    s = _zero(q)
-    for i in range(h):
+def _pair_bar(x, ybar):
+    """Phi(x, y) from x and ybar, the conjugate of y; h = len(x) / 2."""
+    h = len(x) // 2
+    s = x[0] * ybar[h] - x[h] * ybar[0]
+    for i in range(1, h):
         s = s + x[i] * ybar[h + i] - x[h + i] * ybar[i]
     return s
 
 
+def pairing(x, y):
+    """Phi(x, y) = x^T J ybar for coordinate vectors of length 2h over the
+    ring of their entries."""
+    return _pair_bar(x, [e.involution() for e in y])
+
+
+def columns_pair_as_basis(cols) -> bool:
+    """Whether the columns c_i of a 2h x 2h matrix M pair as the basis
+    does, Phi(c_i, c_j) = J_ij, which is M^T J Mbar = J, exactly.
+
+    Phi is skew-Hermitian, Phi(c_j, c_i) = -conj Phi(c_i, c_j), and so is
+    J, so the pairs i <= j decide the rest.  The diagonal ones stay:
+    Phi(c, c) = -conj Phi(c, c) need not vanish (c = e_0 + (t - 1/t) e_h
+    gives 2/t - 2t).
+    """
+    n = len(cols)
+    h = n // 2
+    bars = [[e.involution() for e in c] for c in cols]
+    for i, x in enumerate(cols):
+        for j in range(i, n):
+            if _pair_bar(x, bars[j]) != (1 if j == i + h else 0):
+                return False
+    return True
+
+
 def check_form_preserved(M: FormMatrix) -> bool:
     """Exact check of the invariance identity M^T J Mbar = J."""
-    J = reidemeister_form(M.model, M.q)
-    lhs = M.transpose() @ J @ M.conjugate()
-    return lhs == J
+    return columns_pair_as_basis(list(zip(*M.rows)))
+
+
+def is_torelli_like(M: FormMatrix) -> bool:
+    """Whether M reduces to the identity at t = 1: every entry of M - Id
+    lies in the augmentation ideal."""
+    return all(x == (i == j) for i, row in enumerate(M.augmentation()) for j, x in enumerate(row))
 
 
 def form_inverse(M: FormMatrix) -> FormMatrix:
@@ -247,26 +276,20 @@ def form_inverse(M: FormMatrix) -> FormMatrix:
     for i in range(n):
         row = [mt[(i + h) % n][(j + h) % n] for j in range(n)]
         rows.append([-e if (i < h) != (j < h) else e for j, e in enumerate(row)])
-    return FormMatrix(M.model, rows, M.q)
+    return FormMatrix(M.model, rows)
 
 
-def transvection(
-    model: SurfaceModel,
-    v,
-    r,
-    q: int | None = None,
-    torelli_like: bool = False,
-) -> FormMatrix:
+def transvection(model: SurfaceModel, v, r, torelli_like: bool = False) -> FormMatrix:
     """Form-preserving map T(x) = x + Phi(x, v) * r * v.
 
-    Requires Phi(v, v) = 0 and r fixed by the involution.  With
-    torelli_like=True the entries of T - Id must lie in the augmentation
-    ideal (T reduces to the identity at t = 1).
+    Requires Phi(v, v) = 0 and r fixed by the involution; the ring is
+    that of v and r.  With torelli_like=True, T must be Torelli-like
+    (is_torelli_like).
     """
     v = list(v)
     if len(v) != model.dim:
         raise ValueError("vector length must equal 2g-2")
-    if not pairing(v, v, model, q).is_zero():
+    if not pairing(v, v).is_zero():
         raise NotIsotropic("transvection vector must be isotropic")
     if not (r.involution() == r):
         raise NotSymmetric("transvection coefficient must satisfy rbar = r")
@@ -281,19 +304,14 @@ def transvection(
         for j in range(n):
             e = phi_ej_v[j] * r * v[i]
             if i == j:
-                e = e + _one(q)
+                e = e + 1
             row.append(e)
         rows.append(row)
-    T = FormMatrix(model, rows, q)
+    T = FormMatrix(model, rows)
     if not check_form_preserved(T):
         raise RuntimeError("transvection construction must preserve the form")
-    if torelli_like:
-        aug = T.augmentation()
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if aug != ident:
-            raise NotTorelliLike(
-                "augmentation of the transvection is not the identity"
-            )
+    if torelli_like and not is_torelli_like(T):
+        raise NotTorelliLike("augmentation of the transvection is not the identity")
     return T
 
 
@@ -303,21 +321,22 @@ def bottom_left_block(M: FormMatrix):
     return [list(M.rows[h + i][:h]) for i in range(h)]
 
 
-def block_det(block, q: int | None = None):
-    """Determinant of a small matrix over the ring, by cofactor expansion."""
+def block_det(block):
+    """Determinant of a small matrix over the ring of its entries, by
+    cofactor expansion; the 0 x 0 block gives the Laurent 1."""
     n = len(block)
     if n == 0:
-        return _one(q)
+        return LaurentPoly.one()
     if n == 1:
         return block[0][0]
     if n == 2:
         return block[0][0] * block[1][1] - block[0][1] * block[1][0]
-    det = _zero(q)
+    det = _zero(_ring_of(block[0][0]))
     for j in range(n):
         if block[0][j].is_zero():
             continue
         minor = [row[:j] + row[j + 1 :] for row in block[1:]]
-        term = block[0][j] * block_det(minor, q)
+        term = block[0][j] * block_det(minor)
         det = det + term if j % 2 == 0 else det - term
     return det
 
@@ -337,11 +356,6 @@ def _iota_at(q: int, root_index: int):
         return complex(sum(co * powers[k] for k, co in enumerate(c.coeffs) if co))
 
     return at
-
-
-def iota_scalar(c: CycElem, root_index: int = 1) -> complex:
-    """Evaluation of a group-ring element at exp(2*pi*i*j/q)."""
-    return _iota_at(c.q, root_index)(c)
 
 
 def iota_embed(M: FormMatrix, root_index: int = 1) -> np.ndarray:
@@ -399,19 +413,6 @@ def exterior_power_matrix(A: np.ndarray, marking: ExteriorMarking) -> np.ndarray
         for b, T in enumerate(subs):
             out[a, b] = np.linalg.det(A[np.ix_(rows, np.array(T))])
     return out
-
-
-def exterior_coefficient(A: np.ndarray, marking: ExteriorMarking) -> complex:
-    """The f-coefficient of the exterior-power image of e.
-
-    Equals the determinant of the bottom-left (g-1)x(g-1) block of A (the
-    Leibniz identity), which is exterior_power_matrix(A, marking)[f, e].
-    """
-    h = marking.g - 1
-    block = A[h : 2 * h, 0:h]
-    if h == 0:
-        return 0j
-    return complex(np.linalg.det(block))
 
 
 def degree_bound(generators: list[FormMatrix]) -> int:

@@ -40,7 +40,7 @@ from .ringcore import CycElem, LaurentPoly, circulant_expand, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
 from .ringcore import _crt_symmetric, _graeffe_step, _mobius_binomials
 from .ringcore import _phi_split, _prime_factors, _primes_for
-from .hermitian import block_det
+from .hermitian import block_det, columns_pair_as_basis
 
 class NotSymplectic(ValueError):
     """Input matrix does not preserve the standard symplectic form."""
@@ -163,22 +163,26 @@ SWEEP_ROWS = 8192
 @lru_cache(maxsize=256)
 def _graeffe_norm_bits(g: tuple[int, ...]) -> int:
     """Bit length of ||G||_2^2 for the GRAEFFE_ROUNDS-th Graeffe iterate G
-    of g; cached, since a tower asks for it once per cover degree."""
+    of g; cached, since one process often sweeps the same g again
+    (cover_homology at several q of one block, or a repeated scan)."""
     G = list(g)
     for _ in range(GRAEFFE_ROUNDS):
         G = _graeffe_step(G)
     return sum(x * x for x in G).bit_length()
 
 
-def _height_bits(g: list[int], q: int) -> int:
-    """An integer b with |Res(t^q - 1, g)| < 2^b, from the Mahler measure.
+def _height_bits(g: list[int], qs) -> list[int]:
+    """For each q of qs an integer b with |Res(t^q - 1, g)| < 2^b, from
+    the Mahler measure.
 
     |Res| = |lc|^q prod |beta^q - 1| over the roots beta of g, which is at
     most 2^d M(g)^q, and M(g)^(2^k) = M(G_k) <= ||G_k||_2 (Landau) for the
-    k-th Graeffe iterate G_k.  The bound holds for any degree of g, and it
-    is within a few percent of the true height on walk determinants.
+    k-th Graeffe iterate G_k, which is taken once for all of qs.  The bound
+    holds for any degree of g, and it is within a few percent of the true
+    height on walk determinants.
     """
-    return len(g) - 1 - (-q * _graeffe_norm_bits(tuple(g)) >> (GRAEFFE_ROUNDS + 1))
+    norm_bits = _graeffe_norm_bits(tuple(g))
+    return [len(g) - 1 - (-q * norm_bits >> (GRAEFFE_ROUNDS + 1)) for q in qs]
 
 
 def _pow_rows(x: np.ndarray, e, P: np.ndarray) -> np.ndarray:
@@ -295,20 +299,16 @@ def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     degree q), so they share one degree sequence in the Euclid.  Over the
     roots beta of g, Res(t^q - 1, g) = ((-1)^d lc)^q prod (beta^q - 1) and
     prod beta = (-1)^d g(0) / lc, so the primes avoid lc g(0), and CRT
-    gives Res per q.  Res(t^q - 1, t) = (-1)^(q - 1) takes out a factor t^k
-    of g.  g needs no reduction modulo t^q - 1: the height bound holds for
-    any degree.
+    gives Res per q; so g(0) must be nonzero, as it is for every caller's
+    g (a _window, or a _phi_split rest of a coefficient list).  g needs no
+    reduction modulo t^q - 1: the height bound holds for any degree.
     """
     if not qs:
         return []
-    if not g[0]:
-        k = next(i for i, x in enumerate(g) if x)
-        return [(-1) ** ((q - 1) * k) * x for q, x in zip(qs, _tower_resultants(g[k:], qs))]
     d, lc = len(g) - 1, g[-1]
     if d == 0:
         return [lc ** q for q in qs]
-    bits = [_height_bits(g, q) for q in qs]
-    primes, counts = _primes_for([1 << b for b in bits], avoid=lc * g[0])
+    primes, counts = _primes_for([1 << b for b in _height_bits(g, qs)], avoid=lc * g[0])
     P = np.array(primes, dtype=np.int64)
     m = _monic_rows(g, primes)
     neg_low = -m[:, :d]
@@ -470,7 +470,7 @@ def cover_homology(Bq, q: int) -> TorsionReport:
     if not all(isinstance(e, CycElem) and e.q == q for row in Bq for e in row):
         raise ValueError(f"expected a block over Z[Z/{q}]")
     lifts = [[LaurentPoly.from_list(g, lo=s) for s, g in map(_window, row)] for row in Bq]
-    return _tower(lifts, block_det(lifts, q=None), [q])[0]
+    return _tower(lifts, block_det(lifts), [q])[0]
 
 
 def _log(n: int) -> float:
@@ -510,7 +510,7 @@ def growth_scan(B_inf, q_range) -> GrowthScanResult:
     ):
         raise ValueError("q_range must be nonempty and ascending")
     _check_block(B_inf, q_range[0])
-    det = block_det(B_inf, q=None)
+    det = block_det(B_inf)
     measure = None if det.is_zero() else mahler_measure(det)
     reports = _tower(B_inf, det, q_range)
     deviations = []
@@ -537,7 +537,7 @@ def heegaard_homology(phi_star) -> dict:
     if n % 2 or any(len(r) != n for r in P):
         raise ValueError("expected a 2g x 2g matrix")
     g = n // 2
-    if not _is_symplectic(P, g):
+    if not columns_pair_as_basis([[LaurentPoly.const(x) for x in col] for col in zip(*P)]):
         raise NotSymplectic("matrix does not preserve the symplectic form")
     # columns: the a-basis vectors, then their images under phi
     A = [[int(i == j) for j in range(g)] + P[i][:g] for i in range(n)]
@@ -556,16 +556,3 @@ def heegaard_homology(phi_star) -> dict:
         "det_agrees": (det_b == torsion) if det_b else None,
     }
 
-
-def _is_symplectic(P, g: int) -> bool:
-    """Whether P^T J P == J exactly, J = [[0, I], [-I, 0]] in the (a, b)
-    basis ordering."""
-    n = 2 * g
-    # J P: the b-rows of P on top, minus the a-rows below
-    JP = P[g:] + [[-x for x in row] for row in P[:g]]
-    for i in range(n):
-        for j in range(n):
-            s = sum(P[k][i] * JP[k][j] for k in range(n))
-            if s != (1 if j == i + g else -1 if i == j + g else 0):
-                return False
-    return True

@@ -870,6 +870,8 @@ def _primes_for(bounds, avoid: int = 1) -> tuple[list[int], list[int]]:
     symmetric CRT lift of any |x| <= bound over that prefix is exact.
     Every count is at least 1, and there are as many primes as the largest
     count.  This is the one rule that turns a bound into a prime count."""
+    if not avoid:
+        raise ValueError("avoid must be nonzero: every prime divides 0")
     bounds = list(bounds)
     counts = [0] * len(bounds)
     primes, out, prod, i = _PRIMES, [], 1, 0

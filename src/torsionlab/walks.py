@@ -424,7 +424,7 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
                  for j in range(h)]
                 for i in range(h)
             ]
-            dets[step] = block_det(block, q=None)
+            dets[step] = block_det(block)
     return dets
 
 
@@ -489,7 +489,8 @@ def _embedded_lane(mats: list, idxs: np.ndarray, sched: list, h: int):
                 break
         # math.log per trial, as the per-trial loop took it
         logvol = logvol + [math.log(v) for v in vol.tolist()]
-        # fix phases so the minor below is well defined up to modulus
+        # Q is one orthonormal basis of the frame's image; another would
+        # move the minor below only by a phase, so its modulus is well defined
         Y = Q
         if step in sched:
             minors = np.linalg.det(Y[:, h : 2 * h, :])
@@ -609,18 +610,18 @@ class ProximalityReport:
     length_cap: int
 
 
-def proximality_probe(
-    config: WalkConfig,
-    q: int,
-    root_index: int = 1,
-    length_cap: int = 8,
-    max_words: int = 4096,
-    gap_threshold: float = 1e-3,
-) -> ProximalityReport:
+# proximality_probe searches words of up to PROBE_LENGTH_CAP letters, at
+# most PROBE_MAX_WORDS of them, for a gap ratio above 1 + PROBE_GAP
+PROBE_LENGTH_CAP = 8
+PROBE_MAX_WORDS = 4096
+PROBE_GAP = 1e-3
+
+
+def proximality_probe(config: WalkConfig, q: int, root_index: int = 1) -> ProximalityReport:
     """Search short words for a proximal element in the exterior action.
 
     A witness is a word whose exterior-power image has a simple dominant
-    eigenvalue with gap ratio > 1 + gap_threshold.
+    eigenvalue with gap ratio > 1 + PROBE_GAP.
     """
     marking = ExteriorMarking(config.g)
     if marking.dim > 70:
@@ -633,23 +634,23 @@ def proximality_probe(
     ]
     examined = 0
     frontier = [([], np.eye(marking.dim, dtype=complex))]
-    for _ in range(length_cap):
+    for _ in range(PROBE_LENGTH_CAP):
         nxt = []
         for wordidx, mat in frontier:
             for gi, gm in enumerate(mats):
-                if examined >= max_words:
-                    return ProximalityReport(None, None, examined, length_cap)
+                if examined >= PROBE_MAX_WORDS:
+                    return ProximalityReport(None, None, examined, PROBE_LENGTH_CAP)
                 cand_idx = wordidx + [gi]
                 cand = gm @ mat
                 examined += 1
                 ev = np.sort(np.abs(np.linalg.eigvals(cand)))[::-1]
-                if ev[1] > 0 and ev[0] / ev[1] > 1 + gap_threshold:
+                if ev[1] > 0 and ev[0] / ev[1] > 1 + PROBE_GAP:
                     return ProximalityReport(
-                        cand_idx, float(ev[0] / ev[1]), examined, length_cap
+                        cand_idx, float(ev[0] / ev[1]), examined, PROBE_LENGTH_CAP
                     )
                 nxt.append((cand_idx, cand))
         frontier = nxt
-    return ProximalityReport(None, None, examined, length_cap)
+    return ProximalityReport(None, None, examined, PROBE_LENGTH_CAP)
 
 
 # ---------------------------------------------------------------------------

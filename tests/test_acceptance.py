@@ -24,10 +24,8 @@ from torsionlab.hermitian import (
     block_det,
     bottom_left_block,
     check_form_preserved,
-    exterior_coefficient,
     exterior_power_matrix,
     iota_embed,
-    iota_scalar,
     pairing,
     transvection,
 )
@@ -41,50 +39,15 @@ from torsionlab.ringcore import (
 )
 from torsionlab.walks import WalkConfig, bundled_generators, run_walk
 
+from oracles import bareiss_det, exterior_coefficient, iota_scalar, jensen_oracle
+from oracles import resultant_with_tq_minus_1
+
 LEHMER = LaurentPoly(
     {10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1}
 )
 
 
-def bareiss_det(M):
-    A = [list(map(int, row)) for row in M]
-    n = len(A)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
 
-
-def resultant_with_tq_minus_1(p: LaurentPoly, q: int) -> int:
-    cs = p.coeff_list()
-    d = len(cs) - 1
-    n = d + q
-    S = [[0] * n for _ in range(n)]
-    for i in range(q):
-        for k, c in enumerate(cs):
-            S[i][i + d - k] = c
-    g = [1] + [0] * (q - 1) + [-1]
-    for i in range(d):
-        for k, c in enumerate(g):
-            S[q + i][i + q - k] = c
-    return abs(bareiss_det(S))
-
-
-def jensen_oracle(p: LaurentPoly) -> float:
-    cs = p.coeff_list()
-    roots = np.roots(np.array(cs[::-1], dtype=float))
-    return math.log(abs(cs[-1])) + sum(math.log(a) for a in np.abs(roots) if a > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +160,7 @@ def _isotropic_vectors(model, rng):
             v = [zero] * model.dim
             for pos, val in ent:
                 v[pos] = val
-            if pairing(v, v, model).is_zero():
+            if pairing(v, v).is_zero():
                 out.append(v)
     return out
 
@@ -224,7 +187,7 @@ def test_acceptance_block_determinant_identity():
                 Mq = M.reduce_mod_q(q)
                 A = iota_embed(Mq)
                 lhs = abs(exterior_coefficient(A, mk))
-                det = block_det(bottom_left_block(Mq), q=q)
+                det = block_det(bottom_left_block(Mq))
                 rhs = abs(iota_scalar(det))
                 tol = 1e-8 * max(1.0, rhs)
                 assert abs(lhs - rhs) <= tol, (g, q)
@@ -266,7 +229,7 @@ def _corpus_word(seed):
             v = [zero] * 4
             for pos, val in ent:
                 v[pos] = val
-            if pairing(v, v, model).is_zero():
+            if pairing(v, v).is_zero():
                 vs.append(v)
     M = FormMatrix.identity(model)
     for _ in range(5):

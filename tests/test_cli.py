@@ -102,7 +102,7 @@ def test_rep_block_writes_det_past_the_int_str_limit(tmp_path, capsys):
     zeros = "0" * 6000
     assert det == [[-2, "1" + zeros], [-1, "-4" + zeros], [0, "6" + zeros],
                    [1, "-4" + zeros], [2, "1" + zeros]]
-    want = block_det(bottom_left_block(M), q=None)
+    want = block_det(bottom_left_block(M))
     assert {k: int(decimal.Decimal(c)) for k, c in det} == want.coeffs
 
 

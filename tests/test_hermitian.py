@@ -1,5 +1,6 @@
 """Skew-Hermitian form, transvections, the iota embedding, exterior algebra."""
 
+import itertools
 import random
 
 import numpy as np
@@ -17,16 +18,18 @@ from torsionlab.hermitian import (
     block_det,
     bottom_left_block,
     check_form_preserved,
+    columns_pair_as_basis,
     degree_bound,
-    exterior_coefficient,
     exterior_power_matrix,
     iota_embed,
-    iota_scalar,
+    is_torelli_like,
     pairing,
     reidemeister_form,
     transvection,
 )
-from torsionlab.ringcore import CycElem, LaurentPoly, laurent_eval
+from torsionlab.ringcore import CycElem, LaurentPoly, laurent_eval, reduce_mod_q
+
+from oracles import exterior_coefficient, form_preserved_by_products, iota_scalar
 
 rng = random.Random(4711)
 
@@ -47,7 +50,7 @@ def rand_vector(model, isotropic=True, tries=200):
         ]
         if all(e.is_zero() for e in v):
             continue
-        if not isotropic or pairing(v, v, model, None).is_zero():
+        if not isotropic or pairing(v, v).is_zero():
             return v
     raise RuntimeError("no isotropic vector found")
 
@@ -81,8 +84,8 @@ def test_pairing_skew_hermitian():
     for _ in range(40):
         x = rand_vector(model, isotropic=False)
         y = rand_vector(model, isotropic=False)
-        lhs = pairing(x, y, model)
-        rhs = -pairing(y, x, model).involution()
+        lhs = pairing(x, y)
+        rhs = -pairing(y, x).involution()
         assert lhs == rhs
 
 
@@ -93,9 +96,9 @@ def test_pairing_linear_in_first_argument():
     z = rand_vector(model, isotropic=False)
     s = LaurentPoly({2: 3, -1: 1})
     xs = [s * e for e in x]
-    assert pairing(xs, y, model) == s * pairing(x, y, model)
+    assert pairing(xs, y) == s * pairing(x, y)
     xz = [a + b for a, b in zip(x, z)]
-    assert pairing(xz, y, model) == pairing(x, y, model) + pairing(z, y, model)
+    assert pairing(xz, y) == pairing(x, y) + pairing(z, y)
 
 
 def test_product_matches_dense_product():
@@ -147,7 +150,7 @@ def test_transvection_validation():
     zero = LaurentPoly.zero()
     # a1 and b1 together are not isotropic under t-weighted pairing
     v_bad = [one, zero, LaurentPoly.t(1), zero]
-    if not pairing(v_bad, v_bad, model).is_zero():
+    if not pairing(v_bad, v_bad).is_zero():
         with pytest.raises(NotIsotropic):
             transvection(model, v_bad, R_SYM)
     v = [one, zero, zero, zero]
@@ -163,9 +166,109 @@ def test_torelli_like_augments_to_identity():
     n = model.dim
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert T.augmentation() == ident
+    assert is_torelli_like(T)
+    assert not is_torelli_like(transvection(model, [LaurentPoly.one()] + [LaurentPoly.zero()] * 3,
+                                            LaurentPoly.one()))
+
+
+def diagonal_only(q=None):
+    """The genus-3 identity with column 0 = e_0 + (t - 1/t) e_2: every pair
+    Phi(c_i, c_j), i != j, is J_ij, but Phi(c_0, c_0) = 2/t - 2t."""
+    M = FormMatrix.identity(SurfaceModel(3))
+    rows = [list(r) for r in M.rows]
+    rows[2][0] = LaurentPoly({1: 1, -1: -1})
+    M = FormMatrix(M.model, rows)
+    return M if q is None else M.reduce_mod_q(q)
+
+
+def test_diagonal_pairs_decide_too():
+    for q in (None, 3, 5):
+        M = diagonal_only(q)
+        cols = list(zip(*M.rows))
+        assert not pairing(cols[0], cols[0]).is_zero()
+        assert all(pairing(cols[i], cols[j]) == (1 if j == i + 2 else 0)
+                   for i in range(4) for j in range(i, 4) if (i, j) != (0, 0))
+        assert check_form_preserved(M) is False
+        assert form_preserved_by_products(M) is False
+        assert is_torelli_like(M)
+    # over Z[Z/2], t = 1/t, so t - 1/t = 0 and the column is e_0 again
+    assert check_form_preserved(diagonal_only(2)) and form_preserved_by_products(diagonal_only(2))
+
+
+def perturbed(M, rnd):
+    rows = [list(r) for r in M.rows]
+    i, j = rnd.randrange(M.n), rnd.randrange(M.n)
+    rows[i][j] = rows[i][j] + LaurentPoly({rnd.randint(-2, 2): rnd.choice([1, -1, 2])})
+    return FormMatrix(M.model, rows)
+
+
+def test_form_check_matches_the_product_oracle():
+    # words, their reductions mod q, and words with one entry perturbed,
+    # which preserve the form only by accident
+    rnd = random.Random(31)
+    verdicts = set()
+    for g in (3, 4):
+        model = SurfaceModel(g)
+        for _ in range(8):
+            word = rand_word(model, 4, torelli=rnd.random() < 0.5)
+            for M in (word, perturbed(word, rnd), perturbed(perturbed(word, rnd), rnd)):
+                for X in (M, M.reduce_mod_q(3), M.reduce_mod_q(5), M.reduce_mod_q(8)):
+                    want = form_preserved_by_products(X)
+                    assert check_form_preserved(X) is want, (g, X.q)
+                    verdicts.add((X.q, want))
+    assert {(None, True), (None, False), (5, True), (5, False)} <= verdicts
+
+
+def test_columns_pair_as_basis_on_integer_columns():
+    # the integer specialisation: M^T J M == J at any 2h, h = 1 included
+    rnd = np.random.default_rng(8)
+    verdicts = set()
+    for h in (1, 2, 3):
+        J = np.block([[np.zeros((h, h), int), np.eye(h, dtype=int)],
+                      [-np.eye(h, dtype=int), np.zeros((h, h), int)]])
+        for _ in range(30):
+            M = np.eye(2 * h, dtype=int)
+            for _ in range(4):
+                i, j = rnd.integers(0, h, size=2)
+                E = np.eye(2 * h, dtype=int)
+                E[i, h + j] = E[j, h + i] = rnd.integers(-2, 3)  # symmetric shear
+                M = (E if rnd.random() < 0.5 else J @ E @ J.T) @ M
+            if rnd.random() < 0.5:
+                M[rnd.integers(0, 2 * h), rnd.integers(0, 2 * h)] += 1
+            cols = [[LaurentPoly.const(int(x)) for x in col] for col in M.T]
+            want = bool((M.T @ J @ M == J).all())
+            assert columns_pair_as_basis(cols) == want, M
+            verdicts.add((h, want))
+    assert len(verdicts) == 6
 
 
 # -- iota embedding ----------------------------------------------------
+
+
+def test_pairing_reads_a_cyclic_ring():
+    model = SurfaceModel(3)
+    for q in (3, 5, 8):
+        for _ in range(10):
+            x = rand_vector(model, isotropic=False)
+            y = rand_vector(model, isotropic=False)
+            xq = [reduce_mod_q(e, q) for e in x]
+            yq = [reduce_mod_q(e, q) for e in y]
+            assert pairing(xq, yq) == reduce_mod_q(pairing(x, y), q)
+            assert pairing(xq, yq) == -pairing(yq, xq).involution()
+
+
+def test_form_matrix_reads_one_ring_from_its_entries():
+    model = SurfaceModel(3)
+    M = rand_word(model, 3)
+    assert M.q is None and M.reduce_mod_q(5).q == 5
+    assert FormMatrix(model, M.reduce_mod_q(5).rows) == M.reduce_mod_q(5)
+    mixed = [list(r) for r in M.reduce_mod_q(5).rows]
+    for bad in (M.rows[0][1], CycElem.zero(3), 0):
+        mixed[0][1] = bad
+        with pytest.raises(TypeError):
+            FormMatrix(model, mixed)
+    with pytest.raises(TypeError):
+        transvection(model, [reduce_mod_q(e, 5) for e in rand_vector(model)], R_SYM)
 
 
 def test_iota_scalar_is_evaluation():
@@ -243,6 +346,22 @@ def test_block_det_matches_numpy():
         assert block_det(block).augmentation() == want
 
 
+def test_block_det_reads_a_cyclic_ring():
+    # a 3 x 3 block over Z[Z/5] called without its modulus: the value it had
+    # with q=5 passed, and the Leibniz sum over permutations
+    rnd = random.Random(5)
+    block = [[CycElem(5, [rnd.randint(-3, 3) for _ in range(5)]) for _ in range(3)]
+             for _ in range(3)]
+    det = block_det(block)
+    assert det == CycElem(5, [42, 34, 94, -139, -70])
+    leibniz = CycElem.zero(5)
+    for perm in itertools.permutations(range(3)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        leibniz = leibniz + block[0][perm[0]] * block[1][perm[1]] * block[2][perm[2]] * sign
+    assert det == leibniz
+    assert block_det([]) == LaurentPoly.one()
+
+
 def test_exterior_marking_indices():
     mk = ExteriorMarking(3)
     assert mk.dim == 6
@@ -279,7 +398,7 @@ def test_block_identity_on_words():
             M = rand_word(model, 4)
             A = iota_embed(M.reduce_mod_q(q))
             lhs = abs(exterior_coefficient(A, mk))
-            det = block_det(bottom_left_block(M.reduce_mod_q(q)), q=q)
+            det = block_det(bottom_left_block(M.reduce_mod_q(q)))
             rhs = abs(iota_scalar(det))
             assert lhs == pytest.approx(rhs, abs=1e-8)
 

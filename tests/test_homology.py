@@ -30,6 +30,8 @@ from torsionlab.ringcore import _primes_for
 from torsionlab.ringcore import _mobius_binomials, _primes_below_2_31, _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
+from oracles import bareiss_det, resultant_with_tq_minus_1
+
 rng = random.Random(314159)
 GENS, PROBS = bundled_generators(3)
 LEHMER = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
@@ -42,27 +44,6 @@ def walk_trial_block():
     config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=32, master_seed=7)
     return bottom_left_block(sample_word(config, 0, 32))
 
-
-def bareiss_det(M):
-    """Independent exact determinant (fraction-free elimination)."""
-    A = [list(map(int, row)) for row in M]
-    n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
 
 
 def int_resultant(a: list[int], b: list[int]) -> int:
@@ -80,22 +61,6 @@ def int_resultant(a: list[int], b: list[int]) -> int:
             col = [x - top * y for x, y in zip(col, a)]
     return bareiss_det(cols)
 
-
-def resultant_with_tq_minus_1(p: LaurentPoly, q: int) -> int:
-    """|Res(P, t^q - 1)| by the Sylvester matrix, independent of the
-    library's circulant identity."""
-    cs = p.coeff_list()
-    d = len(cs) - 1
-    n = d + q
-    S = [[0] * n for _ in range(n)]
-    for i in range(q):  # q shifted copies of P
-        for k, c in enumerate(cs):
-            S[i][i + d - k] = c
-    g = [1] + [0] * (q - 1) + [-1]  # t^q - 1
-    for i in range(d):
-        for k, c in enumerate(g):
-            S[q + i][i + q - k] = c
-    return abs(bareiss_det(S))
 
 
 def _mulmod(a: list, b: list, m: list, p: int) -> list:
@@ -378,7 +343,7 @@ def _tower_common_set(monkeypatch, B, qs):
 
     monkeypatch.setattr(homology, "_phi_split", spy)
     try:
-        reports = _tower(B, block_det(B, q=None), qs)
+        reports = _tower(B, block_det(B), qs)
     except _Swept:
         reports = None
     monkeypatch.undo()
@@ -414,7 +379,7 @@ def test_tower_common_set_matches_the_quotient_probe(monkeypatch):
                     e = e * cyclotomic(d) ** local.randint(1, 2)
                 row.append(e.shift(local.randint(-2, 2)))
             B.append(row)
-        if block_det(B, q=None).is_zero():
+        if block_det(B).is_zero():
             continue
         C, _ = _tower_common_set(monkeypatch, B, qs)
         assert C == _common_set_oracle(B, qs), B
@@ -501,16 +466,14 @@ def test_tower_resultants_match_int_resultant_oracle():
     assert zeros > 10
 
 
-def test_tower_resultants_take_out_powers_of_t():
-    # the sweep needs g(0) != 0; a factor t^k of g contributes
-    # Res(t^q - 1, t)^k = (-1)^((q - 1) k)
-    local = random.Random(2718)
-    for k in (1, 2, 3):
-        for _ in range(5):
-            g = [0] * k + [local.randint(-6, 6) or 1 for _ in range(local.randint(1, 6))]
-            qs = list(range(1, 16))
-            for q, res in zip(qs, _tower_resultants(g, qs)):
-                assert res == int_resultant([-1] + [0] * (q - 1) + [1], g), (g, q)
+def test_zero_avoid_is_refused_not_looped_on():
+    # every prime divides 0, so no prime could be drawn: _primes_for
+    # refuses it, and so does the sweep of a g with g(0) = 0, which no
+    # caller passes
+    with pytest.raises(ValueError):
+        _primes_for([10], avoid=0)
+    with pytest.raises(ValueError):
+        _tower_resultants([0, 1, 1], [1, 2, 3])
 
 
 def test_tower_resultants_match_per_prime_oracle():
@@ -518,14 +481,14 @@ def test_tower_resultants_match_per_prime_oracle():
     # Lehmer, (t + 1)(t^2 - 3t + 1) and the walk trial, against the
     # per-prime square-and-multiply modulo primes the sweep does not use,
     # so the CRT lift is checked too
-    delta = block_det(walk_trial_block(), q=None).coeff_list()
+    delta = block_det(walk_trial_block()).coeff_list()
     trial, k = _phi_split(delta, range(1, 100))
     assert k == {1: 6} and len(trial) == 29
     towers = [LEHMER.coeff_list(), DEGENERATE.coeff_list(), [1, -3, 1], trial]
     qs = list(range(1, 201))
     for D0 in towers:
         d, lc = len(D0) - 1, D0[-1]
-        assert not set(ORACLE_PRIMES) & set(_primes_for([1 << _height_bits(D0, qs[-1])], avoid=lc)[0])
+        assert not set(ORACLE_PRIMES) & set(_primes_for([1 << _height_bits(D0, qs)[-1]], avoid=lc)[0])
         got = _tower_resultants(D0, qs)
         for q, res in zip(qs, got):
             for p in ORACLE_PRIMES:
@@ -545,7 +508,7 @@ def test_tower_resultants_pass_the_mobius_certificate():
     # with delta over the Moebius binomials of Phi_d, is Res(Phi_d, D0): an
     # integer, which a wrong residue or CRT lift breaks with near certainty
     qs = list(range(1, 201))
-    delta = block_det(walk_trial_block(), q=None).coeff_list()
+    delta = block_det(walk_trial_block()).coeff_list()
     for g in (LEHMER.coeff_list(), DEGENERATE.coeff_list(), delta):
         D0 = _phi_split(g, qs)[0]
         res = _tower_resultants(D0, qs)
@@ -572,7 +535,7 @@ def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
     D0 = LEHMER.coeff_list()
     qs = list(range(1, 301, 3))
     _tower_resultants(D0, qs)
-    assert sum(rows) == sum(_primes_for([1 << _height_bits(D0, q)])[1][0] for q in qs)
+    assert sum(rows) == sum(_primes_for([1 << _height_bits(D0, [q])[0]])[1][0] for q in qs)
 
 
 def test_height_bits_bound_the_circulant_det():
@@ -580,7 +543,7 @@ def test_height_bits_bound_the_circulant_det():
         q = rng.randint(2, 12)
         g = [rng.randint(-9, 9) for _ in range(rng.randint(1, q - 1))] + [rng.randint(1, 9)]
         M = [[(g + [0] * q)[(i - j) % q] for j in range(q)] for i in range(q)]
-        assert abs(bareiss_det(M)) < 2 ** _height_bits(g, q), (g, q)
+        assert abs(bareiss_det(M)) < 2 ** _height_bits(g, [q])[0], (g, q)
 
 
 def test_height_bits_bound_long_polynomials():
@@ -595,7 +558,7 @@ def test_height_bits_bound_long_polynomials():
                       + [rng.choice([1, -1, 2, 5])]))
     for q, g in cases:
         res = int_resultant([-1] + [0] * (q - 1) + [1], g)
-        assert abs(res) < 2 ** _height_bits(g, q), (g, q)
+        assert abs(res) < 2 ** _height_bits(g, [q])[0], (g, q)
 
 
 @pytest.mark.parametrize("h, q", [(1, 1), (1, 5), (2, 3), (3, 4)])

@@ -41,6 +41,8 @@ from torsionlab.ringcore import (
 )
 from torsionlab.walks import bundled_generators
 
+from oracles import jensen_oracle
+
 rng = random.Random(99)
 
 LEHMER = LaurentPoly(
@@ -50,14 +52,6 @@ LEHMER = LaurentPoly(
 # smallest Pisot numbers
 SMALL_MEASURE = (LEHMER, LaurentPoly({3: 1, 1: -1, 0: -1}), LaurentPoly({4: 1, 3: -1, 0: -1}))
 
-
-def jensen_oracle(p: LaurentPoly) -> float:
-    """Independent float Jensen product via numpy companion roots."""
-    cs = p.coeff_list()
-    roots = np.roots(np.array(cs[::-1], dtype=float))
-    return math.log(abs(cs[-1])) + sum(
-        math.log(a) for a in np.abs(roots) if a > 1
-    )
 
 
 def rand_poly(deg=6, coeff=5):

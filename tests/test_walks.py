@@ -672,7 +672,7 @@ def test_convenience_wrappers():
 
 def test_proximality_probe_finds_witness():
     cfg = small_config()
-    rep = proximality_probe(cfg, 3, length_cap=4, max_words=600)
+    rep = proximality_probe(cfg, 3)
     assert rep.witness is not None
     assert rep.gap_ratio > 1.001
     # the witness word really has the claimed gap
