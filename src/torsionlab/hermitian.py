@@ -219,11 +219,16 @@ def reidemeister_form(model: SurfaceModel, q: int | None = None) -> FormMatrix:
 
 
 def _pair_bar(x, ybar):
-    """Phi(x, y) from x and ybar, the conjugate of y; h = len(x) / 2."""
+    """Phi(x, y) from x and ybar, the conjugate of y; h = len(x) / 2.  A
+    term with a zero factor is skipped, so sparse columns take few
+    products."""
     h = len(x) // 2
-    s = x[0] * ybar[h] - x[h] * ybar[0]
-    for i in range(1, h):
-        s = s + x[i] * ybar[h + i] - x[h + i] * ybar[i]
+    s = _zero(_ring_of(x[0]))
+    for i in range(h):
+        if not (x[i].is_zero() or ybar[h + i].is_zero()):
+            s = s + x[i] * ybar[h + i]
+        if not (x[h + i].is_zero() or ybar[i].is_zero()):
+            s = s - x[h + i] * ybar[i]
     return s
 
 

@@ -1,15 +1,17 @@
 """Mahler measures of integer polynomials and the cyclotomic dichotomy.
 
-The zero/nonzero decision is made by exact integer arithmetic: Graeffe
-root-squaring iterated to a fixed point, which exists exactly when every
-root is a root of unity (Kronecker), with a binomial coefficient bound
-as an early reject; the kernel's one cyclotomic split (_phi_split), over
-every index a product of that degree can hold, then reads off the indices
-of a certified input.  Floating point enters only for the root product of
-provably-nonzero measures.  Before any root finding the same split over
-Phi_1 and Phi_2 divides out (t-1)^a (t+1)^b, whose roots add nothing,
-and the kernel folds a palindromic rest (every walk determinant is one)
-to half the degree in x = t + 1/t; each root x gives back the pair
+The zero/nonzero decision is made by exact integer arithmetic: after
+three necessary conditions (unit ends, a palindromic or anti-palindromic
+coefficient list, the binomial bound |c_j| <= binom(d, j)), the kernel's
+one cyclotomic split (_phi_split) runs over the indices in ascending order
+until it passes the largest index a cyclotomic factor of the remaining
+degree can have; the input has measure zero (Kronecker) exactly when a
+constant remains, and the split's multiplicities are its certificate.
+Floating point enters only for the root product of provably-nonzero
+measures.  Before any root finding the same split over Phi_1 and Phi_2
+divides out (t-1)^a (t+1)^b, whose roots add nothing, and the kernel
+folds a palindromic rest (every walk determinant is one) to half the
+degree in x = t + 1/t; each root x gives back the pair
 t = x/2 +- sqrt(x^2/4 - 1).
 Roots of each square-free factor come from one Aberth root finder: the
 eigenvalues of the companion matrix, one LAPACK call on floats, seed a
@@ -25,6 +27,7 @@ each factor's product.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ import mpmath as mp
 import numpy as np
 
 from .ringcore import LaurentPoly, cyclotomic, laurent_eval, normalize_unit, totient
-from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _graeffe_step, _phi_split
+from .ringcore import _derivative, _div_exact_int, _fold_palindromic, _phi_split
 from .ringcore import _poly_gcd, _pp, _squarefree_by_prime
 
 # unit-circle sample points for the SMALL_EVERYWHERE diagnostic sup
@@ -130,18 +133,23 @@ class ConstraintReport:
 def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
     """Exact test whether +-p is a monomial times cyclotomics.
 
-    Succeeds iff the Mahler measure of p is exactly zero (Kronecker).
-    Entirely integer arithmetic.  After the unit-end checks, Graeffe
-    root-squaring G is iterated on the monic F = +-p t^k of degree d:
-    - an iterate with some |c_j| > binom(d, j) has a root off the unit
-      circle, so p is rejected;
-    - G(F) = F means squaring permutes the roots of F, so every root is
-      a root of unity, and p is accepted.
-    G fixes Phi_m for odd m and sends Phi_{2^a m} to a power of
-    Phi_{2^(a-1) m}; phi(2^a m) <= d forces a <= log2 d + 1, so a
-    cyclotomic product reaches its fixed point within floor(log2 d) + 2
-    steps, and an input that has not is rejected (Bradford-Davenport,
-    Effective tests for cyclotomic polynomials, ISSAC 1988).
+    Succeeds iff the Mahler measure of p is exactly zero (Kronecker: a
+    monic integer polynomial with every root on |t| = 1 is a product of
+    cyclotomics).  Entirely integer arithmetic, on F = p t^k with
+    F(0) != 0 and degree d, in four steps:
+    1. unit ends: a product of cyclotomics has leading and constant
+       coefficient +-1;
+    2. (anti-)palindrome: roots on |t| = 1 are closed under t -> 1/t, so
+       the reversed coefficients are those of +-F (minus for an odd power
+       of Phi_1 = t - 1, the one anti-palindromic cyclotomic);
+    3. binomial bound: if every root has modulus 1, the coefficients are
+       elementary symmetric functions of them, so |c_j| <= binom(d, j);
+    4. one ascending cyclotomic split over every index (_phi_split, which
+       stops past the largest index a cyclotomic factor of the rest's
+       degree can have): F is accepted exactly when the rest is a
+       constant, and the split's multiplicities are the certificate.
+    Steps 1-3 are necessary conditions, so they only reject early; step 4
+    alone decides.
     """
     if p.is_zero():
         raise ZeroPolynomial("kronecker_zero_test of the zero polynomial")
@@ -149,22 +157,16 @@ def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
     cs = poly.coeff_list()
     lead = cs[-1]
     if lead not in (1, -1) or cs[0] not in (1, -1):
-        # a cyclotomic product has unit leading and constant terms
         return None
-    d = len(cs) - 1
-    if d:
-        bound = _binomial_row(d)
-        f = cs if lead == 1 else [-c for c in cs]
-        for _ in range(d.bit_length() + 1):
-            if any(abs(c) > b for c, b in zip(f, bound)):
-                return None
-            g = _graeffe_step(f)
-            if g == f:
-                break
-            f = g
-        else:
-            return None
-    return KroneckerFactorization(-shift, _cyclotomic_indices(cs), sign=lead)
+    rev = cs[::-1]
+    if rev != cs and rev != [-c for c in cs]:
+        return None
+    if any(abs(c) > b for c, b in zip(cs, _binomial_row(len(cs) - 1))):
+        return None
+    rest, k = _phi_split(cs, itertools.count(1))
+    if len(rest) > 1:
+        return None
+    return KroneckerFactorization(-shift, Counter(k), sign=lead)
 
 
 def _binomial_row(d: int) -> list[int]:
@@ -173,21 +175,6 @@ def _binomial_row(d: int) -> list[int]:
     for j in range(d):
         row.append(row[-1] * (d - j) // (j + 1))
     return row
-
-
-def _cyclotomic_indices(cs: list[int]) -> Counter:
-    """Indices, with multiplicity, of the factors of cs = +-prod Phi_m.
-
-    The input must be certified by the fixed point; phi(m) >= sqrt(m / 2)
-    bounds the indices a product of its degree can hold, and one ascending
-    _phi_split over them divides each Phi_m out through its binomials, so
-    Phi_m itself is never built.
-    """
-    deg = len(cs) - 1
-    rest, k = _phi_split(cs, range(1, 2 * deg * deg + 3))
-    if len(rest) > 1:
-        raise ArithmeticError(f"certified rest of degree {len(rest) - 1} has no cyclotomic factor")
-    return Counter(k)
 
 
 def _fixed(x: float, shift: int) -> int:

@@ -294,7 +294,9 @@ class LaurentPoly:
     def from_json_obj(cls, obj) -> "LaurentPoly":
         if not isinstance(obj, list) or not all(isinstance(t, list) and len(t) == 2 for t in obj):
             raise ValueError("expected a polynomial as a list of [exponent, coeff] pairs")
-        d = {json_int(k): json_int(c) for k, c in obj}
+        # json.loads gives exact ints already; only the rest goes through json_int
+        d = {k if type(k) is int else json_int(k): c if type(c) is int else json_int(c)
+             for k, c in obj}
         if len(d) < len(obj):
             raise ValueError("repeated exponent in a polynomial")
         return cls._raw({k: c for k, c in d.items() if c})
@@ -682,19 +684,42 @@ def _phi_quotient(g: list[int], m: int) -> list[int] | None:
     return g if m > 1 else [-c for c in g]
 
 
+def _index_horizon(r: int) -> int:
+    """The largest m with phi(m) <= r can be, for r >= 0: floor(r P / phi(P))
+    for the largest primorial P = p_1 ... p_w with phi(P) <= r (0 when r = 0).
+
+    An m with w' prime factors has phi(m) >= phi(p_1 ... p_w'), so phi(m) <= r
+    forces w' <= w, and m / phi(m) = prod_{p | m} p / (p - 1) is at most
+    prod_{i <= w} p_i / (p_i - 1) = P / phi(P).  The primes are drawn as
+    needed, so the bound holds at any r.
+    """
+    if r < 1:
+        return 0
+    P, phi = 1, 1
+    for p in itertools.count(2):
+        if _prime_factors(p) == [p]:
+            if phi * (p - 1) > r:
+                return r * P // phi
+            P, phi = P * p, phi * (p - 1)
+
+
 def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
     """(rest, k) with g = rest prod Phi_e^k[e] over the e among the
-    candidates and rest divisible by none of them; g nonzero.
+    candidates and rest divisible by none of them; g nonzero, and the
+    candidates ascending (they may run on forever, as itertools.count does).
 
     The Moebius binomials of e give phi(e) and Phi_e(2), and the division
     (_phi_quotient) runs only when phi(e) fits the remaining degree and
-    Phi_e(2) divides the remaining g(2); the scan stops once the rest is a
-    constant.  This is the one loop that divides out cyclotomic factors.
+    Phi_e(2) divides the remaining g(2).  The scan stops once the rest is a
+    constant or e passes _index_horizon of the rest's degree, which is
+    recomputed after each division: no later candidate can divide the rest.
+    This is the one loop that divides out cyclotomic factors.
     """
     k = {}
     value = sum(c << j for j, c in enumerate(g))
+    horizon = _index_horizon(len(g) - 1)
     for e in candidates:
-        if len(g) == 1:
+        if e > horizon:
             break
         plus, minus = _mobius_binomials(e)
         if sum(plus) - sum(minus) >= len(g):
@@ -703,6 +728,7 @@ def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
         while not value % v and (quot := _phi_quotient(g, e)) is not None:
             g, value = quot, value // v
             k[e] = k.get(e, 0) + 1
+            horizon = _index_horizon(len(g) - 1)
     return g, k
 
 

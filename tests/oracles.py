@@ -1,12 +1,15 @@
 """Independent oracles the tests share: exact integer determinants and
-resultants, float Mahler measures, the iota evaluation of one element,
-the exterior coefficient, and the form check by two matrix products."""
+resultants, float Mahler measures, the Graeffe fixed-point Kronecker
+test, the iota evaluation of one element, the exterior coefficient, and
+the form check by two matrix products."""
 
+import functools
 import math
 
 import numpy as np
 
 from torsionlab.hermitian import _iota_at, reidemeister_form
+from torsionlab.ringcore import _graeffe_step, cyclotomic, normalize_unit
 
 
 def bareiss_det(M):
@@ -55,6 +58,78 @@ def jensen_oracle(p) -> float:
     return math.log(abs(cs[-1])) + sum(
         math.log(a) for a in np.abs(roots) if a > 1
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _totient_sieve(n: int) -> np.ndarray:
+    """phi(m) for m < n."""
+    phi = np.arange(n, dtype=np.int64)
+    for p in range(2, n):
+        if phi[p] == p:  # p is prime: no smaller prime has touched it
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def _small_totient_indices(d: int) -> list[int]:
+    """Every m with phi(m) <= d, ascending: phi(m) >= sqrt(m / 2) leaves
+    none beyond 2 d^2 + 2.  The sieve is shared by the d of one power of 2."""
+    top = max(64, 1 << (d - 1).bit_length())
+    phi = _totient_sieve(2 * top * top + 3)[: 2 * d * d + 3]
+    return [int(m) for m in np.flatnonzero(phi <= d) if m]
+
+
+def _divide_monic(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b by schoolbook long division for monic b, or None when b does
+    not divide a."""
+    a, n = list(a), len(b) - 1
+    q = [0] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + n]
+        for j, x in enumerate(b):
+            a[i + j] -= c * x
+    return q if not any(a[:n]) else None
+
+
+def graeffe_kronecker(p):
+    """(sign, k, {m: e}) with p = sign t^k prod Phi_m^e, or None when p is
+    no such product, by the Graeffe fixed-point test (Bradford-Davenport,
+    Effective tests for cyclotomic polynomials, ISSAC 1988).
+
+    On the monic F = +-p t^-k of degree d with unit ends, root-squaring G
+    is iterated: an iterate with some |c_j| > binom(d, j) has a root off
+    the unit circle; G(F) = F means squaring permutes the roots, so all are
+    roots of unity; a cyclotomic product reaches its fixed point within
+    floor(log2 d) + 2 steps.  The indices of a certified input come from
+    long division by every Phi_m with phi(m) <= d, ascending.
+    """
+    poly, shift = normalize_unit(p)
+    cs = poly.coeff_list()
+    lead = cs[-1]
+    if lead not in (1, -1) or cs[0] not in (1, -1):
+        return None
+    d = len(cs) - 1
+    f = cs if lead == 1 else [-c for c in cs]
+    bound = [math.comb(d, j) for j in range(d + 1)]
+    for _ in range(d.bit_length() + 1):
+        if any(abs(c) > b for c, b in zip(f, bound)):
+            return None
+        g = _graeffe_step(f)
+        if g == f:
+            break
+        f = g
+    else:
+        return None
+    f = cs if lead == 1 else [-c for c in cs]
+    indices = {}
+    for m in _small_totient_indices(d):
+        phi_m = cyclotomic(m).coeff_list()
+        # Phi_m | f forces Phi_m(2) | f(2), a cheap filter before dividing
+        at2 = sum(c << j for j, c in enumerate(phi_m))
+        while (len(phi_m) <= len(f) and not sum(c << j for j, c in enumerate(f)) % at2
+               and (q := _divide_monic(f, phi_m)) is not None):
+            f, indices[m] = q, indices.get(m, 0) + 1
+    assert f == [1], "a certified input is a product of cyclotomics"
+    return lead, -shift, indices
 
 
 def iota_scalar(c, root_index: int = 1) -> complex:

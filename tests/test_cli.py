@@ -184,6 +184,22 @@ MOD2 = bundled_generators(3)[0][0].reduce_mod_q(2).to_json_obj()
     (["rep", "iota", "--q", "3"], [1, 2]),
     (["walk", "run", "--threads", "1", "--config"], [1, 2]),
     (["walk", "probe", "--config"], [1, 2]),
+    # polynomials: a float, bool or null exponent or coefficient, a string
+    # int() refuses, entries that are not [exponent, coeff] pairs, and a
+    # repeated exponent
+    (["mahler", "kronecker", "--poly"], [[0, 1], [1, 2.0]]),
+    (["mahler", "kronecker", "--poly"], [[0.0, 1], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], [[0, True], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], [[False, 1], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], [[0, None], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], [[None, 1], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], {"poly": [[0, "1.5"], [1, 1]]}),
+    (["mahler", "kronecker", "--poly"], [["1.5", 1], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], [[0, 1, 2], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], [[0], [1, 1]]),
+    (["mahler", "kronecker", "--poly"], [5, [1, 1]]),
+    (["mahler", "kronecker", "--poly"], {"poly": 5}),
+    (["mahler", "kronecker", "--poly"], [[1, 1], [0, 1], [1, "2"]]),
 ])
 def test_non_integer_and_malformed_inputs_exit_2(tmp_path, capsys, argv, obj):
     # floats, null and misshapen rows are bad input: never truncated, never

@@ -20,7 +20,6 @@ from torsionlab.mahler import (
     MahlerMethod,
     RootRefinementFailed,
     ZeroPolynomial,
-    _graeffe_step,
     build_K_alpha,
     constraint_check,
     kronecker_zero_test,
@@ -31,6 +30,8 @@ from torsionlab.ringcore import (
     LaurentPoly,
     _derivative,
     _div_exact_int,
+    _graeffe_step,
+    _index_horizon,
     _poly_gcd,
     _poly_mul,
     _pp,
@@ -41,7 +42,7 @@ from torsionlab.ringcore import (
 )
 from torsionlab.walks import bundled_generators
 
-from oracles import jensen_oracle
+from oracles import _totient_sieve, graeffe_kronecker, jensen_oracle
 
 rng = random.Random(99)
 
@@ -443,6 +444,97 @@ def test_kronecker_rejects_large_product_times_lehmer():
     assert kronecker_zero_test(cyc) is not None
     assert kronecker_zero_test(cyc * LEHMER) is None
     assert kronecker_zero_test(-cyc * LEHMER * LaurentPoly.t(-5)) is None
+
+
+PISOT = LaurentPoly({3: 1, 1: -1, 0: -1})  # t^3 - t - 1, not palindromic
+
+
+def kronecker_corpus(gen):
+    """Seeded inputs for the differential test against the Graeffe oracle:
+    +-t^k prod Phi_m^e to degree ~300 (odd powers of Phi_1 included, and
+    Phi_210 and Phi_1050, whose indices meet the horizon of their degree),
+    each also times t^3 - t - 1 and times Lehmer; random palindromic and
+    anti-palindromic +-1 polynomials; and inputs with non-unit ends."""
+    products = [{210: 1}, {1050: 1}, {1: 3}, {1: 1, 2: 2, 6: 1}]
+    for _ in range(8):
+        want, total, cap = {}, 0, gen.randint(20, 300)
+        if gen.random() < 0.5:  # an odd power of Phi_1
+            want[1] = total = 2 * gen.randint(0, 2) + 1
+        while True:
+            m = int(round(400 ** gen.random()))
+            e = gen.randint(1, 3)
+            if total + e * totient(m) > cap:
+                break
+            want[m] = want.get(m, 0) + e
+            total += e * totient(m)
+        products.append(want)
+    for want in products:
+        p = LaurentPoly({gen.randint(-9, 9): gen.choice((1, -1))})
+        for m, e in want.items():
+            p = p * cyclotomic(m) ** e
+        yield p
+        yield p * PISOT
+        yield p * LEHMER
+    for _ in range(20):
+        d = gen.randint(1, 200)
+        half = [gen.choice((1, -1)) for _ in range(d // 2 + 1)]
+        yield LaurentPoly.from_list(half + half[::-1][d % 2 == 0:])  # palindromic
+        mid = [0] if d % 2 == 0 else []  # the middle of an even antipalindrome is 0
+        yield LaurentPoly.from_list(half[: (d + 1) // 2] + mid + [-c for c in half[: (d + 1) // 2]][::-1])
+    for n in (4, 6, 12, 30):  # t^n -+ 1: cyclotomic, palindromic and anti-palindromic
+        yield LaurentPoly({n: 1, 0: 1})
+        yield LaurentPoly({n: 1, 0: -1})
+    for _ in range(6):  # non-unit ends
+        p = cyclotomic(gen.randint(1, 60)) * cyclotomic(gen.randint(1, 60))
+        yield p * gen.choice((2, -3))
+        yield p * LaurentPoly({1: 2, 0: gen.choice((1, -1))})
+
+
+def test_kronecker_matches_graeffe_oracle():
+    # verdict, indices, sign and k against the Graeffe fixed-point test
+    gen = random.Random(24)
+    signs, kinds = set(), set()
+    for p in kronecker_corpus(gen):
+        fac = kronecker_zero_test(p)
+        want = graeffe_kronecker(p)
+        if want is None:
+            assert fac is None, p
+        else:
+            assert fac is not None, p
+            assert (fac.sign, fac.k_exponent, dict(fac.cyclotomic_indices)) == want, p
+            signs.add(fac.sign)
+        cs = normalize_unit(p)[0].coeff_list()
+        kinds.add((want is not None, cs == cs[::-1], cs == [-c for c in cs[::-1]]))
+    # both signs certified; accepted palindromes and antipalindromes, and
+    # rejected ones of each kind and of neither
+    assert signs == {1, -1}
+    assert {(True, True, False), (True, False, True), (False, True, False),
+            (False, False, True), (False, False, False)} <= kinds
+
+
+def test_index_horizon_bounds_every_index():
+    # the largest m with phi(m) <= r, for every r <= 600, from a sieve to
+    # 2 * 600^2 + 2, beyond which phi(m) >= sqrt(m / 2) exceeds 600
+    phi = _totient_sieve(2 * 600 * 600 + 3)
+    largest = np.zeros(601, dtype=np.int64)
+    small = np.flatnonzero((phi <= 600) & (np.arange(len(phi)) > 0))
+    np.maximum.at(largest, phi[small], small)
+    largest = np.maximum.accumulate(largest)
+    for r in range(601):
+        assert _index_horizon(r) >= largest[r], r
+    assert [_index_horizon(r) for r in (0, 1, 2, 8, 240, 1000)] == [0, 2, 6, 30, 1050, 4812]
+    assert largest[8] == 30 and largest[240] == 1050 and largest[48] == _index_horizon(48) == 210
+
+
+def test_binomial_bound_rejects_before_the_split(monkeypatch):
+    # t^2 - 3t + 1 has unit ends and is palindromic, but |-3| > binom(2, 1)
+    calls = []
+    split = mahler._phi_split
+    monkeypatch.setattr(mahler, "_phi_split", lambda *a: calls.append(a) or split(*a))
+    assert kronecker_zero_test(LaurentPoly({2: 1, 1: -3, 0: 1})) is None
+    assert calls == []
+    assert kronecker_zero_test(LaurentPoly({2: 1, 1: -2, 0: 1})) is not None
+    assert len(calls) == 1
 
 
 def schoolbook_graeffe(coeffs):
