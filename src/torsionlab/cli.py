@@ -180,6 +180,7 @@ def _cmd_rep_iota(args) -> int:
 def _cmd_torsion_scan(args) -> int:
     B = _load_poly_matrix(args.binf)
     qs = list(range(1, args.qmax + 1, args.stride))
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     result = growth_scan(B, qs)
     rows = _scan_rows(result)
     with open(args.out, "w", newline="") as fh:

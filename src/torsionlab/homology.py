@@ -15,16 +15,22 @@ entry goes to an exact Smith normal form of the expanded presentation.
 
 Res(t^q - 1, D0) is a modular Euclid resultant over primes below 2^31,
 lifted by CRT under a rigorous Mahler-measure height bound, and one
-engine computes it for one q as for many (_tower_resultants): t^(q + d -
-1) mod D0, d = deg D0, advances by one shift per unit step of q, modulo
-the one prime list of the largest q, and the (q, p) rows go through one
-vectorised Euclid in chunks.  That Euclid takes pseudo-remainders, so
-no remainder is made monic: each row carries its leading-coefficient
-powers as a denominator and takes one Fermat inverse at the end, and
-rows whose remainder drops degree go on as their own batch.  Each tower
-sweeps its one D0 once: growth_scan is the tower over its q range,
-cover_homology the tower of the reduced block's lifts at its one q, and
-circulant_det the same engine at one q.
+engine computes it for one q as for many (_tower_resultants).  A
+palindromic D0 of even degree 2k, which is every D0 a form-preserving
+block has given so far, is t^k Q(t + 1/t), and the sweep runs on Q at
+half the degree: V_q = t^q + t^-q mod Q advances by V_(q + 1) = x V_q -
+V_(q - 1) per unit step of q, and Res(t^q - 1, D0) = lc^q prod_{Q(x) = 0}
+(2 - V_q(x)).  Any other D0 is swept on itself, with t^(q + d - 1) mod
+D0, d = deg D0, advancing by one shift per unit step.  Either way the
+rows live modulo the one prime list of the largest q, each scanned q
+writes its rows into one preallocated batch buffer, and every
+SWEEP_ROWS rows go through one vectorised Euclid.  That Euclid takes
+pseudo-remainders, so no remainder is made monic: each row carries its
+leading-coefficient powers as a denominator and takes one Fermat inverse
+at the end, and rows whose remainder drops degree go on as their own
+batch.  Each tower sweeps its one D0 once: growth_scan is the tower over
+its q range, cover_homology the tower of the reduced block's lifts at
+its one q, and circulant_det the same engine at one q.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 from .mahler import MahlerResult, mahler_measure
 from .ringcore import CycElem, LaurentPoly, circulant_expand, divisors
 from .ringcore import InvalidModulus, reduce_mod_q, totient
-from .ringcore import _crt_symmetric, _graeffe_step, _mobius_binomials
+from .ringcore import _crt_symmetric, _fold_palindromic, _graeffe_step, _mobius_binomials
 from .ringcore import _phi_split, _prime_factors, _primes_for
 from .hermitian import block_det, columns_pair_as_basis
 
@@ -287,67 +293,151 @@ def circulant_det(c: CycElem) -> int:
 def _tower_resultants(g: list[int], qs: list[int]) -> list[int]:
     """Res(t^q - 1, g) for each q of the ascending qs, in one sweep.
 
-    The primes are one descending list, drawn once by _primes_for with
-    every q's _height_bits bound, and each q takes the prefix count that
-    _primes_for gives its own bound.
-    Modulo each prime, r = t^(q + d - 1) mod g / lc(g), d = deg g,
-    advances one shift and reduction per unit step of q, between two
-    preallocated buffers; at each scanned q the rows r - t^(d - 1) of its
-    primes join a batch, and every SWEEP_ROWS rows go through one
-    _euclid_rows and one _pow_rows that raises (-1)^d lc to each row's own
-    q + d - 1.  The rows have degree d - 1 from q = 1 on (t^q - 1 has
-    degree q), so they share one degree sequence in the Euclid.  Over the
-    roots beta of g, Res(t^q - 1, g) = ((-1)^d lc)^q prod (beta^q - 1) and
-    prod beta = (-1)^d g(0) / lc, so the primes avoid lc g(0), and CRT
-    gives Res per q; so g(0) must be nonzero, as it is for every caller's
-    g (a _window, or a _phi_split rest of a coefficient list).  g needs no
+    A palindrome g of even degree d = 2k is t^k Q(t + 1/t) with Q =
+    _fold_palindromic(g), and it is swept on Q (_sweep_folded); any other
+    g, such as a --binf block that preserves no form or an odd-degree
+    window of circulant_det, is swept on itself (_sweep_unfolded).  Both
+    routes give the same signed values.  The roots of g pair as beta,
+    1/beta over the roots x = beta + 1/beta of Q, and (beta^q - 1)(beta^-q
+    - 1) = 2 - V_q(x), V_q(t + 1/t) = t^q + t^-q, so
+
+        Res(t^q - 1, g) = ((-1)^d lc)^q prod_beta (beta^q - 1)
+                        = lc^q prod_{Q(x) = 0} (2 - V_q(x)),
+
+    where lc = lc(g) = lc(Q) and (-1)^(dq) = 1 because d is even.  The
+    folded route runs its Euclid at degree k instead of 2k.  The primes,
+    their per-q counts, the height bound and the CRT are those of g on both
+    routes (_sweep).  g must have g(0) != 0, as every caller's g has (a
+    _window, or a _phi_split rest of a coefficient list), and needs no
     reduction modulo t^q - 1: the height bound holds for any degree.
     """
     if not qs:
         return []
-    d, lc = len(g) - 1, g[-1]
-    if d == 0:
-        return [lc ** q for q in qs]
-    primes, counts = _primes_for([1 << b for b in _height_bits(g, qs)], avoid=lc * g[0])
+    if len(g) == 1:
+        return [g[0] ** q for q in qs]
+    Q = _fold_palindromic(g)
+    return _sweep_unfolded(g, qs) if Q is None else _sweep_folded(g, Q, qs)
+
+
+def _sweep_unfolded(g: list[int], qs: list[int]) -> list[int]:
+    """Res(t^q - 1, g) for each q of the ascending qs, deg g = d >= 1,
+    swept on g itself.
+
+    Modulo each prime, r = t^(q + d - 1) mod g / lc advances one shift and
+    reduction per unit step of q, and the Euclid takes b = r - t^(d - 1) =
+    t^(d - 1) (t^q - 1) mod g.  Over the roots beta of g, prod beta = (-1)^d
+    g(0) / lc, so Res(t^q - 1, g) = ((-1)^d lc)^q prod (beta^q - 1) is the
+    Euclid's value times ((-1)^d lc)^q ((-1)^d lc / g(0))^(d - 1).  The rows
+    have degree d - 1 from q = 1 on (t^q - 1 has degree q), so they share
+    one degree sequence in the Euclid.
+    """
+    d = len(g) - 1
+
+    def states(a, P):
+        neg_low = -a[:, :d]
+        r = np.zeros_like(neg_low)
+        r[:, -1] = 1
+        nxt = np.empty_like(r)
+        while True:
+            yield r
+            _shift_mod(r, neg_low, nxt)
+            np.remainder(nxt, P, out=nxt)
+            r, nxt = nxt, r
+
+    base = (-1) ** d * g[-1]
+    return _sweep(g, g, qs, states, [0] * (d - 1) + [1], base,
+                  lambda p: pow(base * pow(g[0], -1, p), d - 1, p))
+
+
+def _sweep_folded(g: list[int], Q: list[int], qs: list[int]) -> list[int]:
+    """Res(t^q - 1, g) for each q of the ascending qs, swept on Q, where g =
+    t^k Q(t + 1/t) has degree 2k >= 2.
+
+    Modulo each prime, V_q = t^q + t^-q, a polynomial in x = t + 1/t
+    reduced modulo Q / lc, steps by V_(q + 1) = x V_q - V_(q - 1) from V_0
+    = 2 and V_-1 = V_1 = x mod Q; x needs that reduction when k = 1.  The
+    Euclid takes b = V_q - 2, whose product over the k roots of Q is (-1)^k
+    prod (2 - V_q(x)), so Res(t^q - 1, g) is the Euclid's value times lc^q
+    (-1)^k (_tower_resultants).
+    """
+    k = len(Q) - 1
+
+    def states(a, P):
+        neg_low = -a[:, :k]
+        cur = np.zeros_like(neg_low)
+        cur[:, 0] = 1
+        prev = np.empty_like(cur)
+        _shift_mod(cur, neg_low, prev)  # V_1 = x mod Q
+        np.remainder(prev, P, out=prev)
+        cur[:, 0] = 2
+        nxt = np.empty_like(cur)
+        while True:
+            yield cur
+            _shift_mod(cur, neg_low, nxt)
+            np.subtract(nxt, prev, out=nxt)
+            np.remainder(nxt, P, out=nxt)
+            prev, cur, nxt = cur, nxt, prev
+
+    return _sweep(g, Q, qs, states, [2] + [0] * (k - 1), Q[-1], lambda p: (-1) ** k)
+
+
+def _shift_mod(r: np.ndarray, neg_low: np.ndarray, out: np.ndarray) -> None:
+    """out = x r modulo the monic rows in x whose low coefficients are
+    -neg_low (x = t unfolded, x = t + 1/t folded), row by row and not yet
+    reduced modulo the primes: the top coefficient of r times neg_low,
+    plus r shifted up one place.  With entries below 2^31 in size, out
+    stays within 2^62 + 2^31."""
+    np.multiply(r[:, -1:], neg_low, out=out)
+    np.add(out[:, 1:], r[:, :-1], out=out[:, 1:])
+
+
+def _sweep(g, m, qs, states, shift, base, scale) -> list[int]:
+    """The scan both routes of _tower_resultants share, modulo the primes
+    of g and the monic m / lc(m).
+
+    The primes are one descending list, drawn once by _primes_for with
+    every q's _height_bits bound of g and avoiding lc(g) g(0), and each q
+    takes the prefix count that _primes_for gives its own bound.
+    states(a, P), for the monic rows a and the column P of primes, yields
+    the rows at q = 0, 1, 2, ..., and at each q of qs the rows of its
+    primes go into one preallocated batch buffer by one assignment.  Once
+    SWEEP_ROWS rows or more wait, and at the last q, one flush takes b =
+    rows - shift for all of them in one pass, one _euclid_rows against a,
+    and one _pow_rows that raises base to each row's own q; times scale(p),
+    those are the residues of Res(t^q - 1, g), and Garner's CRT lifts each
+    q's column.  The buffer holds at most SWEEP_ROWS + len(primes) rows,
+    and no more than the scan has.
+    """
+    primes, counts = _primes_for([1 << b for b in _height_bits(g, qs)], avoid=g[-1] * g[0])
     P = np.array(primes, dtype=np.int64)
-    m = _monic_rows(g, primes)
-    neg_low = -m[:, :d]
-    sign_lc = np.array([(-1) ** d * lc % p for p in primes], dtype=np.int64)
-    g0_pow = np.array([pow(g[0], 1 - d, p) for p in primes], dtype=np.int64)
-    r = np.zeros((len(primes), d), dtype=np.int64)
-    r[:, -1] = 1
-    nxt = np.empty_like(r)
-    out, batch, rows, q_at = [], [], 0, 0
-
-    def flush():
-        ns, bs, qb = zip(*batch)
-        idx = np.concatenate([np.arange(n) for n in ns])
-        Pb = P[idx]
-        lcq = _pow_rows(sign_lc[idx], np.repeat(qb, ns) + (d - 1), Pb) * g0_pow[idx] % Pb
-        v = _euclid_rows(m[idx], np.concatenate(bs), Pb) * lcq % Pb
-        # one column of residues per q, its own primes on top
-        R = np.zeros((max(ns), len(ns)), dtype=np.int64)
-        R.T[np.arange(max(ns)) < np.array(ns)[:, None]] = v
-        out.extend(_crt_symmetric(R, primes[:max(ns)], ns))
-        batch.clear()
-
+    a = _monic_rows(m, primes)
+    base = np.array([base % p for p in primes], dtype=np.int64)
+    scale = np.array([scale(p) % p for p in primes], dtype=np.int64)
+    stream = states(a, P[:, None])
+    buf = np.empty((min(SWEEP_ROWS + len(primes), sum(counts)), len(shift)), dtype=np.int64)
+    out, ns, qb = [], [], []
+    rows = q_at = 0
+    state = next(stream)
     for q, n in zip(qs, counts):
         for _ in range(q - q_at):
-            # r <- t r - top(r) low, into the other buffer
-            np.multiply(r[:, -1:], neg_low, out=nxt)
-            np.add(nxt[:, 1:], r[:, :-1], out=nxt[:, 1:])
-            np.remainder(nxt, P[:, None], out=nxt)
-            r, nxt = nxt, r
+            state = next(stream)
         q_at = q
-        b = r[:n].copy()
-        b[:, -1] = (b[:, -1] - 1) % P[:n]
-        batch.append((n, b, q))
+        buf[rows:rows + n] = state[:n]
+        ns.append(n)
+        qb.append(q)
         rows += n
-        if rows >= SWEEP_ROWS:
-            flush()
-            rows = 0
-    if batch:
-        flush()
+        if rows < SWEEP_ROWS and q != qs[-1]:
+            continue
+        idx = np.arange(rows) - np.repeat(np.cumsum(ns) - ns, ns)
+        Pb = P[idx]
+        b = buf[:rows] - shift
+        b %= Pb[:, None]
+        v = _euclid_rows(a[idx], b, Pb) * _pow_rows(base[idx], np.repeat(qb, ns), Pb) % Pb
+        # one column of residues per q, its own primes on top
+        R = np.zeros((max(ns), len(ns)), dtype=np.int64)
+        R.T[np.arange(max(ns)) < np.array(ns)[:, None]] = v * scale[idx] % Pb
+        out.extend(_crt_symmetric(R, primes[:max(ns)], ns))
+        ns, qb, rows = [], [], 0
     return out
 
 

@@ -477,8 +477,8 @@ def build_K_alpha(alpha: float, m_max: int) -> set[int]:
     horizon the asymptotic coefficient bound is an assumption, which the
     caller must flag.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     K = {1, 2}

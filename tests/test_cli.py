@@ -60,6 +60,14 @@ def test_mahler_kalpha(capsys):
     assert json.loads(out)["K"] == [1, 2, 4, 6]
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_mahler_kalpha_rejects_alpha_that_is_not_finite(capsys, alpha):
+    # NaN passed the alpha <= 0 check, and both it and inf came out as
+    # NaN or Infinity, which is not JSON
+    rc, out = run_cli(capsys, "mahler", "kalpha", "--alpha", alpha, "--mmax", "10")
+    assert rc == 2 and out == ""
+
+
 # -- rep subcommands ---------------------------------------------------
 
 
@@ -128,6 +136,18 @@ def test_torsion_scan_row_count(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert str(f) in manifest["input_digests"]
+
+
+def test_torsion_scan_creates_the_directory_of_its_output(tmp_path, capsys):
+    # the directory must exist before the scan runs, not only when the
+    # manifest is written after the CSV
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps({"rows": [[LaurentPoly({1: 1, 0: -2}).to_json_obj()]]}))
+    out_csv = tmp_path / "new" / "deeper" / "s.csv"
+    rc, _ = run_cli(capsys, "torsion", "scan", "--binf", str(f), "--qmax", "5", "--out", str(out_csv))
+    assert rc == 0
+    assert len(list(csv.reader(out_csv.open()))) == 6
+    assert (out_csv.parent / "manifest.json").exists()
 
 
 def test_torsion_scan_writes_orders_past_the_int_str_limit(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Smith normal form, cover torsion, growth scans, Heegaard homology."""
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from torsionlab.homology import (
     _cyclotomic_resultant,
     _euclid_rows,
     _height_bits,
+    _sweep_folded,
+    _sweep_unfolded,
     _tower,
     _tower_resultants,
     circulant_det,
@@ -26,7 +30,7 @@ from torsionlab.homology import (
 from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
 from torsionlab.ringcore import InvalidModulus, reduce_mod_q, totient
 from torsionlab.ringcore import _monic_resultant, _phi_quotient, _phi_split, _poly_divmod
-from torsionlab.ringcore import _primes_for
+from torsionlab.ringcore import _fold_palindromic, _primes_for
 from torsionlab.ringcore import _mobius_binomials, _primes_below_2_31, _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
@@ -36,6 +40,7 @@ rng = random.Random(314159)
 GENS, PROBS = bundled_generators(3)
 LEHMER = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
 DEGENERATE = LaurentPoly({3: 1, 2: -2, 1: -2, 0: 1})  # (t + 1)(t^2 - 3t + 1)
+TOWER_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "tower.json"
 
 
 def walk_trial_block():
@@ -536,6 +541,72 @@ def test_tower_sweep_takes_each_q_its_own_prime_count(monkeypatch):
     qs = list(range(1, 301, 3))
     _tower_resultants(D0, qs)
     assert sum(rows) == sum(_primes_for([1 << _height_bits(D0, [q])[0]])[1][0] for q in qs)
+
+
+def tower_reference_d0s() -> list[list[int]]:
+    """The D0 that growth_scan sweeps for each presentation of the
+    benchmark's tower pool: Lehmer, (t + 1)(t^2 - 3t + 1) and 24 blocks of
+    short form-preserving words."""
+    ref = json.loads(TOWER_REFERENCE.read_text())
+    blocks = [ref["lehmer"]["binf"], ref["degenerate"]["binf"]] + [b["binf"] for b in ref["blocks"]]
+    out = []
+    for binf in blocks:
+        B = [[LaurentPoly.from_json_obj(e) for e in row] for row in binf["rows"]]
+        out.append(_phi_split(block_det(B).coeff_list(), range(1, 301))[0])
+    return out
+
+
+def test_folded_route_equals_unfolded_route():
+    # every D0 met so far is a palindrome of even degree, swept on its fold
+    # Q of half the degree; the sweep on D0 itself is the oracle, signs
+    # included, at every q <= 300.  t^2 - 3t + 1 folds to degree 1, where
+    # V_1 = x must be reduced modulo Q; 2t^2 - 5t + 2 and -t^2 + 3t - 1
+    # carry lc^q with lc != 1; the seeded palindromes reach both signs of
+    # lc and every fold degree up to 6
+    config = WalkConfig(generators=GENS, probabilities=PROBS, g=3, n_steps=16)
+    walks = [bottom_left_block(sample_word(config, 0, 16)), walk_trial_block()]
+    towers = tower_reference_d0s() + [_phi_split(block_det(B).coeff_list(), range(1, 301))[0]
+                                      for B in walks]
+    assert [len(D0) for D0 in towers[-2:]] == [9, 29]
+    towers += [[1, -3, 1], [2, -5, 2], [-1, 3, -1]]
+    local = random.Random(2718)
+    for k in range(1, 7):
+        for _ in range(3):
+            half = [local.randint(-5, 5) for _ in range(k)]
+            lc = local.choice([1, -1, 2, -3])
+            towers.append([lc] + half + [local.randint(-5, 5)] + half[::-1] + [lc])
+    qs = list(range(1, 301))
+    for D0 in towers:
+        Q = _fold_palindromic(D0)
+        assert Q is not None and 2 * (len(Q) - 1) == len(D0) - 1, D0
+        assert _sweep_folded(D0, Q, qs) == _sweep_unfolded(D0, qs), D0
+
+
+def test_routes_of_the_tower_sweep(monkeypatch):
+    # only an even-degree palindrome takes the folded route: t^3 - t - 1 is
+    # no palindrome, and a window of odd degree is none of even degree;
+    # (t - 1)^2 folds to x - 2, and 2 - V_q(2) = 0 at every q
+    routes = []
+    for name in ("_sweep_folded", "_sweep_unfolded"):
+        def spy(*args, _route=getattr(homology, name), _name=name):
+            routes.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(homology, name, spy)
+    for q in (1, 2, 5, 9, 16):
+        routes.clear()
+        assert abs(_tower_resultants([-1, -1, 0, 1], [q])[0]) == resultant_with_tq_minus_1(
+            LaurentPoly({3: 1, 1: -1, 0: -1}), q)
+        assert routes == ["_sweep_unfolded"]
+    for q in (5, 9, 16):
+        routes.clear()
+        window = CycElem(q, [2, 5, 5, 2] + [0] * (q - 4))
+        det = circulant_det(window)
+        assert abs(det) == resultant_with_tq_minus_1(LaurentPoly({0: 2, 1: 5, 2: 5, 3: 2}), q)
+        assert det == bareiss_det(circulant_expand(window))
+        assert routes == ["_sweep_unfolded"]
+        routes.clear()
+        assert circulant_det(CycElem(q, [1, -2, 1] + [0] * (q - 3))) == 0
+        assert routes == ["_sweep_folded"]
 
 
 def test_height_bits_bound_the_circulant_det():

@@ -689,6 +689,9 @@ def test_k_alpha_validation():
         build_K_alpha(0.0, 10)
     with pytest.raises(ValueError):
         build_K_alpha(1.0, 0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            build_K_alpha(alpha, 10)
 
 
 # -- constraint dichotomy ---------------------------------------------
