@@ -17,11 +17,19 @@ Roots of each square-free factor come from one Aberth root finder: the
 eigenvalues of the companion matrix, one LAPACK call on floats, seed a
 polish on fixed-point Gaussian integers, pairs of Python ints (a, b)
 standing for (a + ib) / 2^prec, at a precision set by the coefficient
-height and the degree.  A proven upper bound on the relative residual,
-the evaluation's rounding included, certifies the result.  The unfold
-stays on the same Gaussian integers, the norms |t|^2 > 1 of each factor
-are multiplied exactly, and mpmath enters only for one 40-digit log of
-each factor's product.
+height and the degree.  The coefficients are real, so the roots are
+closed under conjugation, and LAPACK returns the complex eigenvalues as
+exact conjugate pairs: the polish takes one representative per pair,
+whose sum also takes its conjugate's terms, and keeps the real roots
+real, in real arithmetic.  A pair whose step would cross the real axis
+is regrouped as two real roots; two real roots whose steps would pass
+each other stand for a pair, and the polish goes on unpaired from its
+current iterates, as it does from the start on seeds that are not exact
+pairs.  A proven upper bound on the relative residual, the evaluation's
+rounding included, certifies the result.  The unfold stays on the same
+Gaussian integers, the norms |t|^2 > 1 of each factor are multiplied
+exactly, a pair's norm counting twice, and mpmath enters only for one
+40-digit log of each factor's product.
 """
 
 from __future__ import annotations
@@ -105,8 +113,7 @@ class ConstraintParams:
     g: int
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _check_alpha(self.alpha)
         if self.g < 3:
             raise ValueError("genus must be >= 3")
         if self.d_mu < 1:
@@ -211,22 +218,29 @@ def _newton_seeds(dense: list[int], prec: int) -> list[tuple[int, int]]:
     return seeds
 
 
-def _seeds(dense: list[int], prec: int) -> list[tuple[int, int]]:
-    """Seeds in fixed point: the eigenvalues of the companion matrix.
+def _seeds(dense: list[int], prec: int) -> tuple[list[tuple[int, int]], int | None]:
+    """Seeds in fixed point: the eigenvalues of the companion matrix, and
+    the number of conjugate pairs among them.
 
     Coefficients are scaled below 2^1000 so they fit a float, and one
     LAPACK call returns all roots, backward stable (Edelman-Murakami,
     Polynomial roots from companion matrix eigenvalues, Math. Comp. 1995).
+    The matrix is real, so its complex eigenvalues come back as exact
+    conjugate pairs: the seeds list one representative per pair (imaginary
+    part > 0) first, then the real eigenvalues (imaginary part 0).
     Unless every eigenvalue is usable, every seed comes from _newton_seeds
     instead: a scaled coefficient or the companion matrix can be out of
     the float range, an eigenvalue non-finite, or 0 for a polynomial with
     p_0 != 0, which is a root below the float range or the eigenvalues'
-    absolute error.  Equal seeds are nudged apart, so no Aberth correction
-    divides by zero.
+    absolute error.  Those seeds, and eigenvalues that are not exact
+    conjugate pairs in fixed point, are returned unpaired (pairs None).
+    Equal seeds are nudged apart, so no Aberth correction divides by zero:
+    a real seed along the real axis, so it stays real, any other one
+    upwards.
     """
     scale = 1 << max(0, max(c.bit_length() for c in dense) - 1000)
     lo = [c / scale for c in dense]
-    roots = None
+    roots, pairs = None, None
     if all(x or not c for c, x in zip(dense, lo)):
         try:
             with np.errstate(over="ignore"):
@@ -236,14 +250,22 @@ def _seeds(dense: list[int], prec: int) -> list[tuple[int, int]]:
     if roots is None or not all(cmath.isfinite(z) and (z or not dense[0]) for z in roots):
         fixed = _newton_seeds(dense, prec)
     else:
-        fixed = [(_fixed(z.real, prec), _fixed(z.imag, prec)) for z in roots]
+        upper = [z for z in roots if z.imag > 0]
+        lower = [z.conjugate() for z in roots if z.imag < 0]
+        fixed = [(_fixed(z.real, prec), _fixed(z.imag, prec)) for z in upper]
+        if all(b for _, b in fixed) and (upper == lower or Counter(upper) == Counter(lower)):
+            pairs = len(fixed)
+            fixed += [(_fixed(z.real, prec), 0) for z in roots if not z.imag]
+        else:
+            fixed = [(_fixed(z.real, prec), _fixed(z.imag, prec)) for z in roots]
     seeds, seen = [], set()
-    for s in fixed:
+    for i, s in enumerate(fixed):
         while s in seen:
-            s = s[0], s[1] + (max(abs(s[0]), abs(s[1]), 1 << prec) >> SEED_NUDGE_BITS)
+            nudge = max(abs(s[0]), abs(s[1]), 1 << prec) >> SEED_NUDGE_BITS
+            s = (s[0] + nudge, 0) if pairs is not None and i >= pairs else (s[0], s[1] + nudge)
         seen.add(s)
         seeds.append(s)
-    return seeds
+    return seeds, pairs
 
 
 def _fixed_horner(coeffs: list[int], za: int, zb: int, prec: int):
@@ -254,54 +276,152 @@ def _fixed_horner(coeffs: list[int], za: int, zb: int, prec: int):
     so p comes out within sqrt(2) * sum_{j<d} |z|^j units of 2^-prec of
     the exact p(z).  Integers do not overflow, so |z| > 1 needs no
     reversal: a rounded 1/z would lose log2|z| bits of relative precision.
+    A real z skips the products by zb = 0, which leave the imaginary
+    parts 0.
     """
     pa, pb, da, db = coeffs[0], 0, 0, 0
+    if not zb:
+        for c in coeffs[1:]:
+            da = (da * za >> prec) + pa
+            pa = (pa * za >> prec) + c
+        return pa, pb, da, db
     for c in coeffs[1:]:
         da, db = ((da * za - db * zb) >> prec) + pa, ((da * zb + db * za) >> prec) + pb
         pa, pb = ((pa * za - pb * zb) >> prec) + c, (pa * zb + pb * za) >> prec
     return pa, pb, da, db
 
 
-def _fixed_aberth(hi: list[int], roots: list[tuple[int, int]], prec: int, steps: int) -> bool:
+def _aberth_step(pa: int, pb: int, da: int, db: int, sa: int, sb: int, prec: int):
+    """The Aberth step p / (p' - p s) in fixed point, s = sum_j 1/(z - w_j)."""
+    qa = da - ((pa * sa - pb * sb) >> prec)
+    qb = db - ((pa * sb + pb * sa) >> prec)
+    den = qa * qa + qb * qb
+    return ((pa * qa + pb * qb) << prec) // den, ((pb * qa - pa * qb) << prec) // den
+
+
+def _unsettled(ta: int, tb: int, za: int, zb: int, prec: int) -> bool:
+    """Whether the step (ta, tb) at z is at least 2^-(prec//2) * max(1, |z|)."""
+    return (ta * ta + tb * tb) << 2 * (prec // 2) > max(1 << 2 * prec, za * za + zb * zb)
+
+
+def _unpaired_sweep(hi: list[int], roots: list, live, prec: int) -> list[int]:
+    """One Gauss-Seidel Aberth sweep over the live roots, in place; returns
+    the roots that have not settled."""
+    two = 2 * prec
+    moving = []
+    for i in live:
+        za, zb = roots[i]
+        pa, pb, da, db = _fixed_horner(hi, za, zb, prec)
+        sa = sb = 0
+        try:
+            for j, (wa, wb) in enumerate(roots):
+                if j != i:
+                    ea, eb = za - wa, zb - wb
+                    den = ea * ea + eb * eb
+                    sa += (ea << two) // den
+                    sb -= (eb << two) // den
+            ta, tb = _aberth_step(pa, pb, da, db, sa, sb, prec)
+        except ZeroDivisionError:
+            moving.append(i)
+            continue
+        roots[i] = za - ta, zb - tb
+        if _unsettled(ta, tb, za, zb, prec):
+            moving.append(i)
+    return moving
+
+
+def _paired_sweep(hi: list[int], roots: list, live, prec: int,
+                  pairs: int) -> tuple[list[int], int | None]:
+    """_unpaired_sweep on roots[:pairs], each standing also for its
+    conjugate, and on the real roots[pairs:]; returns the roots that have
+    not settled and the number of pairs.
+
+    A representative z sums 1/(z - w) + 1/(z - conj w) over the other
+    representatives, 1/(z - conj z) = -i / (2 Im z) for its own conjugate,
+    and 1/(z - x) over the real x.  A real x sums 2 Re 1/(x - w) over the
+    representatives and 1/(x - y) over the other real y, so its sum, its p
+    and p' and its step are real.  A representative whose step would cross
+    the real axis stands for two real roots: it is regrouped as the real
+    roots Re z +- Im z.  A real root whose step would pass another real
+    root stands with it for a conjugate pair, which real roots cannot
+    reach: the polish goes on unpaired (pairs None), every pair listed as
+    both its roots and the two real roots replaced by their midpoint
+    +- i times half their distance.  The sweep ends at a regrouping, and
+    the next one takes every root.
+    """
+    two = 2 * prec
+    moving = []
+    for i in live:
+        za, zb = roots[i]
+        pa, pb, da, db = _fixed_horner(hi, za, zb, prec)
+        try:
+            if i < pairs:
+                sa, sb = 0, -((1 << two - 1) // zb)
+                for wa, wb in itertools.chain(roots[:i], roots[i + 1:pairs]):
+                    ea = za - wa
+                    ea2, eb, ec = ea * ea, zb - wb, zb + wb
+                    d1, d2 = ea2 + eb * eb, ea2 + ec * ec
+                    ea <<= two
+                    sa += ea // d1 + ea // d2
+                    sb -= (eb << two) // d1 + (ec << two) // d2
+                zb2, eb = zb * zb, zb << two
+                for wa, _ in roots[pairs:]:
+                    ea = za - wa
+                    den = ea * ea + zb2
+                    sa += (ea << two) // den
+                    sb -= eb // den
+            else:
+                sa = sb = 0
+                for wa, wb in roots[:pairs]:
+                    ea = za - wa
+                    sa += (ea << two + 1) // (ea * ea + wb * wb)
+                for wa, _ in itertools.chain(roots[pairs:i], roots[i + 1:]):
+                    sa += (1 << two) // (za - wa)
+            ta, tb = _aberth_step(pa, pb, da, db, sa, sb, prec)
+        except ZeroDivisionError:
+            moving.append(i)
+            continue
+        if i < pairs:
+            if tb >= zb:
+                del roots[i]
+                roots += [(za + zb, 0), (za - zb, 0)]
+                return range(len(roots)), pairs - 1
+        else:
+            lo, up = (za - ta, za) if ta > 0 else (za, za - ta)
+            for j, (ya, _) in enumerate(roots[pairs:], pairs):
+                if lo <= ya <= up and j != i:
+                    del roots[max(i, j)], roots[min(i, j)]
+                    roots.insert(pairs, ((za + ya) >> 1, (abs(za - ya) + 1) >> 1))
+                    roots[:pairs + 1] = [(a, s * b) for a, b in roots[:pairs + 1] for s in (1, -1)]
+                    return range(len(roots)), None
+        roots[i] = za - ta, zb - tb
+        if _unsettled(ta, tb, za, zb, prec):
+            moving.append(i)
+    return moving, pairs
+
+
+def _fixed_aberth(hi: list[int], roots: list[tuple[int, int]], prec: int, steps: int,
+                  pairs: int | None) -> bool:
     """Aberth's simultaneous iteration on fixed-point Gaussian integers,
     in place.
 
     Gauss-Seidel order; the step p / (p' - p sum_j 1/(z - w_j)) is the
     Aberth correction.  A root is frozen once its step is below
-    2^-(prec//2) * max(1, |z|).  True when every root froze within
+    2^-(prec//2) * max(1, |z|).  Unless pairs is None, roots[:pairs] each
+    stand also for their conjugate and roots[pairs:] are real, and only
+    these are polished (_paired_sweep, which may regroup them or go on
+    unpaired in the same `steps` sweeps); roots[:degree - len(roots)]
+    stand for the pairs at the end.  True when every root froze within
     `steps` sweeps.
     """
-    two = 2 * prec
-    unit, freeze = 1 << two, 2 * (prec // 2)
     live = range(len(roots))
     for _ in range(steps):
-        moving = []
-        for i in live:
-            za, zb = roots[i]
-            pa, pb, da, db = _fixed_horner(hi, za, zb, prec)
-            sa = sb = 0
-            try:
-                for j, (wa, wb) in enumerate(roots):
-                    if j != i:
-                        ea, eb = za - wa, zb - wb
-                        den = ea * ea + eb * eb
-                        sa += (ea << two) // den
-                        sb -= (eb << two) // den
-                # q = p' - p s; step = p / q
-                qa = da - ((pa * sa - pb * sb) >> prec)
-                qb = db - ((pa * sb + pb * sa) >> prec)
-                den = qa * qa + qb * qb
-                ta = ((pa * qa + pb * qb) << prec) // den
-                tb = ((pb * qa - pa * qb) << prec) // den
-            except ZeroDivisionError:
-                moving.append(i)
-                continue
-            roots[i] = za - ta, zb - tb
-            if (ta * ta + tb * tb) << freeze > max(unit, za * za + zb * zb):
-                moving.append(i)
-        if not moving:
+        if pairs is None:
+            live = _unpaired_sweep(hi, roots, live, prec)
+        else:
+            live, pairs = _paired_sweep(hi, roots, live, prec, pairs)
+        if not live:
             return True
-        live = moving
     return False
 
 
@@ -312,7 +432,8 @@ def _residual_bound(hi: list[int], roots, prec: int) -> float:
     units of 2^-prec, which is below 2d units once divided by
     max(1, |r|)^d.  So the fixed-point |p(r)| is rounded up, divided by
     max(1, |r|)^d rounded down, 2d units are added, and the quotient by
-    |lead| is rounded up to a float.
+    |lead| is rounded up to a float.  p has real coefficients, so
+    |p(conj r)| = |p(r)|: one root of a conjugate pair bounds both.
     """
     d = len(hi) - 1
     worst = 0
@@ -321,10 +442,12 @@ def _residual_bound(hi: list[int], roots, prec: int) -> float:
         size = math.isqrt(pa * pa + pb * pb) + 1
         norm = za * za + zb * zb
         if norm > 1 << 2 * prec:
-            # |r|^d 2^prec, rounded down at every product
-            r = low = math.isqrt(norm)
-            for _ in range(d - 1):
-                low = low * r >> prec
+            # |r|^d 2^prec by squaring, rounded down at every product
+            r, low = math.isqrt(norm), 1 << prec
+            for bit in bin(d)[2:]:
+                low = low * low >> prec
+                if bit == "1":
+                    low = low * r >> prec
             size = -(-(size << prec) // low)
         worst = max(worst, size + 2 * d)
     lead = abs(hi[0])
@@ -341,18 +464,19 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]],
     dps = 30 + bits/3 + degree/2 (bits: coefficient height); it stops once
     every relative step is below 2^-(prec/2), within POLISH_STEPS sweeps
     per started hundred of degree.  Returns the roots as pairs
-    (a, b) standing for (a + ib) / 2^prec, the dps and a proven upper
-    bound on the worst relative residual |p(r)| / (max(1, |r|)^d |lead|),
-    which must not exceed tol.  Hitting the sweep cap or the tolerance
-    raises RootRefinementFailed.
+    (a, b) standing for (a + ib) / 2^prec, the first degree - len(roots)
+    of them each standing also for its conjugate (_fixed_aberth), the dps
+    and a proven upper bound on the worst relative residual
+    |p(r)| / (max(1, |r|)^d |lead|), which must not exceed tol.  Hitting
+    the sweep cap or the tolerance raises RootRefinementFailed.
     """
     degree = len(dense) - 1
     dps = 30 + max(c.bit_length() for c in dense) // 3 + degree // 2
     prec = mp.libmp.dps_to_prec(dps)
     hi = [c << prec for c in reversed(dense)]
-    roots = _seeds(dense, prec)
+    roots, pairs = _seeds(dense, prec)
     steps = POLISH_STEPS * -(-degree // 100)
-    if not _fixed_aberth(hi, roots, prec, steps):
+    if not _fixed_aberth(hi, roots, prec, steps, pairs):
         raise RootRefinementFailed(
             f"Aberth polish of degree {degree} did not settle in {steps} sweeps"
         )
@@ -362,8 +486,10 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]],
     return roots, dps, worst
 
 
-def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, int, float]]:
-    """_refined_roots of every square-free factor, repeated roots included.
+def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, int, int, float]]:
+    """_refined_roots of every square-free factor, repeated roots included,
+    as (roots, pairs, dps, residual): roots[:pairs] stand also for their
+    conjugates.
 
     Repeated roots stall the polisher, so the polynomial is split as
     radical * gcd(P, P') and the two pieces are handled separately; the
@@ -371,15 +497,19 @@ def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, i
     modulo one prime where it can be; the exact primitive-PRS gcd runs
     only when a few primes fail.
     """
+    def solve(f):
+        roots, dps, worst = _refined_roots(f, tol)
+        return roots, len(f) - 1 - len(roots), dps, worst
+
     dense = _pp(dense)
     if len(dense) <= 1:
         return []
     if _squarefree_by_prime(dense):
-        return [_refined_roots(dense, tol)]
+        return [solve(dense)]
     g = _poly_gcd(dense, _derivative(dense))
     if len(g) <= 1:
-        return [_refined_roots(dense, tol)]
-    return [_refined_roots(_div_exact_int(dense, g), tol)] + _roots_with_multiplicity(g, tol)
+        return [solve(dense)]
+    return [solve(_div_exact_int(dense, g))] + _roots_with_multiplicity(g, tol)
 
 
 def _unfold(xs: list[tuple[int, int]], prec: int) -> list[tuple[int, int]]:
@@ -388,7 +518,9 @@ def _unfold(xs: list[tuple[int, int]], prec: int) -> list[tuple[int, int]]:
 
     t = (x + r) / 2 with r = sqrt(x^2 - 4) on the branch Re(conj(x) r) >= 0,
     so the sum does not cancel and |t| >= 1; the other root is
-    1/t = conj(t) / |t|^2.  The square root w^(1/2) takes the stable
+    1/t = conj(t) / |t|^2.  The t of conj(x) are the conjugates of those
+    of x, so a representative of a conjugate pair of x unfolds to two
+    representatives.  The square root w^(1/2) takes the stable
     formula: whichever of Re, Im is larger comes from
     sqrt((|w| +- Re w) / 2), the other is Im w / 2 divided by it.
     """
@@ -412,6 +544,17 @@ def _unfold(xs: list[tuple[int, int]], prec: int) -> list[tuple[int, int]]:
     return out
 
 
+def _norm_product(roots: list[tuple[int, int]], prec: int) -> tuple[int, int]:
+    """(P, s): P / 2^s is the product of the norms |r|^2 > 1 of the roots,
+    exactly."""
+    one, product, shift = 1 << 2 * prec, 1, 0
+    for za, zb in roots:
+        norm = za * za + zb * zb
+        if norm > one:
+            product, shift = product * norm, shift + 2 * prec
+    return product, shift
+
+
 def _to_float(a: int, prec: int) -> float:
     """a / 2^prec, rounded to a float; beyond the float range +-inf."""
     try:
@@ -430,7 +573,8 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     t^m Q(t + 1/t) is folded to Q, and the square-free factors of Q (or
     of the rest) are solved to relative residual < tol.  The norms
     |root|^2 > 1 of each factor are multiplied exactly in fixed point, and
-    their product takes one 40-digit log.  The result records the polish
+    their product takes one 40-digit log; a root polished for a conjugate
+    pair counts twice, as |conj r| = |r|.  The result records the polish
     dps and the worst residual.
     """
     if p.is_zero():
@@ -451,21 +595,24 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     roots = [complex(1)] * k.get(1, 0) + [complex(-1)] * k.get(2, 0)
     with mp.workdps(40):
         logm = mp.log(abs(lead))
-        for fixed, dps, _ in factors:
+        for fixed, pairs, dps, _ in factors:
             prec = mp.libmp.dps_to_prec(dps)
             if folded is not None:
-                fixed = _unfold(fixed, prec)
-            one, product, shift = 1 << 2 * prec, 1, 0
-            for za, zb in fixed:
-                norm = za * za + zb * zb
-                if norm > one:
-                    product, shift = product * norm, shift + 2 * prec
-            logm += mp.log(mp.mpf((product, -shift))) / 2
-            roots += [complex(_to_float(za, prec), _to_float(zb, prec)) for za, zb in fixed]
+                fixed, pairs = _unfold(fixed, prec), 2 * pairs
+            paired, paired_shift = _norm_product(fixed[:pairs], prec)
+            product, shift = _norm_product(fixed[pairs:], prec)
+            logm += mp.log(mp.mpf((paired * paired * product, -2 * paired_shift - shift))) / 2
+            zs = [complex(_to_float(za, prec), _to_float(zb, prec)) for za, zb in fixed]
+            roots += zs + [z.conjugate() for z in zs[:pairs]]
         out = float(logm)
-    dps = max((f[1] for f in factors), default=0)
-    residual = max((f[2] for f in factors), default=0.0)
+    dps = max((f[2] for f in factors), default=0)
+    residual = max((f[3] for f in factors), default=0.0)
     return MahlerResult(out, roots, lead, MahlerMethod.ROOT_PRODUCT, dps, residual)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
 
 
 def build_K_alpha(alpha: float, m_max: int) -> set[int]:
@@ -477,8 +624,7 @@ def build_K_alpha(alpha: float, m_max: int) -> set[int]:
     horizon the asymptotic coefficient bound is an assumption, which the
     caller must flag.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    _check_alpha(alpha)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     K = {1, 2}

@@ -56,6 +56,7 @@ from .hermitian import (
 from .mahler import (
     ConstraintParams,
     ConstraintVerdict,
+    _check_alpha,
     build_K_alpha,
     constraint_check,
 )
@@ -105,6 +106,7 @@ class WalkConfig:
             raise ValueError("n_steps must be >= 2, the first schedule point")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        _check_alpha(self.alpha)
 
     @property
     def inverses_present(self) -> bool:

@@ -287,14 +287,110 @@ def test_roots_of_very_different_sizes(cs, k):
 
 def test_equal_float_seeds_are_nudged_apart():
     # (t - 5)(2^80 t - 5 * 2^80 - 1): the roots 5 and 5 + 2^-80 are one
-    # double eigenvalue in floats
+    # double eigenvalue in floats; the double real seed is nudged along
+    # the real axis, so both seeds stay real
     big = 1 << 80
     dense = _poly_mul([-5, 1], [-5 * big - 1, big])
     assert len(set(np.roots([float(c) for c in dense[::-1]]).tolist())) == 1
-    assert len(set(mahler._seeds(dense, 200))) == 2
+    seeds, pairs = mahler._seeds(dense, 200)
+    assert pairs == 0 and len(set(seeds)) == 2 and all(b == 0 for _, b in seeds)
     res = mahler_measure(LaurentPoly.from_list(dense))
     want = mp.log(big) + mp.log(5) + mp.log(5 + mp.mpf(2) ** -80)
     assert res.log_measure == pytest.approx(float(want), abs=1e-10)
+    assert 0 < res.residual <= 1e-12
+
+
+def conjugates_listed(roots, pairs):
+    """roots with each of roots[:pairs] followed by its conjugate."""
+    return [(a, s * b) for a, b in roots[:pairs] for s in (1, -1)] + roots[pairs:]
+
+
+def same_roots(got, want, prec):
+    """Whether got and want are one multiset within 2^-(prec/2) relative:
+    each root of got is matched to its nearest unmatched root of want."""
+    want = list(want)
+    for a, b in got:
+        k = min(range(len(want)), key=lambda k: (a - want[k][0]) ** 2 + (b - want[k][1]) ** 2)
+        wa, wb = want.pop(k)
+        if ((a - wa) ** 2 + (b - wb) ** 2) << prec > max(1 << 2 * prec, wa * wa + wb * wb):
+            return False
+    return not want
+
+
+def test_paired_polish_matches_unpaired(monkeypatch):
+    # the paired polish against the same seeds polished unpaired, every
+    # conjugate listed as a seed of its own
+    inputs = oracle_inputs() + [(f"walk{n}", p) for n, p in
+                                zip((16, 28, 40, 64, 96), walk_determinants((16, 28, 40, 64, 96), seed=2016))]
+    calls = []
+    polish, seeds = mahler._fixed_aberth, mahler._seeds
+
+    def record(hi, roots, prec, steps, pairs):
+        calls.append((kind, hi, list(roots), prec, steps, pairs))
+        return polish(hi, roots, prec, steps, pairs)
+
+    def unpaired(dense, prec):
+        roots, pairs = seeds(dense, prec)
+        return conjugates_listed(roots, pairs or 0), None
+
+    monkeypatch.setattr(mahler, "_fixed_aberth", record)
+    paired = []
+    for kind, p in inputs:
+        paired.append(mahler_measure(p))
+    monkeypatch.setattr(mahler, "_fixed_aberth", polish)
+    monkeypatch.setattr(mahler, "_seeds", unpaired)
+    for (kind, p), res in zip(inputs, paired):
+        want = mahler_measure(p)
+        assert res.log_measure == want.log_measure, kind
+        assert (len(res.roots), res.dps, res.leading_coeff) == (len(want.roots), want.dps, want.leading_coeff)
+        assert res.residual <= 1e-12, kind
+    crossed, sweep = set(), mahler._paired_sweep
+
+    def spy(hi, roots, live, prec, pairs):
+        out = sweep(hi, roots, live, prec, pairs)
+        if out[1] is not None and out[1] < pairs:
+            crossed.add(kind)
+        return out
+
+    monkeypatch.setattr(mahler, "_paired_sweep", spy)
+    for kind, hi, start, prec, steps, pairs in calls:
+        if pairs is None:
+            continue
+        # one step of one root from the seeds: a representative's sum has
+        # every term of the unpaired sum, so its step is the same; the
+        # unpaired sum floors a real root's two conjugate terms apart, so
+        # its step may differ by a few units, and it leaves the real axis
+        for i in range(len(start)):
+            one, listed = list(start), conjugates_listed(start, pairs)
+            k = 2 * i if i < pairs else pairs + i
+            assert mahler._paired_sweep(hi, one, [i], prec, pairs)[1] == pairs, kind
+            mahler._unpaired_sweep(hi, listed, [k], prec)
+            (a, b), (c, d) = one[i], listed[k]
+            if i < pairs:
+                assert (a, b) == (c, d), kind
+            else:
+                assert b == 0 and abs(a - c) <= pairs + 2 and abs(d) <= pairs + 2, kind
+        roots, oracle = list(start), conjugates_listed(start, pairs)
+        assert polish(hi, roots, prec, steps, pairs) and polish(hi, oracle, prec, steps, None), kind
+        assert same_roots(conjugates_listed(roots, len(hi) - 1 - len(roots)), oracle, prec), kind
+    # the crossing-pair route: a pair seed was regrouped as two real roots
+    assert {"sizes", "walk64"} <= crossed
+
+
+def test_real_seeds_of_a_complex_pair_go_unpaired():
+    # N t^2 - 2N t + N + 1, N = 10^20, has the roots 1 +- i 10^-10, a
+    # double real eigenvalue in floats: the two real seeds pass each
+    # other, and the polish goes on unpaired from a conjugate pair
+    n, prec = 10 ** 20, 200
+    dense = [n + 1, -2 * n, n]
+    roots, pairs = mahler._seeds(dense, prec)
+    assert pairs == 0 and len(set(roots)) == 2 and all(b == 0 for _, b in roots)
+    assert mahler._fixed_aberth([c << prec for c in reversed(dense)], roots, prec, 60, pairs)
+    imag = sorted(b / 2 ** prec for _, b in roots)
+    assert imag == pytest.approx([-1e-10, 1e-10], rel=1e-12)
+    res = mahler_measure(LaurentPoly.from_list(dense))
+    assert sorted(z.imag for z in res.roots) == pytest.approx([-1e-10, 1e-10], rel=1e-12)
+    assert res.log_measure == pytest.approx(math.log(n), abs=1e-12)
     assert 0 < res.residual <= 1e-12
 
 
@@ -736,6 +832,15 @@ def test_constraint_small_everywhere():
     assert rep.verdict is ConstraintVerdict.SMALL_EVERYWHERE
     assert rep.max_circle_value == pytest.approx(1.0)
     assert rep.circle_bound >= 1.0
+
+
+def test_constraint_params_reject_non_finite_alpha():
+    # NaN slipped through a bare alpha <= 0 check, and constraint_check
+    # then reported SMALL_EVERYWHERE with a NaN circle bound
+    K = frozenset(build_K_alpha(0.5, 10))
+    for alpha in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            ConstraintParams(alpha=alpha, K=K, d_mu=2, g=3)
 
 
 def test_constraint_degree_bound():

@@ -120,6 +120,10 @@ def test_config_validation():
         with pytest.raises(ValueError):
             small_config(**bad)
     assert small_config(n_steps=2, n_trials=1).schedule() == [2]
+    # alpha sets the constraint rate: NaN passed a bare alpha <= 0 test
+    for alpha in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="alpha"):
+            small_config(alpha=alpha)
 
 
 # -- sampling determinism ----------------------------------------------
