@@ -507,22 +507,22 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
         C = _phi_split(g, C)[1]
     D0, k = _phi_split(delta, divs) if delta else ([], {})
     reports: list[TorsionReport | None] = [None] * len(qs)
-    swept = []  # (i, S, the nonzero multiplicities in D) of the covers the sweep decides
+    swept = []  # (i, S, the nonzero multiplicities in D, deg G) of the covers the sweep decides
     for i, (q, ds) in enumerate(zip(qs, qdivs)):
         S = [d for d in ds if d in C]
         mult = {e: m for e in {*k, *S} if (m := k.get(e, 0) - h * (e in S))}
-        if sum(totient(d) for d in S) == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
+        if (deg_g := sum(totient(d) for d in S)) == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
             reports[i] = _report(q, 1, h * q, "split_resultant")
         elif delta and min(mult.values(), default=0) < 0:
             raise ArithmeticError("Phi_d^h must divide det B for every d in S")
         elif delta and all(e in S or q % e for e in mult):
-            swept.append((i, S, mult))
+            swept.append((i, S, mult, deg_g))
         else:
             snf = smith_normal_form(expand_presentation(
                 [[reduce_mod_q(e, q) for e in row] for row in B], q))
             reports[i] = _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
-    common = {d for _, S, _ in swept for d in S}
-    sweep = sorted({qs[i] for i, _, _ in swept}.union(*map(divisors, common)))
+    common = {d for _, S, _, _ in swept for d in S}
+    sweep = sorted({qs[i] for i, *_ in swept}.union(*map(divisors, common)))
     R = dict(zip(sweep, map(abs, _tower_resultants(D0, sweep))))
     res_phi = {}
     for d in common:
@@ -530,7 +530,7 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
         res_phi[d], rem = divmod(math.prod(R[e] for e in plus), math.prod(R[e] for e in minus))
         if rem:
             raise ArithmeticError("Res(Phi_d, D0) must be the Moebius quotient of Res(t^e - 1, D0)")
-    for i, S, mult in swept:
+    for i, S, mult, deg_g in swept:
         q = qs[i]
         torsion, rem = divmod(R[q], math.prod(res_phi[d] for d in S))
         if rem:
@@ -538,7 +538,7 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
         # d != e: an e | q outside S with nonzero multiplicity went to SNF
         torsion *= math.prod(_cyclotomic_resultant(d, e) ** m for e, m in mult.items()
                              for d in qdivs[i] if d not in S)
-        reports[i] = _report(q, torsion, h * sum(totient(d) for d in S),
+        reports[i] = _report(q, torsion, h * deg_g,
                              "split_resultant" if S else "circulant_det")
     return reports
 

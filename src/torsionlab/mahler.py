@@ -8,10 +8,11 @@ until it passes the largest index a cyclotomic factor of the remaining
 degree can have; the input has measure zero (Kronecker) exactly when a
 constant remains, and the split's multiplicities are its certificate.
 Floating point enters only for the root product of provably-nonzero
-measures.  Before any root finding the same split over Phi_1 and Phi_2
-divides out (t-1)^a (t+1)^b, whose roots add nothing, and the kernel
-folds a palindromic rest (every walk determinant is one) to half the
-degree in x = t + 1/t; each root x gives back the pair
+measures, on the rest of the same split: each Phi_m it divides out adds
+its roots e^(2 pi i j/m), gcd(j, m) = 1, exactly, and nothing to the
+measure.  An input failing a condition is split over Phi_1 and Phi_2 only.
+The kernel folds a palindromic rest (every walk determinant is one) to
+half the degree in x = t + 1/t; each root x gives back the pair
 t = x/2 +- sqrt(x^2/4 - 1).
 Roots of each square-free factor come from one Aberth root finder: the
 eigenvalues of the companion matrix, one LAPACK call on floats, seed a
@@ -137,43 +138,46 @@ class ConstraintReport:
     degree_bound: int = 0
 
 
-def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
-    """Exact test whether +-p is a monomial times cyclotomics.
-
-    Succeeds iff the Mahler measure of p is exactly zero (Kronecker: a
-    monic integer polynomial with every root on |t| = 1 is a product of
-    cyclotomics).  Entirely integer arithmetic, on F = p t^k with
-    F(0) != 0 and degree d, in four steps:
+def _cyclotomic_split(cs: list[int]) -> tuple[list[int], dict[int, int]] | None:
+    """_phi_split of the dense F = cs, F(0) != 0 and degree d, over every
+    index, or None when F fails one of three necessary conditions for
+    every root to lie on |t| = 1:
     1. unit ends: a product of cyclotomics has leading and constant
        coefficient +-1;
     2. (anti-)palindrome: roots on |t| = 1 are closed under t -> 1/t, so
        the reversed coefficients are those of +-F (minus for an odd power
        of Phi_1 = t - 1, the one anti-palindromic cyclotomic);
     3. binomial bound: if every root has modulus 1, the coefficients are
-       elementary symmetric functions of them, so |c_j| <= binom(d, j);
-    4. one ascending cyclotomic split over every index (_phi_split, which
-       stops past the largest index a cyclotomic factor of the rest's
-       degree can have): F is accepted exactly when the rest is a
-       constant, and the split's multiplicities are the certificate.
-    Steps 1-3 are necessary conditions, so they only reject early; step 4
-    alone decides.
+       elementary symmetric functions of them, so |c_j| <= binom(d, j).
+    The split stops past the largest index a cyclotomic factor of the
+    rest's degree can have, so no cyclotomic polynomial divides the rest.
     """
-    if p.is_zero():
-        raise ZeroPolynomial("kronecker_zero_test of the zero polynomial")
-    poly, shift = normalize_unit(p)
-    cs = poly.coeff_list()
-    lead = cs[-1]
-    if lead not in (1, -1) or cs[0] not in (1, -1):
+    if cs[-1] not in (1, -1) or cs[0] not in (1, -1):
         return None
     rev = cs[::-1]
     if rev != cs and rev != [-c for c in cs]:
         return None
     if any(abs(c) > b for c, b in zip(cs, _binomial_row(len(cs) - 1))):
         return None
-    rest, k = _phi_split(cs, itertools.count(1))
-    if len(rest) > 1:
+    return _phi_split(cs, itertools.count(1))
+
+
+def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
+    """Exact test whether +-p is a monomial times cyclotomics.
+
+    Succeeds iff the Mahler measure of p is exactly zero (Kronecker: a
+    monic integer polynomial with every root on |t| = 1 is a product of
+    cyclotomics): exactly when _cyclotomic_split of F = p t^k, F(0) != 0,
+    leaves a constant, in integer arithmetic throughout.  The split's
+    multiplicities are the certificate.
+    """
+    if p.is_zero():
+        raise ZeroPolynomial("kronecker_zero_test of the zero polynomial")
+    cs = p.coeff_list()
+    split = _cyclotomic_split(cs)
+    if split is None or len(split[0]) > 1:
         return None
-    return KroneckerFactorization(-shift, Counter(k), sign=lead)
+    return KroneckerFactorization(p.deg_lo, Counter(split[1]), sign=cs[-1])
 
 
 def _binomial_row(d: int) -> list[int]:
@@ -566,33 +570,34 @@ def _to_float(a: int, prec: int) -> float:
 def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     """Logarithmic Mahler measure via Jensen's product formula.
 
-    Exact-zero inputs are recognized by kronecker_zero_test and return 0
-    with no floating point involved.  Otherwise the measure is
-    log|a| + sum log max(1, |root|) over the roots, with multiplicity:
-    (t-1)^a (t+1)^b is divided out, a palindromic rest c(t) =
-    t^m Q(t + 1/t) is folded to Q, and the square-free factors of Q (or
-    of the rest) are solved to relative residual < tol.  The norms
-    |root|^2 > 1 of each factor are multiplied exactly in fixed point, and
-    their product takes one 40-digit log; a root polished for a conjugate
-    pair counts twice, as |conj r| = |r|.  The result records the polish
-    dps and the worst residual.
+    The input is split by _cyclotomic_split, or, when it fails one of its
+    three conditions, over Phi_1 and Phi_2 only: on walk determinants the
+    full split costs more than the polish it saves.  A unit rest is an
+    exact zero (Kronecker), with no floating point involved.  Otherwise
+    the measure is log|a| + sum log max(1, |root|) over the roots, with
+    multiplicity: the roots of each Phi_m split off are listed exactly, a
+    palindromic rest c(t) = t^m Q(t + 1/t) is folded to Q, and the
+    square-free factors of Q (or of the rest) are solved to relative
+    residual < tol.  The norms |root|^2 > 1 of each factor are multiplied
+    exactly in fixed point, and their product takes one 40-digit log; a
+    root polished for a conjugate pair counts twice, as |conj r| = |r|.
+    The result records the polish dps and the worst residual.
     """
     if p.is_zero():
         raise ZeroPolynomial("mahler_measure of the zero polynomial")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, not {tol}")
-    if kronecker_zero_test(p) is not None:
-        return MahlerResult(0.0, [], 1, MahlerMethod.KRONECKER_EXACT_ZERO)
-
     dense = p.coeff_list()
     lead = dense[-1]
+    rest, k = _cyclotomic_split(dense) or _phi_split(dense, (1, 2))
+    if rest in ([1], [-1]):
+        return MahlerResult(0.0, [], 1, MahlerMethod.KRONECKER_EXACT_ZERO)
     if len(dense) == 1:
         return MahlerResult(math.log(abs(lead)), [], lead, MahlerMethod.ROOT_PRODUCT)
 
-    rest, k = _phi_split(dense, (1, 2))
     folded = _fold_palindromic(rest)
     factors = _roots_with_multiplicity(folded or rest, tol)
-    roots = [complex(1)] * k.get(1, 0) + [complex(-1)] * k.get(2, 0)
+    roots = [complex(z) for m, e in k.items() for z in mp.unitroots(m, primitive=True) * e]
     with mp.workdps(40):
         logm = mp.log(abs(lead))
         for fixed, pairs, dps, _ in factors:

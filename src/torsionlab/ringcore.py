@@ -622,7 +622,7 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return _unpack(prod, len(a) + len(b) - 1, width)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _mobius_binomials(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(plus, minus): the d | m with mu(m/d) = 1, resp. -1, so that
     Phi_m = prod_plus (t^d - 1) / prod_minus (t^d - 1).  plus starts with m,

@@ -1,5 +1,7 @@
 """Mahler measure: closed-form oracles, Kronecker test, constraint dichotomy."""
 
+import itertools
+import json
 import math
 import os
 import random
@@ -32,6 +34,8 @@ from torsionlab.ringcore import (
     _div_exact_int,
     _graeffe_step,
     _index_horizon,
+    _mobius_binomials,
+    _phi_split,
     _poly_gcd,
     _poly_mul,
     _pp,
@@ -761,6 +765,111 @@ def test_certificate_multiplies_back_out():
             rebuilt = rebuilt * cyclotomic(m) ** e
         assert rebuilt == p
         assert kronecker_zero_test(p * gen.choice(SMALL_MEASURE)) is None
+
+
+def test_mobius_binomials_cache_holds_a_degree_1000_scan():
+    # a palindromic +-1 polynomial of degree 1000 with no cyclotomic factor
+    # passes the binomial bound, and its split scans every index up to
+    # _index_horizon(1000) = 4812; a second test must find each one cached
+    gen = random.Random(1000)
+    half = [gen.choice((1, -1)) for _ in range(501)]
+    p = LaurentPoly.from_list(half + half[-2::-1])
+    assert _phi_split(p.coeff_list(), itertools.count(1)) == (p.coeff_list(), {})
+    assert kronecker_zero_test(p) is None
+    misses = _mobius_binomials.cache_info().misses
+    assert kronecker_zero_test(p) is None
+    assert _mobius_binomials.cache_info().misses == misses
+
+
+# -- one cyclotomic split for the Kronecker test and the root product --
+
+WALKDET_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "mahler_walkdet.json"
+# (group, index) of the mahler_walkdet pool: the first four pass the
+# three conditions of the full split and carry Phi_1 alone, the last one
+# carries Phi_6 and fails them
+WALKDET_SPLIT = ((1, 0), (1, 4), (3, 0), (3, 1), (3, 4))
+PHI_1000_GOLDEN = cyclotomic(1000) * LaurentPoly({0: 1, 1: -3, 2: 1})
+
+
+def walkdet_references():
+    groups = json.loads(WALKDET_REFERENCE.read_text())["groups"]
+    return [LaurentPoly.from_json_obj(groups[g][i]["poly"]) for g, i in WALKDET_SPLIT]
+
+
+def split_corpus():
+    """Seeded +-t^k prod Phi_m^e, m <= 300 and degree <= 80, repeated
+    factors included, times Lehmer, t^3 - t - 1 and t^2 - 3t + 1; the
+    first product, (t - 1)^3 (t + 1) Phi_210, is anti-palindromic."""
+    gen = random.Random(28)
+    for n in range(7):
+        want, total = ({1: 3, 2: 1, 210: 1}, 52) if n == 0 else ({}, 0)
+        for m in gen.sample(range(1, 301), 40 if n else 0):
+            e = gen.randint(1, 3)
+            if total + e * totient(m) <= 80:
+                want[m], total = e, total + e * totient(m)
+        prod = LaurentPoly({gen.randint(-9, 9): gen.choice((1, -1))})
+        for m, e in want.items():
+            prod = prod * cyclotomic(m) ** e
+        for factor in (LEHMER, PISOT, LaurentPoly({2: 1, 1: -3, 0: 1})):
+            yield prod * factor
+
+
+def same_multiset(got, want, tol):
+    """Whether got and want are one multiset of complex numbers within tol:
+    each of got is matched to its nearest unmatched one of want."""
+    want = list(want)
+    for z in got:
+        k = min(range(len(want)), key=lambda k: abs(z - want[k]))
+        if abs(z - want.pop(k)) > tol:
+            return False
+    return not want
+
+
+def test_split_root_path_matches_phi_1_2_route(monkeypatch):
+    # every Phi_m the full split divides out lists its roots exactly; the
+    # route that splits off Phi_1 and Phi_2 only and polishes the rest
+    # finds the same roots and measure
+    inputs = list(split_corpus()) + walkdet_references()
+    split = mahler._cyclotomic_split
+    gated = [split(p.coeff_list()) for p in inputs]
+    assert [s is not None for s in gated[-5:]] == [True] * 4 + [False]
+    # the products times Lehmer and t^2 - 3t + 1 pass the three conditions,
+    # each with some Phi_m, m > 2, to split off
+    assert sum(s is not None and any(m > 2 for m in s[1]) for s in gated) == 14
+    fast = [mahler_measure(p) for p in inputs]
+    monkeypatch.setattr(mahler, "_cyclotomic_split", lambda cs: None)
+    for p, res in zip(inputs, fast):
+        want = mahler_measure(p)
+        assert res.method is want.method is MahlerMethod.ROOT_PRODUCT
+        assert abs(res.log_measure - want.log_measure) <= 1e-12, p
+        assert len(res.roots) == len(want.roots) == p.degree_span(), p
+        assert same_multiset(res.roots, want.roots, 1e-9), p
+        assert res.leading_coeff == want.leading_coeff and res.residual <= 1e-12
+
+
+def test_one_split_per_measure(monkeypatch):
+    # one _phi_split per call: over every index when the input passes the
+    # three conditions, else over Phi_1 and Phi_2; on Phi_1000 (t^2 - 3t + 1)
+    # only t^2 - 3t + 1 is solved, folded to degree 1
+    calls, degrees = [], []
+    split, refined = mahler._phi_split, mahler._refined_roots
+    monkeypatch.setattr(mahler, "_phi_split", lambda g, c: calls.append(c) or split(g, c))
+    monkeypatch.setattr(mahler, "_refined_roots",
+                        lambda dense, tol: degrees.append(len(dense) - 1) or refined(dense, tol))
+    res = mahler_measure(PHI_1000_GOLDEN)
+    assert abs(res.log_measure - math.log((3 + math.sqrt(5)) / 2)) <= 1e-12
+    assert len(res.roots) == 402 and degrees == [1] and res.dps == 30
+    assert sum(abs(abs(z) - 1) < 1e-15 for z in res.roots) == 400
+    assert len(calls) == 1 and isinstance(calls[0], itertools.count)
+    full = [PHI_1000_GOLDEN, LEHMER * cyclotomic(5) ** 2, cyclotomic(12) * LaurentPoly.t(3),
+            LaurentPoly({0: -1})]
+    phi_1_2 = [walkdet_references()[-1], LaurentPoly.from_list([-3, 3, 3, -3]),
+               PISOT * cyclotomic(6), LaurentPoly({0: 5})]
+    for p in full + phi_1_2:
+        calls.clear()
+        mahler_measure(p)
+        assert len(calls) == 1, p
+        assert isinstance(calls[0], itertools.count) if p in full else calls[0] == (1, 2), p
 
 
 # -- exceptional index set --------------------------------------------
