@@ -26,11 +26,14 @@ real, in real arithmetic.  A pair whose step would cross the real axis
 is regrouped as two real roots; two real roots whose steps would pass
 each other stand for a pair, and the polish goes on unpaired from its
 current iterates, as it does from the start on seeds that are not exact
-pairs.  A proven upper bound on the relative residual, the evaluation's
-rounding included, certifies the result.  The unfold stays on the same
-Gaussian integers, the norms |t|^2 > 1 of each factor are multiplied
-exactly, a pair's norm counting twice, and mpmath enters only for one
-40-digit log of each factor's product.
+pairs; one sweep does both, and unpaired it is plain Aberth.  A proven
+upper bound on the relative residual, the evaluation's rounding
+included, certifies the result, and each root polished for a pair is
+then listed with its exact conjugate, so no caller of the polish sees
+pairs.  The unfold stays on the same Gaussian integers, exact conjugates
+unfolding to exact conjugates, the norms |t|^2 > 1 of each factor are
+multiplied exactly, and mpmath enters only for one 40-digit log of each
+factor's product.
 """
 
 from __future__ import annotations
@@ -308,17 +311,49 @@ def _unsettled(ta: int, tb: int, za: int, zb: int, prec: int) -> bool:
     return (ta * ta + tb * tb) << 2 * (prec // 2) > max(1 << 2 * prec, za * za + zb * zb)
 
 
-def _unpaired_sweep(hi: list[int], roots: list, live, prec: int) -> list[int]:
+def _aberth_sweep(hi: list[int], roots: list, live, prec: int,
+                  pairs: int | None) -> tuple[list[int], int | None]:
     """One Gauss-Seidel Aberth sweep over the live roots, in place; returns
-    the roots that have not settled."""
+    the roots that have not settled and the number of pairs.
+
+    Unless pairs is None, roots[:pairs] each stand also for their
+    conjugate and roots[pairs:] are real.  A representative z sums
+    1/(z - w) + 1/(z - conj w) over the other representatives and
+    1/(z - conj z) = -i / (2 Im z) for its own conjugate; a real x sums
+    2 Re 1/(x - w) over the representatives.  Every root then sums
+    1/(z - w) over the other roots[pairs:], all of them when pairs is
+    None (plain Aberth); a real x over real y gives real terms, so its
+    p, p' and step are real.  A representative whose step would cross the
+    real axis stands for two real roots: it is regrouped as the real roots
+    Re z +- Im z.  A real root whose step would pass another real root
+    stands with it for a conjugate pair, which real roots cannot reach:
+    the polish goes on unpaired (pairs None), every pair listed as both
+    its roots and the two real roots replaced by their midpoint +- i times
+    half their distance.  The sweep ends at a regrouping, and the next one
+    takes every root.
+    """
     two = 2 * prec
+    reps = pairs or 0
     moving = []
     for i in live:
         za, zb = roots[i]
         pa, pb, da, db = _fixed_horner(hi, za, zb, prec)
-        sa = sb = 0
         try:
-            for j, (wa, wb) in enumerate(roots):
+            if i < reps:
+                sa, sb = 0, -((1 << two - 1) // zb)
+                for wa, wb in itertools.chain(roots[:i], roots[i + 1:reps]):
+                    ea = za - wa
+                    ea2, eb, ec = ea * ea, zb - wb, zb + wb
+                    d1, d2 = ea2 + eb * eb, ea2 + ec * ec
+                    ea <<= two
+                    sa += ea // d1 + ea // d2
+                    sb -= (eb << two) // d1 + (ec << two) // d2
+            else:
+                sa = sb = 0
+                for wa, wb in roots[:reps]:
+                    ea = za - wa
+                    sa += (ea << two + 1) // (ea * ea + wb * wb)
+            for j, (wa, wb) in enumerate(roots[reps:], reps):
                 if j != i:
                     ea, eb = za - wa, zb - wb
                     den = ea * ea + eb * eb
@@ -328,80 +363,28 @@ def _unpaired_sweep(hi: list[int], roots: list, live, prec: int) -> list[int]:
         except ZeroDivisionError:
             moving.append(i)
             continue
-        roots[i] = za - ta, zb - tb
-        if _unsettled(ta, tb, za, zb, prec):
-            moving.append(i)
-    return moving
-
-
-def _paired_sweep(hi: list[int], roots: list, live, prec: int,
-                  pairs: int) -> tuple[list[int], int | None]:
-    """_unpaired_sweep on roots[:pairs], each standing also for its
-    conjugate, and on the real roots[pairs:]; returns the roots that have
-    not settled and the number of pairs.
-
-    A representative z sums 1/(z - w) + 1/(z - conj w) over the other
-    representatives, 1/(z - conj z) = -i / (2 Im z) for its own conjugate,
-    and 1/(z - x) over the real x.  A real x sums 2 Re 1/(x - w) over the
-    representatives and 1/(x - y) over the other real y, so its sum, its p
-    and p' and its step are real.  A representative whose step would cross
-    the real axis stands for two real roots: it is regrouped as the real
-    roots Re z +- Im z.  A real root whose step would pass another real
-    root stands with it for a conjugate pair, which real roots cannot
-    reach: the polish goes on unpaired (pairs None), every pair listed as
-    both its roots and the two real roots replaced by their midpoint
-    +- i times half their distance.  The sweep ends at a regrouping, and
-    the next one takes every root.
-    """
-    two = 2 * prec
-    moving = []
-    for i in live:
-        za, zb = roots[i]
-        pa, pb, da, db = _fixed_horner(hi, za, zb, prec)
-        try:
-            if i < pairs:
-                sa, sb = 0, -((1 << two - 1) // zb)
-                for wa, wb in itertools.chain(roots[:i], roots[i + 1:pairs]):
-                    ea = za - wa
-                    ea2, eb, ec = ea * ea, zb - wb, zb + wb
-                    d1, d2 = ea2 + eb * eb, ea2 + ec * ec
-                    ea <<= two
-                    sa += ea // d1 + ea // d2
-                    sb -= (eb << two) // d1 + (ec << two) // d2
-                zb2, eb = zb * zb, zb << two
-                for wa, _ in roots[pairs:]:
-                    ea = za - wa
-                    den = ea * ea + zb2
-                    sa += (ea << two) // den
-                    sb -= eb // den
-            else:
-                sa = sb = 0
-                for wa, wb in roots[:pairs]:
-                    ea = za - wa
-                    sa += (ea << two + 1) // (ea * ea + wb * wb)
-                for wa, _ in itertools.chain(roots[pairs:i], roots[i + 1:]):
-                    sa += (1 << two) // (za - wa)
-            ta, tb = _aberth_step(pa, pb, da, db, sa, sb, prec)
-        except ZeroDivisionError:
-            moving.append(i)
-            continue
-        if i < pairs:
+        if i < reps:
             if tb >= zb:
                 del roots[i]
                 roots += [(za + zb, 0), (za - zb, 0)]
                 return range(len(roots)), pairs - 1
-        else:
+        elif pairs is not None:
             lo, up = (za - ta, za) if ta > 0 else (za, za - ta)
             for j, (ya, _) in enumerate(roots[pairs:], pairs):
                 if lo <= ya <= up and j != i:
                     del roots[max(i, j)], roots[min(i, j)]
                     roots.insert(pairs, ((za + ya) >> 1, (abs(za - ya) + 1) >> 1))
-                    roots[:pairs + 1] = [(a, s * b) for a, b in roots[:pairs + 1] for s in (1, -1)]
+                    _with_conjugates(roots, pairs + 1)
                     return range(len(roots)), None
         roots[i] = za - ta, zb - tb
         if _unsettled(ta, tb, za, zb, prec):
             moving.append(i)
     return moving, pairs
+
+
+def _with_conjugates(roots: list, pairs: int) -> None:
+    """Lists each of roots[:pairs] followed by its conjugate, in place."""
+    roots[:pairs] = [(a, s * b) for a, b in roots[:pairs] for s in (1, -1)]
 
 
 def _fixed_aberth(hi: list[int], roots: list[tuple[int, int]], prec: int, steps: int,
@@ -413,17 +396,14 @@ def _fixed_aberth(hi: list[int], roots: list[tuple[int, int]], prec: int, steps:
     Aberth correction.  A root is frozen once its step is below
     2^-(prec//2) * max(1, |z|).  Unless pairs is None, roots[:pairs] each
     stand also for their conjugate and roots[pairs:] are real, and only
-    these are polished (_paired_sweep, which may regroup them or go on
-    unpaired in the same `steps` sweeps); roots[:degree - len(roots)]
-    stand for the pairs at the end.  True when every root froze within
-    `steps` sweeps.
+    these are polished; _aberth_sweep may regroup them or go on unpaired
+    in the same `steps` sweeps, so roots[:degree - len(roots)] stand for
+    the pairs at the end.  True when every root froze within `steps`
+    sweeps.
     """
     live = range(len(roots))
     for _ in range(steps):
-        if pairs is None:
-            live = _unpaired_sweep(hi, roots, live, prec)
-        else:
-            live, pairs = _paired_sweep(hi, roots, live, prec, pairs)
+        live, pairs = _aberth_sweep(hi, roots, live, prec, pairs)
         if not live:
             return True
     return False
@@ -467,11 +447,12 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]],
     on Gaussian integers at prec = dps_to_prec(dps) fractional bits, with
     dps = 30 + bits/3 + degree/2 (bits: coefficient height); it stops once
     every relative step is below 2^-(prec/2), within POLISH_STEPS sweeps
-    per started hundred of degree.  Returns the roots as pairs
-    (a, b) standing for (a + ib) / 2^prec, the first degree - len(roots)
-    of them each standing also for its conjugate (_fixed_aberth), the dps
-    and a proven upper bound on the worst relative residual
-    |p(r)| / (max(1, |r|)^d |lead|), which must not exceed tol.  Hitting
+    per started hundred of degree.  Returns all degree roots as pairs
+    (a, b) standing for (a + ib) / 2^prec, each root polished for a
+    conjugate pair (_fixed_aberth) followed by its exact conjugate
+    (a, -b), the dps and a proven upper bound on the worst relative
+    residual |p(r)| / (max(1, |r|)^d |lead|), which must not exceed tol;
+    a pair's root bounds its conjugate too (_residual_bound).  Hitting
     the sweep cap or the tolerance raises RootRefinementFailed.
     """
     degree = len(dense) - 1
@@ -487,13 +468,13 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]],
     worst = _residual_bound(hi, roots, prec)
     if not worst <= tol:
         raise RootRefinementFailed(f"relative root residual {worst:.3e} exceeds tol {tol:.3e}")
+    _with_conjugates(roots, degree - len(roots))
     return roots, dps, worst
 
 
-def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, int, int, float]]:
+def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, int, float]]:
     """_refined_roots of every square-free factor, repeated roots included,
-    as (roots, pairs, dps, residual): roots[:pairs] stand also for their
-    conjugates.
+    as (roots, dps, residual).
 
     Repeated roots stall the polisher, so the polynomial is split as
     radical * gcd(P, P') and the two pieces are handled separately; the
@@ -501,19 +482,15 @@ def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, i
     modulo one prime where it can be; the exact primitive-PRS gcd runs
     only when a few primes fail.
     """
-    def solve(f):
-        roots, dps, worst = _refined_roots(f, tol)
-        return roots, len(f) - 1 - len(roots), dps, worst
-
     dense = _pp(dense)
     if len(dense) <= 1:
         return []
     if _squarefree_by_prime(dense):
-        return [solve(dense)]
+        return [_refined_roots(dense, tol)]
     g = _poly_gcd(dense, _derivative(dense))
     if len(g) <= 1:
-        return [solve(dense)]
-    return [solve(_div_exact_int(dense, g))] + _roots_with_multiplicity(g, tol)
+        return [_refined_roots(dense, tol)]
+    return [_refined_roots(_div_exact_int(dense, g), tol)] + _roots_with_multiplicity(g, tol)
 
 
 def _unfold(xs: list[tuple[int, int]], prec: int) -> list[tuple[int, int]]:
@@ -523,13 +500,17 @@ def _unfold(xs: list[tuple[int, int]], prec: int) -> list[tuple[int, int]]:
     t = (x + r) / 2 with r = sqrt(x^2 - 4) on the branch Re(conj(x) r) >= 0,
     so the sum does not cancel and |t| >= 1; the other root is
     1/t = conj(t) / |t|^2.  The t of conj(x) are the conjugates of those
-    of x, so a representative of a conjugate pair of x unfolds to two
-    representatives.  The square root w^(1/2) takes the stable
-    formula: whichever of Re, Im is larger comes from
-    sqrt((|w| +- Re w) / 2), the other is Im w / 2 divided by it.
+    of x, so an x right after its exact conjugate, as _refined_roots lists
+    each pair, takes them so: exact conjugates unfold to exact conjugates,
+    at half the work.  The square root w^(1/2) takes the stable formula:
+    whichever of Re, Im is larger comes from sqrt((|w| +- Re w) / 2), the
+    other is Im w / 2 divided by it.
     """
     out = []
-    for xa, xb in xs:
+    for k, (xa, xb) in enumerate(xs):
+        if k and xs[k - 1] == (xa, -xb):
+            out += [(a, -b) for a, b in out[-2:]]
+            continue
         wa = ((xa * xa - xb * xb) >> prec) - (4 << prec)
         wb = (xa * xb) >> (prec - 1)
         size = math.isqrt(wa * wa + wb * wb)
@@ -579,8 +560,7 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     palindromic rest c(t) = t^m Q(t + 1/t) is folded to Q, and the
     square-free factors of Q (or of the rest) are solved to relative
     residual < tol.  The norms |root|^2 > 1 of each factor are multiplied
-    exactly in fixed point, and their product takes one 40-digit log; a
-    root polished for a conjugate pair counts twice, as |conj r| = |r|.
+    exactly in fixed point, and their product takes one 40-digit log.
     The result records the polish dps and the worst residual.
     """
     if p.is_zero():
@@ -600,18 +580,16 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     roots = [complex(z) for m, e in k.items() for z in mp.unitroots(m, primitive=True) * e]
     with mp.workdps(40):
         logm = mp.log(abs(lead))
-        for fixed, pairs, dps, _ in factors:
+        for fixed, dps, _ in factors:
             prec = mp.libmp.dps_to_prec(dps)
             if folded is not None:
-                fixed, pairs = _unfold(fixed, prec), 2 * pairs
-            paired, paired_shift = _norm_product(fixed[:pairs], prec)
-            product, shift = _norm_product(fixed[pairs:], prec)
-            logm += mp.log(mp.mpf((paired * paired * product, -2 * paired_shift - shift))) / 2
-            zs = [complex(_to_float(za, prec), _to_float(zb, prec)) for za, zb in fixed]
-            roots += zs + [z.conjugate() for z in zs[:pairs]]
+                fixed = _unfold(fixed, prec)
+            product, shift = _norm_product(fixed, prec)
+            logm += mp.log(mp.mpf((product, -shift))) / 2
+            roots += [complex(_to_float(za, prec), _to_float(zb, prec)) for za, zb in fixed]
         out = float(logm)
-    dps = max((f[2] for f in factors), default=0)
-    residual = max((f[3] for f in factors), default=0.0)
+    dps = max((f[1] for f in factors), default=0)
+    residual = max((f[2] for f in factors), default=0.0)
     return MahlerResult(out, roots, lead, MahlerMethod.ROOT_PRODUCT, dps, residual)
 
 

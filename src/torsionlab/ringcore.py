@@ -505,9 +505,7 @@ def totient(n: int) -> int:
     return n
 
 
-_CYCLOTOMIC_CACHE: dict[int, LaurentPoly] = {}
-
-
+@functools.cache
 def cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial from its Moebius binomials.
 
@@ -517,9 +515,6 @@ def cyclotomic(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    hit = _CYCLOTOMIC_CACHE.get(n)
-    if hit is not None:
-        return hit
     plus, minus = _mobius_binomials(n)
     g = [1]
     for d in plus:
@@ -528,9 +523,7 @@ def cyclotomic(n: int) -> LaurentPoly:
         g = _over_binomial(g, d)
         if g is None:
             raise ArithmeticError("cyclotomic division must be exact")
-    num = LaurentPoly.from_list(g if n > 1 else [-c for c in g])
-    _CYCLOTOMIC_CACHE[n] = num
-    return num
+    return LaurentPoly.from_list(g if n > 1 else [-c for c in g])
 
 
 def divisors(n: int) -> list[int]:

@@ -1,7 +1,7 @@
 """Independent oracles the tests share: exact integer determinants and
 resultants, float Mahler measures, the Graeffe fixed-point Kronecker
-test, the iota evaluation of one element, the exterior coefficient, and
-the form check by two matrix products."""
+test, plain Aberth sweeps, the iota evaluation of one element, the
+exterior coefficient, and the form check by two matrix products."""
 
 import functools
 import math
@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from torsionlab.hermitian import _iota_at, reidemeister_form
+from torsionlab.mahler import _aberth_step, _fixed_horner, _unsettled
 from torsionlab.ringcore import _graeffe_step, cyclotomic, normalize_unit
 
 
@@ -130,6 +131,32 @@ def graeffe_kronecker(p):
             f, indices[m] = q, indices.get(m, 0) + 1
     assert f == [1], "a certified input is a product of cyclotomics"
     return lead, -shift, indices
+
+
+def unpaired_sweep(hi: list[int], roots: list, live, prec: int) -> list[int]:
+    """One Gauss-Seidel Aberth sweep over the live roots, in place; returns
+    the roots that have not settled."""
+    two = 2 * prec
+    moving = []
+    for i in live:
+        za, zb = roots[i]
+        pa, pb, da, db = _fixed_horner(hi, za, zb, prec)
+        sa = sb = 0
+        try:
+            for j, (wa, wb) in enumerate(roots):
+                if j != i:
+                    ea, eb = za - wa, zb - wb
+                    den = ea * ea + eb * eb
+                    sa += (ea << two) // den
+                    sb -= (eb << two) // den
+            ta, tb = _aberth_step(pa, pb, da, db, sa, sb, prec)
+        except ZeroDivisionError:
+            moving.append(i)
+            continue
+        roots[i] = za - ta, zb - tb
+        if _unsettled(ta, tb, za, zb, prec):
+            moving.append(i)
+    return moving
 
 
 def iota_scalar(c, root_index: int = 1) -> complex:

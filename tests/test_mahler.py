@@ -46,7 +46,7 @@ from torsionlab.ringcore import (
 )
 from torsionlab.walks import bundled_generators
 
-from oracles import _totient_sieve, graeffe_kronecker, jensen_oracle
+from oracles import _totient_sieve, graeffe_kronecker, jensen_oracle, unpaired_sweep
 
 rng = random.Random(99)
 
@@ -232,6 +232,9 @@ def test_residual_bounds_mpmath_residual(monkeypatch):
     assert len(polished) >= len(oracle_inputs())
     for dense, roots, dps, residual in polished:
         d, lead = len(dense) - 1, abs(dense[-1])
+        # all d roots; every oracle input settles paired, so each pair
+        # root comes with its exact conjugate
+        assert len(roots) == d and sorted(roots) == sorted((a, -b) for a, b in roots), dense
         prec = mp.libmp.dps_to_prec(dps)
         with mp.workdps(2 * dps):
             worst = max(abs(mp.polyval(dense[::-1], exact_mpc(a, b, prec)))
@@ -262,9 +265,15 @@ def test_fixed_point_unfold_matches_mpmath(monkeypatch):
     near = [(s * two + e, f) for s in (1, -1) for e, f in
             ((0, 0), (1, 0), (-1, 0), (1 << 20, 0), (-(1 << 20), 0), (0, 1), (3, -(1 << 40)))]
     unfolded.append((near, prec))
+    conjugates = 0
     for xs, prec in unfolded:
         got = unfold(xs, prec)
         assert len(got) == 2 * len(xs)
+        # an x right after its exact conjugate unfolds to exact conjugates
+        for i in range(1, len(xs)):
+            if xs[i] == (xs[i - 1][0], -xs[i - 1][1]):
+                conjugates += 1
+                assert got[2 * i: 2 * i + 2] == [(a, -b) for a, b in got[2 * i - 2: 2 * i]]
         with mp.workdps(2 * mp.libmp.prec_to_dps(prec)):
             ulp = mp.mpf(2) ** -prec
             for i, (a, b) in enumerate(xs):
@@ -274,6 +283,7 @@ def test_fixed_point_unfold_matches_mpmath(monkeypatch):
                 tol = 16 * ulp * max(1, abs(h)) * (1 + 1 / max(abs(s), ulp))
                 for (ta, tb), want in zip(got[2 * i: 2 * i + 2], (big, 1 / big)):
                     assert abs(exact_mpc(ta, tb, prec) - want) <= tol, (a, b, prec)
+    assert conjugates
 
 
 @pytest.mark.parametrize("cs, k", [([1, 2 ** 900, 1, 1], 900), ([1, 2 ** 600, 0, 0, 1], 600),
@@ -348,7 +358,7 @@ def test_paired_polish_matches_unpaired(monkeypatch):
         assert res.log_measure == want.log_measure, kind
         assert (len(res.roots), res.dps, res.leading_coeff) == (len(want.roots), want.dps, want.leading_coeff)
         assert res.residual <= 1e-12, kind
-    crossed, sweep = set(), mahler._paired_sweep
+    crossed, sweep = set(), mahler._aberth_sweep
 
     def spy(hi, roots, live, prec, pairs):
         out = sweep(hi, roots, live, prec, pairs)
@@ -356,8 +366,19 @@ def test_paired_polish_matches_unpaired(monkeypatch):
             crossed.add(kind)
         return out
 
-    monkeypatch.setattr(mahler, "_paired_sweep", spy)
+    monkeypatch.setattr(mahler, "_aberth_sweep", spy)
     for kind, hi, start, prec, steps, pairs in calls:
+        # with pairs None the sweep is plain Aberth: the oracle's iterates,
+        # sweep by sweep, from the seeds with every conjugate listed
+        one = conjugates_listed(start, pairs or 0)
+        listed = list(one)
+        live = moving = range(len(one))
+        for _ in range(steps):
+            live, unpaired = sweep(hi, one, live, prec, None)
+            moving = unpaired_sweep(hi, listed, moving, prec)
+            assert (one, live, unpaired) == (listed, moving, None), kind
+            if not moving:
+                break
         if pairs is None:
             continue
         # one step of one root from the seeds: a representative's sum has
@@ -367,8 +388,8 @@ def test_paired_polish_matches_unpaired(monkeypatch):
         for i in range(len(start)):
             one, listed = list(start), conjugates_listed(start, pairs)
             k = 2 * i if i < pairs else pairs + i
-            assert mahler._paired_sweep(hi, one, [i], prec, pairs)[1] == pairs, kind
-            mahler._unpaired_sweep(hi, listed, [k], prec)
+            assert mahler._aberth_sweep(hi, one, [i], prec, pairs)[1] == pairs, kind
+            unpaired_sweep(hi, listed, [k], prec)
             (a, b), (c, d) = one[i], listed[k]
             if i < pairs:
                 assert (a, b) == (c, d), kind
