@@ -42,10 +42,10 @@ from functools import lru_cache
 import numpy as np
 
 from .mahler import MahlerResult, mahler_measure
-from .ringcore import CycElem, LaurentPoly, circulant_expand, divisors
-from .ringcore import InvalidModulus, reduce_mod_q, totient
+from .ringcore import CycElem, LaurentPoly, circulant_expand
+from .ringcore import InvalidModulus, reduce_mod_q
 from .ringcore import _crt_symmetric, _fold_palindromic, _graeffe_step, _mobius_binomials
-from .ringcore import _phi_split, _prime_factors, _primes_for
+from .ringcore import _phi_index, _phi_split, _prime_factors, _primes_for
 from .hermitian import block_det, columns_pair_as_basis
 
 class NotSymplectic(ValueError):
@@ -449,7 +449,7 @@ def _cyclotomic_resultant(m: int, n: int) -> int:
     if m % n:
         return 1
     ps = _prime_factors(m // n)
-    return ps[0] ** totient(n) if len(ps) == 1 else 1
+    return ps[0] ** _phi_index(n).phi if len(ps) == 1 else 1
 
 
 def expand_presentation(Bq, q: int) -> list:
@@ -498,7 +498,12 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
     """
     h, delta = len(B), det.coeff_list()
     polys = [e.coeff_list() for row in B for e in row if not e.is_zero()]
-    qdivs = [divisors(q) for q in qs]
+    # the divisors of every n up to the last q, ascending, from one sieve
+    sieve = [[] for _ in range(qs[-1] + 1)]
+    for d in range(1, qs[-1] + 1):
+        for ds in sieve[d::d]:
+            ds.append(d)
+    qdivs = [sieve[q] for q in qs]
     divs = sorted({d for ds in qdivs for d in ds})
     # the d with Phi_d dividing every entry: each entry's multiplicities, in
     # its candidates' order, are the candidates for the next
@@ -511,7 +516,7 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
     for i, (q, ds) in enumerate(zip(qs, qdivs)):
         S = [d for d in ds if d in C]
         mult = {e: m for e in {*k, *S} if (m := k.get(e, 0) - h * (e in S))}
-        if (deg_g := sum(totient(d) for d in S)) == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
+        if (deg_g := sum(_phi_index(d).phi for d in S)) == q:  # every entry is 0 in Z[Z/q]: the cokernel is free
             reports[i] = _report(q, 1, h * q, "split_resultant")
         elif delta and min(mult.values(), default=0) < 0:
             raise ArithmeticError("Phi_d^h must divide det B for every d in S")
@@ -522,7 +527,7 @@ def _tower(B, det: LaurentPoly, qs: list[int]) -> list[TorsionReport]:
                 [[reduce_mod_q(e, q) for e in row] for row in B], q))
             reports[i] = _report(q, math.prod(snf.nonzero_factors()), snf.corank(), "snf")
     common = {d for _, S, _, _ in swept for d in S}
-    sweep = sorted({qs[i] for i, *_ in swept}.union(*map(divisors, common)))
+    sweep = sorted({qs[i] for i, *_ in swept}.union(*(sieve[d] for d in common)))
     R = dict(zip(sweep, map(abs, _tower_resultants(D0, sweep))))
     res_phi = {}
     for d in common:

@@ -511,31 +511,15 @@ def cyclotomic(n: int) -> LaurentPoly:
 
     Phi_n = prod_{d | n} (1 - t^d)^mu(n/d) for n > 1, and 1 - t = -Phi_1:
     [1] is multiplied by the binomials with mu = 1 and divided exactly by
-    those with mu = -1, one pass each.  Results are memoized.
+    those with mu = -1 (_binomial_ratio).  Results are memoized.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
     plus, minus = _mobius_binomials(n)
-    g = [1]
-    for d in plus:
-        g = _times_binomial(g, d)
-    for d in minus:
-        g = _over_binomial(g, d)
-        if g is None:
-            raise ArithmeticError("cyclotomic division must be exact")
-    return LaurentPoly.from_list(g if n > 1 else [-c for c in g])
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    g = _binomial_ratio(np.ones(1, np.int64), plus, minus)
+    if g is None:
+        raise ArithmeticError("cyclotomic division must be exact")
+    return LaurentPoly.from_list((g if n > 1 else -g).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -619,64 +603,114 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 def _mobius_binomials(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(plus, minus): the d | m with mu(m/d) = 1, resp. -1, so that
     Phi_m = prod_plus (t^d - 1) / prod_minus (t^d - 1).  plus starts with m,
-    and phi(m) = sum(plus) - sum(minus).  Cached: the index scan asks for
-    every m up to its largest factor, once per input."""
+    and phi(m) = sum(plus) - sum(minus).  Cached, like the record of each
+    index (_phi_index), which reads them for Phi_m(2)."""
     plus, minus = (m,), ()
     for p in _prime_factors(m):
         plus, minus = plus + tuple(d // p for d in minus), minus + tuple(d // p for d in plus)
     return plus, minus
 
 
-def _times_binomial(g: list[int], d: int) -> list[int]:
-    """g (1 - t^d)."""
-    return list(map(operator.sub, g + [0] * d, [0] * d + g))
+class _PhiIndex:
+    """What the cyclotomic split reads of one index m, whatever the input:
+    phi(m), and Phi_m(2) = prod_plus (2^d - 1) / prod_minus (2^d - 1) over
+    the Moebius binomials, computed on first use.  The scan reads Phi_m(2)
+    only where phi(m) fits the degree left, and most indices up to the
+    horizon of a long input never get there."""
+
+    __slots__ = ("m", "phi", "_at_2")
+
+    def __init__(self, m: int):
+        self.m, self.phi, self._at_2 = m, totient(m), 0
+
+    @property
+    def at_2(self) -> int:
+        if not self._at_2:
+            plus, minus = _mobius_binomials(self.m)
+            self._at_2 = (math.prod((1 << d) - 1 for d in plus)
+                          // math.prod((1 << d) - 1 for d in minus))
+        return self._at_2
 
 
-def _over_binomial(g: list[int], d: int) -> list[int] | None:
-    """g / (1 - t^d) when that division is exact, else None.
+_phi_index = functools.cache(_PhiIndex)  # one record per index, like the binomials
 
-    The quotient's coefficients are the running sums of g along each
-    residue class mod d: q_i = g_i + q_(i-d).  The division is exact iff
-    the whole remainder, the last d running sums, vanishes.  The sums run
-    per residue class when d is small and per block of d otherwise, so
-    either loop takes at most sqrt(len g) steps.
+
+def _as_row(g: list[int]) -> np.ndarray:
+    """g as a numpy row: int64 when every coefficient fits, else object
+    (Python ints).  The dtype is always named: numpy's own inference
+    would give uint64 for coefficients in [2^63, 2^64), and float64 for
+    [2^63, -1]."""
+    try:
+        return np.array(g, dtype=np.int64)
+    except OverflowError:
+        return np.array(g, dtype=object)
+
+
+def _binomial_ratio(g: np.ndarray, times, over) -> np.ndarray | None:
+    """g prod_times (1 - t^d) / prod_over (1 - t^d) for the numpy row g
+    (constant first), when each division by 1 - t^d in turn is exact;
+    else None.  Every d of over is below the length the row has by then.
+
+    Multiplying by 1 - t^d is one shifted subtract.  Dividing by it takes
+    the running sums along each residue class mod d, q_i = g_i + q_(i-d):
+    the row, zero-padded to whole blocks of d, takes one cumulative sum
+    (np.add.accumulate) down the columns of its (blocks, d) reshape, and
+    the division is exact iff the remainder, the last d running sums,
+    vanishes.
+
+    The dtype is set from an exact bound.  Each product at most doubles
+    max|g|, and a running sum over k blocks is at most k times the bound
+    of the row it sums, so every value of the products and of the first
+    division is below max|g| 2^len(times) (len g + sum times).  The row
+    is int64 when that is below 2^62, else object, the same code on
+    Python ints.  Later divisions carry the bound on: an int64 row whose
+    running sums could reach 2^63 is measured first, and turns object if
+    its measure still says so.
     """
     n = len(g)
-    if d * d < n:
-        q = [0] * n
-        for r in range(d):
-            q[r::d] = list(itertools.accumulate(g[r::d]))
-    else:
-        q = g[:d]
-        for k in range(d, n, d):
-            q += map(operator.add, g[k:k + d], q[k - d:k])
-    cut = max(n - d, 0)
-    if any(q[cut:]):
-        return None
-    return q[:cut]
+    bound = max(int(np.maximum.reduce(g)), -int(np.minimum.reduce(g))) << len(times)
+    dtype = np.int64 if bound * (n + sum(times)) < 1 << 62 else object
+    buf = np.zeros(n + sum(times) + max(over, default=0), dtype)
+    buf[:n] = g
+    for d in times:
+        buf[d:n + d] -= buf[:n]
+        n += d
+    # past the live length the buffer stays zero: an exact division leaves
+    # zeros from its remainder on, so each block padding reads zeros
+    for d in over:
+        k = -(-n // d)
+        bound *= k
+        if bound >> 63 and buf.dtype != object:
+            bound = k * int(np.abs(buf[:n]).max())
+            if bound >> 63:
+                buf = buf.astype(object)
+        blocks = buf[:k * d].reshape(k, d)
+        np.add.accumulate(blocks, axis=0, out=blocks)
+        n -= d
+        if np.count_nonzero(buf[n:n + d]):
+            return None
+    return buf[:n]
 
 
-def _phi_quotient(g: list[int], m: int) -> list[int] | None:
-    """g / Phi_m when Phi_m divides the nonzero polynomial g, else None.
+def _phi_quotient(g: np.ndarray, m: int) -> np.ndarray | None:
+    """g / Phi_m when Phi_m divides the nonzero numpy row g, else None.
 
     Phi_m = prod_{d | m} (1 - t^d)^mu(m/d) for m > 1, and 1 - t = -Phi_1.
     g is first multiplied by the binomials with mu = -1, then divided by
-    those with mu = 1, each in one pass; every division checks its whole
-    remainder.  Since the product comes first, every division is exact
-    exactly when Phi_m divides g.
+    those with mu = 1, as whole-array passes (_binomial_ratio).  Since the
+    product comes first, every division is exact exactly when Phi_m
+    divides g; the first, by 1 - t^m, already decides.  The passes run on
+    int64 when max|g| 2^(number of mu = -1 binomials) (len g + their sum)
+    < 2^62, and on Python ints (object) otherwise, whatever g's dtype.
     """
     plus, minus = _mobius_binomials(m)
     if sum(plus) - sum(minus) >= len(g):
         return None
-    for d in minus:
-        g = _times_binomial(g, d)
-    for d in plus:
-        g = _over_binomial(g, d)
-        if g is None:
-            return None
-    return g if m > 1 else [-c for c in g]
+    q = _binomial_ratio(g, minus, plus)
+    return -q if m == 1 and q is not None else q
 
 
+@functools.cache
 def _index_horizon(r: int) -> int:
     """The largest m with phi(m) <= r can be, for r >= 0: floor(r P / phi(P))
     for the largest primorial P = p_1 ... p_w with phi(P) <= r (0 when r = 0).
@@ -701,28 +735,39 @@ def _phi_split(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
     candidates and rest divisible by none of them; g nonzero, and the
     candidates ascending (they may run on forever, as itertools.count does).
 
-    The Moebius binomials of e give phi(e) and Phi_e(2), and the division
-    (_phi_quotient) runs only when phi(e) fits the remaining degree and
-    Phi_e(2) divides the remaining g(2).  The scan stops once the rest is a
-    constant or e passes _index_horizon of the rest's degree, which is
-    recomputed after each division: no later candidate can divide the rest.
-    This is the one loop that divides out cyclotomic factors.
+    Each index's cached record (_phi_index) gives phi(e) and Phi_e(2), and
+    the division (_phi_quotient) runs only when phi(e) fits the remaining
+    degree and Phi_e(2) divides the remaining g(2).  g becomes a numpy row
+    at the first division (_as_row: int64 when every coefficient fits,
+    else object), each division picks its own dtype by the bound in
+    _phi_quotient, and the rest is a list of ints again at the end.
+    The scan stops once the rest is a constant or e passes _index_horizon
+    of the rest's degree, which is recomputed after each division: no
+    later candidate can divide the rest.  This is the one loop that
+    divides out cyclotomic factors.
     """
     k = {}
     value = sum(c << j for j, c in enumerate(g))
-    horizon = _index_horizon(len(g) - 1)
+    n = len(g)
+    horizon = _index_horizon(n - 1)
+    row = None
     for e in candidates:
         if e > horizon:
             break
-        plus, minus = _mobius_binomials(e)
-        if sum(plus) - sum(minus) >= len(g):
+        index = _phi_index(e)
+        if index.phi >= n:
             continue
-        v = math.prod((1 << d) - 1 for d in plus) // math.prod((1 << d) - 1 for d in minus)
-        while not value % v and (quot := _phi_quotient(g, e)) is not None:
-            g, value = quot, value // v
+        v = index.at_2
+        while not value % v:
+            if row is None:
+                row = _as_row(g)
+            quot = _phi_quotient(row, e)
+            if quot is None:
+                break
+            row, value, n = quot, value // v, len(quot)
             k[e] = k.get(e, 0) + 1
-            horizon = _index_horizon(len(g) - 1)
-    return g, k
+            horizon = _index_horizon(n - 1)
+    return (row.tolist() if k else g), k
 
 
 def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]] | None:

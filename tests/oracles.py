@@ -1,16 +1,20 @@
 """Independent oracles the tests share: exact integer determinants and
 resultants, float Mahler measures, the Graeffe fixed-point Kronecker
-test, plain Aberth sweeps, the iota evaluation of one element, the
-exterior coefficient, and the form check by two matrix products."""
+test, divisors by trial division, the list kernel of Phi_m quotients and
+the plain cyclotomic split on it, plain Aberth sweeps, the iota
+evaluation of one element, the exterior coefficient, and the form check
+by two matrix products."""
 
 import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 
 from torsionlab.hermitian import _iota_at, reidemeister_form
 from torsionlab.mahler import _aberth_step, _fixed_horner, _unsettled
-from torsionlab.ringcore import _graeffe_step, cyclotomic, normalize_unit
+from torsionlab.ringcore import _graeffe_step, _mobius_binomials, cyclotomic, normalize_unit
 
 
 def bareiss_det(M):
@@ -131,6 +135,81 @@ def graeffe_kronecker(p):
             f, indices[m] = q, indices.get(m, 0) + 1
     assert f == [1], "a certified input is a product of cyclotomics"
     return lead, -shift, indices
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, by trial division."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _times_binomial(g: list[int], d: int) -> list[int]:
+    """g (1 - t^d)."""
+    return list(map(operator.sub, g + [0] * d, [0] * d + g))
+
+
+def _over_binomial(g: list[int], d: int) -> list[int] | None:
+    """g / (1 - t^d) when that division is exact, else None.
+
+    The quotient's coefficients are the running sums of g along each
+    residue class mod d: q_i = g_i + q_(i-d).  The division is exact iff
+    the whole remainder, the last d running sums, vanishes.  The sums run
+    per residue class when d is small and per block of d otherwise, so
+    either loop takes at most sqrt(len g) steps.
+    """
+    n = len(g)
+    if d * d < n:
+        q = [0] * n
+        for r in range(d):
+            q[r::d] = list(itertools.accumulate(g[r::d]))
+    else:
+        q = g[:d]
+        for k in range(d, n, d):
+            q += map(operator.add, g[k:k + d], q[k - d:k])
+    cut = max(n - d, 0)
+    if any(q[cut:]):
+        return None
+    return q[:cut]
+
+
+def _phi_quotient(g: list[int], m: int) -> list[int] | None:
+    """g / Phi_m when Phi_m divides the nonzero polynomial g, else None.
+
+    Phi_m = prod_{d | m} (1 - t^d)^mu(m/d) for m > 1, and 1 - t = -Phi_1.
+    g is first multiplied by the binomials with mu = -1, then divided by
+    those with mu = 1, each in one pass; every division checks its whole
+    remainder.  Since the product comes first, every division is exact
+    exactly when Phi_m divides g.  The list kernel the library's numpy
+    rows replaced, kept as their reference.
+    """
+    plus, minus = _mobius_binomials(m)
+    if sum(plus) - sum(minus) >= len(g):
+        return None
+    for d in minus:
+        g = _times_binomial(g, d)
+    for d in plus:
+        g = _over_binomial(g, d)
+        if g is None:
+            return None
+    return g if m > 1 else [-c for c in g]
+
+
+def phi_split_oracle(g: list[int], candidates) -> tuple[list[int], dict[int, int]]:
+    """(rest, k) of the cyclotomic split by the list kernel: divide by
+    Phi_e while it divides, for every e of the finite candidates, with no
+    Phi_e(2) filter and no horizon."""
+    k = {}
+    for e in candidates:
+        while (quot := _phi_quotient(g, e)) is not None:
+            g, k[e] = quot, k.get(e, 0) + 1
+    return g, k
 
 
 def unpaired_sweep(hi: list[int], roots: list, live, prec: int) -> list[int]:

@@ -27,14 +27,14 @@ from torsionlab.homology import (
     heegaard_homology,
     smith_normal_form,
 )
-from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic, divisors
+from torsionlab.ringcore import CycElem, LaurentPoly, circulant_expand, cyclotomic
 from torsionlab.ringcore import InvalidModulus, reduce_mod_q, totient
-from torsionlab.ringcore import _monic_resultant, _phi_quotient, _phi_split, _poly_divmod
+from torsionlab.ringcore import _monic_resultant, _phi_split, _poly_divmod
 from torsionlab.ringcore import _fold_palindromic, _primes_for
 from torsionlab.ringcore import _mobius_binomials, _primes_below_2_31, _rem_monic
 from torsionlab.walks import WalkConfig, bundled_generators, sample_word
 
-from oracles import bareiss_det, resultant_with_tq_minus_1
+from oracles import _phi_quotient, bareiss_det, divisors, resultant_with_tq_minus_1
 
 rng = random.Random(314159)
 GENS, PROBS = bundled_generators(3)

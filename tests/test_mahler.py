@@ -35,6 +35,7 @@ from torsionlab.ringcore import (
     _graeffe_step,
     _index_horizon,
     _mobius_binomials,
+    _phi_index,
     _phi_split,
     _poly_gcd,
     _poly_mul,
@@ -798,8 +799,10 @@ def test_mobius_binomials_cache_holds_a_degree_1000_scan():
     assert _phi_split(p.coeff_list(), itertools.count(1)) == (p.coeff_list(), {})
     assert kronecker_zero_test(p) is None
     misses = _mobius_binomials.cache_info().misses
+    records = _phi_index.cache_info().misses
     assert kronecker_zero_test(p) is None
     assert _mobius_binomials.cache_info().misses == misses
+    assert _phi_index.cache_info().misses == records
 
 
 # -- one cyclotomic split for the Kronecker test and the root product --

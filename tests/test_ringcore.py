@@ -13,8 +13,8 @@ from torsionlab.ringcore import (
     CycElem,
     _crt_symmetric,
     _fold_palindromic,
+    _as_row,
     _mobius_binomials,
-    _phi_quotient,
     _phi_split,
     _poly_divmod,
     _poly_mul,
@@ -25,12 +25,13 @@ from torsionlab.ringcore import (
     NonUnitModulus,
     circulant_expand,
     cyclotomic,
-    divisors,
     laurent_eval,
     normalize_unit,
     reduce_mod_q,
     totient,
 )
+
+from oracles import _over_binomial, _phi_quotient, divisors, phi_split_oracle
 
 rng = random.Random(20260824)
 
@@ -488,11 +489,97 @@ def test_phi_quotient_matches_division_by_phi(m):
         quot, rem = _poly_divmod(g, phi)
         want = quot if not rem else None
         assert _phi_quotient(g, m) == want, (m, trial)
+        assert row_quotient(g, m) == want, (m, trial)
         assert (want is None) == bool(trial % 2)
     # shorter than Phi_m; Phi_m itself, of either sign
-    assert _phi_quotient(phi[:-1], m) is None
-    assert _phi_quotient(phi, m) == [1]
-    assert _phi_quotient([-c for c in phi], m) == [-1]
+    for quotient in (_phi_quotient, row_quotient):
+        assert quotient(phi[:-1], m) is None
+        assert quotient(phi, m) == [1]
+        assert quotient([-c for c in phi], m) == [-1]
+
+
+def row_quotient(g, m):
+    """The library's numpy-row _phi_quotient on a list, as a list."""
+    q = ringcore._phi_quotient(_as_row(g), m)
+    return None if q is None else q.tolist()
+
+
+def test_phi_split_matches_the_list_kernel_split():
+    # random cofactors times random Phi_m powers: small coefficients (int64
+    # rows), 55-bit ones, whose divisions fall on either side of the
+    # int64 bound, and 70-bit ones past int64 (object rows);
+    # indices from 1 to 120, so that d^2 < n for small d and d^2 >= n for
+    # large ones, and palindromic cofactors times odd powers of Phi_1,
+    # which are anti-palindromic.  Every input not divisible by t - 1 takes
+    # a non-exact division by 1 - t, whose whole remainder is its last
+    # running sum.  The oracle divides with the list kernel, while Phi_e
+    # divides, for every index: no Phi_e(2) filter and no horizon.
+    gen = random.Random(2718)
+    seen = set()
+    for trial in range(90):
+        bits = (4, 55, 70)[trial % 3]
+        h = [gen.randint(-(1 << bits), 1 << bits) for _ in range(gen.randint(1, 8))]
+        h[-1] = h[-1] or 1
+        if trial % 2:
+            h = h + h[-2::-1]
+        g = h
+        for _ in range(gen.randint(0, 7)):
+            m = gen.choice((1, 2, 3, gen.randint(1, 12), gen.randint(13, 120)))
+            g = _poly_mul(g, cyclotomic(m).coeff_list())
+        if trial % 4 == 1:
+            g = _poly_mul(g, [-1, 1])
+        if g[::-1] == [-c for c in g]:
+            seen.add("anti-palindromic")
+        rest, k = _phi_split(g, range(1, 121))
+        assert (rest, k) == phi_split_oracle(g, range(1, 121)), trial
+        seen.add(_as_row(g).dtype)
+        seen.update("d^2 < n" if e * e < len(g) else "d^2 >= n" for e in k)
+        if k.get(1, 0) % 2:
+            seen.add("odd power of Phi_1")
+    assert seen == {np.dtype(np.int64), np.dtype(object), "d^2 < n", "d^2 >= n",
+                    "anti-palindromic", "odd power of Phi_1"}, seen
+
+
+def test_phi_split_overflow_guard():
+    # (t^2 - 1)^60 Phi_30 fits int64, but at m = 30 (four mu = -1
+    # binomials, of sum 32) the bound on its products and running sums,
+    # max|g| 2^4 (len g + 32), passes 2^63; (2^61 + 3)(t + 2)(t + 1)
+    # (t^2 + t + 1) has coefficients in [2^63, 2^64), which numpy's own
+    # inference would read as uint64; (t^2 - 1)^70 has coefficients past
+    # 2^64
+    def power(p, e):
+        out = [1]
+        for _ in range(e):
+            out = _poly_mul(out, p)
+        return out
+
+    fits = _poly_mul(power([-1, 0, 1], 60), cyclotomic(30).coeff_list())
+    trap = [(2**61 + 3) * c for c in _poly_mul([2, 1], _poly_mul([1, 1], [1, 1, 1]))]
+    past = power([-1, 0, 1], 70)
+    assert max(map(abs, fits)) < 2**63 <= (max(fits) << 4) * (len(fits) + 32)
+    assert 2**63 <= max(trap) < 2**64 and min(trap) > 0
+    assert max(map(abs, past)) >= 2**64
+    assert [_as_row(g).dtype for g in (fits, trap, past)] == [np.int64, object, object]
+    for g, want in ((fits, {1: 60, 2: 60, 30: 1}), (trap, {2: 1, 3: 1}), (past, {1: 70, 2: 70})):
+        rest, k = _phi_split(g, range(1, 61))
+        assert (rest, k) == phi_split_oracle(g, range(1, 61))
+        assert k == want
+
+
+def test_binomial_ratio_guards_later_divisions():
+    # a square wave of height c = 2^51, length 1000 and sum 0: c len g <
+    # 2^62 lets the first division by 1 - t run on int64, but its
+    # quotient, a triangle wave of height 250 c, has running sums up to
+    # about 250^2 c / 2 > 2^63, so the row must turn object before the
+    # second division
+    c = 2**51
+    wave = [c] * 250 + [-c] * 500 + [c] * 250
+    want = _over_binomial(_over_binomial(wave, 1), 1)
+    assert max(map(abs, want)) >= 2**63
+    row = _as_row(wave)
+    assert row.dtype == np.int64 and c * len(wave) < 2**62
+    got = ringcore._binomial_ratio(row, (), (1, 1))
+    assert got.dtype == object and got.tolist() == want
 
 
 def test_cyclotomic_roots_primitive():
