@@ -152,6 +152,9 @@ def _cyclotomic_split(cs: list[int]) -> tuple[list[int], dict[int, int]] | None:
        of Phi_1 = t - 1, the one anti-palindromic cyclotomic);
     3. binomial bound: if every root has modulus 1, the coefficients are
        elementary symmetric functions of them, so |c_j| <= binom(d, j).
+       After 2., |c_j| = |c_(d-j)|, so j <= d/2 suffices, where binom(d, j)
+       rises with j: the check stops at the first j whose binom(d, j)
+       reaches max |c|.
     The split stops past the largest index a cyclotomic factor of the
     rest's degree can have, so no cyclotomic polynomial divides the rest.
     """
@@ -160,8 +163,13 @@ def _cyclotomic_split(cs: list[int]) -> tuple[list[int], dict[int, int]] | None:
     rev = cs[::-1]
     if rev != cs and rev != [-c for c in cs]:
         return None
-    if any(abs(c) > b for c, b in zip(cs, _binomial_row(len(cs) - 1))):
-        return None
+    d, top, b = len(cs) - 1, max(map(abs, cs)), 1
+    for j in range(d // 2 + 1):  # b = binom(d, j)
+        if b >= top:
+            break
+        if abs(cs[j]) > b:
+            return None
+        b = b * (d - j) // (j + 1)
     return _phi_split(cs, itertools.count(1))
 
 
@@ -181,14 +189,6 @@ def kronecker_zero_test(p: LaurentPoly) -> KroneckerFactorization | None:
     if split is None or len(split[0]) > 1:
         return None
     return KroneckerFactorization(p.deg_lo, Counter(split[1]), sign=cs[-1])
-
-
-def _binomial_row(d: int) -> list[int]:
-    """binom(d, j) for j = 0..d, by b_(j+1) = b_j (d - j) / (j + 1)."""
-    row = [1]
-    for j in range(d):
-        row.append(row[-1] * (d - j) // (j + 1))
-    return row
 
 
 def _fixed(x: float, shift: int) -> int:

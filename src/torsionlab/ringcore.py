@@ -1,13 +1,17 @@
 """Exact arithmetic in Z[t, t^-1] and in the finite group ring Z[Z/q].
 
-LaurentPoly is a sparse map exponent -> coefficient with Python big
-integers, so products of long matrix words never overflow; two long
-factors multiply by Kronecker substitution in the dense kernel.  CycElem is a
-dense length-q coefficient vector; multiplication is cyclic convolution.
-Both rings carry the involution t -> t^-1 (resp. k -> -k mod q), and
-every integer they write to JSON goes through exact_str, at any size.  The
-module ends with the dense integer-polynomial kernel (lists of ints,
-constant first) that mahler and homology share, and the same kernel over
+LaurentPoly is a lowest exponent and a dense tuple of Python big
+integers with nonzero ends, so products of long matrix words never
+overflow.  Its span deg_hi - deg_lo is at most MAX_SPAN (2^20), and a
+wider one, such as t^(10^9) + 1 read from JSON, raises SpanTooLarge, a
+ValueError.  CycElem is a dense length-q coefficient vector;
+multiplication is cyclic convolution.  Every product in both rings goes
+through _poly_mul: a schoolbook loop for short factors, Kronecker
+substitution for long ones.  Both rings carry the involution t -> t^-1
+(resp. k -> -k mod q), and every integer they write to JSON goes through
+exact_str, at any size.  The module ends with the dense
+integer-polynomial kernel (lists of ints, constant first) that mahler
+and homology share, and the same kernel over
 F_p for primes below 2^31: one cached descending list of those primes,
 drawn by a numpy sieve, one rule (_primes_for) that turns every bound of
 a caller into the count of leading primes its CRT lift needs, and the
@@ -23,7 +27,8 @@ import itertools
 import json
 import math
 import operator
-from typing import Iterable, Mapping
+import types
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,9 +41,18 @@ class InvalidModulus(ValueError):
     """Cyclic reduction requires a positive modulus."""
 
 
-# products of two LaurentPolys with at least this many terms each go
-# through the dense Kronecker kernel _poly_mul instead of the term loop
-KRONECKER_TERMS = 16
+class SpanTooLarge(ValueError):
+    """A Laurent polynomial would span more than MAX_SPAN exponents."""
+
+
+# the largest deg_hi - deg_lo a LaurentPoly holds: its coefficients are
+# stored densely, so t^(10^9) would take 10^9 slots
+MAX_SPAN = 1 << 20
+
+
+def _check_span(span: int) -> None:
+    if span > MAX_SPAN:
+        raise SpanTooLarge(f"a Laurent polynomial of span {span} exceeds MAX_SPAN = {MAX_SPAN}")
 
 
 def json_int(x) -> int:
@@ -65,154 +79,175 @@ def json_rows(rows) -> list:
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial in one variable t, stored sparsely.
+    """Integer Laurent polynomial in one variable t, stored densely.
 
-    The zero polynomial is the empty map; stored coefficients are never
-    zero.  Instances are immutable and hashable.
+    cs holds the coefficients of t^lo, t^(lo + 1), ..., t^deg_hi, with
+    nonzero ends; the zero polynomial is lo = 0 and cs = ().  The span
+    deg_hi - deg_lo is at most MAX_SPAN: a constructor or operation that
+    would exceed it raises SpanTooLarge, a ValueError.  Every product
+    goes through the dense kernel _poly_mul.  Instances are immutable and
+    hashable; coeffs is a read-only exponent -> coefficient view of the
+    nonzero terms.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("lo", "cs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = coeffs
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         d = {}
         for k, c in items:
-            c = int(c)
-            if c:
-                d[int(k)] = d.get(int(k), 0) + c
-                if not d[int(k)]:
-                    del d[int(k)]
-        self.coeffs = d
-        self._hash = None
+            k = int(k)
+            d[k] = d.get(k, 0) + int(c)
+        self._set(d)
+
+    def _set(self, d: dict) -> None:
+        """Fill the slots from a map exponent -> coefficient."""
+        keys = [k for k, c in d.items() if c]
+        self.lo, self.cs, self._hash = 0, (), None
+        if keys:
+            lo = min(keys)
+            _check_span(max(keys) - lo)
+            cs = [0] * (max(keys) - lo + 1)
+            for k in keys:
+                cs[k - lo] = d[k]
+            self.lo, self.cs = lo, tuple(cs)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls._wrap(0, ())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._wrap(0, (1,))
 
     @classmethod
     def t(cls, k: int = 1) -> "LaurentPoly":
-        return cls({k: 1})
+        return cls._wrap(int(k), (1,))
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
+        return cls._wrap(0, (int(c),) if c else ())
 
     @classmethod
-    def _raw(cls, d: dict) -> "LaurentPoly":
-        """Wrap d, which must hold no zero coefficient, without a copy."""
+    def _wrap(cls, lo: int, cs: tuple) -> "LaurentPoly":
+        """Wrap cs, a tuple with nonzero ends (lo = 0 when empty), as is."""
         out = cls.__new__(cls)
-        out.coeffs = d
-        out._hash = None
+        out.lo, out.cs, out._hash = lo, cs, None
         return out
 
     @classmethod
-    def from_list(cls, coeffs: Iterable[int], lo: int = 0) -> "LaurentPoly":
-        """Dense coefficient list starting at exponent `lo`."""
-        return cls._raw({lo + i: int(c) for i, c in enumerate(coeffs) if c})
+    def from_list(cls, coeffs: Sequence[int], lo: int = 0) -> "LaurentPoly":
+        """Dense coefficients starting at exponent `lo`; zero ends are
+        dropped."""
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        i = 0
+        while i < n and not coeffs[i]:
+            i += 1
+        if i == n:
+            return cls._wrap(0, ())
+        _check_span(n - i - 1)
+        return cls._wrap(lo + i, tuple(coeffs[i:n]))
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.cs
+
+    @property
+    def coeffs(self) -> Mapping[int, int]:
+        """Read-only map exponent -> coefficient of the nonzero terms."""
+        lo = self.lo
+        return types.MappingProxyType({lo + i: c for i, c in enumerate(self.cs) if c})
 
     @property
     def deg_lo(self) -> int:
-        if not self.coeffs:
+        if not self.cs:
             raise ValueError("zero polynomial has no degree")
-        return min(self.coeffs)
+        return self.lo
 
     @property
     def deg_hi(self) -> int:
-        if not self.coeffs:
+        if not self.cs:
             raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
+        return self.lo + len(self.cs) - 1
 
     def degree_span(self) -> int:
         """deg_hi - deg_lo, or -1 for zero."""
-        if not self.coeffs:
-            return -1
-        return self.deg_hi - self.deg_lo
+        return len(self.cs) - 1
 
     def __getitem__(self, k: int) -> int:
-        return self.coeffs.get(k, 0)
+        i = k - self.lo
+        return self.cs[i] if 0 <= i < len(self.cs) else 0
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.cs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.lo == other.lo and self.cs == other.cs
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
+            self._hash = hash((self.lo, self.cs))
         return self._hash
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "LaurentPoly":
+        """self op other for op = operator.add or operator.sub, one pass
+        over a list that spans both."""
         if isinstance(other, int):
             other = LaurentPoly.const(other)
-        d = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = d.get(k, 0) + c
-            if s:
-                d[k] = s
-            elif k in d:
-                del d[k]
-        return LaurentPoly._raw(d)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        a, b = self.cs, other.cs
+        if not b:
+            return self
+        if not a:
+            return other if op is operator.add else -other
+        lo = min(self.lo, other.lo)
+        i, j = self.lo - lo, other.lo - lo
+        n = max(i + len(a), j + len(b))
+        _check_span(n - 1)
+        out = [0] * n
+        out[i : i + len(a)] = a
+        out[j : j + len(b)] = map(op, out[j : j + len(b)], b)
+        return LaurentPoly.from_list(out, lo)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({k: -c for k, c in self.coeffs.items()})
+        return LaurentPoly._wrap(self.lo, tuple(map(operator.neg, self.cs)))
 
     def __sub__(self, other):
-        # __add__ takes an int too, and -other negates either
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return LaurentPoly.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
+            if not other:
                 return LaurentPoly.zero()
-            return LaurentPoly._raw({k: c * other for k, c in self.coeffs.items()})
+            return LaurentPoly._wrap(self.lo, tuple([c * other for c in self.cs]))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) >= KRONECKER_TERMS:
-            lo_a, lo_b = min(a), min(b)
-            # dense only while the product's span is below the term pairs
-            if max(a) - lo_a + max(b) - lo_b < len(a) * len(b):
-                return LaurentPoly.from_list(
-                    _poly_mul(self.coeff_list(), other.coeff_list()), lo_a + lo_b
-                )
-        d = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                s = d.get(k, 0) + ca * cb
-                if s:
-                    d[k] = s
-                elif k in d:
-                    del d[k]
-        return LaurentPoly._raw(d)
+        a, b = self.cs, other.cs
+        if not a or not b:
+            return LaurentPoly.zero()
+        _check_span(len(a) + len(b) - 2)
+        # a product's end coefficients are the products of the factors' ends
+        return LaurentPoly._wrap(self.lo + other.lo, tuple(_poly_mul(a, b)))
 
     __rmul__ = __mul__
 
@@ -230,31 +265,25 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly._raw({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._wrap(self.lo + k, self.cs) if self.cs else self
 
     def involution(self) -> "LaurentPoly":
         """The ring involution t -> t^-1."""
-        return LaurentPoly._raw({-e: c for e, c in self.coeffs.items()})
+        if not self.cs:
+            return self
+        return LaurentPoly._wrap(1 - self.lo - len(self.cs), self.cs[::-1])
 
     def augmentation(self) -> int:
         """Evaluation at t = 1 (the augmentation Z[Z] -> Z)."""
-        return sum(self.coeffs.values())
+        return sum(self.cs)
 
     def content_max(self) -> int:
         """Largest absolute coefficient (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return 0
-        return max(abs(c) for c in self.coeffs.values())
+        return max(map(abs, self.cs), default=0)
 
     def coeff_list(self) -> list[int]:
         """Dense coefficients from deg_lo to deg_hi; [] for zero."""
-        if not self.coeffs:
-            return []
-        lo, hi = self.deg_lo, self.deg_hi
-        out = [0] * (hi - lo + 1)
-        for k, c in self.coeffs.items():
-            out[k - lo] = c
-        return out
+        return list(self.cs)
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly | None":
         """Exact quotient self / other in Z[t, t^-1], or None.
@@ -266,17 +295,16 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        qr = _poly_divmod(self.coeff_list(), other.coeff_list())
+        qr = _poly_divmod(self.cs, other.cs)
         if qr is None or qr[1]:
             return None
-        return LaurentPoly.from_list(qr[0], lo=self.deg_lo - other.deg_lo)
+        return LaurentPoly.from_list(qr[0], lo=self.lo - other.lo)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.cs:
             return "LaurentPoly(0)"
         terms = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+        for k, c in self.terms():
             if k == 0:
                 terms.append(f"{c}")
             elif k == 1:
@@ -285,10 +313,15 @@ class LaurentPoly:
                 terms.append(f"{c}*t^{k}")
         return "LaurentPoly(" + " + ".join(terms) + ")"
 
+    def terms(self) -> list[tuple[int, int]]:
+        """The nonzero terms as (exponent, coefficient), ascending."""
+        lo = self.lo
+        return [(lo + i, c) for i, c in enumerate(self.cs) if c]
+
     # -- serialization ------------------------------------------------
 
     def to_json_obj(self) -> list[list]:
-        return [[k, exact_str(self.coeffs[k])] for k in sorted(self.coeffs)]
+        return [[k, exact_str(c)] for k, c in self.terms()]
 
     @classmethod
     def from_json_obj(cls, obj) -> "LaurentPoly":
@@ -299,7 +332,9 @@ class LaurentPoly:
              for k, c in obj}
         if len(d) < len(obj):
             raise ValueError("repeated exponent in a polynomial")
-        return cls._raw({k: c for k, c in d.items() if c})
+        out = cls.__new__(cls)
+        out._set(d)
+        return out
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -405,7 +440,7 @@ class CycElem:
 
     def lift(self) -> LaurentPoly:
         """Lift to the honest-polynomial representative of degree < q."""
-        return LaurentPoly({k: c for k, c in enumerate(self.coeffs) if c})
+        return LaurentPoly.from_list(self.coeffs)
 
     def __repr__(self):
         return f"CycElem(q={self.q}, {self.coeffs})"
@@ -432,8 +467,8 @@ def laurent_eval(p: LaurentPoly, z: complex) -> complex:
         raise NonUnitModulus(f"|z| = {abs(z)!r} is not 1 within 1e-12")
     total = 0 + 0j
     comp = 0 + 0j
-    for k in sorted(p.coeffs):
-        term = p.coeffs[k] * _unit_power(z, k)
+    for k, c in p.terms():
+        term = c * _unit_power(z, k)
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -453,7 +488,7 @@ def reduce_mod_q(p: LaurentPoly, q: int) -> CycElem:
     if q < 1:
         raise InvalidModulus(f"modulus must be positive, got {q}")
     out = [0] * q
-    for k, c in p.coeffs.items():
+    for k, c in enumerate(p.cs, p.lo % q):
         out[k % q] += c
     return CycElem._raw(q, out)
 
@@ -583,14 +618,30 @@ def _unpack(x: int, n: int, width: int) -> list[int]:
     return v.tolist()
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two dense integer polynomials by Kronecker substitution.
+# products of at most this many coefficient pairs take the schoolbook loop
+# in _poly_mul: below it, packing for Kronecker costs more than the loop
+SCHOOLBOOK_PAIRS = 256
 
-    Both factors are packed into one integer with slots wide enough for
-    any signed coefficient of the product, multiplied once, and unpacked.
+
+def _poly_mul(a, b) -> list[int]:
+    """Product of two dense integer polynomials (lists or tuples of ints).
+
+    Short factors, of at most SCHOOLBOOK_PAIRS coefficient pairs, take the
+    schoolbook loop.  Longer ones go by Kronecker substitution: both are
+    packed into one integer with slots wide enough for any signed
+    coefficient of the product, multiplied once, and unpacked.
     """
     if not a or not b:
         return []
+    if len(a) * len(b) <= SCHOOLBOOK_PAIRS:
+        if len(a) > len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
     bits = (max(abs(c) for c in a).bit_length() + max(abs(c) for c in b).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     width = (bits + 7) // 8

@@ -253,12 +253,11 @@ class _LetterPlan:
     wide: bool
 
 
-def _primitive(v: dict) -> tuple[int, tuple]:
-    """(f, w) with v = f w and w primitive, as sorted (key, value) pairs
-    whose first value is positive."""
-    w = sorted(v.items())
-    f = math.gcd(*v.values()) * (1 if w[0][1] > 0 else -1)
-    return f, tuple((k, c // f) for k, c in w)
+def _primitive(v: list) -> tuple[int, tuple]:
+    """(f, w) with v = f w and w primitive, for v sorted (key, value)
+    pairs with nonzero values: w's are coprime and its first is positive."""
+    f = math.gcd(*(c for _, c in v)) * (1 if v[0][1] > 0 else -1)
+    return f, tuple((k, c // f) for k, c in v)
 
 
 def _letter_plan(M: FormMatrix) -> _LetterPlan:
@@ -272,10 +271,10 @@ def _letter_plan(M: FormMatrix) -> _LetterPlan:
             if i == k:
                 entry = entry - 1
             if entry:
-                f, r = _primitive(entry.coeffs)
+                f, r = _primitive(entry.terms())
                 vecs.setdefault(r, {})[k] = f
         for r, v in vecs.items():
-            f, y = _primitive(v)
+            f, y = _primitive(sorted(v.items()))
             xs.setdefault((r, y), {})[i] = f
     written = {i for x in xs.values() for i in x}
     terms, growth = [], [1] * M.n
@@ -286,7 +285,7 @@ def _letter_plan(M: FormMatrix) -> _LetterPlan:
             growth[i] += abs(xi) * sum(abs(c) for _, c in r) * sum(abs(c) for _, c in y)
     exps = [e for r, _ in xs for e, _ in r]
     norms = [
-        tuple((k, sum(map(abs, x.coeffs.values()))) for k, x in enumerate(row) if x)
+        tuple((k, sum(map(abs, x.cs))) for k, x in enumerate(row) if x)
         for row in M.rows
     ]
     return _LetterPlan(

@@ -1,12 +1,15 @@
-"""Independent oracles the tests share: exact integer determinants and
+"""Independent oracles the tests share: the sparse Laurent polynomial
+the dense LaurentPoly replaced, exact integer determinants and
 resultants, float Mahler measures, the Graeffe fixed-point Kronecker
-test, divisors by trial division, the list kernel of Phi_m quotients and
-the plain cyclotomic split on it, plain Aberth sweeps, the iota
-evaluation of one element, the exterior coefficient, and the form check
-by two matrix products."""
+test, the full binomial row, divisors by trial division, the list kernel
+of Phi_m quotients and the plain cyclotomic split on it, plain Aberth
+sweeps, the iota evaluation of one element, the exterior coefficient,
+and the form check by two matrix products."""
 
+import decimal
 import functools
 import itertools
+import json
 import math
 import operator
 
@@ -14,7 +17,159 @@ import numpy as np
 
 from torsionlab.hermitian import _iota_at, reidemeister_form
 from torsionlab.mahler import _aberth_step, _fixed_horner, _unsettled
-from torsionlab.ringcore import _graeffe_step, _mobius_binomials, cyclotomic, normalize_unit
+from torsionlab.ringcore import (
+    _graeffe_step,
+    _mobius_binomials,
+    _poly_divmod,
+    cyclotomic,
+    normalize_unit,
+)
+
+
+class DictLaurent:
+    """Integer Laurent polynomial stored sparsely, as a map exponent ->
+    nonzero coefficient: the LaurentPoly of earlier releases, whose
+    products take the double loop over term pairs.  Kept as the reference
+    for the dense LaurentPoly, operation for operation."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        d = {}
+        for k, c in items:
+            c = int(c)
+            if c:
+                d[int(k)] = d.get(int(k), 0) + c
+                if not d[int(k)]:
+                    del d[int(k)]
+        self.coeffs = d
+
+    @classmethod
+    def from_list(cls, coeffs, lo: int = 0) -> "DictLaurent":
+        return cls({lo + i: c for i, c in enumerate(coeffs) if c})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def deg_lo(self) -> int:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no degree")
+        return min(self.coeffs)
+
+    @property
+    def deg_hi(self) -> int:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no degree")
+        return max(self.coeffs)
+
+    def degree_span(self) -> int:
+        return self.deg_hi - self.deg_lo if self.coeffs else -1
+
+    def __getitem__(self, k: int) -> int:
+        return self.coeffs.get(k, 0)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = DictLaurent({0: other})
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = DictLaurent({0: other})
+        d = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            s = d.get(k, 0) + c
+            if s:
+                d[k] = s
+            elif k in d:
+                del d[k]
+        return DictLaurent(d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DictLaurent({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return DictLaurent({0: other}) - self
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return DictLaurent({k: c * other for k, c in self.coeffs.items()})
+        d = {}
+        for ka, ca in self.coeffs.items():
+            for kb, cb in other.coeffs.items():
+                d[ka + kb] = d.get(ka + kb, 0) + ca * cb
+        return DictLaurent(d)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers only for units; shift exponents instead")
+        out = DictLaurent({0: 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def shift(self, k: int) -> "DictLaurent":
+        return DictLaurent({e + k: c for e, c in self.coeffs.items()})
+
+    def involution(self) -> "DictLaurent":
+        return DictLaurent({-e: c for e, c in self.coeffs.items()})
+
+    def augmentation(self) -> int:
+        return sum(self.coeffs.values())
+
+    def content_max(self) -> int:
+        return max((abs(c) for c in self.coeffs.values()), default=0)
+
+    def coeff_list(self) -> list[int]:
+        if not self.coeffs:
+            return []
+        lo = self.deg_lo
+        out = [0] * (self.deg_hi - lo + 1)
+        for k, c in self.coeffs.items():
+            out[k - lo] = c
+        return out
+
+    def divide_exact(self, other: "DictLaurent") -> "DictLaurent | None":
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        if self.is_zero():
+            return DictLaurent()
+        qr = _poly_divmod(self.coeff_list(), other.coeff_list())
+        if qr is None or qr[1]:
+            return None
+        return DictLaurent.from_list(qr[0], lo=self.deg_lo - other.deg_lo)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "LaurentPoly(0)"
+        terms = []
+        for k in sorted(self.coeffs):
+            c = self.coeffs[k]
+            if k == 0:
+                terms.append(f"{c}")
+            elif k == 1:
+                terms.append(f"{c}*t")
+            else:
+                terms.append(f"{c}*t^{k}")
+        return "LaurentPoly(" + " + ".join(terms) + ")"
+
+    def to_json_obj(self) -> list[list]:
+        return [[k, str(decimal.Decimal(self.coeffs[k]))] for k in sorted(self.coeffs)]
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_obj())
 
 
 def bareiss_det(M):
@@ -135,6 +290,14 @@ def graeffe_kronecker(p):
             f, indices[m] = q, indices.get(m, 0) + 1
     assert f == [1], "a certified input is a product of cyclotomics"
     return lead, -shift, indices
+
+
+def binomial_row(d: int) -> list[int]:
+    """binom(d, j) for j = 0..d, by b_(j+1) = b_j (d - j) / (j + 1)."""
+    row = [1]
+    for j in range(d):
+        row.append(row[-1] * (d - j) // (j + 1))
+    return row
 
 
 def divisors(n: int) -> list[int]:

@@ -411,6 +411,27 @@ def test_python_m_torsionlab(tmp_path):
     assert run("no-such-command").returncode == 2
 
 
+def test_span_past_max_span_is_a_usage_error(tmp_path, capsys):
+    # t^(10^12) + 1 would need 10^12 dense slots: every command that reads
+    # it exits 2 with one error line, in process and through python -m
+    wide = [[0, "1"], [10**12, "1"]]
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps(wide))
+    b = tmp_path / "binf.json"
+    b.write_text(json.dumps({"rows": [[wide]]}))
+    for argv in (("mahler", "eval", "--poly", str(f)), ("mahler", "kronecker", "--poly", str(f)),
+                 ("torsion", "scan", "--binf", str(b), "--qmax", "5", "--out", str(tmp_path / "s.csv"))):
+        rc = dispatch(list(argv))
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "") and err.startswith("error: ") and "MAX_SPAN" in err, (argv, err)
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsionlab", "mahler", "kronecker", "--poly", str(f)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == "", proc
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr, proc.stderr
+
+
 def test_python_m_kronecker_index_beyond_2000(tmp_path):
     # Phi_2010(t) = Phi_1005(-t), of degree 528
     phi = cyclotomic(1005)

@@ -47,7 +47,7 @@ from torsionlab.ringcore import (
 )
 from torsionlab.walks import bundled_generators
 
-from oracles import _totient_sieve, graeffe_kronecker, jensen_oracle, unpaired_sweep
+from oracles import _totient_sieve, binomial_row, graeffe_kronecker, jensen_oracle, unpaired_sweep
 
 rng = random.Random(99)
 
@@ -496,7 +496,48 @@ def test_squarefree_by_one_prime_matches_prs_path(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 17, 990])
 def test_binomial_row_matches_comb(d):
-    assert mahler._binomial_row(d) == [math.comb(d, j) for j in range(d + 1)]
+    assert binomial_row(d) == [math.comb(d, j) for j in range(d + 1)]
+
+
+def _passes_three_conditions(cs):
+    """The three necessary conditions of _cyclotomic_split, the bound
+    checked on every coefficient against the whole binomial row."""
+    rev = cs[::-1]
+    return (cs[0] in (1, -1) and cs[-1] in (1, -1) and rev in (cs, [-c for c in cs])
+            and all(abs(c) <= b for c, b in zip(cs, binomial_row(len(cs) - 1))))
+
+
+def test_binomial_bound_stops_at_the_largest_coefficient():
+    # t^d + 1 with c_j = c_(d-j) = binom(d, j) passes the bound, one more
+    # fails it, at j = 1, 2 and the middle, for odd and even d
+    for d in (9, 10, 15):
+        for j in (1, 2, d // 2):
+            for extra, sign in ((0, 1), (1, 1), (0, -1), (1, -1)):
+                cs = [1] + [0] * (d - 1) + [sign]
+                cs[j] = math.comb(d, j) + extra
+                cs[d - j] = sign * cs[j]
+                if sign == -1 and 2 * j == d:
+                    continue  # the middle of an anti-palindrome is 0
+                assert _passes_three_conditions(cs) is (extra == 0)
+                assert (mahler._cyclotomic_split(cs) is None) is (extra == 1), (d, j, extra, sign)
+    # seeded (anti-)palindromes with unit ends near the bound
+    gen = random.Random(31)
+    decided = {True: 0, False: 0}
+    for _ in range(400):
+        # every coefficient within its bound but one, on it or just past it
+        d, sign = gen.randint(2, 24), gen.choice((1, -1))
+        cs = [gen.randint(-math.comb(d, j), math.comb(d, j)) for j in range(d + 1)]
+        cs[0] = gen.choice((1, -1))
+        j = gen.randint(1, d // 2)
+        cs[j] = gen.choice((1, -1)) * (math.comb(d, j) + gen.randint(0, 1))
+        for j in range(d // 2 + 1):
+            cs[d - j] = sign * cs[j]
+        if sign == -1 and d % 2 == 0:
+            cs[d // 2] = 0
+        want = _passes_three_conditions(cs)
+        decided[want] += 1
+        assert (mahler._cyclotomic_split(cs) is not None) is want, cs
+    assert min(decided.values()) > 100, decided
 
 
 def test_kronecker_on_cyclotomic_products():

@@ -9,7 +9,8 @@ import pytest
 
 from torsionlab import ringcore
 from torsionlab.ringcore import (
-    KRONECKER_TERMS,
+    MAX_SPAN,
+    SCHOOLBOOK_PAIRS,
     CycElem,
     _crt_symmetric,
     _fold_palindromic,
@@ -23,6 +24,7 @@ from torsionlab.ringcore import (
     _pseudo_rem,
     LaurentPoly,
     NonUnitModulus,
+    SpanTooLarge,
     circulant_expand,
     cyclotomic,
     laurent_eval,
@@ -31,7 +33,7 @@ from torsionlab.ringcore import (
     totient,
 )
 
-from oracles import _over_binomial, _phi_quotient, divisors, phi_split_oracle
+from oracles import DictLaurent, _over_binomial, _phi_quotient, divisors, phi_split_oracle
 
 rng = random.Random(20260824)
 
@@ -303,15 +305,132 @@ def test_long_laurent_products_match_term_loop():
         bits = gen.choice((2, 40, 300))
         x, y = (
             LaurentPoly({gen.randint(-60, 60): gen.randint(-(1 << bits), 1 << bits)
-                         for _ in range(gen.randint(KRONECKER_TERMS, 80))})
+                         for _ in range(gen.randint(16, 80))})
             for _ in range(2)
         )
         assert x * y == term_loop(x, y)
         assert x * x == term_loop(x, x)
-    # a long but sparse factor stays on the term loop: a dense list of
-    # t^(10^9) would not fit in memory
-    sparse = LaurentPoly({10**9 * k: 1 for k in range(KRONECKER_TERMS)})
-    assert sparse * sparse == term_loop(sparse, sparse)
+    # coefficients are stored densely, so a span of 10^9 exponents is
+    # rejected as a ValueError rather than allocated
+    with pytest.raises(SpanTooLarge):
+        LaurentPoly({10**9 * k: 1 for k in range(16)})
+    assert issubclass(SpanTooLarge, ValueError) and MAX_SPAN < 10**9
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_poly_mul_matches_schoolbook_across_the_cutoff():
+    # every length pair on both sides of SCHOOLBOOK_PAIRS, the short
+    # branch and Kronecker substitution, lists and tuples, squares too
+    gen = random.Random(5)
+    top = math.isqrt(SCHOOLBOOK_PAIRS) + 2
+    lengths = [(m, n) for m in range(1, top + 1) for n in range(1, top + 1)]
+    lengths += [(m, SCHOOLBOOK_PAIRS // m + k) for m in (1, 2, 3, 7) for k in (0, 1, 2)]
+    branches = set()
+    for m, n in lengths:
+        bits = gen.choice((2, 40, 70, 300))
+        a = [gen.randint(-(1 << bits), 1 << bits) for _ in range(m)]
+        b = tuple(gen.randint(-(1 << bits), 1 << bits) for _ in range(n))
+        a[-1] = a[-1] or 1
+        assert _poly_mul(a, b) == _schoolbook(a, b), (m, n, bits)
+        assert _poly_mul(b, a) == _schoolbook(a, b)
+        assert _poly_mul(a, a) == _schoolbook(a, a)
+        branches.add(m * n <= SCHOOLBOOK_PAIRS)
+    assert branches == {True, False}
+    assert _poly_mul([], [1, 2]) == _poly_mul((3,), ()) == []
+
+
+def _dense_and_dict(gen, kind):
+    """The same seeded polynomial as a LaurentPoly and as a DictLaurent."""
+    if kind == "zero":
+        terms = {}
+    elif kind == "single":
+        terms = {gen.randint(-40, 40): gen.choice((1, -1, gen.randint(-9, 9) or 2))}
+    else:
+        bits = {"small": 4, "big": 300}[kind]
+        terms = {gen.randint(-30, 30): gen.randint(-(1 << bits), 1 << bits)
+                 for _ in range(gen.randint(1, 40))}
+    return LaurentPoly(terms), DictLaurent(terms)
+
+
+def _agrees(p, o):
+    """p (LaurentPoly) and o (DictLaurent) are one polynomial, read through
+    every query."""
+    assert dict(p.coeffs) == o.coeffs
+    assert p.to_json_obj() == o.to_json_obj() and p.dumps() == o.dumps()
+    assert repr(p) == repr(o) and p.coeff_list() == o.coeff_list()
+    assert (p.is_zero(), bool(p), p.degree_span()) == (o.is_zero(), bool(o), o.degree_span())
+    assert (p.augmentation(), p.content_max()) == (o.augmentation(), o.content_max())
+    assert p.terms() == sorted(o.coeffs.items())
+    if o.coeffs:
+        assert (p.deg_lo, p.deg_hi) == (o.deg_lo, o.deg_hi)
+        lo, hi = o.deg_lo, o.deg_hi
+        assert [p[k] for k in range(lo - 2, hi + 3)] == [o[k] for k in range(lo - 2, hi + 3)]
+    else:
+        for bad in (lambda: p.deg_lo, lambda: p.deg_hi):
+            with pytest.raises(ValueError):
+                bad()
+    assert (p == o.augmentation()) is (o == o.augmentation())
+    return True
+
+
+def test_dense_laurent_matches_the_sparse_oracle():
+    gen = random.Random(19)
+    kinds = ("zero", "single", "small", "big")
+    cancelled = 0
+    for _ in range(300):
+        (a, oa), (b, ob) = (_dense_and_dict(gen, gen.choice(kinds)) for _ in range(2))
+        assert _agrees(a, oa) and _agrees(b, ob)
+        k, n = gen.randint(-50, 50), gen.randint(-3, 3)
+        for got, want in ((a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (-a, -oa),
+                          (a + n, oa + n), (n + a, n + oa), (a - n, oa - n), (n - a, n - oa),
+                          (a * n, oa * n), (n * a, n * oa), (a ** 3, oa ** 3),
+                          (a.shift(k), oa.shift(k)), (a.involution(), oa.involution())):
+            assert _agrees(got, want)
+        # ends that cancel: a + b minus the end terms of b, and that minus a
+        edge = (min(ob.coeffs, default=0), max(ob.coeffs, default=0))
+        ends = {e: c for e, c in ob.coeffs.items() if e in edge}
+        c, oc = a + b - LaurentPoly(ends), oa + ob - DictLaurent(ends)
+        assert _agrees(c, oc) and _agrees(c - a, oc - oa)
+        cancelled += bool(ends) and (c - a).degree_span() < b.degree_span()
+        # equal polynomials from different routes have equal hashes
+        for same in ((a + b) - b, LaurentPoly.from_list([0, 0] + a.coeff_list() + [0], a.lo - 2),
+                     LaurentPoly.loads(a.dumps()), a.involution().involution(), a * 1):
+            assert same == a and hash(same) == hash(a)
+        if not ob.is_zero():
+            prod = a * b
+            assert _agrees(prod.divide_exact(b), (oa * ob).divide_exact(ob))
+            got, want = (prod + 1).divide_exact(b), (oa * ob + 1).divide_exact(ob)
+            assert (got is None) is (want is None) and (got is None or _agrees(got, want))
+    assert cancelled > 50
+    assert LaurentPoly() == LaurentPoly.zero() == 0 and hash(LaurentPoly.zero()) == hash(LaurentPoly({5: 0}))
+
+
+def test_span_guard_rejects_before_allocating():
+    # every route to a span past MAX_SPAN raises SpanTooLarge, a
+    # ValueError, without building the dense list
+    far = LaurentPoly.t(MAX_SPAN + 1)
+    one = LaurentPoly.one()
+    assert (far - far).is_zero() and far.degree_span() == 0
+    edge = LaurentPoly({0: 1, MAX_SPAN: 1})
+    assert edge.degree_span() == MAX_SPAN
+    huge = LaurentPoly.t(10**12)
+    for build in (lambda: one + far, lambda: far - one, lambda: one + huge, lambda: huge - one,
+                  lambda: edge * LaurentPoly.t(0) * (one + LaurentPoly.t(1)),
+                  lambda: LaurentPoly({0: 1, 10**12: 1}), lambda: LaurentPoly([(-10**12, 1), (0, 2)]),
+                  lambda: LaurentPoly.from_json_obj([[0, "1"], [10**12, "1"]]),
+                  lambda: LaurentPoly.loads('[[0, "1"], [1000000000000, "1"]]'),
+                  lambda: (one + LaurentPoly.t(1 << 19)) ** 3):
+        with pytest.raises(SpanTooLarge):
+            build()
+    # zero coefficients do not count toward the span
+    assert LaurentPoly({0: 1, 10**12: 0}) == one
 
 
 def test_crt_symmetric_lifts_batches():
