@@ -9,8 +9,8 @@ degree can have; the input has measure zero (Kronecker) exactly when a
 constant remains, and the split's multiplicities are its certificate.
 Floating point enters only for the root product of provably-nonzero
 measures, on the rest of the same split: each Phi_m it divides out adds
-its roots e^(2 pi i j/m), gcd(j, m) = 1, exactly, and nothing to the
-measure.  An input failing a condition is split over Phi_1 and Phi_2 only.
+its roots e^(2 pi i j/m), gcd(j, m) = 1, in closed form, and nothing to
+the measure.  An input failing a condition is split over Phi_1 and Phi_2 only.
 The kernel folds a palindromic rest (every walk determinant is one) to
 half the degree in x = t + 1/t; each root x gives back the pair
 t = x/2 +- sqrt(x^2/4 - 1).
@@ -31,9 +31,10 @@ upper bound on the relative residual, the evaluation's rounding
 included, certifies the result, and each root polished for a pair is
 then listed with its exact conjugate, so no caller of the polish sees
 pairs.  The unfold stays on the same Gaussian integers, exact conjugates
-unfolding to exact conjugates, the norms |t|^2 > 1 of each factor are
-multiplied exactly, and mpmath enters only for one 40-digit log of each
-factor's product.
+unfolding to exact conjugates, and the norms |t|^2 > 1 of every factor
+and the squared leading coefficient are multiplied exactly into one
+x / 2^s, whose one logarithm (_half_log) is an atanh series on Python
+ints at LOG_BITS fraction bits; numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath as mp
 import numpy as np
 
 from .ringcore import LaurentPoly, cyclotomic, laurent_eval, normalize_unit, totient
@@ -61,6 +61,9 @@ SEED_NUDGE_BITS = 26
 # sweep cap of the fixed-point polish per started hundred of degree: from
 # the float seeds, the roots of a higher degree take more sweeps to settle
 POLISH_STEPS = 60
+# fraction bits of the one logarithm of mahler_measure, past the 133 bits
+# of 40 digits
+LOG_BITS = 160
 
 
 class ZeroPolynomial(ValueError):
@@ -85,9 +88,11 @@ class MahlerResult:
     """Log Mahler measure, the roots it was summed over, and how.
 
     dps is the decimal precision of the root polish (0 when no root was
-    polished), and residual a proven upper bound on the worst relative
-    residual |p(r)| / (|lead| max(1, |r|)^d) of a polished root r of its
-    square-free factor p of degree d.
+    polished), which ran on _prec(dps) fraction bits, and residual a proven
+    upper bound on the worst relative residual |p(r)| / (|lead| max(1,
+    |r|)^d) of a polished root r of its square-free factor p of degree d.
+    log_measure is one logarithm of the exact product of lead^2 and the
+    polished norms |r|^2 > 1, halved and rounded once to a float.
     """
 
     log_measure: float
@@ -440,24 +445,29 @@ def _residual_bound(hi: list[int], roots, prec: int) -> float:
     return math.nextafter(worst / lead, math.inf)
 
 
-def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]], int, float]:
+def _prec(dps: int) -> int:
+    """Fraction bits for dps decimal digits, by mpmath's dps_to_prec."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
+
+
+def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]], int, int, float]:
     """Roots of a square-free integer polynomial, polished by Aberth.
 
     The companion-matrix seeds of _seeds start a fixed-point Aberth polish
-    on Gaussian integers at prec = dps_to_prec(dps) fractional bits, with
+    on Gaussian integers at prec = _prec(dps) fractional bits, with
     dps = 30 + bits/3 + degree/2 (bits: coefficient height); it stops once
     every relative step is below 2^-(prec/2), within POLISH_STEPS sweeps
     per started hundred of degree.  Returns all degree roots as pairs
     (a, b) standing for (a + ib) / 2^prec, each root polished for a
     conjugate pair (_fixed_aberth) followed by its exact conjugate
-    (a, -b), the dps and a proven upper bound on the worst relative
+    (a, -b), then prec, dps and a proven upper bound on the worst relative
     residual |p(r)| / (max(1, |r|)^d |lead|), which must not exceed tol;
     a pair's root bounds its conjugate too (_residual_bound).  Hitting
     the sweep cap or the tolerance raises RootRefinementFailed.
     """
     degree = len(dense) - 1
     dps = 30 + max(c.bit_length() for c in dense) // 3 + degree // 2
-    prec = mp.libmp.dps_to_prec(dps)
+    prec = _prec(dps)
     hi = [c << prec for c in reversed(dense)]
     roots, pairs = _seeds(dense, prec)
     steps = POLISH_STEPS * -(-degree // 100)
@@ -469,12 +479,12 @@ def _refined_roots(dense: list[int], tol: float) -> tuple[list[tuple[int, int]],
     if not worst <= tol:
         raise RootRefinementFailed(f"relative root residual {worst:.3e} exceeds tol {tol:.3e}")
     _with_conjugates(roots, degree - len(roots))
-    return roots, dps, worst
+    return roots, prec, dps, worst
 
 
-def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, int, float]]:
+def _roots_with_multiplicity(dense: list[int], tol: float) -> list[tuple[list, int, int, float]]:
     """_refined_roots of every square-free factor, repeated roots included,
-    as (roots, dps, residual).
+    as (roots, prec, dps, residual).
 
     Repeated roots stall the polisher, so the polynomial is split as
     radical * gcd(P, P') and the two pieces are handled separately; the
@@ -540,6 +550,47 @@ def _norm_product(roots: list[tuple[int, int]], prec: int) -> tuple[int, int]:
     return product, shift
 
 
+def _atanh(num: int, den: int) -> int:
+    """2 atanh(num / den) in fixed point at LOG_BITS fraction bits, for
+    |num| <= den / 3: the series 2 sum z^(2k+1) / (2k + 1) over |z|, whose
+    terms shrink by z^2 <= 1/9, every one rounded down, so the total is
+    low in size by less than 4 units per term."""
+    z = (abs(num) << LOG_BITS) // den
+    z2, total, k = z * z >> LOG_BITS, 0, 1
+    while z:
+        total += z // k
+        z, k = z * z2 >> LOG_BITS, k + 2
+    return 2 * total if num >= 0 else -2 * total
+
+
+LN2 = _atanh(1, 3)  # ln 2 = 2 atanh(1/3), at LOG_BITS fraction bits
+
+
+def _half_log(x: int, s: int) -> float:
+    """ln(x / 2^s) / 2 for x >= 2^s, rounded once to a float.
+
+    With x = y 2^e, y in [3/4, 3/2), ln x = e ln 2 + 2 atanh((x - 2^e) /
+    (x + 2^e)), whose argument lies in [-1/7, 1/5]; both terms are fixed
+    point at LOG_BITS fraction bits.  The total is at least ln(3/2) once
+    e > s, so its relative error stays near 2^-LOG_BITS whatever the size
+    of x; the fixed-point sum is rounded once, to the float quotient.
+    """
+    e = (4 * x // 3).bit_length() - 1  # 2^e <= 4x/3 < 2^(e+1)
+    one = 1 << e
+    return ((e - s) * LN2 + _atanh(x - one, x + one)) / (1 << LOG_BITS + 1)
+
+
+def _unit_roots(m: int) -> list[complex]:
+    """The primitive m-th roots of unity e^(2 pi i j/m), gcd(j, m) = 1, in
+    ascending j, as mpmath's unitroots lists them: +-1 and +-i exactly,
+    the others by cmath on the float angle, and those of j and m - j
+    exact conjugates."""
+    if m in (1, 2, 4):
+        return {1: [1 + 0j], 2: [-1 + 0j], 4: [1j, complex(0, -1)]}[m]
+    half = [cmath.rect(1.0, math.tau * j / m) for j in range(1, (m + 1) // 2) if math.gcd(j, m) == 1]
+    return half + [z.conjugate() for z in reversed(half)]
+
+
 def _to_float(a: int, prec: int) -> float:
     """a / 2^prec, rounded to a float; beyond the float range +-inf."""
     try:
@@ -559,9 +610,11 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
     multiplicity: the roots of each Phi_m split off are listed exactly, a
     palindromic rest c(t) = t^m Q(t + 1/t) is folded to Q, and the
     square-free factors of Q (or of the rest) are solved to relative
-    residual < tol.  The norms |root|^2 > 1 of each factor are multiplied
-    exactly in fixed point, and their product takes one 40-digit log.
-    The result records the polish dps and the worst residual.
+    residual < tol, each at the precision _refined_roots sets for it.  The
+    norms |root|^2 > 1 of every factor and lead^2 are multiplied exactly in
+    fixed point into one x / 2^s, and m = ln(x / 2^s) / 2 is its one
+    logarithm (_half_log), rounded once.  The result records the largest
+    polish dps and the worst residual.
     """
     if p.is_zero():
         raise ZeroPolynomial("mahler_measure of the zero polynomial")
@@ -577,20 +630,17 @@ def mahler_measure(p: LaurentPoly, tol: float = 1e-12) -> MahlerResult:
 
     folded = _fold_palindromic(rest)
     factors = _roots_with_multiplicity(folded or rest, tol)
-    roots = [complex(z) for m, e in k.items() for z in mp.unitroots(m, primitive=True) * e]
-    with mp.workdps(40):
-        logm = mp.log(abs(lead))
-        for fixed, dps, _ in factors:
-            prec = mp.libmp.dps_to_prec(dps)
-            if folded is not None:
-                fixed = _unfold(fixed, prec)
-            product, shift = _norm_product(fixed, prec)
-            logm += mp.log(mp.mpf((product, -shift))) / 2
-            roots += [complex(_to_float(za, prec), _to_float(zb, prec)) for za, zb in fixed]
-        out = float(logm)
-    dps = max((f[1] for f in factors), default=0)
-    residual = max((f[2] for f in factors), default=0.0)
-    return MahlerResult(out, roots, lead, MahlerMethod.ROOT_PRODUCT, dps, residual)
+    roots = [z for m, e in k.items() for z in _unit_roots(m) * e]
+    x, s = lead * lead, 0
+    for fixed, prec, _, _ in factors:
+        if folded is not None:
+            fixed = _unfold(fixed, prec)
+        product, shift = _norm_product(fixed, prec)
+        x, s = x * product, s + shift
+        roots += [complex(_to_float(za, prec), _to_float(zb, prec)) for za, zb in fixed]
+    dps = max((f[2] for f in factors), default=0)
+    residual = max((f[3] for f in factors), default=0.0)
+    return MahlerResult(_half_log(x, s), roots, lead, MahlerMethod.ROOT_PRODUCT, dps, residual)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -670,3 +720,13 @@ def constraint_check(
         degree=degree,
         degree_bound=bound,
     )
+
+
+def __getattr__(name: str):
+    # mahler.mp is mpmath, imported on first use: the library does not
+    # use it, but perfbench's tracer reads the name
+    if name == "mp":
+        import mpmath
+
+        return mpmath
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

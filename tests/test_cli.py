@@ -411,6 +411,75 @@ def test_python_m_torsionlab(tmp_path):
     assert run("no-such-command").returncode == 2
 
 
+# runs every subcommand that reaches mahler.py, with relative paths, in a
+# fresh interpreter; argv[1] == "blocked" makes `import mpmath` fail first
+NO_MPMATH_RUN = """
+import json, random, sys
+if sys.argv[1] == "blocked":
+    sys.modules["mpmath"] = None
+import torsionlab.cli
+assert sys.modules.get("mpmath", "not loaded") == ("not loaded" if sys.argv[1] == "normal" else None)
+from torsionlab import mahler
+from torsionlab.hermitian import FormMatrix, SurfaceModel, block_det, bottom_left_block
+from torsionlab.ringcore import LaurentPoly, cyclotomic
+from torsionlab.walks import bundled_generators
+lehmer = LaurentPoly({10: 1, 9: 1, 7: -1, 6: -1, 5: -1, 4: -1, 3: -1, 1: 1, 0: 1})
+gens, probs = bundled_generators(3)
+pick = random.Random(2016)
+while True:
+    w = FormMatrix.identity(SurfaceModel(3))
+    for _ in range(64):
+        w = gens[pick.randrange(len(gens))] @ w
+    walk64 = block_det(bottom_left_block(w))
+    if not walk64.is_zero() and mahler.kronecker_zero_test(walk64) is None:
+        break
+polys = {"lehmer": lehmer, "walk64": walk64, "three_phi6_lehmer": LaurentPoly({0: 3}) * cyclotomic(6) * lehmer,
+         "t900": LaurentPoly.from_list([1, 2 ** 900, 1, 1]), "phi6_phi12": cyclotomic(6) * cyclotomic(12)}
+for name, p in polys.items():
+    open(name + ".json", "w").write(p.dumps())
+open("binf.json", "w").write(json.dumps({"rows": [[lehmer.to_json_obj()]]}))
+json.dump({"g": 3, "generators": [g.to_json_obj() for g in gens], "probabilities": [str(p) for p in probs],
+           "n_steps": 8, "n_trials": 16, "master_seed": 3, "q_list": [3]}, open("walk.json", "w"))
+argvs = [["mahler", "eval", "--poly", name + ".json"] for name in polys if name != "phi6_phi12"]
+argvs += [["mahler", "kronecker", "--poly", name + ".json"] for name in ("lehmer", "phi6_phi12")]
+argvs += [["torsion", "scan", "--binf", "binf.json", "--qmax", "60", "--out", "scan/scan.csv"],
+          ["walk", "run", "--config", "walk.json", "--out", "walk", "--threads", "1"]]
+for argv in argvs:
+    assert torsionlab.cli.dispatch(argv) == 0, argv
+if sys.argv[1] == "blocked":
+    try:
+        mahler.mp
+    except ImportError:
+        pass
+    else:
+        raise AssertionError("mahler.mp without mpmath")
+else:
+    assert "mpmath" not in sys.modules
+    import mpmath
+    assert mahler.mp is mpmath
+"""
+
+
+def test_library_runs_without_mpmath(tmp_path):
+    # mpmath is test-only: with its import blocked, every subcommand that
+    # reaches the Mahler path prints and writes byte for byte what a normal
+    # run does; a normal import loads no mpmath, and mahler.mp imports it
+    # on first use, for perfbench's tracer
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    outputs = {}
+    for mode in ("blocked", "normal"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", NO_MPMATH_RUN, mode], cwd=cwd, capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        files = {str(f.relative_to(cwd)): f.read_bytes() for f in sorted(cwd.rglob("*")) if f.is_file()}
+        outputs[mode] = proc.stdout, files
+    stdout, files = outputs["blocked"]
+    assert stdout.count(b"log_measure") == 4 and {"scan/scan.csv", "walk/report.json"} <= set(files)
+    assert outputs["blocked"] == outputs["normal"]
+
+
 def test_span_past_max_span_is_a_usage_error(tmp_path, capsys):
     # t^(10^12) + 1 would need 10^12 dense slots: every command that reads
     # it exits 2 with one error line, in process and through python -m

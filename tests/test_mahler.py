@@ -231,12 +231,12 @@ def test_residual_bounds_mpmath_residual(monkeypatch):
     for kind, p in oracle_inputs():
         mahler_measure(p)
     assert len(polished) >= len(oracle_inputs())
-    for dense, roots, dps, residual in polished:
+    for dense, roots, prec, dps, residual in polished:
         d, lead = len(dense) - 1, abs(dense[-1])
         # all d roots; every oracle input settles paired, so each pair
         # root comes with its exact conjugate
         assert len(roots) == d and sorted(roots) == sorted((a, -b) for a, b in roots), dense
-        prec = mp.libmp.dps_to_prec(dps)
+        assert prec == mp.libmp.dps_to_prec(dps), dense
         with mp.workdps(2 * dps):
             worst = max(abs(mp.polyval(dense[::-1], exact_mpc(a, b, prec)))
                         / (lead * max(1, abs(exact_mpc(a, b, prec))) ** d)
@@ -285,6 +285,108 @@ def test_fixed_point_unfold_matches_mpmath(monkeypatch):
                 for (ta, tb), want in zip(got[2 * i: 2 * i + 2], (big, 1 / big)):
                     assert abs(exact_mpc(ta, tb, prec) - want) <= tol, (a, b, prec)
     assert conjugates
+
+
+def mpmath_log_sum(lead: int, products) -> float:
+    """log|lead| plus half the log of each (product, shift) as
+    product / 2^shift, at 40 digits in mpmath, rounded to a float."""
+    with mp.workdps(40):
+        total = mp.log(abs(lead))
+        for product, shift in products:
+            total += mp.log(mp.mpf((product, -shift))) / 2
+        return float(total)
+
+
+def test_half_log_matches_mpmath_sum():
+    """_half_log of lead^2 times the norm products equals mpmath's 40-digit
+    sum of one log per factor, bit for bit, on seeded leads and products:
+    a lead alone, unit leads, and products just above 2^shift among them.
+
+    The two may differ once the total is below about 2^-75 (measured: no
+    difference in 300 single products 2^-72 above 2^shift, 6 in 300 at
+    2^-76): mpmath rounds each product to 136 bits before its log, an error
+    up to 2^-136 that the float of so small a log resolves, where
+    _half_log stays within 2^-150 of the exact value.
+    """
+    pick = random.Random(32)
+    cases = [(lead, []) for lead in (1, -1, 5, -(3 ** 200))]
+    for _ in range(1500):
+        lead = pick.choice((1, -1, pick.randint(2, 10 ** 6), pick.getrandbits(300) + 1))
+        products = []
+        for _ in range(pick.randint(1, 4)):
+            shift = 2 * pick.choice((133, 256, 700)) * pick.randint(1, 20)
+            k = pick.choice((0, 0, 20, 40, 64))
+            if k:  # 2^-k to 2^-(k+1) above 2^shift
+                above = (pick.getrandbits(59) | 1 << 59) << shift - k - 60
+            else:
+                above = pick.getrandbits(shift + pick.randint(1, 3000))
+            products.append(((1 << shift) + above, shift))
+        cases.append((lead, products))
+    for lead, products in cases:
+        x, s = lead * lead, 0
+        for product, shift in products:
+            x, s = x * product, s + shift
+        assert mahler._half_log(x, s) == mpmath_log_sum(lead, products), (lead, products)
+
+
+def test_measure_is_one_log_of_lead_and_norm_products(monkeypatch):
+    # every log measure is the one log of lead^2 and the norm products of
+    # its factors, and equals mpmath's sum of logs on those same products
+    recorded = []
+
+    def record(roots, prec):
+        recorded.append(norm_product(roots, prec))
+        return recorded[-1]
+
+    norm_product = mahler._norm_product
+    monkeypatch.setattr(mahler, "_norm_product", record)
+    inputs = ([p for _, p in oracle_inputs()] + walkdet_references()
+              + [LaurentPoly({0: 3}) * cyclotomic(6) * LEHMER, LaurentPoly({0: -5}),
+                 LaurentPoly.from_list([1, 2 ** 900, 1, 1]), LaurentPoly.from_list([-(2 ** 1500), 1])])
+    for p in inputs:
+        recorded.clear()
+        res = mahler_measure(p)
+        assert res.method is MahlerMethod.ROOT_PRODUCT
+        assert res.log_measure == mpmath_log_sum(res.leading_coeff, recorded), p
+
+
+def test_atanh_is_low_by_less_than_4_units_per_term():
+    # 2 atanh(num / den) at LOG_BITS fraction bits against mpmath at three
+    # times the bits, for |num / den| from 1/3 down to 2^-170: at most 51
+    # terms, each rounded toward zero by less than 2 units before the
+    # doubling, so the fixed-point value is low in size by less than 2^8
+    # units; one term fewer is off by more wherever the last term is large
+    bits = mahler.LOG_BITS
+    pick = random.Random(33)
+    args = [(1, 3), (1, 5), (-1, 7), (0, 1)]
+    for j in range(2, 171):
+        for sign in (1, -1):
+            den = pick.getrandbits(200) | 1 << 199
+            args.append((sign * (den >> j) + pick.randint(-9, 9) * sign, den))
+    with mp.workprec(3 * bits):
+        for num, den in args:
+            exact, got = 2 * mp.atanh(mp.mpf(num) / den) * mp.mpf(2) ** bits, mahler._atanh(num, den)
+            assert 0 <= abs(exact) - abs(got) < 2 ** 8 and got * num >= 0, (num, den)
+        assert 0 <= mp.ln2 * mp.mpf(2) ** bits - mahler.LN2 < 2 ** 8
+
+
+def test_prec_is_mpmath_dps_to_prec():
+    prec = [mahler._prec(dps) for dps in range(1, 10 ** 5 + 1)]
+    assert prec == [mp.libmp.dps_to_prec(dps) for dps in range(1, 10 ** 5 + 1)]
+
+
+def test_unit_roots_match_mpmath_unitroots():
+    # every m <= 1000: mpmath's order, +-1 and +-i exact, every other root
+    # within 2^-48, and the roots of j and m - j exact conjugates
+    for m in range(1, 1001):
+        got = mahler._unit_roots(m)
+        want = [complex(z) for z in mp.unitroots(m, primitive=True)]
+        assert len(got) == len(want) == totient(m), m
+        assert all(abs(z - w) <= 2 ** -48 for z, w in zip(got, want)), m
+        assert got == [z.conjugate() for z in reversed(got)], m
+        if m in (1, 2, 4):
+            assert list(map(repr, got)) == list(map(repr, want)) == {
+                1: ["(1+0j)"], 2: ["(-1+0j)"], 4: ["1j", "-1j"]}[m]
 
 
 @pytest.mark.parametrize("cs, k", [([1, 2 ** 900, 1, 1], 900), ([1, 2 ** 600, 0, 0, 1], 600),
