@@ -348,10 +348,11 @@ def block_det(block):
 
 def _iota_at(q: int, root_index: int):
     """Evaluation of elements of Z[Z/q] at zeta = exp(2*pi*i*root_index/q),
-    each power of zeta computed once, when an element first needs it."""
+    each power of zeta computed once, when an element first needs it.  The
+    angle is taken of root_index mod q, so an index of any size is a float."""
     if math.gcd(root_index, q) != 1:
         raise NonPrimitiveRoot(f"gcd({root_index}, {q}) != 1")
-    zeta = np.exp(2j * np.pi * root_index / q)
+    zeta = np.exp(2j * np.pi * (root_index % q) / q)
     powers = {}
 
     def at(c: CycElem) -> complex:

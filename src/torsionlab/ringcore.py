@@ -86,11 +86,11 @@ class LaurentPoly:
     deg_hi - deg_lo is at most MAX_SPAN: a constructor or operation that
     would exceed it raises SpanTooLarge, a ValueError.  Every product
     goes through the dense kernel _poly_mul.  Instances are immutable and
-    hashable; coeffs is a read-only exponent -> coefficient view of the
-    nonzero terms.
+    hash as the pair (lo, cs), with no cached value; coeffs is a read-only
+    exponent -> coefficient view of the nonzero terms.
     """
 
-    __slots__ = ("lo", "cs", "_hash")
+    __slots__ = ("lo", "cs")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -103,7 +103,7 @@ class LaurentPoly:
     def _set(self, d: dict) -> None:
         """Fill the slots from a map exponent -> coefficient."""
         keys = [k for k, c in d.items() if c]
-        self.lo, self.cs, self._hash = 0, (), None
+        self.lo, self.cs = 0, ()
         if keys:
             lo = min(keys)
             _check_span(max(keys) - lo)
@@ -134,7 +134,7 @@ class LaurentPoly:
     def _wrap(cls, lo: int, cs: tuple) -> "LaurentPoly":
         """Wrap cs, a tuple with nonzero ends (lo = 0 when empty), as is."""
         out = cls.__new__(cls)
-        out.lo, out.cs, out._hash = lo, cs, None
+        out.lo, out.cs = lo, cs
         return out
 
     @classmethod
@@ -194,9 +194,7 @@ class LaurentPoly:
         return self.lo == other.lo and self.cs == other.cs
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.lo, self.cs))
-        return self._hash
+        return hash((self.lo, self.cs))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -571,26 +569,17 @@ def _pack(a: list[int], width: int) -> int:
     """sum a_k 2^(8 width k) for signed |a_k| < 2^(8 width - 1).
 
     Slot k holds the nonnegative digit a_k + 2^(8 width - 1), and the
-    offsets are subtracted once at the end.  When every a_k fits int64,
-    numpy writes all slots in one pass: the low 8 bytes of a digit are
-    a_k + 2^(8 width - 1) modulo 2^64, and above them come a_k's sign
-    bytes with the top bit flipped.  Past int64 each coefficient is
-    converted on its own.
+    offsets are subtracted once at the end.  While a slot is one 8-byte
+    word (width <= 8) every a_k fits int64, and numpy writes all slots in
+    one pass: a digit is the low width bytes of a_k + 2^(8 width - 1)
+    modulo 2^64.  Wider slots are written one coefficient at a time.
     """
     half = 1 << (8 * width - 1)
-    try:
-        v = np.array(a, dtype=np.int64)
-    except OverflowError:
-        raw = b"".join((c + half).to_bytes(width, "little") for c in a)
+    if width <= 8:
+        low = np.array(a, dtype=np.int64).view(np.uint64) + np.uint64(half)
+        raw = low.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
     else:
-        k = min(width, 8)
-        low = v.view(np.uint64) + np.uint64(half % (1 << 64))
-        slots = np.empty((len(a), width), np.uint8)
-        slots[:, :k] = low.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :k]
-        if width > 8:
-            slots[:, 8:] = (v < 0)[:, None] * np.uint8(255)
-            slots[:, -1] ^= 0x80
-        raw = slots.tobytes()
+        raw = b"".join((c + half).to_bytes(width, "little") for c in a)
     return int.from_bytes(raw, "little") - _offset(len(a), width)
 
 
@@ -599,23 +588,18 @@ def _unpack(x: int, n: int, width: int) -> list[int]:
 
     The inverse of _pack: adding the offsets makes every slot the digit
     v_k + 2^(8 width - 1), with no borrow between slots.  numpy reads all
-    slots in one pass when every v_k fits int64, which the digit's bytes
-    above its low 8 show; else each slot is read on its own.
+    slots in one pass while a slot is one 8-byte word (width <= 8); wider
+    slots are read one at a time.
     """
     half = 1 << (8 * width - 1)
     raw = (x + _offset(n, width)).to_bytes(width * n, "little")
-    slots = np.frombuffer(raw, np.uint8).reshape(n, width)
-    k = min(width, 8)
-    words = np.zeros((n, 8), np.uint8)
-    words[:, :k] = slots[:, :k]
-    v = (words.view("<u8")[:, 0] - np.uint64(half % (1 << 64))).view(np.int64)
     if width > 8:
-        sign = (v < 0)[:, None] * np.uint8(255)
-        if not ((slots[:, 8:-1] == sign).all() and (slots[:, -1:] == sign ^ 0x80).all()):
-            digits = memoryview(raw)
-            return [int.from_bytes(digits[i:i + width], "little") - half
-                    for i in range(0, width * n, width)]
-    return v.tolist()
+        digits = memoryview(raw)
+        return [int.from_bytes(digits[i:i + width], "little") - half
+                for i in range(0, width * n, width)]
+    words = np.zeros((n, 8), np.uint8)
+    words[:, :width] = np.frombuffer(raw, np.uint8).reshape(n, width)
+    return (words.view("<u8")[:, 0] - np.uint64(half)).view(np.int64).tolist()
 
 
 # products of at most this many coefficient pairs take the schoolbook loop

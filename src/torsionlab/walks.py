@@ -13,7 +13,8 @@ logarithmic schedule of lengths.  It keeps the frame modulo a batch of
 primes below 2^31, as one int64 array of dense coefficient windows, with
 enough primes for a per-entry l1 bound tracked exactly beforehand.  Each
 generator is planned once as I + sum_a r_a x_a y_a^T (one term for a
-transvection), and a letter updates the frame in place: one pass per
+transvection), and a letter updates the frame in place: each
+w_a = y_a^T F is taken into a scratch row, then added in one pass per
 term c t^e of r_a into each target row of x_a, so the identity costs
 nothing.  Residues are reduced only when a running magnitude bound
 requires it; at schedule points only, the b-rows are lifted to integers
@@ -163,18 +164,20 @@ class WalkReport:
 # sampling
 
 
-# Philox keys are uint64 arrays: numpy casts a list holding a word of 2^63
-# or more through float64, which rounds it
+# Philox keys and counters are uint64 arrays: numpy casts a list holding a
+# word of 2^63 or more through float64, which rounds it, and refuses one of
+# 2^64 or more
 def _letter_rng(config: WalkConfig, trial_index: int) -> np.random.Generator:
     key = np.array([config.master_seed & (2**64 - 1), trial_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _twist_rng(config: WalkConfig, trial_index: int) -> np.random.Generator:
-    seed = config.unit_twist_seed or 0
+    seed = (config.unit_twist_seed or 0) & (2**64 - 1)
     key = np.array([(config.master_seed ^ 0x9E3779B97F4A7C15) & (2**64 - 1), trial_index],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=[seed, 0, 0, 0]))
+    counter = np.array([seed, 0, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def _sample_indices(config: WalkConfig, trial_index: int, n: int) -> np.ndarray:
@@ -230,12 +233,11 @@ class _LetterPlan:
     """A generator L as I + sum_a r_a x_a y_a^T, read once per run.
 
     r_a is a Laurent polynomial and x_a, y_a are integer vectors.  Each
-    entry of terms is (view, ys, adds) for one term a: ys lists (k, y_ak)
-    over the nonzero entries of y_a, adds lists (i, e, x_ai c) over the
-    target rows i of x_a and the terms c t^e of r_a, and view is k when
-    y_a = e_k and no term of L writes row k (so y_a^T F is row k of F
-    itself), else None.  left and right are how far the terms' exponents
-    reach below and above 0, the widening of the frame's window.
+    entry of terms is (ys, adds) for one term a: ys lists (k, y_ak) over
+    the nonzero entries of y_a, and adds lists (i, e, x_ai c) over the
+    target rows i of x_a and the terms c t^e of r_a.  left and right are
+    how far the terms' exponents reach below and above 0, the widening of
+    the frame's window.
 
     norms lists (i, ((k, l1 norm of L_ik), ...)) for the rows i of L that
     are not rows of I.  growth = max_i (1 + sum_a |x_ai| ||r_a||_1
@@ -276,11 +278,9 @@ def _letter_plan(M: FormMatrix) -> _LetterPlan:
         for r, v in vecs.items():
             f, y = _primitive(sorted(v.items()))
             xs.setdefault((r, y), {})[i] = f
-    written = {i for x in xs.values() for i in x}
     terms, growth = [], [1] * M.n
     for (r, y), x in xs.items():
-        view = y[0][0] if len(y) == 1 and y[0][0] not in written else None
-        terms.append((view, y, tuple((i, e, xi * c) for i, xi in x.items() for e, c in r)))
+        terms.append((y, tuple((i, e, xi * c) for i, xi in x.items() for e, c in r)))
         for i, xi in x.items():
             growth[i] += abs(xi) * sum(abs(c) for _, c in r) * sum(abs(c) for _, c in y)
     exps = [e for r, _ in xs for e, _ in r]
@@ -347,12 +347,12 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     t^twists, if given), from the a-frame kept modulo a batch of primes.
 
     The frame F is one int64 array (2h, exponents, h, primes), updated in
-    place: a letter I + sum_a r_a x_a y_a^T first takes each w_a = y_a^T F,
-    a view of a row of F where its plan allows, else one scratch row, then
-    adds c w_a at offset e into each target row of x_a.  The identity costs
-    nothing: the window of live exponents only widens by the terms'
-    exponent range, inside the one preallocated buffer, and a unit twist
-    only moves the window's base exponent.  Residues are reduced lazily:
+    place: a letter I + sum_a r_a x_a y_a^T first takes each w_a = y_a^T F
+    into a scratch row of its own, then adds c w_a at offset e into each
+    target row of x_a.  The identity costs nothing: the window of live
+    exponents only widens by the terms' exponent range, inside the one
+    preallocated buffer, and a unit twist only moves the window's base
+    exponent.  Residues are reduced lazily:
     `bound` caps every |entry| since the last reduction (2^31 times the
     growth of each letter since), and the frame is reduced when the next
     letter would take it past 2^62, before a wide letter and at schedule
@@ -368,7 +368,7 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     P = np.array(primes, dtype=np.int64)
     lo = sum(L.left for L in plans)
     frame = np.zeros((2 * h, 1 + lo + sum(L.right for L in plans), h, len(primes)), dtype=np.int64)
-    # a row per term for the w_a that are copies, and one for c w_a
+    # a row per term for its w_a, and one for c w_a
     scratch = np.empty((1 + max(len(L.terms) for L in plans), *frame.shape[1:]), dtype=np.int64)
     for j in range(h):
         frame[j, lo, j] = 1
@@ -376,11 +376,14 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     a, b, base, bound = lo, lo + 1, 0, _REDUCED
     reduced = {}  # multiplier of a wide letter -> its residues
 
+    def residues(c):
+        if c not in reduced:
+            reduced[c] = np.array([c % p for p in primes], dtype=np.int64)
+        return reduced[c]
+
     def add(dst, src, c, wide, tmp):  # dst += c src, reduced if wide
         if wide:
-            if c not in reduced:
-                reduced[c] = np.array([c % p for p in primes], dtype=np.int64)
-            np.multiply(src, reduced[c], out=tmp)
+            np.multiply(src, residues(c), out=tmp)
             tmp += dst
             np.remainder(tmp, P, out=dst)
         elif c == 1:
@@ -397,17 +400,15 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
             np.remainder(frame[:, a:b], P, out=frame[:, a:b])
             bound = _REDUCED
         tmp = scratch[-1, : b - a]
-        ws = []
-        for s, (view, ys, _) in enumerate(L.terms):
-            if view is not None:
-                ws.append(frame[view, a:b])
-                continue
-            w = scratch[s, : b - a]
-            ws.append(w)
-            w[...] = 0
-            for k, c in ys:
+        ws = scratch[:, : b - a]
+        for w, (ys, _) in zip(ws, L.terms):
+            (k, c), *rest = ys  # w_a = y_a^T F: its first entry written, the rest added
+            np.multiply(frame[k, a:b], residues(c) if L.wide else c, out=w)
+            if L.wide:
+                np.remainder(w, P, out=w)
+            for k, c in rest:
                 add(w, frame[k, a:b], c, L.wide, tmp)
-        for w, (_, _, adds) in zip(ws, L.terms):
+        for w, (_, adds) in zip(ws, L.terms):
             for i, e, c in adds:
                 add(frame[i, a + e : b + e], w, c, L.wide, tmp)
         a, b, base = a - L.left, b + L.right, base - L.left

@@ -341,6 +341,40 @@ def test_walk_run_rejects_non_primitive_root(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _walk_outputs(tmp_path, name, **kw):
+    """report.json and series.csv of a walk run on its own config."""
+    (tmp_path / name).mkdir()
+    f = walk_config_file(tmp_path / name, **kw)
+    out_dir = tmp_path / name / "out"
+    rc = dispatch(["walk", "run", "--config", str(f), "--out", str(out_dir), "--threads", "1"])
+    assert rc == 0, name
+    return [(out_dir / n).read_bytes() for n in ("report.json", "series.csv")]
+
+
+def test_walk_run_takes_twist_seeds_and_root_indices_of_any_size(tmp_path, capsys):
+    # a twist seed past 2^63 was a Philox counter word numpy could not
+    # take, and a root index past the float range an angle it could not
+    # compute: both had exit 1.  Twist seeds count modulo 2^64, and roots
+    # only modulo q
+    big = _walk_outputs(tmp_path, "big", unit_twist_seed=2**70)
+    assert big == _walk_outputs(tmp_path, "wrapped", unit_twist_seed=2**70 % 2**64)
+    assert (_walk_outputs(tmp_path, "root", root_index=10**400)
+            == _walk_outputs(tmp_path, "root1", root_index=1))
+
+
+def test_rep_iota_takes_a_root_index_past_the_float_range(tmp_path, capsys):
+    gens, _ = bundled_generators(3)
+    f = tmp_path / "m.json"
+    f.write_text((gens[0] @ gens[5]).dumps())
+    rc, big = run_cli(capsys, "rep", "iota", str(f), "--q", "3", "--root", str(10**400))
+    assert rc == 0
+    rc, one = run_cli(capsys, "rep", "iota", str(f), "--q", "3", "--root", "1")
+    assert rc == 0
+    big, one = json.loads(big), json.loads(one)
+    assert (big["real"], big["imag"]) == (one["real"], one["imag"])
+    assert any(x for row in one["imag"] for x in row)
+
+
 def test_walk_run_rejects_repeated_cover_degree(tmp_path, capsys):
     f = walk_config_file(tmp_path, q_list=[3, 3])
     out_dir = tmp_path / "out"

@@ -15,13 +15,16 @@ from torsionlab.ringcore import (
     _crt_symmetric,
     _fold_palindromic,
     _as_row,
+    _graeffe_step,
     _mobius_binomials,
+    _pack,
     _phi_split,
     _poly_divmod,
     _poly_mul,
     _primes_below_2_31,
     _primes_for,
     _pseudo_rem,
+    _unpack,
     LaurentPoly,
     NonUnitModulus,
     SpanTooLarge,
@@ -344,6 +347,44 @@ def test_poly_mul_matches_schoolbook_across_the_cutoff():
         branches.add(m * n <= SCHOOLBOOK_PAIRS)
     assert branches == {True, False}
     assert _poly_mul([], [1, 2]) == _poly_mul((3,), ()) == []
+
+
+def test_pack_unpack_round_trip_at_every_width():
+    # numpy packs and unpacks one-word slots (width <= 8), and wider slots
+    # go one coefficient at a time; rows that fit int64 in a wider slot
+    # are the rows the per-coefficient path must read back exactly too
+    gen = random.Random(24)
+    for width in range(1, 25):
+        top = (1 << (8 * width - 1)) - 1
+        rows = [[top, -top, 0, 1, -1], [0], [top], [-top] * 3]
+        rows += [[gen.randint(-top, top) for _ in range(gen.randint(1, 40))] for _ in range(20)]
+        if 9 <= width <= 16:
+            small = (1 << 63) - 1
+            rows += [[small, -small, 0, 1, -1]]
+            rows += [[gen.randint(-small, small) for _ in range(gen.randint(1, 120))]
+                     for _ in range(10)]
+        for a in rows:
+            x = _pack(a, width)
+            assert x == sum(c << (8 * width * k) for k, c in enumerate(a)), (width, a)
+            assert _unpack(x, len(a), width) == a, (width, a)
+
+
+@pytest.mark.parametrize("n, bits", [(45, 40), (400, 28)])
+def test_multi_word_slots_of_int64_inputs_match_schoolbook(n, bits):
+    # inputs that fit int64 whose product slots take 9 to 16 bytes: the
+    # walk's block_det products (45 x 45 at 40 bits) and a long product
+    # past the width where one-word numpy packing stops
+    gen = random.Random(n * bits)
+    a = [gen.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+    b = [gen.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+    a[-1] = b[-1] = 1 << bits
+    width = (2 * (bits + 1) + n.bit_length() + 1 + 7) // 8  # as _poly_mul sets it
+    assert 9 <= width <= 16
+    assert _poly_mul(a, b) == _schoolbook(a, b)
+    assert _poly_mul(a, a) == _schoolbook(a, a)
+    even, odd = _schoolbook(a[0::2], a[0::2]), _schoolbook(a[1::2], a[1::2])
+    want = [x - (odd[k - 1] if 0 < k <= len(odd) else 0) for k, x in enumerate(even + [0])][:n]
+    assert _graeffe_step(a) == (want if want[-1] > 0 else [-c for c in want])
 
 
 def _dense_and_dict(gen, kind):

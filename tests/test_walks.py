@@ -420,7 +420,7 @@ def test_modular_lane_reduces_before_every_near_wide_letter():
 def _plan_matrix(L, n):
     """I + sum_a r_a x_a y_a^T, rebuilt from the plan's terms."""
     rows = [[LaurentPoly.const(int(i == k)) for k in range(n)] for i in range(n)]
-    for _, ys, adds in L.terms:
+    for ys, adds in L.terms:
         for i, e, c in adds:
             for k, y in ys:
                 rows[i][k] = rows[i][k] + LaurentPoly({e: c * y})
@@ -440,8 +440,9 @@ def _near_wide_gens():
     return gens
 
 
-# T(a_0) T(a_1 + b_1): one term reads row 2 of the frame (b_0) as a view,
-# the other writes rows 1 and 3 from a copy of row 1 - row 3
+# T(a_0) T(a_1 + b_1): one term reads row 2 of the frame (b_0) and writes
+# row 0; the other reads row 1 - row 3 and writes rows 1 and 3, so its w_a
+# must be taken before the letter writes either
 MIXED = GENS[0] @ GENS[10]
 
 
@@ -452,19 +453,14 @@ def test_letter_plan_rebuilds_the_letter():
     for M in letters:
         L = _letter_plan(M)
         assert _plan_matrix(L, M.n) == [list(row) for row in M.rows]
-        written = {i for _, _, adds in L.terms for i, _, _ in adds}
         growth = [1] * M.n
-        for view, ys, adds in L.terms:
-            # a view is a row of F that no term of the letter writes
-            assert view is None or (ys == ((view, 1),) and view not in written)
+        for ys, adds in L.terms:
             for i, _, c in adds:
                 growth[i] += abs(c) * sum(abs(y) for _, y in ys)
         assert L.growth == max(growth) >= _row_l1(M)
         assert L.wide == (L.growth >= _WIDE_ROW)
-        exps = [e for _, _, adds in L.terms for _, e, _ in adds]
+        exps = [e for _, adds in L.terms for _, e, _ in adds]
         assert (L.left, L.right) == (max(0, -min(exps)), max(0, max(exps)))
-    kinds = [view is None for view, _, _ in _letter_plan(MIXED).terms]
-    assert sorted(kinds) == [False, True]
 
 
 @pytest.mark.parametrize("g", [3, 4, 5])
@@ -473,10 +469,9 @@ def test_bundled_transvection_is_one_term(g):
         L = _letter_plan(M)
         assert len(L.terms) == 1
         assert L.growth >= _row_l1(M)
-        view, ys, adds = L.terms[0]
+        ys, adds = L.terms[0]
         # r = +-(t + 1/t - 2) and x, y have one or two entries +-1
         assert sorted(abs(c) for _, _, c in adds) in ([1, 1, 2], [1, 1, 1, 1, 2, 2])
-        assert (view is not None) == (len(ys) == 1)
 
 
 def test_modular_lane_mixed_view_and_copy_letter():
@@ -650,6 +645,22 @@ def test_rng_keys_keep_every_bit_of_the_seed():
     assert keys(2**63 + 12345)[0] == [2**63 + 12345, 3]
     letters = [_sample_indices(small_config(master_seed=s), 0, 64).tolist() for s in (-1, 0)]
     assert letters[0] != letters[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_twist_counter_keeps_every_bit_of_the_seed():
+    # the twist counter went to numpy as a list: a seed in [2^63, 2^64)
+    # passed through float64, so 2^63 + 1 drew the twists of 2^63, and a
+    # seed of 2^64 or more raised OverflowError
+    def twists(seed):
+        return walks._twist_rng(small_config(unit_twist_seed=seed), 2).integers(-3, 4, size=12).tolist()
+
+    assert twists(0) == [2, 0, -3, 1, 1, -3, 3, -2, 2, -3, 0, 1]
+    assert twists(1) == [2, -3, 0, 1, -3, -1, -3, -3, 0, -3, -1, -3]
+    assert twists(-1) == [-1, 3, -1, -1, -3, -1, -3, -2, 3, 0, 3, -3]
+    assert twists(2**63 - 1) == [-2, -3, 2, 3, -2, -1, 0, 1, 0, 2, 0, -3]
+    assert twists(2**63) != twists(2**63 + 1)
+    assert twists(2**70) == twists(2**70 % 2**64) and twists(-2**63 - 1) == twists(2**63 - 1)
 
 
 def test_report_shapes():
