@@ -399,11 +399,6 @@ class ExteriorMarking:
     def f_index(self) -> int:
         return self.index[tuple(range(self.g - 1, 2 * self.g - 2))]
 
-    def e_vector(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.e_index] = 1.0
-        return v
-
 
 def exterior_power_matrix(A: np.ndarray, marking: ExteriorMarking) -> np.ndarray:
     """Matrix of the induced action on the (g-1)-th exterior power.

@@ -29,12 +29,22 @@ of the frame.  Each trial gets the floats its own loop would give,
 whichever trials share its chunk.  Letters are unit-normalized (lowest
 entry exponent shifted to zero) before embedding, which makes every
 |iota| statistic exactly independent of unit twists of the generators.
+
+A run keeps arrays, not per-trial records: a worker's letter indices are
+one int64 array with a row per trial, and its chunk is a few columns with
+one row per trial and one entry per schedule point.  From the exact lane,
+they hold the verdict of det B's cyclotomic constraints and its degree
+span (-1 for det B = 0); from the embedded lane, per cover degree, L_n and
+f_ratio (NaN from the point where the trial degenerates on) and the
+trial's degenerate flag.  run_walk puts the chunks' rows back in trial
+order, and the report's statistics are taken column by column.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -56,7 +66,6 @@ from .hermitian import (
 )
 from .mahler import (
     ConstraintParams,
-    ConstraintVerdict,
     _check_alpha,
     build_K_alpha,
     constraint_check,
@@ -430,32 +439,23 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     return dets
 
 
-def _trial_record(config: WalkConfig, trial_index: int, setup: _RunSetup, idx, twists) -> dict:
+def _exact_lane(setup: _RunSetup, idx, twists, h: int) -> tuple[list, list]:
     """The trial's exact-lane statistics, from its letters idx and unit
-    twists: det B at each schedule point and its cyclotomic constraints."""
-    h = config.g - 1
-    rec = {
-        "trial": trial_index,
-        "mahler_positive": {},
-        "constraint_verdict": {},
-        "det_degree": {},
-    }
+    twists: at each schedule point, the verdict of det B's cyclotomic
+    constraints and its degree span (-1 for det B = 0)."""
+    verdicts, degrees = [], []
     for step, det in _modular_dets(setup, idx, twists, h).items():
         if det.is_zero():
-            rec["mahler_positive"][step] = False
-            rec["constraint_verdict"][step] = "degenerate_zero"
-            rec["det_degree"][step] = -1
+            verdicts.append("degenerate_zero")
+            degrees.append(-1)
             continue
         deg = det.degree_span()
-        rec["det_degree"][step] = deg
         if deg > h * setup.d_mu * step:
             raise RuntimeError("degree ledger violation")
         v = constraint_check(det, setup.params, step)
-        rec["mahler_positive"][step] = v.verdict is ConstraintVerdict.NOT_MAHLER_ZERO
-        rec["constraint_verdict"][step] = (
-            v.verdict.value if v.hit_index is None else f"cyclotomic_hit_{v.hit_index}"
-        )
-    return rec
+        verdicts.append(v.verdict.value if v.hit_index is None else f"cyclotomic_hit_{v.hit_index}")
+        degrees.append(deg)
+    return verdicts, degrees
 
 
 def _embedded_lane(mats: list, idxs: np.ndarray, sched: list, h: int):
@@ -467,13 +467,15 @@ def _embedded_lane(mats: list, idxs: np.ndarray, sched: list, h: int):
     accumulated log-volume is the exterior norm of the image of e, and the
     determinant of the frame's bottom block the f-coefficient.  A trial
     whose volume is not positive and finite is degenerate and leaves the
-    live set.  Returns L_n and f_ratio (step -> value) and the degenerate
-    flag of each trial.
+    live set.  Returns L_n and f_ratio, one row per trial and one column
+    per schedule point (NaN from the point where the trial degenerates
+    on), and the degenerate flag of each trial.
     """
     n_trials = len(idxs)
-    L_n = [{} for _ in range(n_trials)]
-    f_ratio = [{} for _ in range(n_trials)]
-    degenerate = [False] * n_trials
+    col = {n: k for k, n in enumerate(sched)}
+    L_n = np.full((n_trials, len(sched)), np.nan)
+    f_ratio = np.full((n_trials, len(sched)), np.nan)
+    degenerate = np.zeros(n_trials, dtype=bool)
     mats = np.stack(mats)
     live = np.arange(n_trials)
     Y = np.zeros((n_trials, 2 * h, h), dtype=complex)
@@ -484,8 +486,7 @@ def _embedded_lane(mats: list, idxs: np.ndarray, sched: list, h: int):
         vol = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1)
         ok = (vol > 0.0) & np.isfinite(vol)
         if not ok.all():
-            for t in live[~ok].tolist():
-                degenerate[t] = True
+            degenerate[live[~ok]] = True
             live, Q, vol, logvol = live[ok], Q[ok], vol[ok], logvol[ok]
             if not live.size:
                 break
@@ -494,29 +495,39 @@ def _embedded_lane(mats: list, idxs: np.ndarray, sched: list, h: int):
         # Q is one orthonormal basis of the frame's image; another would
         # move the minor below only by a phase, so its modulus is well defined
         Y = Q
-        if step in sched:
-            minors = np.linalg.det(Y[:, h : 2 * h, :])
-            for t, lv, minor in zip(live.tolist(), logvol.tolist(), minors):
-                L_n[t][step] = lv / step
-                f_ratio[t][step] = float(abs(minor))
+        if step in col:
+            L_n[live, col[step]] = logvol / step
+            # abs of each minor, as the per-trial loop took it
+            f_ratio[live, col[step]] = [abs(m) for m in np.linalg.det(Y[:, h : 2 * h, :])]
     return L_n, f_ratio, degenerate
 
 
-def _trial_chunk(args) -> list[dict]:
-    """Records of the trials `indices`: the exact lane one trial at a time,
-    then the embedded lane once per cover degree over all of them."""
+def _trial_chunk(args) -> dict:
+    """The trials `indices` as columns, one row per trial in that order:
+    the exact lane one trial at a time, then the embedded lane once per
+    cover degree over all of them.  The schedule points are the last axis,
+    and a per-cover column has the cover degrees on axis 1."""
     config, indices = args
     setup = _run_setup(config)
-    letters = [_trial_letters(config, i) for i in indices]
-    records = [_trial_record(config, i, setup, *lt) for i, lt in zip(indices, letters)]
-    for rec in records:
-        rec["L_n"], rec["f_ratio"], rec["degenerate"] = {}, {}, {}
-    idxs = np.array([idx for idx, _ in letters])
-    for q in config.q_list:
-        lane = _embedded_lane(setup.iota[q], idxs, setup.sched, config.g - 1)
-        for rec, L, f, degen in zip(records, *lane):
-            rec["L_n"][q], rec["f_ratio"][q], rec["degenerate"][q] = L, f, degen
-    return records
+    h = config.g - 1
+    n, nq, ns = len(indices), len(config.q_list), len(setup.sched)
+    cols = {
+        "verdict": np.empty((n, ns), dtype=object),
+        "det_degree": np.empty((n, ns), dtype=np.int64),
+        "L_n": np.empty((n, nq, ns)),
+        "f_ratio": np.empty((n, nq, ns)),
+        "degenerate": np.empty((n, nq), dtype=bool),
+    }
+    idxs = np.empty((n, config.n_steps), dtype=np.int64)
+    twists = [None] * n
+    for r, i in enumerate(indices):
+        idxs[r], twists[r] = _trial_letters(config, i)
+    for r in range(n):
+        cols["verdict"][r], cols["det_degree"][r] = _exact_lane(setup, idxs[r], twists[r], h)
+    for j, q in enumerate(config.q_list):
+        lane = _embedded_lane(setup.iota[q], idxs, setup.sched, h)
+        cols["L_n"][:, j], cols["f_ratio"][:, j], cols["degenerate"][:, j] = lane
+    return cols
 
 
 def run_walk(config: WalkConfig, workers: int | None = None) -> WalkReport:
@@ -526,68 +537,53 @@ def run_walk(config: WalkConfig, workers: int | None = None) -> WalkReport:
     nw = min(nw, config.n_trials)
     indices = list(range(config.n_trials))
     if nw <= 1 or config.n_trials < 4:
-        records = _trial_chunk((config, indices))
+        parts = [_trial_chunk((config, indices))]
     else:
         chunks = [(config, indices[i::nw]) for i in range(nw)]
-        records = []
         with ProcessPoolExecutor(max_workers=nw) as pool:
-            for part in pool.map(_trial_chunk, chunks):
-                records.extend(part)
-        records.sort(key=lambda r: r["trial"])
-    return _aggregate(config, records)
+            parts = list(pool.map(_trial_chunk, chunks))
+    # chunk i holds trials i, i + nw, ...: its rows go back to those places
+    cols = {k: np.empty((config.n_trials, *v.shape[1:]), dtype=v.dtype) for k, v in parts[0].items()}
+    for i, part in enumerate(parts):
+        for k, v in part.items():
+            cols[k][i :: len(parts)] = v
+    return _aggregate(config, cols)
 
 
-def _aggregate(config: WalkConfig, records: list[dict]) -> WalkReport:
+def _aggregate(config: WalkConfig, cols: dict) -> WalkReport:
+    """The report from the columns of _trial_chunk, every row a trial in
+    index order.  The embedded statistics are taken over the trials still
+    live at each point, the non-NaN entries of L_n."""
     sched = config.schedule()
     h = config.g - 1
     d_mu = config.d_mu()
-    frac_pos = {}
-    bins: dict = {n: {} for n in sched}
-    max_deg = {}
-    for n in sched:
-        hits = sum(1 for r in records if r["mahler_positive"].get(n))
-        frac_pos[n] = hits / len(records)
-        for r in records:
-            v = r["constraint_verdict"].get(n, "missing")
-            bins[n][v] = bins[n].get(v, 0) + 1
-        max_deg[n] = max(r["det_degree"].get(n, -1) for r in records)
-    ly_mean: dict = {}
-    ly_var: dict = {}
-    ly_hat: dict = {}
-    hyper: dict = {}
-    degen: dict = {}
-    for q in config.q_list:
-        ly_mean[q] = {}
-        ly_var[q] = {}
+    verdicts = cols["verdict"].T.tolist()
+    frac_pos = {n: v.count("not_mahler_zero") / config.n_trials for n, v in zip(sched, verdicts)}
+    bins = {n: dict(Counter(v)) for n, v in zip(sched, verdicts)}
+    max_deg = dict(zip(sched, cols["det_degree"].max(axis=0).tolist()))
+    ly_mean, ly_var, ly_hat, hyper, degen = {}, {}, {}, {}, {}
+    for j, q in enumerate(config.q_list):
+        ly_mean[q], ly_var[q] = {}, {}
         hyper[q] = {d: {} for d in DELTA_GRID}
-        degen[q] = sum(1 for r in records if r["degenerate"][q])
-        for n in sched:
-            vals = [
-                r["L_n"][q][n]
-                for r in records
-                if n in r["L_n"][q]
-            ]
-            if vals:
-                arr = np.array(vals)
-                ly_mean[q][n] = float(arr.mean())
-                ly_var[q][n] = float(arr.var(ddof=1)) if len(arr) > 1 else 0.0
-            ratios = [
-                r["f_ratio"][q][n] for r in records if n in r["f_ratio"][q]
-            ]
-            for d in DELTA_GRID:
-                if ratios:
-                    hyper[q][d][n] = sum(1 for x in ratios if x < d) / len(ratios)
-        last = sched[-1]
-        vals = sorted(
-            r["L_n"][q][last] for r in records if last in r["L_n"][q]
-        )
+        degen[q] = int(cols["degenerate"][:, j].sum())
+        for n, L, f in zip(sched, cols["L_n"][:, j].T, cols["f_ratio"][:, j].T):
+            live = ~np.isnan(L)
+            vals, ratios = L[live], f[live]
+            if not len(vals):
+                continue
+            ly_mean[q][n] = float(vals.mean())
+            ly_var[q][n] = float(vals.var(ddof=1)) if len(vals) > 1 else 0.0
+            below = (ratios[:, None] < DELTA_GRID).sum(axis=0)
+            for d, count in zip(DELTA_GRID, below.tolist()):
+                hyper[q][d][n] = count / len(ratios)
+        vals = sorted(v for v in cols["L_n"][:, j, -1].tolist() if not math.isnan(v))
         if vals:
             trim = max(1, len(vals) // 20)
             core = vals[trim:-trim] if len(vals) > 2 * trim else vals
             ly_hat[q] = float(np.mean(core))
     return WalkReport(
         config_seed=config.master_seed,
-        n_trials=len(records),
+        n_trials=config.n_trials,
         schedule=sched,
         q_list=list(config.q_list),
         fraction_mahler_positive=frac_pos,

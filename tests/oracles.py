@@ -3,8 +3,8 @@ the dense LaurentPoly replaced, exact integer determinants and
 resultants, float Mahler measures, the Graeffe fixed-point Kronecker
 test, the full binomial row, divisors by trial division, the list kernel
 of Phi_m quotients and the plain cyclotomic split on it, plain Aberth
-sweeps, the iota evaluation of one element, the exterior coefficient,
-and the form check by two matrix products."""
+sweeps, the iota evaluation of one element, the exterior basis vector e
+and coefficient, and the form check by two matrix products."""
 
 import decimal
 import functools
@@ -405,6 +405,13 @@ def iota_scalar(c, root_index: int = 1) -> complex:
     """Evaluation of a group-ring element at exp(2*pi*i*j/q), by the
     evaluator iota_embed uses."""
     return _iota_at(c.q, root_index)(c)
+
+
+def e_vector(marking) -> np.ndarray:
+    """The basis vector e = a_1 ^ ... ^ a_(g-1) of the exterior power."""
+    v = np.zeros(marking.dim, dtype=complex)
+    v[marking.e_index] = 1.0
+    return v
 
 
 def exterior_coefficient(A: np.ndarray, marking) -> complex:

@@ -24,8 +24,10 @@ from torsionlab.mahler import kronecker_zero_test
 from torsionlab.ringcore import LaurentPoly, _primes_below_2_31, _primes_for
 from torsionlab.walks import (
     _WIDE_ROW,
+    DELTA_GRID,
     WalkConfig,
     WalkReport,
+    _exact_lane,
     _frame_bounds,
     _letter_plan,
     _modular_dets,
@@ -34,12 +36,13 @@ from torsionlab.walks import (
     _sample_indices,
     _trial_chunk,
     _trial_letters,
-    _trial_record,
     bundled_generators,
     proximality_probe,
     run_walk,
     sample_word,
 )
+
+from oracles import e_vector
 
 GENS, PROBS = bundled_generators(3)
 
@@ -168,7 +171,7 @@ def test_words_preserve_form():
         assert check_form_preserved(sample_word(cfg, trial, 5))
 
 
-# -- per-trial record vs brute force ----------------------------------
+# -- per-trial lanes vs brute force -----------------------------------
 
 
 def _iota_term_sum(M, q, root_index):
@@ -193,9 +196,22 @@ def test_normalized_iota_matches_term_sum(q, root_index):
         _normalized_iota(GENS[0], 4, 2)
 
 
+def _row(cols, r):
+    """Row r of every column of a chunk, its floats and NaNs exactly."""
+    return {key: repr(col[r].tolist()) for key, col in cols.items()}
+
+
+def _points(row, sched):
+    """One trial's row of a per-point column as {n: value}, without its
+    NaNs: the points the trial did not reach."""
+    return {n: v for n, v in zip(sched, row.tolist()) if not math.isnan(v)}
+
+
 def test_embedded_lane_matches_brute_force_exterior():
     cfg = small_config(n_steps=8, n_trials=1)
-    rec = _trial_chunk((cfg, [0]))[0]
+    cols = _trial_chunk((cfg, [0]))
+    L_n = _points(cols["L_n"][0, 0], cfg.schedule())
+    f_ratio = _points(cols["f_ratio"][0, 0], cfg.schedule())
     q = 3
     idx = _sample_indices(cfg, 0, 8)
     mk = ExteriorMarking(3)
@@ -204,11 +220,11 @@ def test_embedded_lane_matches_brute_force_exterior():
     for i in idx:
         A = mats[int(i)] @ A
     ext = exterior_power_matrix(A, mk)
-    v = ext @ mk.e_vector()
+    v = ext @ e_vector(mk)
     # L_n is the log of the exterior norm of the image of e, per step
-    assert rec["L_n"][q][8] == pytest.approx(math.log(np.linalg.norm(v)) / 8, abs=1e-9)
+    assert L_n[8] == pytest.approx(math.log(np.linalg.norm(v)) / 8, abs=1e-9)
     # f_ratio is the normalized f-coefficient
-    assert rec["f_ratio"][q][8] == pytest.approx(
+    assert f_ratio[8] == pytest.approx(
         abs(v[mk.f_index]) / np.linalg.norm(v), abs=1e-9
     )
 
@@ -238,14 +254,17 @@ def test_chunk_records_match_trials_run_alone():
     cfg = small_config(n_steps=64, n_trials=8, unit_twist_seed=77, q_list=(3, 5))
     setup = _run_setup(cfg)
     chunk = _trial_chunk((cfg, list(range(8))))
-    assert [rec["trial"] for rec in chunk] == list(range(8))
-    for t, rec in enumerate(chunk):
-        assert repr(rec) == repr(_trial_chunk((cfg, [t]))[0]), t
+    for t in range(8):
+        assert _row(chunk, t) == _row(_trial_chunk((cfg, [t])), 0), t
         idx, _ = _trial_letters(cfg, t)
-        for q in cfg.q_list:
+        for j, q in enumerate(cfg.q_list):
             own = _embedded_one_trial(setup.iota[q], idx, set(setup.sched), 2)
-            assert repr((rec["L_n"][q], rec["f_ratio"][q], rec["degenerate"][q])) == repr(own)
-    assert repr(_trial_chunk((cfg, [6, 1, 3]))) == repr([chunk[6], chunk[1], chunk[3]])
+            lane = (_points(chunk["L_n"][t, j], setup.sched),
+                    _points(chunk["f_ratio"][t, j], setup.sched),
+                    bool(chunk["degenerate"][t, j]))
+            assert repr(lane) == repr(own)
+    sub = _trial_chunk((cfg, [6, 1, 3]))
+    assert [_row(sub, r) for r in range(3)] == [_row(chunk, t) for t in (6, 1, 3)]
 
 
 def test_zero_letter_degenerates_only_its_trials(monkeypatch):
@@ -259,24 +278,25 @@ def test_zero_letter_degenerates_only_its_trials(monkeypatch):
               for q, mats in setup.iota.items()}
     monkeypatch.setattr(walks, "_run_setup", lambda config: dataclasses.replace(setup, iota=zeroed))
     got = _trial_chunk((cfg, list(range(8))))
-    for t, (rec, ref) in enumerate(zip(got, base)):
-        assert not any(ref["degenerate"].values())
+    for t in range(8):
+        assert not base["degenerate"][t].any()
         if gi not in idxs[t]:
-            assert repr(rec) == repr(ref), t
+            assert _row(got, t) == _row(base, t), t
             continue
         first = idxs[t].index(gi) + 1
-        for q in cfg.q_list:
-            assert rec["degenerate"][q]
+        for j, q in enumerate(cfg.q_list):
+            assert got["degenerate"][t, j]
             # the values before the zero letter stand, and none after it
-            kept = {n: v for n, v in ref["L_n"][q].items() if n < first}
-            assert rec["L_n"][q] == kept
-            assert set(rec["f_ratio"][q]) == set(kept)
-        for key in ("mahler_positive", "constraint_verdict", "det_degree"):
-            assert rec[key] == ref[key]
+            kept = {n: v for n, v in _points(base["L_n"][t, j], setup.sched).items() if n < first}
+            assert _points(got["L_n"][t, j], setup.sched) == kept
+            assert set(_points(got["f_ratio"][t, j], setup.sched)) == set(kept)
+        for key in ("verdict", "det_degree"):
+            assert got[key][t].tolist() == base[key][t].tolist()
 
 
 def _full_word_oracle(cfg, trial, n):
-    """(det_degree, mahler_positive) from the full word's bottom-left block."""
+    """(degree span, not Mahler-zero) of det B from the full word's
+    bottom-left block."""
     det = block_det(bottom_left_block(sample_word(cfg, trial, n)))
     if det.is_zero():
         return -1, False
@@ -298,11 +318,12 @@ def test_exact_lane_matches_full_word(swap):
     cfg = small_config(generators=gens, n_steps=16, n_trials=4)
     seen = set()
     for trial in range(cfg.n_trials):
-        rec = _trial_record(cfg, trial, _run_setup(cfg), *_trial_letters(cfg, trial))
-        for n in cfg.schedule():
+        verdicts, degrees = _exact_lane(_run_setup(cfg), *_trial_letters(cfg, trial), cfg.g - 1)
+        assert len(verdicts) == len(degrees) == len(cfg.schedule())
+        for n, verdict, degree in zip(cfg.schedule(), verdicts, degrees):
             deg, positive = _full_word_oracle(cfg, trial, n)
-            assert rec["det_degree"][n] == deg, (trial, n)
-            assert rec["mahler_positive"][n] == positive, (trial, n)
+            assert degree == deg, (trial, n)
+            assert (verdict == "not_mahler_zero") == positive, (trial, n)
             seen.add(positive)
     assert seen == {False, True}
 
@@ -347,12 +368,11 @@ def test_modular_lane_higher_genus_and_zero_dets(g):
     cfg = small_config(generators=gens, probabilities=probs, g=g, n_steps=16, n_trials=4)
     dets = _oracle_check(cfg, range(cfg.n_trials))
     # some of these short walks have det B = 0 at a schedule point, and the
-    # record files them as degenerate_zero
+    # exact lane files them as degenerate_zero
     assert any(d.is_zero() for d in dets)
     setup = _run_setup(cfg)
     verdicts = [v for t in range(cfg.n_trials)
-                for v in _trial_record(cfg, t, setup, *_trial_letters(cfg, t))
-                ["constraint_verdict"].values()]
+                for v in _exact_lane(setup, *_trial_letters(cfg, t), g - 1)[0]]
     assert verdicts.count("degenerate_zero") == sum(d.is_zero() for d in dets)
 
 
@@ -572,9 +592,9 @@ def test_primes_for_counts_match_the_single_bound_rule():
 
 def test_exact_lane_degree_ledger():
     cfg = small_config(n_steps=8, n_trials=1)
-    rec = _trial_record(cfg, 0, _run_setup(cfg), *_trial_letters(cfg, 0))
+    _, degrees = _exact_lane(_run_setup(cfg), *_trial_letters(cfg, 0), cfg.g - 1)
     d_mu = cfg.d_mu()
-    for n, deg in rec["det_degree"].items():
+    for n, deg in zip(cfg.schedule(), degrees):
         assert deg <= (cfg.g - 1) * d_mu * n
 
 
@@ -614,6 +634,42 @@ def test_run_walk_clamps_workers_to_trials(monkeypatch):
     for workers in (2, 5, 16, 64):
         assert json.dumps(run_walk(cfg, workers=workers).to_json_obj()) == ref
     assert _InProcessPool.started == [2, 5, 5, 5]
+
+
+def test_report_takes_embedded_statistics_over_live_trials(monkeypatch):
+    # a zero iota image degenerates the trials that draw its generator; the
+    # report's embedded statistics are those of the trials still live at
+    # each point, from each trial's own loop, whichever chunks they ran in
+    cfg = small_config(n_steps=16, n_trials=24, q_list=(3, 5))
+    setup = _run_setup(cfg)
+    idxs = [_trial_letters(cfg, t)[0] for t in range(cfg.n_trials)]
+    firsts = [[idx.tolist().index(i) + 1 if i in idx else None for idx in idxs]
+              for i in range(len(GENS))]
+    # a generator some trials never draw, and some first draw past step 2
+    gi = next(i for i, f in enumerate(firsts) if None in f and any(n and n > 2 for n in f))
+    zeroed = {q: [np.zeros_like(m) if i == gi else m for i, m in enumerate(mats)]
+              for q, mats in setup.iota.items()}
+    monkeypatch.setattr(walks, "_run_setup", lambda config: dataclasses.replace(setup, iota=zeroed))
+    monkeypatch.setattr(walks, "ProcessPoolExecutor", _InProcessPool)
+    rep = run_walk(cfg, workers=1)
+    assert json.dumps(run_walk(cfg, workers=5).to_json_obj()) == json.dumps(rep.to_json_obj())
+    sched = cfg.schedule()
+    for q in cfg.q_list:
+        own = [_embedded_one_trial(zeroed[q], idx, set(sched), 2) for idx in idxs]
+        assert rep.degenerate_counts[q] == sum(degen for _, _, degen in own)
+        assert 0 < rep.degenerate_counts[q] < cfg.n_trials
+        for n in sched:
+            vals = [L[n] for L, _, _ in own if n in L]
+            ratios = [f[n] for _, f, _ in own if n in f]
+            assert rep.lyapunov_mean[q][n] == float(np.mean(vals))
+            assert rep.lyapunov_var[q][n] == float(np.var(vals, ddof=1))
+            for d in DELTA_GRID:
+                assert rep.hyperplane_fraction[q][d][n] == sum(x < d for x in ratios) / len(ratios)
+        last = sorted(L[sched[-1]] for L, _, _ in own if sched[-1] in L)
+        trim = max(1, len(last) // 20)
+        assert rep.lyapunov_hat[q] == float(np.mean(last[trim:-trim]))
+        # degenerate trials count at the points they reached
+        assert sum(sched[1] in L for L, _, _ in own) > len(last)
 
 
 def test_unit_twist_statistics_bit_identical():
