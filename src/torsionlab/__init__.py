@@ -1,26 +1,42 @@
-"""Exact torsion-growth workbench for cyclic covers of Heegaard manifolds."""
+"""Exact torsion-growth workbench for cyclic covers of Heegaard manifolds.
+
+The public names below are resolved on first use (PEP 562): importing the
+package loads none of its submodules, so a command line that only needs
+`mahler` never loads `walks` or `homology`.  `from torsionlab import X`,
+`torsionlab.X` and `from torsionlab import *` work as for eager imports.
+"""
 
 __version__ = "0.1.0"
 
-from .ringcore import CycElem, LaurentPoly
-from .hermitian import FormMatrix, SurfaceModel, transvection
-from .mahler import mahler_measure, kronecker_zero_test
-from .homology import cover_homology, growth_scan, heegaard_homology, smith_normal_form
-from .walks import WalkConfig, run_walk
+# public name -> the submodule that defines it
+_PUBLIC = {
+    "CycElem": "ringcore",
+    "LaurentPoly": "ringcore",
+    "FormMatrix": "hermitian",
+    "SurfaceModel": "hermitian",
+    "transvection": "hermitian",
+    "mahler_measure": "mahler",
+    "kronecker_zero_test": "mahler",
+    "cover_homology": "homology",
+    "growth_scan": "homology",
+    "heegaard_homology": "homology",
+    "smith_normal_form": "homology",
+    "WalkConfig": "walks",
+    "run_walk": "walks",
+}
 
-__all__ = [
-    "CycElem",
-    "LaurentPoly",
-    "FormMatrix",
-    "SurfaceModel",
-    "transvection",
-    "mahler_measure",
-    "kronecker_zero_test",
-    "cover_homology",
-    "growth_scan",
-    "heegaard_homology",
-    "smith_normal_form",
-    "WalkConfig",
-    "run_walk",
-    "__version__",
-]
+__all__ = [*_PUBLIC, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _PUBLIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{_PUBLIC[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_PUBLIC})

@@ -5,35 +5,23 @@ walk.  All numeric output uses '.' decimals regardless of locale, and
 torsion orders are emitted as decimal strings because they routinely
 exceed machine integers.  Every output directory gets a manifest that
 pins the inputs (sha256), parameters, and seed needed to reproduce it.
+
+Each handler imports the library module it runs when it is called, so a
+call loads only what its command needs: `mahler` never loads `walks` or
+`homology`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
-import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from . import __version__
-from .hermitian import (
-    FormMatrix,
-    block_det,
-    bottom_left_block,
-    check_form_preserved,
-    iota_embed,
-    is_torelli_like,
-)
-from .homology import GrowthScanResult, growth_scan, heegaard_homology
-from .mahler import build_K_alpha, kronecker_zero_test, mahler_measure
 from .ringcore import LaurentPoly, exact_str, json_int, json_rows
-from .walks import WalkConfig, WalkReport, proximality_probe, run_walk
 
 
 @dataclass
@@ -48,6 +36,8 @@ class ExperimentManifest:
 
 
 def _digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -57,7 +47,9 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_form(path: str) -> FormMatrix:
+def _load_form(path: str):
+    from .hermitian import FormMatrix
+
     with open(path) as fh:
         return FormMatrix.loads(fh.read())
 
@@ -79,6 +71,8 @@ def _load_poly_matrix(path: str):
     full FormMatrix JSON."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "g" in obj:
+        from .hermitian import FormMatrix
+
         return [list(r) for r in FormMatrix.from_json_obj(obj).rows]
     return [[LaurentPoly.from_json_obj(e) for e in row] for row in _rows(obj)]
 
@@ -100,6 +94,8 @@ def _write_manifest(out_dir: str, manifest: ExperimentManifest):
 
 
 def _cmd_mahler_eval(args) -> int:
+    from .mahler import mahler_measure
+
     p = _load_poly(args.poly)
     res = mahler_measure(p, tol=args.tol)
     _print_json(
@@ -116,6 +112,8 @@ def _cmd_mahler_eval(args) -> int:
 
 
 def _cmd_mahler_kronecker(args) -> int:
+    from .mahler import kronecker_zero_test
+
     p = _load_poly(args.poly)
     fac = kronecker_zero_test(p)
     if fac is None:
@@ -135,18 +133,24 @@ def _cmd_mahler_kronecker(args) -> int:
 
 
 def _cmd_mahler_kalpha(args) -> int:
+    from .mahler import build_K_alpha
+
     K = build_K_alpha(args.alpha, args.mmax)
     _print_json({"alpha": args.alpha, "m_max": args.mmax, "K": sorted(K)})
     return 0
 
 
 def _cmd_rep_check_form(args) -> int:
+    from .hermitian import check_form_preserved, is_torelli_like
+
     M = _load_form(args.matrix)
     _print_json({"form_preserved": check_form_preserved(M), "torelli_like": is_torelli_like(M)})
     return 0
 
 
 def _cmd_rep_block(args) -> int:
+    from .hermitian import block_det, bottom_left_block
+
     M = _load_form(args.matrix)
     B = bottom_left_block(M)
     det = block_det(B)
@@ -160,6 +164,8 @@ def _cmd_rep_block(args) -> int:
 
 
 def _cmd_rep_iota(args) -> int:
+    from .hermitian import iota_embed
+
     M = _load_form(args.matrix)
     if M.q is None:
         M = M.reduce_mod_q(args.q)
@@ -178,6 +184,10 @@ def _cmd_rep_iota(args) -> int:
 
 
 def _cmd_torsion_scan(args) -> int:
+    import csv
+
+    from .homology import growth_scan
+
     B = _load_poly_matrix(args.binf)
     qs = list(range(1, args.qmax + 1, args.stride))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -205,7 +215,7 @@ def _cmd_torsion_scan(args) -> int:
     return 0
 
 
-def _scan_rows(result: GrowthScanResult):
+def _scan_rows(result):
     return [
         [r.q, exact_str(r.torsion_order), r.betti, repr(r.log_torsion_over_q)]
         for r in result.reports
@@ -213,6 +223,8 @@ def _scan_rows(result: GrowthScanResult):
 
 
 def _cmd_heegaard(args) -> int:
+    from .homology import heegaard_homology
+
     rows = _rows(_load_json(args.matrix))
     rep = heegaard_homology([[json_int(x) for x in row] for row in rows])
     _print_json(
@@ -227,7 +239,13 @@ def _cmd_heegaard(args) -> int:
     return 0
 
 
-def _walk_config_from_file(path: str, seed_override=None) -> WalkConfig:
+def _walk_config_from_file(path: str, seed_override=None):
+    import math
+    from fractions import Fraction
+
+    from .hermitian import FormMatrix
+    from .walks import WalkConfig
+
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"expected the walk config as a JSON object, got {type(obj).__name__}")
@@ -262,6 +280,8 @@ def _walk_config_from_file(path: str, seed_override=None) -> WalkConfig:
 
 
 def _cmd_walk_run(args) -> int:
+    from .walks import run_walk
+
     config = _walk_config_from_file(args.config, seed_override=args.seed)
     workers = args.threads
     report = run_walk(config, workers=workers)
@@ -292,6 +312,8 @@ def _cmd_walk_run(args) -> int:
 
 
 def _cmd_walk_probe(args) -> int:
+    from .walks import proximality_probe
+
     config = _walk_config_from_file(args.config)
     rep = proximality_probe(config, args.q, root_index=args.root)
     _print_json(asdict(rep))
@@ -304,16 +326,19 @@ def _cmd_walk_probe(args) -> int:
 
 def emit_plot_data(report) -> str:
     """Tidy long-format CSV (series, x, y, stderr) for external plotting."""
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["series", "x", "y", "stderr"])
-    if isinstance(report, GrowthScanResult):
+    if _is_instance(report, "homology", "GrowthScanResult"):
         for r in report.reports:
             w.writerow(["log_torsion_over_q", r.q, repr(r.log_torsion_over_q), ""])
         if report.mahler is not None:
             for r in report.reports:
                 w.writerow(["mahler_measure", r.q, repr(report.mahler.log_measure), ""])
-    elif isinstance(report, WalkReport):
+    elif _is_instance(report, "walks", "WalkReport"):
         ntr = max(report.n_trials, 1)
         for n in report.schedule:
             f = report.fraction_mahler_positive[n]
@@ -331,6 +356,13 @@ def emit_plot_data(report) -> str:
                 for n, frac in series.items():
                     w.writerow([f"frac_below_{delta:g}_q{q}", n, repr(frac), ""])
     return buf.getvalue()
+
+
+def _is_instance(obj, module: str, cls: str) -> bool:
+    """isinstance(obj, torsionlab.<module>.<cls>), without importing the
+    module: an instance of the class exists only once it is loaded."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return mod is not None and isinstance(obj, getattr(mod, cls))
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,14 @@ entry exponent shifted to zero) before embedding, which makes every
 |iota| statistic exactly independent of unit twists of the generators.
 
 A run keeps arrays, not per-trial records: a worker's letter indices are
-one int64 array with a row per trial, and its chunk is a few columns with
-one row per trial and one entry per schedule point.  From the exact lane,
-they hold the verdict of det B's cyclotomic constraints and its degree
-span (-1 for det B = 0); from the embedded lane, per cover degree, L_n and
-f_ratio (NaN from the point where the trial degenerates on) and the
-trial's degenerate flag.  run_walk puts the chunks' rows back in trial
-order, and the report's statistics are taken column by column.
+one array with a row per trial, of the smallest unsigned type that holds a
+generator index (uint8 up to 256 generators), and its chunk is a few
+columns with one row per trial and one entry per schedule point.  From
+the exact lane, they hold the verdict of det B's cyclotomic constraints
+and its degree span (-1 for det B = 0); from the embedded lane, per cover
+degree, L_n and f_ratio (NaN from the point where the trial degenerates
+on) and the trial's degenerate flag.  run_walk puts the chunks' rows back
+in trial order, and the report's statistics are taken column by column.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -61,8 +61,8 @@ from .hermitian import (
     degree_bound,
     exterior_power_matrix,
     form_inverse,
-    iota_embed,
     transvection,
+    _iota_at,
 )
 from .mahler import (
     ConstraintParams,
@@ -70,7 +70,7 @@ from .mahler import (
     build_K_alpha,
     constraint_check,
 )
-from .ringcore import LaurentPoly, _crt_symmetric, _primes_for
+from .ringcore import LaurentPoly, _crt_symmetric, _primes_for, reduce_mod_q
 
 
 DELTA_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -221,9 +221,16 @@ def sample_word(config: WalkConfig, trial_index: int, n: int) -> FormMatrix:
 
 
 def _normalized_iota(M: FormMatrix, q: int, root_index: int) -> np.ndarray:
-    """iota image of the canonical unit-normalized lift of M."""
+    """iota image of the canonical unit-normalized lift of M: each entry
+    shifted by t^-lo, reduced mod q and evaluated as iota_embed does, with
+    no intermediate matrix."""
     lo = min((e.deg_lo for row in M.rows for e in row if e), default=0)
-    return iota_embed(M.scale(LaurentPoly.t(-lo)).reduce_mod_q(q), root_index)
+    at = _iota_at(q, root_index)
+    return np.array(
+        [[at(reduce_mod_q(LaurentPoly._wrap(e.lo - lo, e.cs) if e else e, q)) for e in row]
+         for row in M.rows],
+        dtype=complex,
+    )
 
 
 # a letter whose growth is below this keeps every partial sum of its update
@@ -518,7 +525,7 @@ def _trial_chunk(args) -> dict:
         "f_ratio": np.empty((n, nq, ns)),
         "degenerate": np.empty((n, nq), dtype=bool),
     }
-    idxs = np.empty((n, config.n_steps), dtype=np.int64)
+    idxs = np.empty((n, config.n_steps), dtype=np.min_scalar_type(len(config.generators) - 1))
     twists = [None] * n
     for r, i in enumerate(indices):
         idxs[r], twists[r] = _trial_letters(config, i)
@@ -532,13 +539,18 @@ def _trial_chunk(args) -> dict:
 
 def run_walk(config: WalkConfig, workers: int | None = None) -> WalkReport:
     """Run all trials and aggregate the per-length statistics, on `workers`
-    processes (default: up to 8 CPUs), never more than one per trial."""
+    processes (at least 1; default: up to 8 CPUs), never more than one per
+    trial.  The process pool is imported only to start one."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     nw = workers if workers is not None else min(8, os.cpu_count() or 1)
     nw = min(nw, config.n_trials)
     indices = list(range(config.n_trials))
     if nw <= 1 or config.n_trials < 4:
         parts = [_trial_chunk((config, indices))]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [(config, indices[i::nw]) for i in range(nw)]
         with ProcessPoolExecutor(max_workers=nw) as pool:
             parts = list(pool.map(_trial_chunk, chunks))

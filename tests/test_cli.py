@@ -384,6 +384,22 @@ def test_walk_run_rejects_repeated_cover_degree(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_walk_run_rejects_thread_counts_below_one(tmp_path, capsys, threads):
+    # both used to run one process and exit 0
+    f = walk_config_file(tmp_path)
+    out_dir = tmp_path / "out"
+    rc = dispatch(["walk", "run", "--config", str(f), "--out", str(out_dir), "--threads", threads])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_dir.exists()
+    gens, probs = bundled_generators(3)
+    cfg = WalkConfig(generators=gens, probabilities=probs, g=3, n_steps=4, n_trials=4)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_walk(cfg, workers=int(threads))
+
+
 def test_walk_probe(tmp_path, capsys):
     f = walk_config_file(tmp_path)
     rc, out = run_cli(capsys, "walk", "probe", "--config", str(f), "--q", "3")
@@ -512,6 +528,70 @@ def test_library_runs_without_mpmath(tmp_path):
     stdout, files = outputs["blocked"]
     assert stdout.count(b"log_measure") == 4 and {"scan/scan.csv", "walk/report.json"} <= set(files)
     assert outputs["blocked"] == outputs["normal"]
+
+
+LOADS_RUN = """
+import contextlib, io, json, sys
+import torsionlab
+if sys.argv[1:]:
+    import torsionlab.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = torsionlab.cli.dispatch(sys.argv[1:])
+    assert rc == 0, (rc, sys.argv)
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("torsionlab")),
+                  "concurrent.futures.process" in sys.modules]))
+"""
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # a fresh interpreter per command: the package loads no submodule, and
+    # the CLI only the library modules its command runs; no command loads
+    # the process pool, which only a walk on more than one worker starts
+    gens, _ = bundled_generators(3)
+    (tmp_path / "p.json").write_text(LEHMER.dumps())
+    (tmp_path / "m.json").write_text(gens[0].dumps())
+    (tmp_path / "binf.json").write_text(json.dumps({"rows": [[LEHMER.to_json_obj()]]}))
+    (tmp_path / "phi.json").write_text(json.dumps([[1, 0], [2, 1]]))
+    walk = str(walk_config_file(tmp_path, n_steps=4, n_trials=2))
+    base = {"torsionlab", "torsionlab.cli", "torsionlab.ringcore"}
+    mahler = base | {"torsionlab.mahler"}
+    rep = base | {"torsionlab.hermitian"}
+    homology = mahler | rep | {"torsionlab.homology"}
+    walks = mahler | rep | {"torsionlab.walks"}
+    cases = [
+        ((), {"torsionlab"}),
+        (("--version",), base),
+        (("mahler", "eval", "--poly", "p.json"), mahler),
+        (("mahler", "kronecker", "--poly", "p.json"), mahler),
+        (("mahler", "kalpha", "--alpha", "1.0", "--mmax", "10"), mahler),
+        (("rep", "check-form", "m.json"), rep),
+        (("rep", "block", "m.json"), rep),
+        (("rep", "iota", "m.json", "--q", "5"), rep),
+        (("torsion", "scan", "--binf", "binf.json", "--qmax", "5", "--out", "scan/s.csv"), homology),
+        (("heegaard", "--matrix", "phi.json"), homology),
+        (("walk", "run", "--config", walk, "--out", "walk", "--threads", "1"), walks),
+        (("walk", "probe", "--config", walk, "--q", "3"), walks),
+    ]
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    for argv, want in cases:
+        proc = subprocess.run([sys.executable, "-c", LOADS_RUN, *argv], cwd=tmp_path, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        loaded, pool = json.loads(proc.stdout)
+        assert (set(loaded), pool) == (want, False), argv
+    # the public names still resolve, by every route
+    names = {}
+    exec("from torsionlab import *", names)
+    assert set(torsionlab.__all__) <= set(names) and set(torsionlab.__all__) <= set(dir(torsionlab))
+    for name in torsionlab.__all__:
+        assert names[name] is getattr(torsionlab, name)
+    from torsionlab import walks
+
+    assert torsionlab.run_walk is walks.run_walk and torsionlab.WalkConfig is WalkConfig
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        torsionlab.nope
+    with pytest.raises(ImportError):
+        exec("from torsionlab import nope", {})
 
 
 def test_span_past_max_span_is_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Random-walk experiments: determinism, exact/embedded lane agreement."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -265,6 +266,34 @@ def test_chunk_records_match_trials_run_alone():
             assert repr(lane) == repr(own)
     sub = _trial_chunk((cfg, [6, 1, 3]))
     assert [_row(sub, r) for r in range(3)] == [_row(chunk, t) for t in (6, 1, 3)]
+
+
+def test_letter_indices_take_the_smallest_type_that_holds_them(monkeypatch):
+    # 272 generators need uint16; both lanes must see every drawn index,
+    # 256 and past included, not one wrapped to 8 bits
+    many = WalkConfig(generators=GENS * 17, probabilities=[Fraction(1, 272)] * 272, g=3,
+                      n_steps=16, n_trials=4, master_seed=5, q_list=(3,))
+    seen = []
+    exact, embedded = walks._exact_lane, walks._embedded_lane
+
+    def exact_spy(setup, idx, twists, h):
+        seen.append(idx.copy())
+        return exact(setup, idx, twists, h)
+
+    def embedded_spy(mats, idxs, sched, h):
+        seen.append(idxs.copy())
+        return embedded(mats, idxs, sched, h)
+
+    monkeypatch.setattr(walks, "_exact_lane", exact_spy)
+    monkeypatch.setattr(walks, "_embedded_lane", embedded_spy)
+    _trial_chunk((many, list(range(4))))
+    drawn = [_trial_letters(many, t)[0].tolist() for t in range(4)]
+    assert max(map(max, drawn)) > 255
+    assert [a.dtype for a in seen] == [np.dtype(np.uint16)] * 5
+    assert [a.tolist() for a in seen] == drawn + [drawn]
+    seen.clear()
+    _trial_chunk((small_config(n_steps=4, n_trials=2), [0, 1]))
+    assert [a.dtype for a in seen] == [np.dtype(np.uint8)] * 3
 
 
 def test_zero_letter_degenerates_only_its_trials(monkeypatch):
@@ -627,7 +656,7 @@ class _InProcessPool:
 
 
 def test_run_walk_clamps_workers_to_trials(monkeypatch):
-    monkeypatch.setattr(walks, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     _InProcessPool.started.clear()
     cfg = small_config(n_trials=5)
     ref = json.dumps(run_walk(cfg, workers=1).to_json_obj())
@@ -650,7 +679,7 @@ def test_report_takes_embedded_statistics_over_live_trials(monkeypatch):
     zeroed = {q: [np.zeros_like(m) if i == gi else m for i, m in enumerate(mats)]
               for q, mats in setup.iota.items()}
     monkeypatch.setattr(walks, "_run_setup", lambda config: dataclasses.replace(setup, iota=zeroed))
-    monkeypatch.setattr(walks, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     rep = run_walk(cfg, workers=1)
     assert json.dumps(run_walk(cfg, workers=5).to_json_obj()) == json.dumps(rep.to_json_obj())
     sched = cfg.schedule()
