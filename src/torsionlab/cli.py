@@ -188,6 +188,9 @@ def _cmd_torsion_scan(args) -> int:
 
     from .homology import growth_scan
 
+    for name, value in (("--qmax", args.qmax), ("--stride", args.stride)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     B = _load_poly_matrix(args.binf)
     qs = list(range(1, args.qmax + 1, args.stride))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)

@@ -349,7 +349,13 @@ def block_det(block):
 def _iota_at(q: int, root_index: int):
     """Evaluation of elements of Z[Z/q] at zeta = exp(2*pi*i*root_index/q),
     each power of zeta computed once, when an element first needs it.  The
-    angle is taken of root_index mod q, so an index of any size is a float."""
+    angle is taken of root_index mod q, so an index of any size is a float.
+
+    The value is the sum of c_k zeta^k in doubles, so its domain is elements
+    whose coefficients a double holds exactly: the walks embed generators,
+    whose coefficients are small, and iota_embed the matrix it is given.  A
+    coefficient past 2^53 is rounded, and one past the float range raises
+    OverflowError."""
     if math.gcd(root_index, q) != 1:
         raise NonPrimitiveRoot(f"gcd({root_index}, {q}) != 1")
     zeta = np.exp(2j * np.pi * (root_index % q) / q)

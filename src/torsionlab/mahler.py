@@ -705,7 +705,10 @@ def constraint_check(
             degree_bound=bound,
         )
     alpha_prime = params.alpha / ((params.g - 1) * params.d_mu)
-    limit = math.exp(alpha_prime * degree)
+    try:
+        limit = math.exp(alpha_prime * degree)
+    except OverflowError:  # a large alpha takes the bound past the float range
+        limit = math.inf
     worst = 0.0
     for i in range(CIRCLE_SAMPLES):
         theta = 2 * math.pi * i / CIRCLE_SAMPLES

@@ -11,7 +11,9 @@ carries the a-frame, the image of the a-basis (the word's first g-1
 columns), and inspects det of its b-rows, the bottom-left block, at a
 logarithmic schedule of lengths.  It keeps the frame modulo a batch of
 primes below 2^31, as one int64 array of dense coefficient windows, with
-enough primes for a per-entry l1 bound tracked exactly beforehand.  Each
+enough primes for a per-entry l1 bound tracked exactly beforehand: the
+bounds of a slice of up to BOUND_ROWS trials are taken together, one exact
+product of their stacked matrices of l1 norms per step.  Each
 generator is planned once as I + sum_a r_a x_a y_a^T (one term for a
 transvection), and a letter updates the frame in place: each
 w_a = y_a^T F is taken into a scratch row, then added in one pass per
@@ -255,18 +257,15 @@ class _LetterPlan:
     how far the terms' exponents reach below and above 0, the widening of
     the frame's window.
 
-    norms lists (i, ((k, l1 norm of L_ik), ...)) for the rows i of L that
-    are not rows of I.  growth = max_i (1 + sum_a |x_ai| ||r_a||_1
-    ||y_a||_1), at least the largest row sum of those l1 norms, bounds
-    every partial sum of the update, and each w_a and c w_a, in units of
-    the frame's largest |entry|; the letter is wide when growth reaches
-    _WIDE_ROW.
+    growth = max_i (1 + sum_a |x_ai| ||r_a||_1 ||y_a||_1), at least the
+    largest row sum of the l1 norms of L's entries, bounds every partial
+    sum of the update, and each w_a and c w_a, in units of the frame's
+    largest |entry|; the letter is wide when growth reaches _WIDE_ROW.
     """
 
     terms: tuple
     left: int
     right: int
-    norms: tuple
     growth: int
     wide: bool
 
@@ -300,15 +299,10 @@ def _letter_plan(M: FormMatrix) -> _LetterPlan:
         for i, xi in x.items():
             growth[i] += abs(xi) * sum(abs(c) for _, c in r) * sum(abs(c) for _, c in y)
     exps = [e for r, _ in xs for e, _ in r]
-    norms = [
-        tuple((k, sum(map(abs, x.cs))) for k, x in enumerate(row) if x)
-        for row in M.rows
-    ]
     return _LetterPlan(
         terms=tuple(terms),
         left=max([0] + [-e for e in exps]),
         right=max([0] + exps),
-        norms=tuple((i, row) for i, row in enumerate(norms) if row != ((i, 1),)),
         growth=max(growth),
         wide=max(growth) >= _WIDE_ROW,
     )
@@ -324,6 +318,7 @@ class _RunSetup:
     params: ConstraintParams
     iota: dict  # cover degree -> _normalized_iota of each generator
     letters: list  # _LetterPlan of each generator
+    norms: np.ndarray  # each generator's matrix of entry l1 norms, Python ints
 
 
 def _run_setup(config: WalkConfig) -> _RunSetup:
@@ -338,29 +333,40 @@ def _run_setup(config: WalkConfig) -> _RunSetup:
             for q in config.q_list
         },
         letters=[_letter_plan(M) for M in config.generators],
+        norms=np.array(
+            [[[sum(map(abs, x.cs)) for x in row] for row in M.rows] for M in config.generators],
+            dtype=object,
+        ),
     )
 
 
-def _frame_bounds(plans: list, sched: list, h: int) -> dict:
-    """For each schedule point n, a bound on every |coefficient| of the
-    frame's b-rows after the first n letters: the l1 norm of (L F)_ij is at
-    most sum_k ||L_ik||_1 ||F_kj||_1, tracked exactly column by column over
-    the rows that L moves."""
-    cols = [[int(i == j) for i in range(2 * h)] for j in range(h)]
-    out = {}
-    for step, L in enumerate(plans, 1):
-        for col in cols:
-            new = [sum([n * col[k] for k, n in row]) for _, row in L.norms]
-            for (i, _), v in zip(L.norms, new):
-                col[i] = v
+# _trial_chunk takes the frame bounds of at most this many trials at once,
+# so their column stacks take the same memory however many trials it runs
+BOUND_ROWS = 1024
+
+
+def _slice_bounds(norms: np.ndarray, idxs: np.ndarray, sched, h: int) -> list:
+    """For each row of letters in idxs, {n: bound} over the schedule points
+    n: a bound on every |coefficient| of the frame's b-rows after the row's
+    first n letters.  The l1 norm of (L F)_ij is at most
+    sum_k ||L_ik||_1 ||F_kj||_1, so the 2h x h columns of l1 bounds of
+    every row advance by one exact product per step, of the stacked norm
+    matrices of the rows' letters, on Python ints."""
+    cols = np.zeros((len(idxs), 2 * h, h), dtype=object)
+    cols[:, :h] = np.eye(h, dtype=object)
+    out = [{} for _ in idxs]
+    for step, letters in enumerate(idxs.T, 1):
+        cols = np.matmul(norms[letters], cols)
         if step in sched:
-            out[step] = max(max(col[h:]) for col in cols)
+            for bounds, b in zip(out, cols[:, h:].max(axis=(1, 2)).tolist()):
+                bounds[step] = b
     return out
 
 
-def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
+def _modular_dets(setup: _RunSetup, idx, twists, bounds: dict, h: int) -> dict:
     """det B at each schedule point of the walk on the letters idx (times
-    t^twists, if given), from the a-frame kept modulo a batch of primes.
+    t^twists, if given), from the a-frame kept modulo a batch of primes,
+    as many as the point's bound from _slice_bounds needs.
 
     The frame F is one int64 array (2h, exponents, h, primes), updated in
     place: a letter I + sum_a r_a x_a y_a^T first takes each w_a = y_a^T F
@@ -378,7 +384,6 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     needs.
     """
     plans = [setup.letters[int(i)] for i in idx]
-    bounds = _frame_bounds(plans, setup.sched, h)
     primes, counts = _primes_for(bounds.values())
     at = dict(zip(bounds, counts))
     P = np.array(primes, dtype=np.int64)
@@ -446,12 +451,12 @@ def _modular_dets(setup: _RunSetup, idx, twists, h: int) -> dict:
     return dets
 
 
-def _exact_lane(setup: _RunSetup, idx, twists, h: int) -> tuple[list, list]:
-    """The trial's exact-lane statistics, from its letters idx and unit
-    twists: at each schedule point, the verdict of det B's cyclotomic
-    constraints and its degree span (-1 for det B = 0)."""
+def _exact_lane(setup: _RunSetup, idx, twists, bounds: dict, h: int) -> tuple[list, list]:
+    """The trial's exact-lane statistics, from its letters idx, unit twists
+    and frame bounds: at each schedule point, the verdict of det B's
+    cyclotomic constraints and its degree span (-1 for det B = 0)."""
     verdicts, degrees = [], []
-    for step, det in _modular_dets(setup, idx, twists, h).items():
+    for step, det in _modular_dets(setup, idx, twists, bounds, h).items():
         if det.is_zero():
             verdicts.append("degenerate_zero")
             degrees.append(-1)
@@ -511,8 +516,9 @@ def _embedded_lane(mats: list, idxs: np.ndarray, sched: list, h: int):
 
 def _trial_chunk(args) -> dict:
     """The trials `indices` as columns, one row per trial in that order:
-    the exact lane one trial at a time, then the embedded lane once per
-    cover degree over all of them.  The schedule points are the last axis,
+    the exact lane one trial at a time, each slice of BOUND_ROWS trials
+    after its frame bounds, then the embedded lane once per cover degree
+    over all of them.  The schedule points are the last axis,
     and a per-cover column has the cover degrees on axis 1."""
     config, indices = args
     setup = _run_setup(config)
@@ -529,8 +535,12 @@ def _trial_chunk(args) -> dict:
     twists = [None] * n
     for r, i in enumerate(indices):
         idxs[r], twists[r] = _trial_letters(config, i)
-    for r in range(n):
-        cols["verdict"][r], cols["det_degree"][r] = _exact_lane(setup, idxs[r], twists[r], h)
+    for s in range(0, n, BOUND_ROWS):
+        part = idxs[s : s + BOUND_ROWS]
+        for r, bounds in enumerate(_slice_bounds(setup.norms, part, setup.sched, h), s):
+            cols["verdict"][r], cols["det_degree"][r] = _exact_lane(
+                setup, idxs[r], twists[r], bounds, h
+            )
     for j, q in enumerate(config.q_list):
         lane = _embedded_lane(setup.iota[q], idxs, setup.sched, h)
         cols["L_n"][:, j], cols["f_ratio"][:, j], cols["degenerate"][:, j] = lane

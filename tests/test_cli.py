@@ -183,6 +183,22 @@ def test_torsion_scan_rejects_non_square_blocks(tmp_path, capsys, rows):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("option, value", [("--stride", "0"), ("--stride", "-1"),
+                                           ("--qmax", "0"), ("--qmax", "-5")])
+def test_torsion_scan_names_the_option_below_one(tmp_path, capsys, option, value):
+    # a stride of 0 printed range()'s own message, and a stride of -1 or a
+    # qmax of 0 an empty q_range, which names neither option
+    f = tmp_path / "b.json"
+    f.write_text(json.dumps({"rows": [[LaurentPoly({1: 1, 0: -2}).to_json_obj()]]}))
+    out_csv = tmp_path / "scan.csv"
+    argv = {"--qmax": "5", "--stride": "1", option: value}
+    rc = dispatch(["torsion", "scan", "--binf", str(f), *(x for kv in argv.items() for x in kv),
+                   "--out", str(out_csv)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {option} must be at least 1, got {value}\n"
+    assert not out_csv.exists()
+
+
 MOD2 = bundled_generators(3)[0][0].reduce_mod_q(2).to_json_obj()
 
 
@@ -373,6 +389,24 @@ def test_rep_iota_takes_a_root_index_past_the_float_range(tmp_path, capsys):
     big, one = json.loads(big), json.loads(one)
     assert (big["real"], big["imag"]) == (one["real"], one["imag"])
     assert any(x for row in one["imag"] for x in row)
+
+
+def test_walk_run_takes_an_alpha_past_the_circle_bound_float_range(tmp_path, capsys):
+    # K(1000) holds no index of Phi_3 or Phi_5, so a det B made of them is
+    # small_everywhere, and its circle bound e^(alpha' deg) is past the
+    # float range: the run exited 1 with "math range error"
+    model = SurfaceModel(3)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    r = LaurentPoly({1: 1, 0: 1, -1: 1})
+    gens = [transvection(model, v, c).to_json_obj()
+            for v in ([one, zero, one, zero], [zero, one, zero, one]) for c in (r, -r)]
+    f = walk_config_file(tmp_path, generators=gens, probabilities=["1/4"] * 4, alpha=1000,
+                         n_steps=4, n_trials=20, master_seed=0, q_list=[5])
+    out_dir = tmp_path / "out"
+    rc = dispatch(["walk", "run", "--config", str(f), "--out", str(out_dir), "--threads", "1"])
+    assert rc == 0, capsys.readouterr().err
+    bins = json.loads((out_dir / "report.json").read_text())["constraint_bins"]
+    assert bins["2"] == {"degenerate_zero": 12, "small_everywhere": 8}
 
 
 def test_walk_run_rejects_repeated_cover_degree(tmp_path, capsys):

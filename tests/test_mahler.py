@@ -1110,6 +1110,17 @@ def test_constraint_small_everywhere():
     assert rep.circle_bound >= 1.0
 
 
+def test_constraint_circle_bound_saturates_for_a_large_alpha():
+    # Phi_3 Phi_5 takes no index of K(1000), and its circle bound
+    # e^(alpha' deg) = e^1500 is past the float range: it raised
+    # OverflowError, though the verdict does not read it
+    params = make_params(alpha=1000)
+    assert not {3, 5} & params.K
+    rep = constraint_check(cyclotomic(3) * cyclotomic(5), params, n=4)
+    assert rep.verdict is ConstraintVerdict.SMALL_EVERYWHERE
+    assert rep.circle_bound == math.inf
+
+
 def test_constraint_params_reject_non_finite_alpha():
     # NaN slipped through a bare alpha <= 0 check, and constraint_check
     # then reported SMALL_EVERYWHERE with a NaN circle bound

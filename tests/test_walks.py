@@ -29,12 +29,12 @@ from torsionlab.walks import (
     WalkConfig,
     WalkReport,
     _exact_lane,
-    _frame_bounds,
     _letter_plan,
     _modular_dets,
     _normalized_iota,
     _run_setup,
     _sample_indices,
+    _slice_bounds,
     _trial_chunk,
     _trial_letters,
     bundled_generators,
@@ -276,9 +276,9 @@ def test_letter_indices_take_the_smallest_type_that_holds_them(monkeypatch):
     seen = []
     exact, embedded = walks._exact_lane, walks._embedded_lane
 
-    def exact_spy(setup, idx, twists, h):
+    def exact_spy(setup, idx, twists, bounds, h):
         seen.append(idx.copy())
-        return exact(setup, idx, twists, h)
+        return exact(setup, idx, twists, bounds, h)
 
     def embedded_spy(mats, idxs, sched, h):
         seen.append(idxs.copy())
@@ -323,6 +323,13 @@ def test_zero_letter_degenerates_only_its_trials(monkeypatch):
             assert got[key][t].tolist() == base[key][t].tolist()
 
 
+def _lane_args(setup, cfg, trial):
+    """The trial's letters, unit twists and frame bounds, the bounds taken
+    on its letters as a one-row array."""
+    idx, twists = _trial_letters(cfg, trial)
+    return idx, twists, _slice_bounds(setup.norms, idx[None], setup.sched, cfg.g - 1)[0]
+
+
 def _full_word_oracle(cfg, trial, n):
     """(degree span, not Mahler-zero) of det B from the full word's
     bottom-left block."""
@@ -346,8 +353,9 @@ def test_exact_lane_matches_full_word(swap):
         assert np.linalg.matrix_rank(at2 - np.eye(4)) == 2
     cfg = small_config(generators=gens, n_steps=16, n_trials=4)
     seen = set()
+    setup = _run_setup(cfg)
     for trial in range(cfg.n_trials):
-        verdicts, degrees = _exact_lane(_run_setup(cfg), *_trial_letters(cfg, trial), cfg.g - 1)
+        verdicts, degrees = _exact_lane(setup, *_lane_args(setup, cfg, trial), cfg.g - 1)
         assert len(verdicts) == len(degrees) == len(cfg.schedule())
         for n, verdict, degree in zip(cfg.schedule(), verdicts, degrees):
             deg, positive = _full_word_oracle(cfg, trial, n)
@@ -365,8 +373,8 @@ def _oracle_check(cfg, trials):
     setup = _run_setup(cfg)
     dets = []
     for trial in trials:
-        idx, twists = _trial_letters(cfg, trial)
-        lane = _modular_dets(setup, idx, twists, h)
+        idx, twists, bounds = _lane_args(setup, cfg, trial)
+        lane = _modular_dets(setup, idx, twists, bounds, h)
         assert list(lane) == cfg.schedule()
         for n, det in lane.items():
             want = block_det(bottom_left_block(sample_word(cfg, trial, n)))
@@ -401,7 +409,7 @@ def test_modular_lane_higher_genus_and_zero_dets(g):
     assert any(d.is_zero() for d in dets)
     setup = _run_setup(cfg)
     verdicts = [v for t in range(cfg.n_trials)
-                for v in _exact_lane(setup, *_trial_letters(cfg, t), g - 1)[0]]
+                for v in _exact_lane(setup, *_lane_args(setup, cfg, t), g - 1)[0]]
     assert verdicts.count("degenerate_zero") == sum(d.is_zero() for d in dets)
 
 
@@ -531,7 +539,7 @@ def test_modular_lane_mixed_view_and_copy_letter():
 
 
 def _full_norm_bounds(gens, idx, sched, h):
-    """_frame_bounds as a loop over every row of each letter's full norm
+    """The frame bounds as a loop over every row of each letter's full norm
     matrix, one new list of columns per letter."""
     norms = [
         tuple(tuple((k, sum(map(abs, x.coeffs.values()))) for k, x in enumerate(row) if x)
@@ -558,24 +566,46 @@ G4, P4 = bundled_generators(4)
 def test_frame_bounds_match_the_full_norm_loop(make):
     cfg = make()
     setup = _run_setup(cfg)
-    for trial in range(cfg.n_trials):
-        idx, _ = _trial_letters(cfg, trial)
-        got = _frame_bounds([setup.letters[int(i)] for i in idx], setup.sched, cfg.g - 1)
+    idxs = np.array([_trial_letters(cfg, trial)[0] for trial in range(cfg.n_trials)])
+    # every trial's bounds in one slice, and each on its own
+    stacked = _slice_bounds(setup.norms, idxs, setup.sched, cfg.g - 1)
+    for idx, got in zip(idxs, stacked):
         assert got == _full_norm_bounds(cfg.generators, idx, setup.sched, cfg.g - 1)
         assert list(got) == cfg.schedule()
+        assert _slice_bounds(setup.norms, idx[None], setup.sched, cfg.g - 1) == [got]
 
 
 @pytest.mark.parametrize("make", [lambda: small_config(n_steps=64, n_trials=2),
                                   lambda: _wide_config(n_steps=16, n_trials=3)])
 def test_frame_bound_covers_true_coefficients(make):
     cfg = make()
-    letters = _run_setup(cfg).letters
+    norms = _run_setup(cfg).norms
     for trial in range(cfg.n_trials):
         idx, _ = _trial_letters(cfg, trial)
-        bounds = _frame_bounds([letters[int(i)] for i in idx], set(cfg.schedule()), 2)
+        bounds = _slice_bounds(norms, idx[None], set(cfg.schedule()), 2)[0]
         for n, bound in bounds.items():
             block = bottom_left_block(sample_word(cfg, trial, n))
             assert bound >= max(e.content_max() for row in block for e in row), (trial, n)
+
+
+def test_chunk_columns_do_not_depend_on_the_bound_slices(monkeypatch):
+    # the frame bounds of a chunk are taken BOUND_ROWS trials at a time; a
+    # slice of one trial, slices of three with a shorter last one, and the
+    # whole chunk in one slice give the same columns
+    wide = _wide_config().generators[len(GENS):]
+    gens = GENS + [MIXED, wide[0], wide[2]]
+    probs = [Fraction(1, 2 * len(GENS))] * len(GENS) + [Fraction(1, 6)] * 3
+    cfg = small_config(generators=gens, probabilities=probs, n_steps=16, n_trials=10,
+                       unit_twist_seed=77)
+    drawn = {int(i) for t in range(cfg.n_trials) for i in _trial_letters(cfg, t)[0]}
+    assert set(range(len(GENS), len(gens))) <= drawn
+    trials = list(range(cfg.n_trials))
+    assert walks.BOUND_ROWS >= len(trials)
+    want = _trial_chunk((cfg, trials))
+    for rows in (1, 3):
+        monkeypatch.setattr(walks, "BOUND_ROWS", rows)
+        got = _trial_chunk((cfg, trials))
+        assert [_row(got, r) for r in trials] == [_row(want, r) for r in trials]
 
 
 def _prime_count(bound, avoid=1):
@@ -591,11 +621,11 @@ def _prime_count(bound, avoid=1):
 
 def test_primes_for_matches_old_prime_count_on_frame_bounds():
     cfg = small_config(n_steps=256, n_trials=2)
-    letters = _run_setup(cfg).letters
+    norms = _run_setup(cfg).norms
     bounds = [0]
     for trial in range(cfg.n_trials):
         idx, _ = _trial_letters(cfg, trial)
-        bounds += _frame_bounds([letters[int(i)] for i in idx], set(cfg.schedule()), 2).values()
+        bounds += _slice_bounds(norms, idx[None], set(cfg.schedule()), 2)[0].values()
     assert max(bounds).bit_length() > 31 * 8
     for bound in bounds:
         k = _prime_count(bound)
@@ -621,7 +651,8 @@ def test_primes_for_counts_match_the_single_bound_rule():
 
 def test_exact_lane_degree_ledger():
     cfg = small_config(n_steps=8, n_trials=1)
-    _, degrees = _exact_lane(_run_setup(cfg), *_trial_letters(cfg, 0), cfg.g - 1)
+    setup = _run_setup(cfg)
+    _, degrees = _exact_lane(setup, *_lane_args(setup, cfg, 0), cfg.g - 1)
     d_mu = cfg.d_mu()
     for n, deg in zip(cfg.schedule(), degrees):
         assert deg <= (cfg.g - 1) * d_mu * n
